@@ -24,17 +24,9 @@ fn campaign() -> &'static CampaignResult {
                 Workload::find("tblook").unwrap(),
                 Workload::find("idctrn").unwrap(),
             ],
-            faults_per_workload: 400,
-            seed: 42,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             capture_window: 8,
             checkpoint_interval: Some(4096),
-            events: None,
-            trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
-            batch: None,
-            core: lockstep_cpu::CoreKind::Lr5,
+            ..CampaignConfig::new(400, 42)
         })
     })
 }
@@ -47,17 +39,10 @@ fn bench_campaign_engine(c: &mut Criterion) {
         b.iter(|| {
             black_box(run_campaign(&CampaignConfig {
                 workloads: vec![Workload::find("idctrn").unwrap()],
-                faults_per_workload: 50,
-                seed: 9,
                 threads: 4,
                 capture_window: 8,
                 checkpoint_interval: Some(4096),
-                events: None,
-                trace_window: None,
-                replay_mode: Default::default(),
-                cpus: 2,
-                batch: None,
-                core: lockstep_cpu::CoreKind::Lr5,
+                ..CampaignConfig::new(50, 9)
             }))
         })
     });

@@ -27,17 +27,9 @@ const FAULTS_PER_WORKLOAD: usize = 60;
 fn config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("canrdr").unwrap(), Workload::find("matrix").unwrap()],
-        faults_per_workload: FAULTS_PER_WORKLOAD,
-        seed: 2018,
-        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         capture_window: 16,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
+        ..CampaignConfig::new(FAULTS_PER_WORKLOAD, 2018)
     }
 }
 

@@ -329,7 +329,7 @@ mod tests {
         let mut trace_a = Vec::new();
         for _ in 0..30 {
             a.step(&mut mem_a, &mut ports);
-            trace_a.push(ports.clone());
+            trace_a.push(ports);
         }
         let mut mem_b = load_program(&prog);
         let mut b = Lr7::new(0);
@@ -342,7 +342,7 @@ mod tests {
         let mut trace_b = Vec::new();
         for _ in 0..30 {
             b.step(&mut mem_b, &mut ports);
-            trace_b.push(ports.clone());
+            trace_b.push(ports);
         }
         assert_eq!(trace_a, trace_b);
         assert_eq!(a.state(), b.state());

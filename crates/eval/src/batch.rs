@@ -1,6 +1,6 @@
 //! The batched fault-simulation engine: many faults per golden replay.
 //!
-//! The scalar engines in [`campaign`](crate::campaign) pay one full
+//! The scalar engine in [`campaign`](crate::campaign) pays one full
 //! replay — checkpoint restore, fast-forward, overlay-step to detection
 //! or trace end — per injection. But every experiment in a campaign is a
 //! tiny perturbation of the *same* golden execution, which this engine
@@ -54,7 +54,7 @@
 //! cycle), in lockstep terms it *is* the fault-free twin the lanes are
 //! compared against. Either way the per-cycle comparison values are
 //! identical, which is why one batched engine serves both replay modes
-//! and produces archives byte-identical to the scalar engines
+//! and produces archives byte-identical to the scalar engine
 //! (`tests/batch_equivalence.rs`).
 
 use lockstep_core::Dsr;
@@ -292,7 +292,7 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
 /// single fault-free walker replay of the group's span. Returns one
 /// outcome per fault, aligned with the input order: `Some((detect
 /// cycle, DSR))` for a manifested error, `None` for a masked fault —
-/// bit-identical to running each fault through the scalar engines.
+/// bit-identical to running each fault through the scalar engine.
 ///
 /// The walker restores the checkpoint nearest the earliest in-range
 /// fault; callers typically pre-group faults so one call covers one
@@ -313,7 +313,7 @@ pub fn run_batch_group(
 
     // Strike order; ties keep input order so exact duplicates collapse
     // deterministically. Faults striking past the golden run are masked
-    // by construction (the scalar engines skip them the same way).
+    // by construction (the scalar engine skips them the same way).
     let mut order: Vec<usize> = (0..faults.len()).collect();
     order.sort_by_key(|&i| faults[i].cycle);
     let in_range: Vec<usize> = order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
@@ -449,7 +449,7 @@ pub fn run_batch_group(
         // image, replay the divergent cycle's log onto it, and finish
         // the DSR capture window against the trace with real memory
         // (identical values to a live twin), clamped to the end of the
-        // golden run like the scalar engines.
+        // golden run like the scalar engine.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
@@ -766,7 +766,7 @@ pub fn run_batch_group(
 /// proofs about the LR5 microstructure — its single-read-site register
 /// file and decodable write-back — so only [`Cpu`] runs them. Other
 /// cores clamp to the core-agnostic fan-out substrate, which is still
-/// byte-identical to their scalar engines (the outcome of a batched
+/// byte-identical to their scalar engine (the outcome of a batched
 /// group never depends on the layer set).
 pub trait CoreBatch: CoreModel {
     /// The layer combination this core's engine actually runs when
@@ -830,7 +830,7 @@ struct FanoutLane<C> {
 /// walker), generic over the core model. Every fault becomes a scalar
 /// lane off the walker's committed state at its strike cycle; lanes
 /// stay memoryless behind a [`TrialView`] until they first diverge.
-/// Outcomes are bit-identical to the scalar engines for any core whose
+/// Outcomes are bit-identical to the scalar engine for any core whose
 /// checkpoints restore exactly.
 pub fn run_batch_group_fanout<C: CoreModel>(
     checkpoints: &GoldenCheckpoints<C::State>,
@@ -893,7 +893,7 @@ pub fn run_batch_group_fanout<C: CoreModel>(
         // Step every live lane through `at` against the walker's image
         // (identical to the lane's own while its ports match golden); a
         // diverging lane forks a private image and runs its capture
-        // window — exactly the scalar engines' DSR semantics.
+        // window — exactly the scalar engine's DSR semantics.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];

@@ -18,37 +18,53 @@
 //!   nor diverge, and the engine skips both the overlay and the
 //!   golden-trace comparison until the injection cycle.
 //!
-//! # Replay modes
+//! # One scalar engine, three references
 //!
-//! On top of the checkpoint choice, [`ReplayMode`] selects what the
-//! faulty CPU is compared against each replayed cycle:
+//! [`run_injection`] is the one scalar entry point. What it compares
+//! the faulty copy against each replayed cycle is a [`Reference`]:
 //!
-//! * [`ReplayMode::Shadow`] (the default) — the recorded golden
-//!   [`PortTrace`] from the single golden pass. One CPU and one memory
-//!   clone per injection.
-//! * [`ReplayMode::Lockstep`] — live fault-free golden-twin CPUs, each
-//!   with its own clone of the checkpoint memory (board-level lockstep,
-//!   the paper's Figure 1a). N CPUs and N memory clones per injection.
+//! * [`Reference::Recorded`] — the recorded golden [`PortTrace`] of the
+//!   single golden pass ([`ReplayMode::Shadow`], the default). One CPU
+//!   and one memory clone per injection.
+//! * [`Reference::Twins`] — live fault-free golden-twin CPUs, each with
+//!   its own clone of the checkpoint memory ([`ReplayMode::Lockstep`],
+//!   board-level lockstep, the paper's Figure 1a). N CPUs and N memory
+//!   clones per injection.
+//! * [`Reference::RetireStream`] — the golden retire stream, under
+//!   [`RedundancyMode::Dme`]: the faulty copy runs over a shifted image
+//!   and is checked on its retired effects instead of its ports.
 //!
-//! The two are bit-identical: under replicated memory a fault-free twin
-//! restored from the same snapshot deterministically re-produces the
-//! recorded trace, so comparing against the recording *is* comparing
-//! against the twin. The differential suite
-//! (`crates/eval/tests/replay_equivalence.rs`) asserts byte-identical
-//! archives across modes; shadow mode simply skips re-simulating the
-//! machine half whose behaviour is already known.
+//! The first two are bit-identical: under replicated memory a
+//! fault-free twin restored from the same snapshot deterministically
+//! re-produces the recorded trace, so comparing against the recording
+//! *is* comparing against the twin (`tests/replay_equivalence.rs`
+//! asserts byte-identical archives).
 //!
 //! # Batch mode
 //!
-//! Orthogonally to the replay mode, [`CampaignConfig::batch`] swaps the
+//! Orthogonally to the reference, [`CampaignConfig::batch`] swaps the
 //! per-fault scalar replay for the batched engine of [`crate::batch`]:
 //! every fault restoring from the same checkpoint shares one fault-free
 //! walker replay, transients retire the moment their dirty set empties,
 //! and agreeing stuck-ats wait in bit-parallel watch masks at zero
-//! simulation cost. Outcomes are bit-identical to the scalar engines in
+//! simulation cost. Outcomes are bit-identical to the scalar engine in
 //! either replay mode (`tests/batch_equivalence.rs` asserts
 //! byte-identical archives), so batch mode is purely a throughput knob.
+//!
+//! # One work queue
+//!
+//! A campaign is the one-slice case of a shard: [`run_campaign_for`]
+//! and [`crate::shard::run_shard_for`] both run a range of global queue
+//! positions through one runner (golden captures, plan slicing,
+//! injection, record order, [`CampaignStats`]). Its injection phase is
+//! a single worker loop over items of `(workload, [(plan position,
+//! fault)])` — checkpoint groups for the batched engine, single faults
+//! otherwise — and records are ordered by (strike, detection, unit,
+//! DSR) with plan position breaking ties, so neither threads nor shard
+//! cuts reach the archive.
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -59,7 +75,7 @@ use lockstep_cpu::{
 };
 use lockstep_fault::{CampaignPlan, ErrorKind, Fault, FaultKind, PlanConfig};
 use lockstep_iss::{retired_of_ports, Retired};
-use lockstep_mem::{shift_image, DmePort, DEFAULT_DME_OFFSET_WORDS};
+use lockstep_mem::{shift_image, DmePort, Memory, MemoryPort, DEFAULT_DME_OFFSET_WORDS};
 use lockstep_obs::{DivergenceTrace, Event, EventSink, TraceRing, TraceSample};
 use lockstep_workloads::{GoldenCapture, GoldenCheckpoints, GoldenRun, Workload};
 use serde::json::{Error as JsonError, Value};
@@ -165,7 +181,7 @@ pub struct CampaignConfig {
     /// Batched fault simulation: `Some(layers)` runs the batched engine
     /// of [`crate::batch`] with the given layer combination instead of
     /// one scalar replay per fault; `None` (the default) keeps the
-    /// scalar engines. Outcomes are bit-identical either way. Ignored
+    /// scalar engine. Outcomes are bit-identical either way. Ignored
     /// when divergence tracing is on (see
     /// [`CampaignConfig::effective_batch`]).
     pub batch: Option<BatchConfig>,
@@ -379,7 +395,7 @@ impl Deserialize for CampaignStats {
             wall_nanos: Deserialize::deserialize(value.field("wall_nanos")?)?,
             injections_per_sec: Deserialize::deserialize(value.field("injections_per_sec")?)?,
             // Archives that predate batch mode were produced by the
-            // scalar per-fault engines.
+            // scalar per-fault engine.
             batch_mode: match value.field("batch_mode") {
                 Ok(v) => Deserialize::deserialize(v)?,
                 Err(_) => "off".to_owned(),
@@ -555,7 +571,7 @@ impl CampaignResult {
 
 /// Per-workload atomic counters the injection workers update.
 #[derive(Default)]
-pub(crate) struct WorkCounters {
+struct WorkCounters {
     manifested: AtomicU64,
     replayed_cycles: AtomicU64,
     skipped_cycles: AtomicU64,
@@ -564,85 +580,30 @@ pub(crate) struct WorkCounters {
     wall_nanos: AtomicU64,
 }
 
-/// One produced record: workload index, the error record, and its
-/// optional divergence trace.
-pub(crate) type Produced = (usize, ErrorRecord, Option<DivergenceTrace>);
+/// One phase-2 work item: the index of a covered workload and the
+/// `(plan position, fault)` pairs the item runs — one checkpoint group
+/// for the batched engine, a single fault for the scalar one.
+type WorkItem = (usize, Vec<(usize, Fault)>);
 
-/// Canonicalizes worker output into the archive record order:
-/// grouped by workload in campaign order, then the stable per-workload
-/// sort the per-workload engine used. Traces ride along under the same
-/// key so `traces[i]` always describes `records[i]`. The order is a
-/// pure function of the record set, so any partition of a campaign into
-/// shards reassembles to the identical sequence.
-pub(crate) fn order_produced(
-    workload_count: usize,
-    produced: Vec<Produced>,
-) -> (Vec<ErrorRecord>, Vec<Option<DivergenceTrace>>) {
-    let mut grouped: Vec<Vec<(ErrorRecord, Option<DivergenceTrace>)>> =
-        (0..workload_count).map(|_| Vec::new()).collect();
-    for (wi, record, trace) in produced {
-        grouped[wi].push((record, trace));
-    }
-    let mut records = Vec::new();
-    let mut traces = Vec::new();
-    for produced in &mut grouped {
-        produced.sort_by(|(a, _), (b, _)| {
-            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr).cmp(&(
-                b.inject_cycle,
-                b.detect_cycle,
-                b.unit_index,
-                b.dsr,
-            ))
-        });
-        for (record, trace) in produced.drain(..) {
-            records.push(record);
-            traces.push(trace);
-        }
-    }
-    (records, traces)
+/// One manifested error as a worker produced it.
+struct Produced {
+    /// Index of the workload among the covered ones.
+    li: usize,
+    /// Position of the fault in its workload's plan.
+    position: usize,
+    record: ErrorRecord,
+    trace: Option<DivergenceTrace>,
 }
 
-/// Builds the per-workload throughput stats from the worker counters.
-/// `fault_counts[wi]` is the number of faults actually injected into
-/// workload `wi` by this run (a shard injects a subrange of the plan).
-pub(crate) fn collect_workload_stats<S>(
-    config: &CampaignConfig,
-    captures: &[GoldenCapture<S>],
-    fault_counts: &[u64],
-    counters: &[WorkCounters],
-) -> Vec<WorkloadStats> {
-    config
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            let c = &counters[wi];
-            let injected = fault_counts[wi];
-            let manifested = c.manifested.load(Ordering::Relaxed);
-            WorkloadStats {
-                workload: w.name.to_owned(),
-                injected,
-                manifested,
-                masked: injected - manifested,
-                golden_cycles: captures[wi].run.cycles,
-                replayed_cycles: c.replayed_cycles.load(Ordering::Relaxed),
-                skipped_cycles: c.skipped_cycles.load(Ordering::Relaxed),
-                checkpoint_count: if config.checkpoint_interval.is_some() {
-                    captures[wi].checkpoints.points.len() as u64
-                } else {
-                    0
-                },
-                checkpoint_bytes: if config.checkpoint_interval.is_some() {
-                    captures[wi].checkpoints.approx_bytes() as u64
-                } else {
-                    0
-                },
-                hit_distance_sum: c.hit_distance_sum.load(Ordering::Relaxed),
-                hit_distance_max: c.hit_distance_max.load(Ordering::Relaxed),
-                wall_nanos: c.wall_nanos.load(Ordering::Relaxed),
-            }
-        })
-        .collect()
+/// The canonical within-workload record order: strike cycle, detection
+/// cycle, unit, DSR. Distinct faults can tie on it — two faults in one
+/// unit striking the same cycle, a transient and a stuck-at say, may
+/// detect alike — so ties go to plan position: the campaign sorts on it
+/// directly, and the shard merge walks shards in queue order before its
+/// stable sort. The order is therefore a pure function of the plan,
+/// whatever the thread count or shard cut.
+pub(crate) fn record_key(r: &ErrorRecord) -> (u64, u64, u8, Dsr) {
+    (r.inject_cycle, r.detect_cycle, r.unit_index, r.dsr)
 }
 
 /// Runs a full campaign: one golden reference pass per workload
@@ -657,62 +618,88 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     }
 }
 
-/// [`run_campaign`] monomorphized for core model `C`. The engine is a
-/// pure function of the [`CoreModel`] contracts — registry-driven fault
-/// plans, snapshot/restore checkpoints, overlay stepping, and the
-/// 62-SC port comparison — so every replay mode and the fan-out batch
-/// layer work identically on any conforming core.
+/// [`run_campaign`] monomorphized for core model `C`: the whole fault
+/// queue run as one slice. The engine is a pure function of the
+/// [`CoreModel`] contracts — registry-driven fault plans,
+/// snapshot/restore checkpoints, overlay stepping, and the 62-SC port
+/// comparison — so every replay mode and the fan-out batch layer work
+/// identically on any conforming core.
 pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult {
-    let campaign_start = Instant::now();
-    let mode = config.effective_replay_mode();
+    let queued = config.workloads.len() as u64 * config.faults_per_workload as u64;
+    run_queue_slice::<C>(config, 0..config.workloads.len(), 0..queued)
+}
+
+/// The runner behind both [`run_campaign_for`] and
+/// [`crate::shard::run_shard_for`]: injects global queue positions
+/// `queue` (position `i` is fault `i % faults_per_workload` of workload
+/// `i / faults_per_workload`), golden-capturing the `covered` workloads
+/// — exactly those the slice touches, or all of them for a whole
+/// campaign.
+///
+/// Stimulus and fault-plan seeds derive from **global** workload
+/// indices, so a slice's records are bit-identical to the same positions
+/// of the single-shot campaign. The result describes the slice alone:
+/// its records in canonical order, its injection counts, the covered
+/// workloads' golden runs, and its [`CampaignStats`].
+pub(crate) fn run_queue_slice<C: CoreBatch>(
+    config: &CampaignConfig,
+    covered: Range<usize>,
+    queue: Range<u64>,
+) -> CampaignResult {
+    let run_start = Instant::now();
     assert!(config.cpus >= 2, "lockstep needs at least two CPUs");
-    emit_replay_mode_downgrade(config);
+    let mode = config.effective_replay_mode();
+    if let Some(events) = config.events.as_ref().filter(|_| mode != config.replay_mode) {
+        events.emit(&Event::ReplayModeDowngraded {
+            requested: config.replay_mode.label().to_owned(),
+            effective: mode.label().to_owned(),
+            cpus: config.cpus as u64,
+        });
+    }
 
-    let stim_seeds: Vec<u64> =
-        (0..config.workloads.len()).map(|wi| config.seed ^ (wi as u64) << 32).collect();
-    let (captures, golden_nanos) = run_golden_phase::<C>(config, &stim_seeds);
+    let workloads = &config.workloads[covered.clone()];
+    let stim_seeds: Vec<u64> = covered.clone().map(|wi| config.seed ^ (wi as u64) << 32).collect();
+    let (captures, golden_nanos) = run_golden_phase::<C>(config, workloads, &stim_seeds);
 
-    // ------------------------------------------------------------------
-    // Fault plans and the flat work queue: injection i maps to the
-    // workload whose [offset, offset + plan.len()) range contains it.
-    // ------------------------------------------------------------------
+    // Each covered workload's full fault plan, re-derived from its
+    // global seed and cut to the queue positions the slice owns.
+    let fpw = config.faults_per_workload as u64;
     let mut injected_per_unit = vec![[0u64; 2]; 13];
-    let mut plans = Vec::with_capacity(config.workloads.len());
-    let mut offsets = Vec::with_capacity(config.workloads.len());
-    let mut injected_total = 0usize;
-    for (wi, cap) in captures.iter().enumerate() {
+    let mut slices: Vec<Vec<(usize, Fault)>> = Vec::with_capacity(captures.len());
+    for (wi, cap) in covered.zip(&captures) {
         let plan = CampaignPlan::sampled_for::<C>(
             PlanConfig::new(cap.run.cycles, config.seed.wrapping_add(wi as u64)),
             config.faults_per_workload,
         );
-        for f in plan.faults() {
+        let base = wi as u64 * fpw;
+        let lo = (queue.start.max(base) - base) as usize;
+        let hi = (queue.end.min(base + fpw) - base) as usize;
+        let slice: Vec<(usize, Fault)> = (lo..hi).map(|pos| (pos, plan.faults()[pos])).collect();
+        for (_, f) in &slice {
             let k = usize::from(f.kind.error_kind() == ErrorKind::Hard);
             injected_per_unit[f.unit_for::<C>().index()][k] += 1;
         }
-        offsets.push(injected_total);
-        injected_total += plan.len();
-        plans.push(plan);
+        slices.push(slice);
     }
+    let fault_counts: Vec<u64> = slices.iter().map(|s| s.len() as u64).collect();
+    let batch = config.effective_batch().map(C::clamp_layers);
+    let items = work_items(&captures, slices, batch.is_some());
 
-    // ------------------------------------------------------------------
-    // Phase 2: every (workload, fault) pair goes through one shared
-    // queue, so a long-running workload no longer serializes the tail of
-    // the campaign behind a per-workload thread barrier.
-    // ------------------------------------------------------------------
     let injection_start = Instant::now();
-    let counters: Vec<WorkCounters> =
-        config.workloads.iter().map(|_| WorkCounters::default()).collect();
-    let sink: Mutex<Vec<Produced>> = Mutex::new(Vec::new());
-    let fault_sets: Vec<Vec<Fault>> = plans.iter().map(|p| p.faults().to_vec()).collect();
-    let batch_cost =
-        run_injection_phase::<C>(config, &captures, &stim_seeds, &fault_sets, &counters, &sink);
+    let counters: Vec<WorkCounters> = workloads.iter().map(|_| WorkCounters::default()).collect();
+    let (mut produced, batch_cost) =
+        run_injection_phase::<C>(config, workloads, &captures, &stim_seeds, &items, &counters);
     let injection_nanos = elapsed_nanos(injection_start);
     if let Some(events) = &config.events {
         events.emit(&Event::Span { name: "injection".to_owned(), nanos: injection_nanos });
     }
 
-    let (records, mut traces) =
-        order_produced(config.workloads.len(), sink.into_inner().expect("no poisoned workers"));
+    // Archive order: grouped by workload in campaign order, then
+    // `record_key` with plan position breaking ties. Traces ride along
+    // so `traces[i]` always describes `records[i]`.
+    produced.sort_unstable_by_key(|p| (p.li, record_key(&p.record), p.position));
+    let (records, mut traces): (Vec<ErrorRecord>, Vec<Option<DivergenceTrace>>) =
+        produced.into_iter().map(|p| (p.record, p.trace)).unzip();
     if config.trace_window.is_none() || config.checkpoint_interval.is_none() {
         traces.clear();
     }
@@ -722,35 +709,55 @@ pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult
         }
     }
 
-    let golden_info: Vec<(&'static str, GoldenRun)> =
-        config.workloads.iter().zip(&captures).map(|(w, cap)| (w.name, cap.run)).collect();
-
-    let fault_counts: Vec<u64> = plans.iter().map(|p| p.len() as u64).collect();
-    let per_workload = collect_workload_stats(config, &captures, &fault_counts, &counters);
-
-    let manifested_total = records.len() as u64;
+    let checkpointed = config.checkpoint_interval.is_some();
+    let per_workload = (0..workloads.len())
+        .map(|li| {
+            let (c, cap, injected) = (&counters[li], &captures[li], fault_counts[li]);
+            let manifested = c.manifested.load(Ordering::Relaxed);
+            WorkloadStats {
+                workload: workloads[li].name.to_owned(),
+                injected,
+                manifested,
+                masked: injected - manifested,
+                golden_cycles: cap.run.cycles,
+                replayed_cycles: c.replayed_cycles.load(Ordering::Relaxed),
+                skipped_cycles: c.skipped_cycles.load(Ordering::Relaxed),
+                checkpoint_count: if checkpointed {
+                    cap.checkpoints.points.len() as u64
+                } else {
+                    0
+                },
+                checkpoint_bytes: if checkpointed {
+                    cap.checkpoints.approx_bytes() as u64
+                } else {
+                    0
+                },
+                hit_distance_sum: c.hit_distance_sum.load(Ordering::Relaxed),
+                hit_distance_max: c.hit_distance_max.load(Ordering::Relaxed),
+                wall_nanos: c.wall_nanos.load(Ordering::Relaxed),
+            }
+        })
+        .collect();
+    let injected: u64 = fault_counts.iter().sum();
+    let manifested = records.len() as u64;
     let injection_secs = injection_nanos as f64 / 1e9;
     let stats = CampaignStats {
         checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
         core: C::NAME.to_owned(),
         redundancy: config.redundancy.label().to_owned(),
         replay_mode: mode.label().to_owned(),
-        injected: injected_total as u64,
-        manifested: manifested_total,
-        masked: injected_total as u64 - manifested_total,
+        injected,
+        manifested,
+        masked: injected - manifested,
         golden_nanos,
         injection_nanos,
-        wall_nanos: elapsed_nanos(campaign_start),
+        wall_nanos: elapsed_nanos(run_start),
         injections_per_sec: if injection_secs > 0.0 {
-            injected_total as f64 / injection_secs
+            injected as f64 / injection_secs
         } else {
             0.0
         },
-        batch_mode: config
-            .effective_batch()
-            .map(C::clamp_layers)
-            .map_or("off", BatchConfig::label)
-            .to_owned(),
+        batch_mode: batch.map_or("off", BatchConfig::label).to_owned(),
         masked_early_out: batch_cost.masked_early_out,
         early_out_cycles_saved: batch_cost.early_out_cycles_saved,
         parked_masked: batch_cost.parked_masked,
@@ -760,38 +767,38 @@ pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult
 
     CampaignResult {
         records,
-        injected: injected_total,
+        injected: injected as usize,
         injected_per_unit,
-        golden: golden_info,
+        golden: workloads.iter().zip(&captures).map(|(w, cap)| (w.name, cap.run)).collect(),
         stats,
         traces,
         events: config.events.clone(),
     }
 }
 
-/// Phase 1 of a campaign or shard: golden captures, parallel over
-/// workloads. One simulation per kernel yields the run stats, the
-/// golden trace, and the checkpoints (the engine used to simulate each
-/// kernel twice here). `stim_seeds[wi]` seeds `workloads[wi]`'s
-/// stimulus; a shard passes the seeds of its covered global workload
-/// indices so its captures are bit-identical to the full campaign's.
+/// Phase 1: golden captures of `workloads`, parallel over workloads.
+/// One simulation per kernel yields the run stats, the golden trace,
+/// and the checkpoints. `stim_seeds[i]` seeds `workloads[i]`'s stimulus
+/// (the seed of its global campaign index, so a shard's captures are
+/// bit-identical to the full campaign's).
 ///
 /// Returns the captures plus the phase's wall time in nanoseconds.
-pub(crate) fn run_golden_phase<C: CoreModel>(
+fn run_golden_phase<C: CoreModel>(
     config: &CampaignConfig,
+    workloads: &[&'static Workload],
     stim_seeds: &[u64],
 ) -> (Vec<GoldenCapture<C::State>>, u64) {
     let phase_start = Instant::now();
     let capture_interval = config.checkpoint_interval.unwrap_or(u64::MAX);
     let captures: Vec<GoldenCapture<C::State>> = {
         let slots: Vec<Mutex<Option<GoldenCapture<C::State>>>> =
-            config.workloads.iter().map(|_| Mutex::new(None)).collect();
+            workloads.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..config.threads.max(1).min(config.workloads.len().max(1)) {
+            for _ in 0..config.threads.max(1).min(workloads.len().max(1)) {
                 scope.spawn(|| loop {
                     let wi = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(workload) = config.workloads.get(wi) else {
+                    let Some(workload) = workloads.get(wi) else {
                         break;
                     };
                     let cap =
@@ -802,7 +809,7 @@ pub(crate) fn run_golden_phase<C: CoreModel>(
         });
         slots
             .into_iter()
-            .zip(&config.workloads)
+            .zip(workloads)
             .map(|(slot, w)| {
                 slot.into_inner()
                     .expect("no poisoned capture slot")
@@ -810,12 +817,12 @@ pub(crate) fn run_golden_phase<C: CoreModel>(
             })
             .collect()
     };
-    for (workload, cap) in config.workloads.iter().zip(&captures) {
+    for (workload, cap) in workloads.iter().zip(&captures) {
         assert!(cap.run.halted, "{} golden run did not halt", workload.name);
     }
     let golden_nanos = elapsed_nanos(phase_start);
     if let Some(sink) = &config.events {
-        for (workload, cap) in config.workloads.iter().zip(&captures) {
+        for (workload, cap) in workloads.iter().zip(&captures) {
             sink.emit(&Event::GoldenPass {
                 workload: workload.name.to_owned(),
                 cycles: cap.run.cycles,
@@ -832,150 +839,138 @@ pub(crate) fn run_golden_phase<C: CoreModel>(
     (captures, golden_nanos)
 }
 
-/// Phase 2 of a campaign or shard: injects every fault of
-/// `fault_sets[wi]` into `config.workloads[wi]`, pushing one
-/// [`Produced`] entry per manifested error into `sink`. Dispatches to
-/// the batched engine when [`CampaignConfig::effective_batch`] says so,
-/// otherwise to the flat scalar work queue shared by all worker
-/// threads. `stim_seeds[wi]` is only consulted by the from-reset path
-/// (checkpointing off).
-///
-/// Outcomes are a pure per-fault function, so any partition of a
-/// campaign's fault sets across calls — including the resumable shards
-/// of [`crate::shard`] — produces the same records.
-pub(crate) fn run_injection_phase<C: CoreBatch>(
-    config: &CampaignConfig,
-    captures: &[GoldenCapture<C::State>],
-    stim_seeds: &[u64],
-    fault_sets: &[Vec<Fault>],
-    counters: &[WorkCounters],
-    sink: &Mutex<Vec<Produced>>,
-) -> BatchCost {
-    let window = config.capture_window;
-    let mode = config.effective_replay_mode();
-    let mut offsets = Vec::with_capacity(fault_sets.len());
-    let mut injected_total = 0usize;
-    for set in fault_sets {
-        offsets.push(injected_total);
-        injected_total += set.len();
-    }
-    if config.redundancy == RedundancyMode::Dme {
-        return run_dme_phase::<C>(
-            config, captures, stim_seeds, fault_sets, counters, sink, window,
+/// Cuts each covered workload's share of the queue into phase-2 work
+/// items. For the batched engine a workload's faults go in strike order
+/// (stable, so ties keep plan order) and split wherever the restoring
+/// checkpoint changes, so one walker replay serves each group; for the
+/// scalar engine every fault is its own item, in plan order.
+fn work_items<S>(
+    captures: &[GoldenCapture<S>],
+    slices: Vec<Vec<(usize, Fault)>>,
+    batched: bool,
+) -> Vec<WorkItem> {
+    let mut items = Vec::new();
+    for (li, (cap, mut slice)) in captures.iter().zip(slices).enumerate() {
+        if !batched {
+            items.extend(slice.into_iter().map(|fault| (li, vec![fault])));
+            continue;
+        }
+        let restores = |f: &Fault| {
+            cap.checkpoints
+                .nearest_at(f.cycle)
+                .expect("golden captures always include the cycle-0 checkpoint")
+                .cycle
+        };
+        slice.sort_by_key(|(_, f)| f.cycle);
+        items.extend(
+            slice.chunk_by(|(_, a), (_, b)| restores(a) == restores(b)).map(|g| (li, g.to_vec())),
         );
     }
-    if let Some(layers) = config.effective_batch() {
-        let layers = C::clamp_layers(layers);
-        run_batch_phase::<C>(config, captures, fault_sets, counters, sink, layers, window)
+    items
+}
+
+/// Phase 2: the one work queue. Worker threads pull [`WorkItem`]s off a
+/// shared cursor and run each through the batched engine
+/// ([`CoreBatch::run_batch_group`], one shared walker per group) or
+/// fault by fault through [`run_injection`], against the reference the
+/// configuration selects. This loop is the only place that updates the
+/// per-workload counters, emits the per-fault events and builds
+/// [`ErrorRecord`]s. Outcomes are a pure per-fault function, so neither
+/// the thread count nor the item order reaches the records.
+///
+/// Batched groups share their restore, so they report no per-fault
+/// checkpoint hits and leave the hit-distance stats at zero.
+fn run_injection_phase<C: CoreBatch>(
+    config: &CampaignConfig,
+    workloads: &[&'static Workload],
+    captures: &[GoldenCapture<C::State>],
+    stim_seeds: &[u64],
+    items: &[WorkItem],
+    counters: &[WorkCounters],
+) -> (Vec<Produced>, BatchCost) {
+    let window = config.capture_window;
+    let batch = config.effective_batch().map(C::clamp_layers);
+    let dme = config.redundancy == RedundancyMode::Dme;
+    let lockstep = config.effective_replay_mode().is_lockstep();
+    let checkpointed = config.checkpoint_interval.is_some();
+    // Full lockstep replay always resumes from the golden store (with
+    // checkpointing off only the mandatory cycle-0 snapshot exists,
+    // i.e. replay-from-reset); shadow and DME replays resume only when
+    // checkpointing is on. Tracing rides the checkpointed port
+    // comparison only.
+    let resumes = checkpointed || (lockstep && !dme);
+    let trace_window = config.trace_window.filter(|_| checkpointed && !dme);
+    let retires: Vec<Vec<(u64, Retired)>> = if dme {
+        captures.iter().map(|cap| retire_stream(&cap.trace)).collect()
     } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..config.threads.max(1) {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= injected_total {
-                            break;
-                        }
-                        let wi = match offsets.binary_search(&i) {
-                            Ok(w) => w,
-                            Err(w) => w - 1,
-                        };
-                        let workload = config.workloads[wi];
-                        let cap = &captures[wi];
-                        let fault = fault_sets[wi][i - offsets[wi]];
-                        let t0 = Instant::now();
-                        // Full lockstep replay always resumes from the golden
-                        // store (with checkpointing off only the mandatory
-                        // cycle-0 snapshot exists, i.e. replay-from-reset).
-                        let resumes = config.checkpoint_interval.is_some() || mode.is_lockstep();
-                        let (outcome, trace) = if resumes {
-                            let (outcome, trace, cost) = match (mode, config.trace_window) {
-                                // Tracing rides the checkpointed path only
-                                // (mirrored from shadow mode's contract).
-                                (ReplayMode::Shadow, Some(pre))
-                                    if config.checkpoint_interval.is_some() =>
-                                {
-                                    let (out, cost) = run_injection_traced_for::<C>(
-                                        &cap.checkpoints,
-                                        &cap.trace,
-                                        fault,
-                                        window,
-                                        pre,
-                                    );
-                                    let (outcome, trace) = split_traced(out);
-                                    (outcome, trace, cost)
-                                }
-                                (ReplayMode::Shadow, _) => {
-                                    let (out, cost) = run_injection_from_checkpoint_for::<C>(
-                                        &cap.checkpoints,
-                                        &cap.trace,
-                                        fault,
-                                        window,
-                                    );
-                                    (out, None, cost)
-                                }
-                                (ReplayMode::Lockstep, Some(pre))
-                                    if config.checkpoint_interval.is_some() =>
-                                {
-                                    let (out, cost) = run_injection_lockstep_traced_for::<C>(
-                                        &cap.checkpoints,
-                                        cap.run.cycles,
-                                        fault,
-                                        window,
-                                        pre,
-                                        config.cpus,
-                                    );
-                                    let (outcome, trace) = split_traced(out);
-                                    (outcome, trace, cost)
-                                }
-                                (ReplayMode::Lockstep, _) => {
-                                    let (out, cost) = run_injection_lockstep_for::<C>(
-                                        &cap.checkpoints,
-                                        cap.run.cycles,
-                                        fault,
-                                        window,
-                                        config.cpus,
-                                    );
-                                    (out, None, cost)
-                                }
-                            };
-                            let c = &counters[wi];
+        Vec::new()
+    };
+    // One scalar replay of covered workload `li`, with its costs counted.
+    let replay = |li: usize, fault: Fault| {
+        let (workload, cap, c) = (workloads[li], &captures[li], &counters[li]);
+        let start = if resumes {
+            ReplayStart::Checkpoint(&cap.checkpoints)
+        } else {
+            ReplayStart::Reset { workload, stim_seed: stim_seeds[li] }
+        };
+        let reference = if dme {
+            Reference::RetireStream { cycles: cap.trace.len(), stream: &retires[li] }
+        } else if lockstep {
+            Reference::Twins { cycles: cap.run.cycles, cpus: config.cpus }
+        } else {
+            Reference::Recorded(&cap.trace)
+        };
+        let Injection { outcome, trace, cost } =
+            run_injection::<C>(start, reference, fault, window, trace_window);
+        c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
+        c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
+        if checkpointed {
+            c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
+            c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
+            // A fault past the golden runtime never restores a snapshot:
+            // no hit to report.
+            if let Some(events) = config.events.as_ref().filter(|_| fault.cycle < cap.run.cycles) {
+                events.emit(&Event::CheckpointHit {
+                    workload: workload.name.to_owned(),
+                    inject_cycle: fault.cycle,
+                    checkpoint_cycle: cost.checkpoint_cycle,
+                    hit_distance: cost.hit_distance,
+                });
+            }
+        }
+        (outcome, trace)
+    };
+
+    let next = AtomicUsize::new(0);
+    let sink = Mutex::new((Vec::new(), BatchCost::default()));
+    std::thread::scope(|scope| {
+        for _ in 0..config.threads.max(1) {
+            scope.spawn(|| {
+                let mut produced = Vec::new();
+                let mut batch_cost = BatchCost::default();
+                while let Some((li, item)) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let li = *li;
+                    let (workload, cap, c) = (workloads[li], &captures[li], &counters[li]);
+                    let t0 = Instant::now();
+                    let results = match batch {
+                        Some(layers) => {
+                            let faults: Vec<Fault> = item.iter().map(|&(_, f)| f).collect();
+                            let (outcomes, cost) = C::run_batch_group(
+                                &cap.checkpoints,
+                                &cap.trace,
+                                &faults,
+                                window,
+                                layers,
+                            );
                             c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
                             c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-                            if config.checkpoint_interval.is_some() {
-                                c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
-                                c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
-                                if let Some(events) = &config.events {
-                                    // A fault past the golden runtime never restores
-                                    // a snapshot, so no hit to report for it.
-                                    if fault.cycle < cap.run.cycles {
-                                        events.emit(&Event::CheckpointHit {
-                                            workload: workload.name.to_owned(),
-                                            inject_cycle: fault.cycle,
-                                            checkpoint_cycle: cost.checkpoint_cycle,
-                                            hit_distance: cost.hit_distance,
-                                        });
-                                    }
-                                }
-                            }
-                            (outcome, trace)
-                        } else {
-                            let (out, cost) = run_injection_engine::<C, _, _>(
-                                ReplayStart::Reset { workload, stim_seed: stim_seeds[wi] },
-                                cap.trace.len(),
-                                fault,
-                                window,
-                                &mut NoObserver,
-                                |_, _| RecordedGolden { trace: &cap.trace },
-                            );
-                            counters[wi]
-                                .replayed_cycles
-                                .fetch_add(cost.replayed_cycles, Ordering::Relaxed);
-                            (out, None)
-                        };
-                        counters[wi].wall_nanos.fetch_add(elapsed_nanos(t0), Ordering::Relaxed);
+                            batch_cost = total_cost([batch_cost, cost]);
+                            outcomes.into_iter().map(|outcome| (outcome, None)).collect::<Vec<_>>()
+                        }
+                        None => item.iter().map(|&(_, fault)| replay(li, fault)).collect(),
+                    };
+                    c.wall_nanos.fetch_add(elapsed_nanos(t0), Ordering::Relaxed);
+                    for (&(position, fault), (outcome, trace)) in item.iter().zip(results) {
                         if let Some(events) = &config.events {
                             events.emit(&Event::Inject {
                                 workload: workload.name.to_owned(),
@@ -997,427 +992,96 @@ pub(crate) fn run_injection_phase<C: CoreBatch>(
                             }
                         }
                         if let Some((detect_cycle, dsr)) = outcome {
-                            counters[wi].manifested.fetch_add(1, Ordering::Relaxed);
-                            local.push((
-                                wi,
-                                ErrorRecord {
-                                    workload: workload.name.to_owned(),
-                                    unit_index: fault.unit_for::<C>().index() as u8,
-                                    fault: fault.kind.into(),
-                                    inject_cycle: fault.cycle,
-                                    detect_cycle,
-                                    dsr,
-                                },
-                                trace,
-                            ));
-                        }
-                    }
-                    sink.lock().expect("no poisoned workers").extend(local);
-                });
-            }
-        });
-        BatchCost::default()
-    }
-}
-
-pub(crate) fn elapsed_nanos(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Announces the shadow→lockstep replay fallback on the event log when
-/// it applies ([`CampaignConfig::effective_replay_mode`] downgrades
-/// silently otherwise). Called by both the campaign and shard entry
-/// points, once per run.
-pub(crate) fn emit_replay_mode_downgrade(config: &CampaignConfig) {
-    let effective = config.effective_replay_mode();
-    if effective != config.replay_mode {
-        if let Some(events) = &config.events {
-            events.emit(&Event::ReplayModeDowngraded {
-                requested: config.replay_mode.label().to_owned(),
-                effective: effective.label().to_owned(),
-                cpus: config.cpus as u64,
-            });
-        }
-    }
-}
-
-/// Phase 2 in batch mode: each workload's faults are sorted by strike
-/// cycle and partitioned into groups restoring from the same golden
-/// checkpoint, and each (workload, span) group becomes one work item
-/// sharing a single walker replay (see [`run_batch_group`]). Per-fault
-/// checkpoint hits are not reported — the restore is shared — so the
-/// hit-distance stats stay zero in batch mode.
-fn run_batch_phase<C: CoreBatch>(
-    config: &CampaignConfig,
-    captures: &[GoldenCapture<C::State>],
-    fault_sets: &[Vec<Fault>],
-    counters: &[WorkCounters],
-    sink: &Mutex<Vec<(usize, ErrorRecord, Option<DivergenceTrace>)>>,
-    layers: BatchConfig,
-    window: u32,
-) -> BatchCost {
-    struct Group {
-        wi: usize,
-        faults: Vec<Fault>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    for (wi, set) in fault_sets.iter().enumerate() {
-        let cps = &captures[wi].checkpoints;
-        let mut faults = set.clone();
-        faults.sort_by_key(|f| f.cycle);
-        let mut current_key = None;
-        let mut current: Vec<Fault> = Vec::new();
-        for f in faults {
-            let key = cps
-                .nearest_at(f.cycle)
-                .expect("golden captures always include the cycle-0 checkpoint")
-                .cycle;
-            if current_key != Some(key) && !current.is_empty() {
-                groups.push(Group { wi, faults: std::mem::take(&mut current) });
-            }
-            current_key = Some(key);
-            current.push(f);
-        }
-        if !current.is_empty() {
-            groups.push(Group { wi, faults: current });
-        }
-    }
-
-    let next = AtomicUsize::new(0);
-    let total = Mutex::new(BatchCost::default());
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads.max(1) {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, ErrorRecord, Option<DivergenceTrace>)> = Vec::new();
-                let mut local_cost = BatchCost::default();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else {
-                        break;
-                    };
-                    let workload = config.workloads[group.wi];
-                    let cap = &captures[group.wi];
-                    let t0 = Instant::now();
-                    let (outcomes, cost) = C::run_batch_group(
-                        &cap.checkpoints,
-                        &cap.trace,
-                        &group.faults,
-                        window,
-                        layers,
-                    );
-                    let c = &counters[group.wi];
-                    c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
-                    c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-                    c.wall_nanos.fetch_add(elapsed_nanos(t0), Ordering::Relaxed);
-                    local_cost = total_cost([local_cost, cost]);
-                    if let Some(events) = &config.events {
-                        for (fault, outcome) in group.faults.iter().zip(&outcomes) {
-                            events.emit(&Event::Inject {
-                                workload: workload.name.to_owned(),
-                                unit: fault.unit_for::<C>().name().to_owned(),
-                                fault: fault.describe_for::<C>(),
-                                cycle: fault.cycle,
-                            });
-                            match outcome {
-                                Some((detect_cycle, dsr)) => events.emit(&Event::Detect {
-                                    workload: workload.name.to_owned(),
-                                    inject_cycle: fault.cycle,
-                                    detect_cycle: *detect_cycle,
-                                    dsr_bits: dsr.bits(),
-                                }),
-                                None => events.emit(&Event::Masked {
-                                    workload: workload.name.to_owned(),
-                                    inject_cycle: fault.cycle,
-                                }),
-                            }
-                        }
-                    }
-                    for (fault, outcome) in group.faults.iter().zip(&outcomes) {
-                        if let Some((detect_cycle, dsr)) = *outcome {
                             c.manifested.fetch_add(1, Ordering::Relaxed);
-                            local.push((
-                                group.wi,
-                                ErrorRecord {
-                                    workload: workload.name.to_owned(),
-                                    unit_index: fault.unit_for::<C>().index() as u8,
-                                    fault: fault.kind.into(),
-                                    inject_cycle: fault.cycle,
-                                    detect_cycle,
-                                    dsr,
-                                },
-                                None,
-                            ));
-                        }
-                    }
-                }
-                sink.lock().expect("no poisoned workers").extend(local);
-                let mut t = total.lock().expect("no poisoned workers");
-                *t = total_cost([*t, local_cost]);
-            });
-        }
-    });
-    total.into_inner().expect("no poisoned workers")
-}
-
-/// Phase 2 under [`RedundancyMode::Dme`]: the scalar flat work queue
-/// with the retired-effect stream comparator in place of the per-cycle
-/// port diff. Each workload's golden retire stream is decoded from the
-/// recorded port trace once ([`retire_stream`]); every fault then
-/// replays the faulty copy over the **shifted** address space and
-/// checks its k-th retirement against golden entry k
-/// ([`run_injection_dme_for`]). Outcomes stay a pure per-fault
-/// function, so DME archives are thread-count and shard independent
-/// like every other mode's.
-fn run_dme_phase<C: CoreModel>(
-    config: &CampaignConfig,
-    captures: &[GoldenCapture<C::State>],
-    stim_seeds: &[u64],
-    fault_sets: &[Vec<Fault>],
-    counters: &[WorkCounters],
-    sink: &Mutex<Vec<Produced>>,
-    window: u32,
-) -> BatchCost {
-    let retires: Vec<Vec<(u64, Retired)>> =
-        captures.iter().map(|cap| retire_stream(&cap.trace)).collect();
-    let mut offsets = Vec::with_capacity(fault_sets.len());
-    let mut injected_total = 0usize;
-    for set in fault_sets {
-        offsets.push(injected_total);
-        injected_total += set.len();
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads.max(1) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= injected_total {
-                        break;
-                    }
-                    let wi = match offsets.binary_search(&i) {
-                        Ok(w) => w,
-                        Err(w) => w - 1,
-                    };
-                    let workload = config.workloads[wi];
-                    let cap = &captures[wi];
-                    let fault = fault_sets[wi][i - offsets[wi]];
-                    let t0 = Instant::now();
-                    let checkpointed = config.checkpoint_interval.is_some();
-                    let start = if checkpointed {
-                        ReplayStart::Checkpoint(&cap.checkpoints)
-                    } else {
-                        ReplayStart::Reset { workload, stim_seed: stim_seeds[wi] }
-                    };
-                    let (outcome, cost) = run_injection_dme_for::<C>(
-                        start,
-                        &retires[wi],
-                        cap.trace.len(),
-                        fault,
-                        window,
-                    );
-                    let c = &counters[wi];
-                    c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
-                    c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-                    if checkpointed {
-                        c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
-                        c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
-                        if let Some(events) = &config.events {
-                            if fault.cycle < cap.run.cycles {
-                                events.emit(&Event::CheckpointHit {
-                                    workload: workload.name.to_owned(),
-                                    inject_cycle: fault.cycle,
-                                    checkpoint_cycle: cost.checkpoint_cycle,
-                                    hit_distance: cost.hit_distance,
-                                });
-                            }
-                        }
-                    }
-                    c.wall_nanos.fetch_add(elapsed_nanos(t0), Ordering::Relaxed);
-                    if let Some(events) = &config.events {
-                        events.emit(&Event::Inject {
-                            workload: workload.name.to_owned(),
-                            unit: fault.unit_for::<C>().name().to_owned(),
-                            fault: fault.describe_for::<C>(),
-                            cycle: fault.cycle,
-                        });
-                        match outcome {
-                            Some((detect_cycle, dsr)) => events.emit(&Event::Detect {
-                                workload: workload.name.to_owned(),
-                                inject_cycle: fault.cycle,
-                                detect_cycle,
-                                dsr_bits: dsr.bits(),
-                            }),
-                            None => events.emit(&Event::Masked {
-                                workload: workload.name.to_owned(),
-                                inject_cycle: fault.cycle,
-                            }),
-                        }
-                    }
-                    if let Some((detect_cycle, dsr)) = outcome {
-                        c.manifested.fetch_add(1, Ordering::Relaxed);
-                        local.push((
-                            wi,
-                            ErrorRecord {
+                            let record = ErrorRecord {
                                 workload: workload.name.to_owned(),
                                 unit_index: fault.unit_for::<C>().index() as u8,
                                 fault: fault.kind.into(),
                                 inject_cycle: fault.cycle,
                                 detect_cycle,
                                 dsr,
-                            },
-                            None,
-                        ));
+                            };
+                            produced.push(Produced { li, position, record, trace });
+                        }
                     }
                 }
-                sink.lock().expect("no poisoned workers").extend(local);
+                let mut sink = sink.lock().expect("no poisoned workers");
+                sink.0.extend(produced);
+                sink.1 = total_cost([sink.1, batch_cost]);
             });
         }
     });
-    BatchCost::default()
+    sink.into_inner().expect("no poisoned workers")
 }
 
-/// One DME-mode injection: resolve the start (reset or nearest
-/// checkpoint), build the **shifted** memory image for it, fast-forward
-/// fault-free behind the DME translation (virtually identical to the
-/// golden run — the `lockstep-mem` soundness anchor — so neither
-/// comparison nor a separate golden capture is needed), then
-/// overlay-step. Each retirement of the faulty copy is checked against
-/// the next golden retire-stream entry; the first differing effect is
-/// the detection, and further mismatch bits accumulate over the capture
-/// window exactly like port-diff DSR bits do.
-///
-/// Divergences that never reach the retire interface are masked here
-/// even if the per-cycle port comparison would catch them: DME only
-/// observes architectural effects, which is the coverage trade the mode
-/// makes in exchange for tolerating address-space diversity.
-fn run_injection_dme_for<C: CoreModel>(
-    start: ReplayStart<'_, C::State>,
-    golden_retires: &[(u64, Retired)],
-    trace_len: u64,
-    fault: Fault,
-    window: u32,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    if fault.cycle >= trace_len {
-        let cost = ReplayCost { skipped_cycles: trace_len, ..ReplayCost::default() };
-        return (None, cost);
-    }
-    let (mut cpu, mut mem, start_cycle) = match start {
-        ReplayStart::Reset { workload, stim_seed } => {
-            (C::new(0), shift_image(&workload.memory(stim_seed), DEFAULT_DME_OFFSET_WORDS), 0)
-        }
-        ReplayStart::Checkpoint(checkpoints) => {
-            let cp = checkpoints
-                .nearest_at(fault.cycle)
-                .expect("golden captures always include the cycle-0 checkpoint");
-            (
-                C::from_state(cp.cpu.clone()),
-                shift_image(&cp.mem, DEFAULT_DME_OFFSET_WORDS),
-                cp.cycle,
-            )
-        }
-    };
-    let mut ports = PortSet::new();
-    let mut cost = ReplayCost {
-        checkpoint_cycle: start_cycle,
-        hit_distance: fault.cycle - start_cycle,
-        replayed_cycles: 0,
-        skipped_cycles: start_cycle,
-    };
-
-    let mut cycle = start_cycle;
-    while cycle < fault.cycle {
-        cpu.step(&mut DmePort::new(&mut mem, DEFAULT_DME_OFFSET_WORDS), &mut ports);
-        cycle += 1;
-        cost.replayed_cycles += 1;
-    }
-
-    // Retire-stream cursor as of the fault cycle: the fault-free prefix
-    // retired exactly the golden entries below it.
-    let mut idx = golden_retires.partition_point(|(c, _)| *c < fault.cycle);
-    let mut compare = move |ports: &PortSet| -> u64 {
-        let Some(r) = retired_of_ports(ports) else {
-            return 0;
-        };
-        let diff = match golden_retires.get(idx) {
-            Some((_, golden)) => retired_diff_mask(&r, golden),
-            // The faulty copy retired past the end of the golden stream.
-            None => stream_skew_mask(),
-        };
-        idx += 1;
-        diff
-    };
-
-    let (detect_cycle, mut dsr_bits) = loop {
-        if cycle >= trace_len {
-            return (None, cost);
-        }
-        let at = cycle;
-        let mut port = DmePort::new(&mut mem, DEFAULT_DME_OFFSET_WORDS);
-        cpu.step_with_overlay(&mut port, &mut ports, |st| fault.overlay_for::<C>(st, at));
-        cost.replayed_cycles += 1;
-        cycle += 1;
-        let diff = compare(&ports);
-        if diff != 0 {
-            break (at, diff);
-        }
-    };
-    for _ in 1..window {
-        if cycle >= trace_len {
-            break;
-        }
-        let at = cycle;
-        let mut port = DmePort::new(&mut mem, DEFAULT_DME_OFFSET_WORDS);
-        cpu.step_with_overlay(&mut port, &mut ports, |st| fault.overlay_for::<C>(st, at));
-        cost.replayed_cycles += 1;
-        cycle += 1;
-        dsr_bits |= compare(&ports);
-    }
-    (Some((detect_cycle, Dsr::from_bits(dsr_bits))), cost)
+fn elapsed_nanos(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One injection experiment against the golden trace with a one-cycle
-/// DSR capture. Returns the detection cycle and DSR, or `None` if the
-/// fault was masked for the entire benchmark run.
-pub fn run_injection(
-    workload: &Workload,
-    stim_seed: u64,
-    golden_trace: &PortTrace,
-    fault: Fault,
-) -> Option<(u64, Dsr)> {
-    run_injection_windowed(workload, stim_seed, golden_trace, fault, 1)
+/// Where an injection replay starts: from reset with a freshly built
+/// memory image, or from the golden checkpoint nearest the fault.
+pub enum ReplayStart<'a, S = CpuState> {
+    /// Rebuild the workload's memory image and replay from cycle 0.
+    Reset {
+        /// The workload whose image to rebuild.
+        workload: &'a Workload,
+        /// Stimulus seed the golden run was captured with.
+        stim_seed: u64,
+    },
+    /// Restore the checkpoint at or below the fault cycle.
+    Checkpoint(&'a GoldenCheckpoints<S>),
 }
 
-/// One injection experiment with an explicit DSR capture window: after
-/// the first divergent cycle, per-SC divergences keep accumulating for
-/// up to `window - 1` further cycles (clamped to the golden trace).
-///
-/// This is the from-reset reference path: it rebuilds the memory image
-/// and replays every cycle from cycle 0 (pre-fault cycles without
-/// comparison — the overlay is the identity there, and a deterministic
-/// CPU from reset over the same image cannot diverge from its own
-/// recording). Campaigns use [`run_injection_from_checkpoint`] instead,
-/// which produces bit-identical results starting from a golden-run
-/// snapshot.
-pub fn run_injection_windowed(
-    workload: &Workload,
-    stim_seed: u64,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-) -> Option<(u64, Dsr)> {
-    run_injection_engine::<Cpu, _, _>(
-        ReplayStart::Reset { workload, stim_seed },
-        golden_trace.len(),
-        fault,
-        window,
-        &mut NoObserver,
-        |_, _| RecordedGolden { trace: golden_trace },
-    )
-    .0
+/// What [`run_injection`] compares the faulty copy against each
+/// replayed cycle — the checker of one injection. All three drive the
+/// same engine, so start resolution, fault overlay, detection and the
+/// DSR capture window cannot drift between them.
+#[derive(Debug, Clone, Copy)]
+pub enum Reference<'a> {
+    /// The recorded golden port trace (shadow replay): one CPU stepped
+    /// per cycle, its 62 SC ports diffed against the recording. The
+    /// replay domain is the trace's length.
+    Recorded(&'a PortTrace),
+    /// `cpus - 1` live fault-free golden twins restored beside the
+    /// faulty CPU, each with its own memory clone (full lockstep replay,
+    /// board-level Figure 1a): the reference semantics shadow replay is
+    /// tested against, at `cpus` CPU-cycles per replayed cycle.
+    /// `cpus` must be at least 2.
+    Twins {
+        /// The golden run's length in cycles (the replay domain).
+        cycles: u64,
+        /// CPUs in the lockstep unit, the faulty one included.
+        cpus: usize,
+    },
+    /// The golden retire stream of diverse-memory execution
+    /// ([`crate::dme::retire_stream`]): the faulty copy runs over the
+    /// image shifted by [`DEFAULT_DME_OFFSET_WORDS`] behind a
+    /// [`DmePort`], and its k-th retirement is checked against stream
+    /// entry k. Divergences that never reach the retire interface stay
+    /// masked — DME observes architectural effects only, the coverage
+    /// it trades for tolerating address-space diversity.
+    RetireStream {
+        /// The golden run's length in cycles (the replay domain).
+        cycles: u64,
+        /// `(cycle, effect)` per golden retirement, in order.
+        stream: &'a [(u64, Retired)],
+    },
 }
 
-/// Replay-cost accounting for one checkpointed injection.
+/// What one injection produced.
+#[derive(Debug, Clone)]
+pub struct Injection {
+    /// `Some((detect cycle, DSR))` for a manifested error, `None` for a
+    /// fault masked for the whole replay domain.
+    pub outcome: Option<(u64, Dsr)>,
+    /// The divergence trace of a manifested error when a trace window
+    /// was requested; `None` otherwise.
+    pub trace: Option<DivergenceTrace>,
+    /// What the replay cost.
+    pub cost: ReplayCost,
+}
+
+/// Replay-cost accounting for one injection.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayCost {
     /// Cycle of the checkpoint the replay resumed from.
@@ -1432,11 +1096,109 @@ pub struct ReplayCost {
     pub skipped_cycles: u64,
 }
 
+/// One injection experiment: replays `fault` from `start` against
+/// `reference` until detection plus the `window`-cycle DSR capture
+/// window (clamped to the replay domain), or the end of the domain.
+///
+/// After the first divergent cycle, per-SC divergences keep
+/// accumulating for up to `window - 1` further cycles. A replay from
+/// [`ReplayStart::Reset`] rebuilds the memory image and simulates every
+/// cycle from 0; one from [`ReplayStart::Checkpoint`] restores the
+/// nearest golden snapshot instead and is bit-identical (the
+/// `checkpoint_equivalence` property test) at a cost proportional to
+/// `hit distance + detection latency + capture window`. Pre-fault cycles
+/// run without the overlay (it is the identity there) and without
+/// comparison (an exactly restored core cannot diverge before the fault
+/// lands); a fault striking past the domain is masked without a replay.
+///
+/// `trace_window: Some(pre)` attaches the divergence trace recorder: the
+/// replay and outcome are unchanged, and a manifested error also yields
+/// a [`DivergenceTrace`] of the last `pre` pre-detection samples plus
+/// every capture-window sample. Each sample costs one core-state diff
+/// (for the per-unit flip deltas), which is why tracing is opt-in.
+///
+/// # Panics
+///
+/// Panics if a [`Reference::Twins`] reference has fewer than two CPUs.
+pub fn run_injection<C: CoreModel>(
+    start: ReplayStart<'_, C::State>,
+    reference: Reference<'_>,
+    fault: Fault,
+    window: u32,
+    trace_window: Option<u32>,
+) -> Injection {
+    match reference {
+        Reference::Recorded(trace) => {
+            run_observed::<C, _>(start, trace.len(), fault, window, trace_window, |_, _| {
+                RecordedGolden { trace }
+            })
+        }
+        Reference::Twins { cycles, cpus } => {
+            assert!(cpus >= 2, "lockstep needs at least two CPUs");
+            run_observed::<C, _>(start, cycles, fault, window, trace_window, |state, mem| {
+                TwinGolden::<C>::from_parts(state, mem, cpus - 1)
+            })
+        }
+        Reference::RetireStream { cycles, stream } => {
+            run_observed::<C, _>(start, cycles, fault, window, trace_window, |_, _| {
+                RetireGolden {
+                    stream,
+                    // The fault-free prefix retired exactly the golden
+                    // entries below the fault cycle.
+                    next: stream.partition_point(|(c, _)| *c < fault.cycle),
+                }
+            })
+        }
+    }
+}
+
+/// Runs the engine with the trace recorder attached when `trace_window`
+/// asks for it and the no-op observer otherwise.
+fn run_observed<C: CoreModel, G: GoldenRef>(
+    start: ReplayStart<'_, C::State>,
+    domain: u64,
+    fault: Fault,
+    window: u32,
+    trace_window: Option<u32>,
+    make_golden: impl FnOnce(&C::State, &Memory) -> G,
+) -> Injection {
+    match trace_window {
+        None => {
+            let (outcome, cost) = run_injection_engine::<C, G, _>(
+                start,
+                domain,
+                fault,
+                window,
+                &mut NoObserver,
+                make_golden,
+            );
+            Injection { outcome, trace: None, cost }
+        }
+        Some(pre_window) => {
+            let mut observer = TraceObserver::<C>::new(pre_window);
+            let (outcome, cost) = run_injection_engine::<C, G, _>(
+                start,
+                domain,
+                fault,
+                window,
+                &mut observer,
+                make_golden,
+            );
+            let trace = outcome.map(|(cycle, _)| observer.finish(cycle, window));
+            Injection { outcome, trace, cost }
+        }
+    }
+}
+
 /// The golden reference an injection replay compares the faulty CPU
-/// against each cycle — either the recorded trace (shadow mode) or live
-/// fault-free twin CPUs (full-lockstep mode). Monomorphized into the
-/// replay engines, so shadow replay pays nothing for the abstraction.
+/// against each cycle. Monomorphized into the engine, so shadow replay
+/// pays nothing for the abstraction.
 trait GoldenRef {
+    /// Word offset of the faulty copy's diverse address space, for a
+    /// DME reference: the engine then shifts the restored image and
+    /// steps the faulty CPU through a [`DmePort`]. `None` (identical
+    /// lockstep) steps it over the image as is.
+    const DME_OFFSET: Option<u32> = None;
     /// CPUs simulated per replayed cycle (1 shadow, N full lockstep).
     fn cpus_per_cycle(&self) -> u64;
     /// Advances the reference through one pre-fault cycle (no
@@ -1468,12 +1230,12 @@ impl GoldenRef for RecordedGolden<'_> {
 /// Full-lockstep mode's reference: live fault-free golden-twin CPUs,
 /// each driving its own clone of the checkpoint memory (board-level
 /// lockstep, Figure 1a).
-struct TwinGolden<C: CoreModel = Cpu> {
-    twins: Vec<(C, lockstep_mem::Memory)>,
+struct TwinGolden<C: CoreModel> {
+    twins: Vec<(C, Memory)>,
 }
 
 impl<C: CoreModel> TwinGolden<C> {
-    fn from_parts(state: &C::State, mem: &lockstep_mem::Memory, count: usize) -> TwinGolden<C> {
+    fn from_parts(state: &C::State, mem: &Memory, count: usize) -> TwinGolden<C> {
         TwinGolden {
             twins: (0..count).map(|_| (C::from_state(state.clone()), mem.clone())).collect(),
         }
@@ -1513,23 +1275,44 @@ impl<C: CoreModel> GoldenRef for TwinGolden<C> {
     }
 }
 
-/// Where an injection replay starts: from reset with a freshly built
-/// memory image, or from the golden checkpoint nearest the fault.
-enum ReplayStart<'a, S = CpuState> {
-    /// Rebuild the workload's memory image and replay from cycle 0.
-    Reset {
-        /// The workload whose image to rebuild.
-        workload: &'a Workload,
-        /// Stimulus seed the golden trace was captured with.
-        stim_seed: u64,
-    },
-    /// Restore the checkpoint at or below the fault cycle.
-    Checkpoint(&'a GoldenCheckpoints<S>),
+/// DME's reference: a cursor into the golden retire stream. The
+/// fault-free prefix needs no reference at all — behind the offset
+/// translation it is virtually identical to the golden run, the
+/// `lockstep-mem` soundness anchor — and each retirement of the faulty
+/// copy after the fault is checked against the next golden entry; the
+/// first differing effect is the detection, and further mismatch bits
+/// accumulate over the capture window like port-diff DSR bits do.
+struct RetireGolden<'a> {
+    stream: &'a [(u64, Retired)],
+    next: usize,
 }
 
-/// Hooks the consolidated injection engine calls as it steps the faulty
-/// CPU. Monomorphized: an untraced replay instantiates [`NoObserver`]
-/// and pays nothing for the abstraction.
+impl GoldenRef for RetireGolden<'_> {
+    const DME_OFFSET: Option<u32> = Some(DEFAULT_DME_OFFSET_WORDS);
+
+    fn cpus_per_cycle(&self) -> u64 {
+        1
+    }
+
+    fn advance(&mut self) {}
+
+    fn diff_against(&mut self, _cycle: u64, ports: &PortSet) -> u64 {
+        let Some(retired) = retired_of_ports(ports) else {
+            return 0;
+        };
+        let diff = match self.stream.get(self.next) {
+            Some((_, golden)) => retired_diff_mask(&retired, golden),
+            // The faulty copy retired past the end of the golden stream.
+            None => stream_skew_mask(),
+        };
+        self.next += 1;
+        diff
+    }
+}
+
+/// Hooks the injection engine calls as it steps the faulty CPU.
+/// Monomorphized: an untraced replay instantiates [`NoObserver`] and
+/// pays nothing for the abstraction.
 trait ReplayObserver<C: CoreModel> {
     /// Called once with the faulty CPU as of the fault cycle, before
     /// the first compared step.
@@ -1548,10 +1331,10 @@ impl<C: CoreModel> ReplayObserver<C> for NoObserver {
 
 /// The divergence trace recorder as an engine observer: keeps the last
 /// `pre_window` pre-detection samples in a ring, then every sample from
-/// detection through the capture window. Each sample costs one
-/// [`lockstep_cpu::CpuState`] diff (for the per-unit flip deltas),
-/// which is why tracing is opt-in per campaign rather than always on.
-struct TraceObserver<C: CoreModel = Cpu> {
+/// detection through the capture window. Recording starts at the fault
+/// cycle — before it the overlay is the identity and an exactly
+/// restored core cannot diverge, so there is nothing to observe.
+struct TraceObserver<C: CoreModel> {
     ring: TraceRing,
     samples: Vec<TraceSample>,
     prev: C::State,
@@ -1572,7 +1355,7 @@ impl<C: CoreModel> TraceObserver<C> {
 
     fn finish(self, detect_cycle: u64, window: u32) -> DivergenceTrace {
         DivergenceTrace {
-            record: 0, // renumbered by `run_campaign` once the order is fixed
+            record: 0, // renumbered by the campaign once the order is fixed
             pre_window: self.pre_window,
             capture_window: window,
             detect_cycle,
@@ -1606,40 +1389,63 @@ impl<C: CoreModel> ReplayObserver<C> for TraceObserver<C> {
     }
 }
 
-/// The single scalar injection engine behind every `run_injection*`
-/// wrapper: resolve the start (reset or nearest checkpoint),
-/// fast-forward fault-free to the injection cycle, then overlay-step
-/// against the golden reference until detection plus the capture
-/// window, or the end of the replay domain.
+/// Whether `fault`'s overlay is non-identity at `cycle`: a transient
+/// only on its strike cycle, a stuck-at from its strike cycle onwards.
+fn fault_active(fault: Fault, cycle: u64) -> bool {
+    match fault.kind {
+        FaultKind::Transient => cycle == fault.cycle,
+        FaultKind::StuckAt0 | FaultKind::StuckAt1 => cycle >= fault.cycle,
+    }
+}
+
+/// The single scalar injection engine: resolve the start (reset or
+/// nearest checkpoint), fast-forward fault-free to the injection cycle,
+/// then overlay-step against the golden reference until detection plus
+/// the capture window, or the end of the replay `domain`.
 ///
-/// Pre-fault cycles are replayed without comparison in every mode: the
-/// fault overlay is the identity before `fault.cycle`, and a
-/// deterministic CPU resumed exactly (or reset over the same memory
-/// image) cannot diverge from its own recording. A fault landing after
-/// the benchmark halts is masked by construction and skips the replay
-/// entirely.
+/// Pre-fault cycles are replayed without comparison for every
+/// reference: the fault overlay is the identity before `fault.cycle`,
+/// and a deterministic CPU resumed exactly (or reset over the same
+/// memory image) cannot diverge from its own recording. A fault landing
+/// after the benchmark halts is masked by construction and skips the
+/// replay entirely.
 fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
     start: ReplayStart<'_, C::State>,
-    trace_len: u64,
+    domain: u64,
     fault: Fault,
     window: u32,
     observer: &mut O,
-    make_golden: impl FnOnce(&C::State, &lockstep_mem::Memory) -> G,
+    make_golden: impl FnOnce(&C::State, &Memory) -> G,
 ) -> (Option<(u64, Dsr)>, ReplayCost) {
-    if fault.cycle >= trace_len {
-        let cost = ReplayCost { skipped_cycles: trace_len, ..ReplayCost::default() };
+    if fault.cycle >= domain {
+        let cost = ReplayCost { skipped_cycles: domain, ..ReplayCost::default() };
         return (None, cost);
     }
-    let (mut cpu, mut mem, start_cycle) = match start {
-        ReplayStart::Reset { workload, stim_seed } => (C::new(0), workload.memory(stim_seed), 0),
+    let (mut cpu, image, start_cycle) = match start {
+        ReplayStart::Reset { workload, stim_seed } => {
+            (C::new(0), Cow::Owned(workload.memory(stim_seed)), 0)
+        }
         ReplayStart::Checkpoint(checkpoints) => {
             let cp = checkpoints
                 .nearest_at(fault.cycle)
                 .expect("golden captures always include the cycle-0 checkpoint");
-            (C::from_state(cp.cpu.clone()), cp.mem.clone(), cp.cycle)
+            (C::from_state(cp.cpu.clone()), Cow::Borrowed(&cp.mem), cp.cycle)
         }
     };
-    let mut golden = make_golden(cpu.state(), &mem);
+    let mut golden = make_golden(cpu.state(), &image);
+    let mut mem;
+    let mut dme_port;
+    let port: &mut dyn MemoryPort = match G::DME_OFFSET {
+        Some(offset) => {
+            mem = shift_image(&image, offset);
+            dme_port = DmePort::new(&mut mem, offset);
+            &mut dme_port
+        }
+        None => {
+            mem = image.into_owned();
+            &mut mem
+        }
+    };
     let per_cycle = golden.cpus_per_cycle();
     let mut ports = PortSet::new();
     let mut cost = ReplayCost {
@@ -1651,7 +1457,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
 
     let mut cycle = start_cycle;
     while cycle < fault.cycle {
-        cpu.step(&mut mem, &mut ports);
+        cpu.step(port, &mut ports);
         golden.advance();
         cycle += 1;
         cost.replayed_cycles += per_cycle;
@@ -1659,11 +1465,11 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
 
     observer.begin(&cpu);
     let (detect_cycle, mut dsr_bits) = loop {
-        if cycle >= trace_len {
+        if cycle >= domain {
             return (None, cost);
         }
         let at = cycle;
-        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
+        cpu.step_with_overlay(port, &mut ports, |st| fault.overlay_for::<C>(st, at));
         cost.replayed_cycles += per_cycle;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
@@ -1673,11 +1479,11 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         }
     };
     for _ in 1..window {
-        if cycle >= trace_len {
+        if cycle >= domain {
             break;
         }
         let at = cycle;
-        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
+        cpu.step_with_overlay(port, &mut ports, |st| fault.overlay_for::<C>(st, at));
         cost.replayed_cycles += per_cycle;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
@@ -1685,212 +1491,6 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         observer.observe(at, diff, fault, &cpu);
     }
     (Some((detect_cycle, Dsr::from_bits(dsr_bits))), cost)
-}
-
-/// One injection experiment resumed from the nearest golden checkpoint
-/// at or before the injection cycle, in shadow mode. Bit-identical to
-/// [`run_injection_windowed`] (see the campaign equivalence property
-/// test) at a cost proportional to `hit distance + detection latency +
-/// capture window` instead of `inject cycle + detection latency`.
-///
-/// Pre-fault cycles are replayed without the fault overlay (it is the
-/// identity there) and without golden-trace comparison (an exactly
-/// restored core cannot diverge before the fault lands).
-pub fn run_injection_from_checkpoint(
-    checkpoints: &GoldenCheckpoints,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_from_checkpoint_for::<Cpu>(checkpoints, golden_trace, fault, window)
-}
-
-/// [`run_injection_from_checkpoint`] generic over the core model: the
-/// checkpoints must come from a golden capture of the same core.
-pub fn run_injection_from_checkpoint_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_trace.len(),
-        fault,
-        window,
-        &mut NoObserver,
-        |_, _| RecordedGolden { trace: golden_trace },
-    )
-}
-
-/// [`run_injection_from_checkpoint`] in full-lockstep mode: instead of
-/// the recorded trace, `cpus - 1` live fault-free golden twins are
-/// restored from the same checkpoint and stepped alongside the faulty
-/// CPU, each with its own memory clone. `golden_cycles` is the golden
-/// run's length (the replay domain).
-///
-/// This is the reference semantics shadow mode is differentially tested
-/// against; it returns bit-identical outcomes at roughly `cpus` times
-/// the simulation cost.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep(
-    checkpoints: &GoldenCheckpoints,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    run_injection_lockstep_for::<Cpu>(checkpoints, golden_cycles, fault, window, cpus)
-}
-
-/// [`run_injection_lockstep`] generic over the core model.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr)>, ReplayCost) {
-    assert!(cpus >= 2, "lockstep needs at least two CPUs");
-    run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_cycles,
-        fault,
-        window,
-        &mut NoObserver,
-        |state, mem| TwinGolden::<C>::from_parts(state, mem, cpus - 1),
-    )
-}
-
-/// Whether `fault`'s overlay is non-identity at `cycle`: a transient
-/// only on its strike cycle, a stuck-at from its strike cycle onwards.
-fn fault_active(fault: Fault, cycle: u64) -> bool {
-    match fault.kind {
-        FaultKind::Transient => cycle == fault.cycle,
-        FaultKind::StuckAt0 | FaultKind::StuckAt1 => cycle >= fault.cycle,
-    }
-}
-
-/// [`run_injection_from_checkpoint`] with the divergence trace recorder
-/// attached: identical replay, identical detection cycle and DSR (the
-/// campaign trace-consistency test asserts record equality), plus a
-/// [`DivergenceTrace`] holding the last `pre_window` pre-detection
-/// samples and every capture-window sample.
-///
-/// Recording starts at the fault cycle — before it the overlay is the
-/// identity and an exactly restored core cannot diverge, so there is
-/// nothing to observe. Each sample costs one [`lockstep_cpu::CpuState`]
-/// diff (for the per-unit flip deltas), which is why tracing is opt-in
-/// per campaign rather than always on.
-pub fn run_injection_traced(
-    checkpoints: &GoldenCheckpoints,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    run_injection_traced_for::<Cpu>(checkpoints, golden_trace, fault, window, pre_window)
-}
-
-/// [`run_injection_traced`] generic over the core model; unit flip
-/// deltas come from `C`'s own flop registry.
-pub fn run_injection_traced_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_trace: &PortTrace,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    let mut observer = TraceObserver::<C>::new(pre_window);
-    let (out, cost) = run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_trace.len(),
-        fault,
-        window,
-        &mut observer,
-        |_, _| RecordedGolden { trace: golden_trace },
-    );
-    match out {
-        Some((cycle, dsr)) => (Some((cycle, dsr, observer.finish(cycle, window))), cost),
-        None => (None, cost),
-    }
-}
-
-/// [`run_injection_lockstep`] with the divergence trace recorder
-/// attached — the full-lockstep twin of [`run_injection_traced`]. The
-/// trace samples observe the faulty CPU, which both modes step
-/// identically, so recorded traces are bit-identical across modes too.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_traced(
-    checkpoints: &GoldenCheckpoints,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    run_injection_lockstep_traced_for::<Cpu>(
-        checkpoints,
-        golden_cycles,
-        fault,
-        window,
-        pre_window,
-        cpus,
-    )
-}
-
-/// [`run_injection_lockstep_traced`] generic over the core model.
-///
-/// # Panics
-///
-/// Panics if `cpus < 2`.
-pub fn run_injection_lockstep_traced_for<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    golden_cycles: u64,
-    fault: Fault,
-    window: u32,
-    pre_window: u32,
-    cpus: usize,
-) -> (Option<(u64, Dsr, DivergenceTrace)>, ReplayCost) {
-    assert!(cpus >= 2, "lockstep needs at least two CPUs");
-    let mut observer = TraceObserver::<C>::new(pre_window);
-    let (out, cost) = run_injection_engine::<C, _, _>(
-        ReplayStart::Checkpoint(checkpoints),
-        golden_cycles,
-        fault,
-        window,
-        &mut observer,
-        |state, mem| TwinGolden::<C>::from_parts(state, mem, cpus - 1),
-    );
-    match out {
-        Some((cycle, dsr)) => (Some((cycle, dsr, observer.finish(cycle, window))), cost),
-        None => (None, cost),
-    }
-}
-
-/// Splits a traced outcome into the record outcome and the trace blob.
-fn split_traced(
-    out: Option<(u64, Dsr, DivergenceTrace)>,
-) -> (Option<(u64, Dsr)>, Option<DivergenceTrace>) {
-    match out {
-        Some((cycle, dsr, trace)) => (Some((cycle, dsr)), Some(trace)),
-        None => (None, None),
-    }
-}
-
-/// Sanity accessor used by tests: total flip-flops under test.
-pub fn flop_count() -> u32 {
-    flops::total_flops()
 }
 
 #[cfg(test)]
@@ -1901,18 +1501,8 @@ mod tests {
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {
             workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-            faults_per_workload: 150,
-            seed: 2024,
             threads: 4,
-            capture_window: DEFAULT_CAPTURE_WINDOW,
-            checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
-            events: None,
-            trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
-            batch: None,
-            core: CoreKind::Lr5,
-            redundancy: RedundancyMode::Fixed,
+            ..CampaignConfig::new(150, 2024)
         }
     }
 
@@ -1986,8 +1576,14 @@ mod tests {
         // window the two models legitimately differ: the live redundant
         // CPU consumes the *faulted* main's bus responses, while the fast
         // path compares against the fault-free trace.)
-        let fast = run_injection(w, seed, &trace, fault).expect("must manifest");
-        let windowed = run_injection_windowed(w, seed, &trace, fault, 8).expect("must manifest");
+        let from_reset = |window| {
+            let start = ReplayStart::Reset { workload: w, stim_seed: seed };
+            run_injection::<Cpu>(start, Reference::Recorded(&trace), fault, window, None)
+                .outcome
+                .expect("must manifest")
+        };
+        let fast = from_reset(1);
+        let windowed = from_reset(8);
         assert_eq!(fast.0, windowed.0, "window must not change the detection cycle");
         assert_eq!(
             windowed.1.bits() & fast.1.bits(),

@@ -10,14 +10,18 @@
 //!   same bus traffic as the golden run, so comparing against the
 //!   recorded trace is bit-equivalent to running two live CPUs — and
 //!   twice as fast. The live path in `lockstep-core::harness` exists too
-//!   and the two are cross-checked in the integration tests.)
+//!   and the two are cross-checked in the integration tests.) One entry
+//!   point, [`campaign::run_injection`], replays a fault against any
+//!   [`campaign::Reference`] — the recording, live twins, or DME's
+//!   retire stream — and one work queue runs every campaign and shard.
 //! * [`batch`] — the batched fault-simulation engine: one fault-free
 //!   walker replay shared by every fault in a checkpoint span, dirty-set
 //!   early-out for masked transients, and bit-parallel watch masks for
 //!   parked stuck-ats. Bit-identical outcomes to [`campaign`]'s scalar
 //!   replay at a fraction of the simulated cycles (`--batch-mode`).
 //! * [`dme`] — diverse-memory-execution support: the retired-effect
-//!   stream comparator behind `--redundancy dme` and the
+//!   stream comparator behind `--redundancy dme` (the
+//!   [`campaign::Reference::RetireStream`] reference) and the
 //!   decoder-stuck-at coverage probe (the fault class identical
 //!   lockstep provably masks).
 //! * [`dataset`] — train/test splitting with 5-fold cross-validation and
@@ -30,9 +34,9 @@
 //! * [`archive`] — durable JSON campaign archives so one injection run
 //!   can feed many analyses (the logging stage of Figure 7).
 //! * [`shard`] — resumable campaign shards: cut the fault queue into
-//!   contiguous slices, run each independently, and merge the partial
-//!   archives back into one byte-identical to the single-shot run
-//!   (archive v8; the substrate of the `lockstep-serve` service).
+//!   contiguous slices, run each through the campaign runner, and merge
+//!   the partial archives back into one byte-identical to the
+//!   single-shot run (the substrate of the `lockstep-serve` service).
 //! * [`spec`] — the one serde description of a campaign
 //!   ([`spec::CampaignSpec`]), shared by the CLIs and the campaign
 //!   service, with typed validation errors.

@@ -8,7 +8,9 @@
 //! replay knobs)` and both the stimulus seed (`seed ^ wi << 32`) and the
 //! fault-plan seed (`seed + wi`) are derived from the **global** workload
 //! index, a shard reproduces exactly the fault subset and golden state
-//! the full campaign would have given those queue positions. Merging the
+//! the full campaign would have given those queue positions — a
+//! single-shot campaign is the same runner over the one slice covering
+//! the whole queue, and a shard adds only its provenance. Merging the
 //! shard archives back with [`merge_shard_archives`] therefore yields an
 //! archive byte-identical (stats aside) to the single-shot
 //! [`run_campaign`](crate::campaign::run_campaign) archive — the
@@ -22,12 +24,9 @@
 //! merge is pure, so partial progress is never wasted.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::Instant;
 
 use lockstep_core::{ErrorRecord, RedundancyMode};
 use lockstep_cpu::{CoreKind, Cpu, Lr7};
-use lockstep_fault::{CampaignPlan, ErrorKind, Fault, PlanConfig};
 use lockstep_obs::DivergenceTrace;
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
@@ -37,11 +36,7 @@ use crate::archive::{
     ARCHIVE_VERSION,
 };
 use crate::batch::{BatchConfig, CoreBatch};
-use crate::campaign::{
-    collect_workload_stats, elapsed_nanos, emit_replay_mode_downgrade, order_produced,
-    run_golden_phase, run_injection_phase, CampaignConfig, CampaignResult, CampaignStats,
-    WorkCounters, WorkloadStats,
-};
+use crate::campaign::{record_key, run_queue_slice, CampaignConfig, CampaignStats, WorkloadStats};
 
 /// One contiguous slice `[fault_lo, fault_hi)` of a campaign's global
 /// fault queue, to be run by [`run_shard`].
@@ -238,13 +233,11 @@ pub fn run_shard(config: &CampaignConfig, spec: &ShardSpec) -> CampaignArchive {
 
 /// [`run_shard`] monomorphized over a specific core model `C`, which
 /// must agree with `config.core` (the shard provenance records the
-/// config's label).
+/// config's label): the campaign runner over the shard's queue slice,
+/// plus the provenance that marks the archive as partial.
 pub fn run_shard_for<C: CoreBatch>(config: &CampaignConfig, spec: &ShardSpec) -> CampaignArchive {
-    let shard_start = Instant::now();
     debug_assert_eq!(config.core.label(), C::NAME, "config.core must match the core type");
-    assert!(config.cpus >= 2, "lockstep needs at least two CPUs");
     assert!(config.faults_per_workload >= 1, "faults_per_workload must be at least 1");
-    emit_replay_mode_downgrade(config);
     let fpw = config.faults_per_workload as u64;
     let total = config.workloads.len() as u64 * fpw;
     assert!(
@@ -254,93 +247,8 @@ pub fn run_shard_for<C: CoreBatch>(config: &CampaignConfig, spec: &ShardSpec) ->
         spec.fault_hi,
         total
     );
-    let wi_lo = (spec.fault_lo / fpw) as usize;
-    let wi_hi = ((spec.fault_hi - 1) / fpw) as usize + 1;
-
-    // Sub-campaign over the covered workloads only; everything indexed
-    // per-workload below is in local (covered-slice) order.
-    let mut sub = config.clone();
-    sub.workloads = config.workloads[wi_lo..wi_hi].to_vec();
-    let stim_seeds: Vec<u64> = (wi_lo..wi_hi).map(|wi| config.seed ^ (wi as u64) << 32).collect();
-    let (captures, golden_nanos) = run_golden_phase::<C>(&sub, &stim_seeds);
-
-    // Re-derive each covered workload's full fault plan from its global
-    // seed, then slice out the queue positions this shard owns.
-    let mut injected_per_unit = vec![[0u64; 2]; 13];
-    let mut fault_sets: Vec<Vec<Fault>> = Vec::with_capacity(captures.len());
-    for (li, cap) in captures.iter().enumerate() {
-        let wi = (wi_lo + li) as u64;
-        let plan = CampaignPlan::sampled_for::<C>(
-            PlanConfig::new(cap.run.cycles, config.seed.wrapping_add(wi)),
-            config.faults_per_workload,
-        );
-        let lo = (spec.fault_lo.max(wi * fpw) - wi * fpw) as usize;
-        let hi = (spec.fault_hi.min((wi + 1) * fpw) - wi * fpw) as usize;
-        let slice = plan.faults()[lo..hi].to_vec();
-        for f in &slice {
-            let k = usize::from(f.kind.error_kind() == ErrorKind::Hard);
-            injected_per_unit[f.unit_for::<C>().index()][k] += 1;
-        }
-        fault_sets.push(slice);
-    }
-
-    let injection_start = Instant::now();
-    let counters: Vec<WorkCounters> =
-        sub.workloads.iter().map(|_| WorkCounters::default()).collect();
-    let produced = Mutex::new(Vec::new());
-    let batch_cost =
-        run_injection_phase::<C>(&sub, &captures, &stim_seeds, &fault_sets, &counters, &produced);
-    let injection_nanos = elapsed_nanos(injection_start);
-
-    let (records, mut traces) =
-        order_produced(sub.workloads.len(), produced.into_inner().expect("no poisoned workers"));
-    if sub.trace_window.is_none() || sub.checkpoint_interval.is_none() {
-        traces.clear();
-    }
-    for (i, trace) in traces.iter_mut().enumerate() {
-        if let Some(t) = trace {
-            t.record = i as u64;
-        }
-    }
-
-    let fault_counts: Vec<u64> = fault_sets.iter().map(|s| s.len() as u64).collect();
-    let per_workload = collect_workload_stats(&sub, &captures, &fault_counts, &counters);
-    let injected_total = spec.fault_hi - spec.fault_lo;
-    let manifested_total = records.len() as u64;
-    let injection_secs = injection_nanos as f64 / 1e9;
-    let stats = CampaignStats {
-        checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
-        core: C::NAME.to_owned(),
-        redundancy: config.redundancy.label().to_owned(),
-        replay_mode: config.effective_replay_mode().label().to_owned(),
-        injected: injected_total,
-        manifested: manifested_total,
-        masked: injected_total - manifested_total,
-        golden_nanos,
-        injection_nanos,
-        wall_nanos: elapsed_nanos(shard_start),
-        injections_per_sec: if injection_secs > 0.0 {
-            injected_total as f64 / injection_secs
-        } else {
-            0.0
-        },
-        batch_mode: config.effective_batch_clamped().map_or("off", BatchConfig::label).to_owned(),
-        masked_early_out: batch_cost.masked_early_out,
-        early_out_cycles_saved: batch_cost.early_out_cycles_saved,
-        parked_masked: batch_cost.parked_masked,
-        lane_activations: batch_cost.lane_activations,
-        per_workload,
-    };
-
-    let result = CampaignResult {
-        records,
-        injected: injected_total as usize,
-        injected_per_unit,
-        golden: sub.workloads.iter().zip(&captures).map(|(w, cap)| (w.name, cap.run)).collect(),
-        stats,
-        traces,
-        events: config.events.clone(),
-    };
+    let covered = (spec.fault_lo / fpw) as usize..((spec.fault_hi - 1) / fpw) as usize + 1;
+    let result = run_queue_slice::<C>(config, covered, spec.fault_lo..spec.fault_hi);
     let mut archive = CampaignArchive::from_result(&result);
     archive.shard = Some(ShardRepr::new(config, spec));
     archive
@@ -478,18 +386,18 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
         })
         .collect::<Result<_, _>>()?;
 
-    // Records: bucket per global workload, then the canonical
-    // per-workload sort the single-shot engine uses. Ties under the sort
-    // key are byte-equal records (the 62-bit DSR disambiguates distinct
-    // faults), so bucket insertion order cannot leak into the output —
-    // the same argument that makes single-shot archives independent of
-    // thread interleaving.
+    // Records: every shard's records in queue order (`order` walks the
+    // shards by `fault_lo`, and each shard's records are canonical with
+    // ties in plan order), then a stable sort by workload and
+    // `record_key`. Ties keep that arrival order, which is plan-position
+    // order, so the merge reproduces the single-shot order whatever
+    // order the archives were passed in.
     let windex: BTreeMap<&str, usize> =
         job.workloads.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
     let tracing = job.tracing();
-    let mut buckets: Vec<Vec<(ErrorRecord, Option<DivergenceTrace>)>> =
-        (0..job.workloads.len()).map(|_| Vec::new()).collect();
-    for (i, s) in shards.iter().enumerate() {
+    let mut merged: Vec<(usize, ErrorRecord, Option<DivergenceTrace>)> = Vec::new();
+    for &i in &order {
+        let s = &shards[i];
         if tracing && s.traces.len() != s.records.len() {
             return Err(ShardError::TraceMisaligned(i));
         }
@@ -498,25 +406,12 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
                 .get(r.workload.as_str())
                 .ok_or_else(|| ShardError::UnknownWorkload(r.workload.clone()))?;
             let trace = if tracing { s.traces[j].clone() } else { None };
-            buckets[wi].push((r.clone(), trace));
+            merged.push((wi, r.clone(), trace));
         }
     }
-    let mut records = Vec::new();
-    let mut traces = Vec::new();
-    for bucket in &mut buckets {
-        bucket.sort_by(|(a, _), (b, _)| {
-            (a.inject_cycle, a.detect_cycle, a.unit_index, a.dsr).cmp(&(
-                b.inject_cycle,
-                b.detect_cycle,
-                b.unit_index,
-                b.dsr,
-            ))
-        });
-        for (record, trace) in bucket.drain(..) {
-            records.push(record);
-            traces.push(trace);
-        }
-    }
+    merged.sort_by_key(|(wi, r, _)| (*wi, record_key(r)));
+    let (records, mut traces): (Vec<ErrorRecord>, Vec<Option<DivergenceTrace>>) =
+        merged.into_iter().map(|(_, r, t)| (r, t)).unzip();
     if !tracing {
         traces.clear();
     }
@@ -616,18 +511,10 @@ mod tests {
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {
             workloads: vec![Workload::find("idctrn").unwrap(), Workload::find("rspeed").unwrap()],
-            faults_per_workload: 30,
-            seed: 9,
             threads: 2,
             capture_window: 8,
             checkpoint_interval: Some(1024),
-            events: None,
-            trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
-            batch: None,
-            core: CoreKind::Lr5,
-            redundancy: RedundancyMode::Fixed,
+            ..CampaignConfig::new(30, 9)
         }
     }
 

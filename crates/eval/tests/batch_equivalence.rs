@@ -8,8 +8,8 @@
 //!
 //! Two granularities:
 //!
-//! * group level — [`run_batch_group`] against one
-//!   [`run_injection_from_checkpoint`] call per fault, over
+//! * group level — [`run_batch_group`] against one checkpointed
+//!   shadow-replay [`run_injection`] call per fault, over
 //!   property-sampled fault sets (duplicates and past-end strikes
 //!   included);
 //! * campaign level — archives compared as serialized bytes with the
@@ -18,12 +18,12 @@
 
 use std::sync::OnceLock;
 
-use lockstep_cpu::flops;
+use lockstep_cpu::{flops, Cpu};
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::{run_batch_group, BatchConfig};
 use lockstep_eval::campaign::{
-    run_campaign, run_injection_from_checkpoint, CampaignConfig, CampaignResult, CampaignStats,
-    ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    run_campaign, run_injection, CampaignConfig, CampaignResult, CampaignStats, Reference,
+    ReplayMode, ReplayStart,
 };
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_workloads::{GoldenCapture, Workload};
@@ -54,18 +54,9 @@ fn capture(name: &'static str, interval: u64) -> &'static GoldenCapture {
 fn base_config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 40,
-        seed: 2024,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
-        redundancy: lockstep_core::RedundancyMode::Fixed,
+        ..CampaignConfig::new(40, 2024)
     }
 }
 
@@ -112,8 +103,14 @@ proptest! {
             run_batch_group(&cap.checkpoints, &cap.trace, &faults, window, layers);
         prop_assert_eq!(outcomes.len(), faults.len());
         for (fault, batched) in faults.iter().zip(&outcomes) {
-            let (scalar, _) =
-                run_injection_from_checkpoint(&cap.checkpoints, &cap.trace, *fault, window);
+            let scalar = run_injection::<Cpu>(
+                ReplayStart::Checkpoint(&cap.checkpoints),
+                Reference::Recorded(&cap.trace),
+                *fault,
+                window,
+                None,
+            )
+            .outcome;
             prop_assert_eq!(
                 *batched, scalar,
                 "`{}` diverged from scalar replay for {:?}", layers.label(), fault

@@ -7,10 +7,9 @@
 
 use std::sync::OnceLock;
 
-use lockstep_cpu::flops;
+use lockstep_cpu::{flops, Cpu};
 use lockstep_eval::campaign::{
-    run_campaign, run_injection_from_checkpoint, run_injection_windowed, CampaignConfig,
-    DEFAULT_CAPTURE_WINDOW,
+    run_campaign, run_injection, CampaignConfig, Injection, Reference, ReplayStart,
 };
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_workloads::{GoldenCapture, Workload};
@@ -58,9 +57,16 @@ proptest! {
         let inject_cycle = cap.run.cycles * cycle_frac / 1000;
         let fault = Fault::new(flop, kind, inject_cycle);
 
-        let from_reset = run_injection_windowed(w, SEED, &cap.trace, fault, window);
-        let (from_checkpoint, cost) =
-            run_injection_from_checkpoint(&cap.checkpoints, &cap.trace, fault, window);
+        let reference = Reference::Recorded(&cap.trace);
+        let reset = ReplayStart::Reset { workload: w, stim_seed: SEED };
+        let from_reset = run_injection::<Cpu>(reset, reference, fault, window, None).outcome;
+        let Injection { outcome: from_checkpoint, cost, .. } = run_injection::<Cpu>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            reference,
+            fault,
+            window,
+            None,
+        );
 
         prop_assert_eq!(from_reset, from_checkpoint,
             "divergence for fault {:?} window {} interval {}", fault, window, interval);
@@ -77,18 +83,9 @@ proptest! {
 fn campaign_records_identical_for_all_intervals() {
     let base = CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 50,
-        seed: 2024,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: None,
-        events: None,
-        trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
-        redundancy: lockstep_core::RedundancyMode::Fixed,
+        ..CampaignConfig::new(50, 2024)
     };
     let reference = run_campaign(&base);
     assert!(!reference.records.is_empty(), "reference campaign must manifest errors");

@@ -14,7 +14,7 @@
 use lockstep_core::RedundancyMode;
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode,
 };
 use lockstep_workloads::Workload;
 use proptest::prelude::*;
@@ -22,18 +22,9 @@ use proptest::prelude::*;
 fn base_config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 30,
-        seed: 2024,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
-        redundancy: RedundancyMode::Fixed,
+        ..CampaignConfig::new(30, 2024)
     }
 }
 

@@ -19,18 +19,10 @@ fn campaign() -> &'static CampaignResult {
                 Workload::find("tblook").unwrap(),
                 Workload::find("bitmnp").unwrap(),
             ],
-            faults_per_workload: 600,
-            seed: 31415,
             threads: 4,
             capture_window: 16,
             checkpoint_interval: Some(4096),
-            events: None,
-            trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
-            batch: None,
-            core: lockstep_cpu::CoreKind::Lr5,
-            redundancy: lockstep_core::RedundancyMode::Fixed,
+            ..CampaignConfig::new(600, 31415)
         })
     })
 }

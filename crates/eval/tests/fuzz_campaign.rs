@@ -55,10 +55,11 @@ fn fuzz_campaign_archive_round_trips_with_seed() {
     assert_eq!(loaded.fuzz, vec![FuzzSpecRepr { seed: 42, count: 4 }]);
     assert_eq!(loaded.fuzz_spec_strings(), vec!["fuzz:42:4".to_owned()]);
     // The recorded spec string regenerates the identical workload set.
-    let replayed = CommonArgs::parse(
-        ["prog".to_owned(), "--workloads".to_owned(), loaded.fuzz_spec_strings().join(",")]
-            .into_iter(),
-    );
+    let replayed = CommonArgs::parse([
+        "prog".to_owned(),
+        "--workloads".to_owned(),
+        loaded.fuzz_spec_strings().join(","),
+    ]);
     let restored = loaded.into_result();
     assert_eq!(replayed.workloads.len(), restored.golden.len());
     for (w, (name, _)) in replayed.workloads.iter().zip(&restored.golden) {

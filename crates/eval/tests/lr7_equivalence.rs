@@ -13,7 +13,7 @@ use lockstep_cpu::CoreKind;
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::BatchConfig;
 use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode,
 };
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
 use lockstep_workloads::Workload;
@@ -21,18 +21,10 @@ use lockstep_workloads::Workload;
 fn base_config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 24,
-        seed: 2024,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
-        batch: None,
         core: CoreKind::Lr7,
-        redundancy: lockstep_core::RedundancyMode::Fixed,
+        ..CampaignConfig::new(24, 2024)
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode, DEFAULT_CAPTURE_WINDOW,
+    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode,
 };
 use lockstep_obs::{EventSink, JsonlSink};
 use lockstep_workloads::Workload;
@@ -23,18 +23,9 @@ use lockstep_workloads::Workload;
 fn base_config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 40,
-        seed: 2024,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
-        redundancy: lockstep_core::RedundancyMode::Fixed,
+        ..CampaignConfig::new(40, 2024)
     }
 }
 

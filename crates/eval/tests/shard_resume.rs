@@ -14,11 +14,10 @@
 //! nothing of the first except those files, reloads them, runs the
 //! missing shards, and merges.
 
+use lockstep_core::{ErrorRecord, RedundancyMode};
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::BatchConfig;
-use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignStats, ReplayMode, DEFAULT_CAPTURE_WINDOW,
-};
+use lockstep_eval::campaign::{run_campaign, CampaignConfig, CampaignStats, ReplayMode};
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
 use lockstep_workloads::Workload;
 use proptest::prelude::*;
@@ -26,18 +25,9 @@ use proptest::prelude::*;
 fn base_config() -> CampaignConfig {
     CampaignConfig {
         workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        faults_per_workload: 30,
-        seed: 77,
         threads: 4,
-        capture_window: DEFAULT_CAPTURE_WINDOW,
         checkpoint_interval: Some(4096),
-        events: None,
-        trace_window: None,
-        replay_mode: ReplayMode::Shadow,
-        cpus: 2,
-        batch: None,
-        core: lockstep_cpu::CoreKind::Lr5,
-        redundancy: lockstep_core::RedundancyMode::Fixed,
+        ..CampaignConfig::new(30, 77)
     }
 }
 
@@ -178,6 +168,47 @@ fn shard_reruns_are_byte_identical() {
         let a = archive_bytes(run_shard(&cfg, spec));
         let b = archive_bytes(run_shard(&cfg, spec));
         assert_eq!(a, b, "shard {} is not deterministic", spec.index);
+    }
+}
+
+/// Record order under ties: a transient and a stuck-at can agree on the
+/// whole sort key (strike, detection, unit, DSR) and still be different
+/// records. Ties go to plan position, so neither the worker-thread
+/// interleaving nor the order the shards reach the merge can move a
+/// record. This kernel and seed produce such ties under both the port
+/// comparator and DME's retire-stream comparator.
+#[test]
+fn tied_records_keep_plan_order_across_threads_and_shard_order() {
+    for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+        let cfg = CampaignConfig {
+            workloads: vec![Workload::find("iirflt").unwrap()],
+            threads: 1,
+            redundancy,
+            ..CampaignConfig::new(320, 356_886_671_717_437_341)
+        };
+        let single = run_campaign(&cfg);
+        let key = |r: &ErrorRecord| (r.inject_cycle, r.detect_cycle, r.unit_index, r.dsr);
+        assert!(
+            single.records.windows(2).any(|w| key(&w[0]) == key(&w[1]) && w[0] != w[1]),
+            "{redundancy:?}: the fixture must contain distinct records that tie on the key"
+        );
+        for threads in [2, 4] {
+            let mut threaded = cfg.clone();
+            threaded.threads = threads;
+            assert_eq!(
+                run_campaign(&threaded).records,
+                single.records,
+                "{redundancy:?}: {threads} threads reordered tied records"
+            );
+        }
+        let mut archives: Vec<CampaignArchive> =
+            plan_shards(&cfg, 8).iter().map(|s| run_shard(&cfg, s)).collect();
+        archives.reverse();
+        let merged = merge_shard_archives(&archives).expect("complete shard set merges");
+        assert_eq!(
+            merged.records, single.records,
+            "{redundancy:?}: shard order leaked into the merge"
+        );
     }
 }
 

@@ -551,7 +551,6 @@ mod tests {
         let mut mem = w.memory(42);
         let mut core = lockstep_cpu::Cpu::new(0);
         let mut ports = lockstep_cpu::PortSet::new();
-        use lockstep_cpu::CoreModel;
         for _ in 0..400_000 {
             if core.step(&mut mem, &mut ports).halted {
                 break;
