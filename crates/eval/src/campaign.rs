@@ -31,14 +31,21 @@
 //!   board-level lockstep, the paper's Figure 1a). N CPUs and N memory
 //!   clones per injection.
 //! * [`Reference::RetireStream`] — the golden retire stream, under
-//!   [`RedundancyMode::Dme`]: the faulty copy runs over a shifted image
-//!   and is checked on its retired effects instead of its ports.
+//!   [`RedundancyMode::Dme`]: the faulty copy is checked on its retired
+//!   effects instead of its ports.
 //!
 //! The first two are bit-identical: under replicated memory a
 //! fault-free twin restored from the same snapshot deterministically
 //! re-produces the recorded trace, so comparing against the recording
 //! *is* comparing against the twin (`tests/replay_equivalence.rs`
 //! asserts byte-identical archives).
+//!
+//! DME's redundant copy runs over a shifted physical image, but the
+//! engine never builds one: without a planted decoder fault the shift
+//! only renames RAM words, so over a golden checkpoint's clean image
+//! the core sees exactly what it sees unshifted (the relabelling lemma,
+//! DESIGN.md §13, pinned by `tests/dme_detection.rs`). Every reference
+//! therefore steps the faulty copy over the restored image as is.
 //!
 //! # Batch mode
 //!
@@ -50,6 +57,13 @@
 //! simulation cost. Outcomes are bit-identical to the scalar engine in
 //! either replay mode (`tests/batch_equivalence.rs` asserts
 //! byte-identical archives), so batch mode is purely a throughput knob.
+//!
+//! Under DME the batched engine is a filter in front of the retire
+//! comparator. The comparator reads only the retire ports, so a fault
+//! whose ports match golden on every cycle cannot be detected by it
+//! (the subset lemma, DESIGN.md §13): every port-masked fault is scored
+//! masked, and only the port-divergent ones replay through
+//! [`run_injection`] against [`Reference::RetireStream`].
 //!
 //! # One work queue
 //!
@@ -75,7 +89,7 @@ use lockstep_cpu::{
 };
 use lockstep_fault::{CampaignPlan, ErrorKind, Fault, FaultKind, PlanConfig};
 use lockstep_iss::{retired_of_ports, Retired};
-use lockstep_mem::{shift_image, DmePort, Memory, MemoryPort, DEFAULT_DME_OFFSET_WORDS};
+use lockstep_mem::Memory;
 use lockstep_obs::{DivergenceTrace, Event, EventSink, TraceRing, TraceSample};
 use lockstep_workloads::{GoldenCapture, GoldenCheckpoints, GoldenRun, Workload};
 use serde::json::{Error as JsonError, Value};
@@ -180,9 +194,10 @@ pub struct CampaignConfig {
     pub cpus: usize,
     /// Batched fault simulation: `Some(layers)` runs the batched engine
     /// of [`crate::batch`] with the given layer combination instead of
-    /// one scalar replay per fault; `None` (the default) keeps the
-    /// scalar engine. Outcomes are bit-identical either way. Ignored
-    /// when divergence tracing is on (see
+    /// one scalar replay per fault, in every redundancy mode; `None`
+    /// (the default) keeps the scalar engine, the reference the batched
+    /// one is tested against. Outcomes are bit-identical either way.
+    /// Ignored when divergence tracing is on (see
     /// [`CampaignConfig::effective_batch`]).
     pub batch: Option<BatchConfig>,
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
@@ -196,9 +211,10 @@ pub struct CampaignConfig {
     /// axis changes only the recovery path, measured by the
     /// `dynamic_pairing` experiment — while [`RedundancyMode::Dme`]
     /// swaps the per-cycle port comparison for the retired-effect
-    /// stream comparator over a shifted redundant address space. Both
-    /// non-fixed modes run the scalar per-fault engine (see
-    /// [`CampaignConfig::effective_batch`]).
+    /// stream comparator over a shifted redundant address space. Every
+    /// mode runs on the engine [`CampaignConfig::batch`] selects; under
+    /// DME the batched engine port-compares every fault and replays
+    /// only the port-divergent ones against the retire stream.
     pub redundancy: RedundancyMode,
 }
 
@@ -241,15 +257,12 @@ impl CampaignConfig {
     /// The batch layers the engine will actually use: the configured
     /// ones, except that divergence tracing forces the scalar per-fault
     /// path (the trace recorder samples one dedicated faulty CPU per
-    /// injection, which is exactly what batching shares away), and so
-    /// do the non-fixed redundancy modes (the DME comparator follows
-    /// one dedicated faulty copy's retire stream, and dynamic mode
-    /// keeps the scalar path so its archives stay byte-comparable to
-    /// fixed's). Like the LR7 layer clamp, the fallback is recorded
-    /// honestly: stats and shard provenance report the layers that
-    /// really ran, `"off"` here.
+    /// injection, which is exactly what batching shares away). Like the
+    /// LR7 layer clamp, the fallback is recorded honestly: stats and
+    /// shard provenance report the layers that really ran, `"off"`
+    /// here.
     pub fn effective_batch(&self) -> Option<BatchConfig> {
-        if self.trace_window.is_some() || self.redundancy != RedundancyMode::Fixed {
+        if self.trace_window.is_some() {
             None
         } else {
             self.batch
@@ -347,7 +360,8 @@ pub struct CampaignStats {
     /// Injection throughput over the injection phase.
     pub injections_per_sec: f64,
     /// Batch-mode label of the producing run (`"off"` for scalar
-    /// per-fault replay; see [`BatchConfig::label`]).
+    /// per-fault replay; see [`BatchConfig::label`]), or `"mixed"` for
+    /// a merge of shards that ran under different batch modes.
     pub batch_mode: String,
     /// Transients the batched engine scored masked via the dirty-set
     /// early-out before the end of the golden run.
@@ -878,8 +892,14 @@ fn work_items<S>(
 /// [`ErrorRecord`]s. Outcomes are a pure per-fault function, so neither
 /// the thread count nor the item order reaches the records.
 ///
-/// Batched groups share their restore, so they report no per-fault
-/// checkpoint hits and leave the hit-distance stats at zero.
+/// Under DME the batched engine runs the port comparison, which the
+/// retire comparator cannot beat: a port-masked fault is DME-masked,
+/// and a port-divergent one is replayed through [`run_injection`]
+/// against the retire stream to decide it.
+///
+/// Batched groups share their restore, so a batched phase reports no
+/// per-fault checkpoint hits and leaves the hit-distance stats at zero,
+/// DME's replays of port-divergent faults included.
 fn run_injection_phase<C: CoreBatch>(
     config: &CampaignConfig,
     workloads: &[&'static Workload],
@@ -924,7 +944,7 @@ fn run_injection_phase<C: CoreBatch>(
             run_injection::<C>(start, reference, fault, window, trace_window);
         c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
         c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-        if checkpointed {
+        if checkpointed && batch.is_none() {
             c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
             c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
             // A fault past the golden runtime never restores a snapshot:
@@ -965,7 +985,16 @@ fn run_injection_phase<C: CoreBatch>(
                             c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
                             c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
                             batch_cost = total_cost([batch_cost, cost]);
-                            outcomes.into_iter().map(|outcome| (outcome, None)).collect::<Vec<_>>()
+                            outcomes
+                                .into_iter()
+                                .zip(item)
+                                .map(|(outcome, &(_, fault))| match outcome {
+                                    // Only a port-divergent fault can be
+                                    // DME-detected; the retire stream decides.
+                                    Some(_) if dme => replay(li, fault),
+                                    outcome => (outcome, None),
+                                })
+                                .collect::<Vec<_>>()
                         }
                         None => item.iter().map(|&(_, fault)| replay(li, fault)).collect(),
                     };
@@ -1054,12 +1083,14 @@ pub enum Reference<'a> {
         cpus: usize,
     },
     /// The golden retire stream of diverse-memory execution
-    /// ([`crate::dme::retire_stream`]): the faulty copy runs over the
-    /// image shifted by [`DEFAULT_DME_OFFSET_WORDS`] behind a
-    /// [`DmePort`], and its k-th retirement is checked against stream
-    /// entry k. Divergences that never reach the retire interface stay
-    /// masked — DME observes architectural effects only, the coverage
-    /// it trades for tolerating address-space diversity.
+    /// ([`crate::dme::retire_stream`]): the faulty copy's k-th
+    /// retirement is checked against stream entry k. Divergences that
+    /// never reach the retire interface stay masked — DME observes
+    /// architectural effects only, the coverage it trades for
+    /// tolerating address-space diversity. The faulty copy steps over
+    /// the restored image unshifted: over clean codewords the DME shift
+    /// only renames RAM words, so it cannot change what the core sees
+    /// (the relabelling lemma, DESIGN.md §13).
     RetireStream {
         /// The golden run's length in cycles (the replay domain).
         cycles: u64,
@@ -1194,11 +1225,6 @@ fn run_observed<C: CoreModel, G: GoldenRef>(
 /// against each cycle. Monomorphized into the engine, so shadow replay
 /// pays nothing for the abstraction.
 trait GoldenRef {
-    /// Word offset of the faulty copy's diverse address space, for a
-    /// DME reference: the engine then shifts the restored image and
-    /// steps the faulty CPU through a [`DmePort`]. `None` (identical
-    /// lockstep) steps it over the image as is.
-    const DME_OFFSET: Option<u32> = None;
     /// CPUs simulated per replayed cycle (1 shadow, N full lockstep).
     fn cpus_per_cycle(&self) -> u64;
     /// Advances the reference through one pre-fault cycle (no
@@ -1276,20 +1302,17 @@ impl<C: CoreModel> GoldenRef for TwinGolden<C> {
 }
 
 /// DME's reference: a cursor into the golden retire stream. The
-/// fault-free prefix needs no reference at all — behind the offset
-/// translation it is virtually identical to the golden run, the
-/// `lockstep-mem` soundness anchor — and each retirement of the faulty
-/// copy after the fault is checked against the next golden entry; the
-/// first differing effect is the detection, and further mismatch bits
-/// accumulate over the capture window like port-diff DSR bits do.
+/// fault-free prefix needs no reference at all — it is the golden run —
+/// and each retirement of the faulty copy after the fault is checked
+/// against the next golden entry; the first differing effect is the
+/// detection, and further mismatch bits accumulate over the capture
+/// window like port-diff DSR bits do.
 struct RetireGolden<'a> {
     stream: &'a [(u64, Retired)],
     next: usize,
 }
 
 impl GoldenRef for RetireGolden<'_> {
-    const DME_OFFSET: Option<u32> = Some(DEFAULT_DME_OFFSET_WORDS);
-
     fn cpus_per_cycle(&self) -> u64 {
         1
     }
@@ -1433,19 +1456,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
         }
     };
     let mut golden = make_golden(cpu.state(), &image);
-    let mut mem;
-    let mut dme_port;
-    let port: &mut dyn MemoryPort = match G::DME_OFFSET {
-        Some(offset) => {
-            mem = shift_image(&image, offset);
-            dme_port = DmePort::new(&mut mem, offset);
-            &mut dme_port
-        }
-        None => {
-            mem = image.into_owned();
-            &mut mem
-        }
-    };
+    let mut mem = image.into_owned();
     let per_cycle = golden.cpus_per_cycle();
     let mut ports = PortSet::new();
     let mut cost = ReplayCost {
@@ -1457,7 +1468,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
 
     let mut cycle = start_cycle;
     while cycle < fault.cycle {
-        cpu.step(port, &mut ports);
+        cpu.step(&mut mem, &mut ports);
         golden.advance();
         cycle += 1;
         cost.replayed_cycles += per_cycle;
@@ -1469,7 +1480,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
             return (None, cost);
         }
         let at = cycle;
-        cpu.step_with_overlay(port, &mut ports, |st| fault.overlay_for::<C>(st, at));
+        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
         cost.replayed_cycles += per_cycle;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
@@ -1483,7 +1494,7 @@ fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
             break;
         }
         let at = cycle;
-        cpu.step_with_overlay(port, &mut ports, |st| fault.overlay_for::<C>(st, at));
+        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
         cost.replayed_cycles += per_cycle;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
@@ -1773,22 +1784,43 @@ mod tests {
     #[test]
     fn dynamic_mode_detects_identically_to_fixed() {
         // Dynamic lockstep changes only the recovery path; its
-        // injection phase is the fixed scalar engine, so records match
-        // bit-for-bit — and a requested batch engine is honestly
-        // clamped off rather than silently diverging the provenance.
+        // injection phase is the fixed engine, so records match
+        // bit-for-bit — and a requested batch engine runs as configured,
+        // against the scalar fixed reference.
         let mut fixed = tiny_config();
         fixed.faults_per_workload = 60;
         let mut dynamic = fixed.clone();
         dynamic.redundancy = RedundancyMode::Dynamic;
         dynamic.batch = Some(BatchConfig::FULL);
-        assert_eq!(dynamic.effective_batch(), None);
+        assert_eq!(dynamic.effective_batch(), Some(BatchConfig::FULL));
         let a = run_campaign(&fixed);
         let b = run_campaign(&dynamic);
         assert_eq!(a.records, b.records);
         assert_eq!(a.stats.redundancy, "fixed");
         assert_eq!(b.stats.redundancy, "dynamic");
-        assert_eq!(b.stats.batch_mode, "off");
+        assert_eq!(b.stats.batch_mode, "full");
         assert!(b.stats.render().contains("redundancy: dynamic"));
+    }
+
+    #[test]
+    fn batched_dme_reports_no_checkpoint_hits() {
+        use lockstep_obs::MemorySink;
+
+        // A batched phase reports no per-fault checkpoint hits, DME's
+        // retire-stream replays of port-divergent faults included.
+        let sink = Arc::new(MemorySink::new());
+        let mut cfg = tiny_config();
+        cfg.faults_per_workload = 40;
+        cfg.redundancy = RedundancyMode::Dme;
+        cfg.batch = Some(BatchConfig::FULL);
+        cfg.events = Some(sink.clone());
+        let res = run_campaign(&cfg);
+        assert_eq!(res.stats.batch_mode, "full");
+        assert!(!res.records.is_empty(), "port-divergent faults must replay and manifest");
+        for w in &res.stats.per_workload {
+            assert_eq!((w.hit_distance_sum, w.hit_distance_max), (0, 0), "{}", w.workload);
+        }
+        assert!(sink.take().iter().all(|e| e.kind() != "checkpoint_hit"));
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!   under evaluation (default `fixed` DMR). `dynamic` pairs/unpairs at
 //!   runtime and re-syncs from golden checkpoints instead of
 //!   restarting; `dme` runs the redundant copy over a shifted address
-//!   space and compares retired-effect streams. Non-fixed modes clamp
-//!   the batched engine off (recorded honestly in the stats); see
+//!   space and compares retired-effect streams. Every mode runs on the
+//!   engine `--batch-mode` selects; see
 //!   [`lockstep_core::RedundancyMode`].
 
 use std::sync::Arc;
@@ -377,7 +377,8 @@ mod tests {
         assert_eq!(a.redundancy, RedundancyMode::Dme);
         let c = a.campaign_config();
         assert_eq!(c.redundancy, RedundancyMode::Dme);
-        assert_eq!(c.effective_batch(), None, "non-fixed redundancy clamps batching off");
+        assert_eq!(c.batch, Some(BatchConfig::FULL));
+        assert_eq!(c.effective_batch(), Some(BatchConfig::FULL), "dme runs the configured layers");
     }
 
     #[test]

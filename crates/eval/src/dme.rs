@@ -21,6 +21,11 @@
 //! the retired-effect comparator reports the divergence
 //! ([`run_decoder_stuck_at_for`]; regression-tested in
 //! `tests/dme_detection.rs` with the repro under `tests/repros/`).
+//!
+//! Campaigns inject flop faults only, with no decoder fault planted, and
+//! over a clean image the shift then merely renames RAM words: the
+//! campaign engine runs DME's faulty copy unshifted and checks it
+//! against [`retire_stream`] (DESIGN.md §13).
 
 use std::collections::VecDeque;
 

@@ -128,7 +128,8 @@ pub struct ShardRepr {
     /// Effective replay mode label (`"shadow"` / `"lockstep"`).
     pub replay_mode: String,
     /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`),
-    /// after the core's layer clamp.
+    /// after the core's layer clamp. Provenance only: the batch mode
+    /// never changes a record, so shards of one job may differ in it.
     pub batch_mode: String,
 }
 
@@ -188,8 +189,11 @@ impl ShardRepr {
     }
 
     /// `true` when `other` is a shard of the same job: every field but
-    /// the shard's own identity (`index`, `fault_lo`, `fault_hi`)
-    /// matches.
+    /// the shard's own identity (`index`, `fault_lo`, `fault_hi`) and
+    /// its `batch_mode` matches. The batch engine is a throughput knob
+    /// the equivalence suites prove record-neutral, so shards one
+    /// engine wrote merge with shards another wrote — a job resumed
+    /// after the engine it ran on changed still completes.
     pub fn same_job(&self, other: &ShardRepr) -> bool {
         self.count == other.count
             && self.workloads == other.workloads
@@ -201,7 +205,6 @@ impl ShardRepr {
             && self.core == other.core
             && self.redundancy == other.redundancy
             && self.replay_mode == other.replay_mode
-            && self.batch_mode == other.batch_mode
     }
 
     /// `true` when tracing was active for this job (trace blobs ride in
@@ -456,7 +459,11 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
         injection_nanos,
         wall_nanos: shards.iter().map(|s| s.stats.wall_nanos).sum(),
         injections_per_sec: if injection_secs > 0.0 { total as f64 / injection_secs } else { 0.0 },
-        batch_mode: job.batch_mode.clone(),
+        batch_mode: if reprs.iter().all(|r| r.batch_mode == job.batch_mode) {
+            job.batch_mode.clone()
+        } else {
+            "mixed".to_owned()
+        },
         masked_early_out: shards.iter().map(|s| s.stats.masked_early_out).sum(),
         early_out_cycles_saved: shards.iter().map(|s| s.stats.early_out_cycles_saved).sum(),
         parked_masked: shards.iter().map(|s| s.stats.parked_masked).sum(),

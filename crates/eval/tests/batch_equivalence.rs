@@ -1,10 +1,12 @@
 //! The batched fault-simulation engine's correctness contract: a
 //! campaign run in `--batch-mode` — shared walker fan-out, dirty-set
 //! early-out, bit-parallel parked lanes — must be **byte-identical** to
-//! the same campaign replayed per fault on the scalar shadow engine,
-//! for every layer combination, checkpoint spacing, thread count, and
-//! replay mode. The order-of-magnitude saving is only usable because
-//! this equivalence is exact.
+//! the same campaign replayed per fault on the scalar engine, for every
+//! layer combination, checkpoint spacing, thread count, replay mode,
+//! and comparator: under DME the batched engine filters out the
+//! port-masked faults and the retire comparator judges the rest. The
+//! order-of-magnitude saving is only usable because this equivalence is
+//! exact.
 //!
 //! Two granularities:
 //!
@@ -18,6 +20,7 @@
 
 use std::sync::OnceLock;
 
+use lockstep_core::RedundancyMode;
 use lockstep_cpu::{flops, Cpu};
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::{run_batch_group, BatchConfig};
@@ -134,9 +137,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Campaign-level equivalence, the satellite contract: batched
-    /// archives byte-identical to per-fault shadow replay across
-    /// checkpoint intervals × thread counts (seed and campaign size
-    /// sampled too).
+    /// archives byte-identical to per-fault scalar replay across
+    /// checkpoint intervals × thread counts × comparators (seed and
+    /// campaign size sampled too). Each sampled point runs under both
+    /// fixed DMR and DME.
     #[test]
     fn batched_archives_byte_identical_to_scalar(
         seed in 1u64..10_000,
@@ -145,46 +149,52 @@ proptest! {
         threads in 1usize..=4,
         layers in proptest::sample::select(ALL_LAYERS.to_vec()),
     ) {
-        let mut cfg = base_config();
-        cfg.seed = seed;
-        cfg.faults_per_workload = faults;
-        cfg.checkpoint_interval = Some(interval);
-        cfg.threads = threads;
-        let scalar = run_campaign(&cfg);
-        cfg.batch = Some(layers);
-        let batched = run_campaign(&cfg);
-        prop_assert_eq!(
-            archive_bytes(&scalar),
-            archive_bytes(&batched),
-            "`{}` changed the archive (seed {}, {} faults, interval {}, {} threads)",
-            layers.label(), seed, faults, interval, threads
-        );
+        for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+            let mut cfg = base_config();
+            cfg.seed = seed;
+            cfg.faults_per_workload = faults;
+            cfg.checkpoint_interval = Some(interval);
+            cfg.threads = threads;
+            cfg.redundancy = redundancy;
+            let scalar = run_campaign(&cfg);
+            cfg.batch = Some(layers);
+            let batched = run_campaign(&cfg);
+            prop_assert_eq!(
+                archive_bytes(&scalar),
+                archive_bytes(&batched),
+                "`{}` changed the {:?} archive (seed {}, {} faults, interval {}, {} threads)",
+                layers.label(), redundancy, seed, faults, interval, threads
+            );
+        }
     }
 }
 
 /// The fixed-grid version of the archive contract: every layer
-/// combination, checkpointing off/dense/default — including `None`,
-/// where the only checkpoint is the mandatory cycle-0 snapshot and the
-/// whole campaign is one group per workload.
+/// combination under both comparators, checkpointing off/dense/default
+/// — including `None`, where the only checkpoint is the mandatory
+/// cycle-0 snapshot and the whole campaign is one group per workload.
 #[test]
 fn archives_byte_identical_across_batch_layers_and_intervals() {
-    for interval in [None, Some(512), Some(4096)] {
-        let mut cfg = base_config();
-        cfg.checkpoint_interval = interval;
-        let scalar = run_campaign(&cfg);
-        assert!(!scalar.records.is_empty(), "campaign must manifest errors");
-        let reference = archive_bytes(&scalar);
-        for layers in ALL_LAYERS {
-            let mut c = cfg.clone();
-            c.batch = Some(layers);
-            let batched = run_campaign(&c);
-            assert_eq!(
-                archive_bytes(&batched),
-                reference,
-                "`{}` changed the archive at checkpoint interval {interval:?}",
-                layers.label()
-            );
-            assert_eq!(batched.stats.batch_mode, layers.label());
+    for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+        for interval in [None, Some(512), Some(4096)] {
+            let mut cfg = base_config();
+            cfg.checkpoint_interval = interval;
+            cfg.redundancy = redundancy;
+            let scalar = run_campaign(&cfg);
+            assert!(!scalar.records.is_empty(), "campaign must manifest errors");
+            let reference = archive_bytes(&scalar);
+            for layers in ALL_LAYERS {
+                let mut c = cfg.clone();
+                c.batch = Some(layers);
+                let batched = run_campaign(&c);
+                assert_eq!(
+                    archive_bytes(&batched),
+                    reference,
+                    "`{}` changed the {redundancy:?} archive at checkpoint interval {interval:?}",
+                    layers.label()
+                );
+                assert_eq!(batched.stats.batch_mode, layers.label());
+            }
         }
     }
 }

@@ -114,7 +114,8 @@ fn lr7_clamps_unsupported_batch_layers_to_fanout() {
 /// The redundancy axis holds on the out-of-order core too: `dynamic`
 /// is byte-identical to fixed DMR (same scalar detection, different
 /// recovery story), and `dme` runs the retired-effect comparator
-/// deterministically across thread counts.
+/// deterministically across thread counts and engines — the full
+/// batch engine (clamped to fan-out) included.
 #[test]
 fn lr7_redundancy_modes_are_thread_deterministic() {
     use lockstep_core::RedundancyMode;
@@ -148,6 +149,14 @@ fn lr7_redundancy_modes_are_thread_deterministic() {
             None => reference = Some(bytes),
         }
     }
+    cfg.batch = Some(BatchConfig::FULL);
+    let batched = run_campaign(&cfg);
+    assert_eq!(batched.stats.batch_mode, "fanout");
+    assert_eq!(
+        Some(archive_bytes(&batched)),
+        reference,
+        "the batch engine changed the LR7 dme archive"
+    );
 }
 
 /// Shards of one LR7 job must agree on the redundancy arrangement: a

@@ -212,6 +212,39 @@ fn tied_records_keep_plan_order_across_threads_and_shard_order() {
     }
 }
 
+/// A job resumed across an engine change: the first half of its shards
+/// ran on the scalar engine and the rest on the full batch engine. The
+/// batch mode never changes a record, so the shards still form one job
+/// and merge byte-identical to the single-shot campaign, under the port
+/// comparator and DME's retire-stream comparator alike; the merged
+/// stats name the mix.
+#[test]
+fn shards_from_different_batch_modes_merge_byte_identical() {
+    for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+        let cfg = CampaignConfig { redundancy, ..base_config() };
+        let single = run_campaign(&cfg);
+        assert!(!single.records.is_empty(), "{redundancy:?}: campaign must manifest errors");
+        let specs = plan_shards(&cfg, 4);
+        let archives: Vec<CampaignArchive> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let batch = (i >= specs.len() / 2).then_some(BatchConfig::FULL);
+                run_shard(&CampaignConfig { batch, ..cfg.clone() }, spec)
+            })
+            .collect();
+        assert_eq!(archives[0].shard.as_ref().unwrap().batch_mode, "off");
+        assert_eq!(archives[3].shard.as_ref().unwrap().batch_mode, "full");
+        let merged = merge_shard_archives(&archives).expect("mixed-engine shards merge");
+        assert_eq!(merged.stats.batch_mode, "mixed");
+        assert_eq!(
+            archive_bytes(merged),
+            archive_bytes(CampaignArchive::from_result(&single)),
+            "{redundancy:?}: mixed-engine merge diverged from single-shot"
+        );
+    }
+}
+
 /// Full-suite sweep, tier-2 only: the whole workload suite sharded
 /// seven ways with a mid-job kill, byte-identical to single-shot.
 #[cfg(feature = "slow-tests")]

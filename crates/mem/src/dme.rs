@@ -21,11 +21,13 @@
 //!   model, applied below the translation exactly where the shared
 //!   hardware sits.
 //!
-//! The soundness anchor (tested here and exercised end-to-end by the
-//! DME campaign mode): a fault-free core behind `DmePort(offset)` over
-//! `shift_image(base, offset)` observes a virtual world bit-identical
-//! to `base`, so golden captures, checkpoints and retire streams carry
-//! over to the shifted copy unchanged.
+//! The soundness anchor (tested here, and per injected flop fault by
+//! `lockstep-eval`'s `tests/dme_detection.rs`): with no decoder fault
+//! planted, a core behind `DmePort(offset)` over `shift_image(base,
+//! offset)` observes a virtual world bit-identical to a clean `base`,
+//! so golden captures, checkpoints and retire streams carry over to the
+//! shifted copy unchanged — which is why DME campaigns need not build
+//! the shifted image at all.
 
 use crate::bus::{BusFault, Memory, MemoryPort};
 
