@@ -1,5 +1,5 @@
 //! Dirty-set tracking over the flop file: fast divergence scans between
-//! a faulty CPU state and its golden reference, and bit-parallel watch
+//! a faulty core state and its golden reference, and bit-parallel watch
 //! masks for parked stuck-at faults.
 //!
 //! Both primitives exploit the same structural fact as
@@ -19,18 +19,22 @@
 //!   simulation; the watch fires the cycle golden's committed bit first
 //!   disagrees with the stuck value, which is exactly when the faulty
 //!   machine first diverges from golden.
+//!
+//! Like [`flops`](crate::flops), every scan is generic over the core's
+//! state type: the `*_in` forms take a core's registry (LR5's
+//! [`registry`] or [`CoreModel::registry`](crate::CoreModel::registry)
+//! of any other core), and the un-suffixed forms are the LR5 shorthand.
 
 use std::sync::OnceLock;
 
-use crate::flops::registry;
+use crate::flops::{registry, FlopReg};
 use crate::state::CpuState;
 use crate::units::UnitId;
 
 /// Cached location of the last known state difference: an index into
-/// [`registry`] plus a lane within that
-/// register.
+/// the core's registry plus a lane within that register.
 ///
-/// Purely an accelerator — [`converged`] is correct for any witness
+/// Purely an accelerator — [`converged_in`] is correct for any witness
 /// value, including the default empty one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirtyWitness {
@@ -44,8 +48,9 @@ impl DirtyWitness {
     }
 }
 
-/// Whether `a` and `b` are bit-identical CPU states, updating `witness`
-/// with the location of a difference when they are not.
+/// Whether `a` and `b` are bit-identical states of the core whose
+/// registry is `regs`, updating `witness` with the location of a
+/// difference when they are not.
 ///
 /// Fast paths, in order:
 ///
@@ -56,8 +61,12 @@ impl DirtyWitness {
 /// 3. the registry is clean: fall back to the whole-struct equality,
 ///    which is authoritative (it also covers bits above a register's
 ///    declared width, which the masked registry reads cannot see).
-pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool {
-    let regs = registry();
+pub fn converged_in<S: PartialEq>(
+    regs: &[FlopReg<S>],
+    a: &S,
+    b: &S,
+    witness: &mut DirtyWitness,
+) -> bool {
     if let Some((r, l)) = witness.pair {
         let reg = &regs[r as usize];
         if reg.read(a, l as usize) != reg.read(b, l as usize) {
@@ -76,9 +85,14 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
     a == b
 }
 
-/// Index of the architectural register file's (sole) entry in
-/// [`registry`]: 31 lanes of 32 bits, lane
-/// `r - 1` holding architectural register `r`.
+/// [`converged_in`] over the LR5 registry.
+pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool {
+    converged_in(registry(), a, b, witness)
+}
+
+/// Index of the LR5 architectural register file's (sole) entry in
+/// [`registry`]: 31 lanes of 32 bits, lane `r - 1` holding
+/// architectural register `r`.
 pub fn rf_registry_index() -> u16 {
     static IDX: OnceLock<u16> = OnceLock::new();
     *IDX.get_or_init(|| {
@@ -90,26 +104,31 @@ pub fn rf_registry_index() -> u16 {
 }
 
 /// Whether the entire difference between `a` and `b` is confined to the
-/// architectural register file. Returns the dirty-register mask (bit
+/// architectural register file, entry `rf` of `regs` (31 lanes, lane
+/// `r - 1` holding register `r`). Returns the dirty-register mask (bit
 /// `r - 1` set when register `r` differs) — `Some(0)` means the states
 /// are bit-identical — or `None` when any non-RF state differs.
 ///
-/// This is the admission test for register-file parking: the RF has one
-/// read site and one write site in the pipeline, both decodable from
-/// the pre-cycle state ([`crate::exec::rf_read_candidates`] and
-/// [`crate::exec::rf_write_of`]), so an RF-confined lane evolves in provable
-/// lockstep with golden at zero simulation cost until a dirty register
-/// is potentially read.
+/// This is the admission test for register-file parking: on LR5 the RF
+/// has one read site and one write site in the pipeline, both decodable
+/// from the pre-cycle state ([`crate::exec::rf_read_candidates`] and
+/// [`crate::exec::rf_write_of`]), so an RF-confined lane evolves in
+/// provable lockstep with golden at zero simulation cost until a dirty
+/// register is potentially read.
 ///
-/// Shares [`DirtyWitness`] with [`converged`]: when the witnessed pair
-/// is outside the RF and still differs, the answer is `None` in one
+/// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
+/// pair is outside the RF and still differs, the answer is `None` in one
 /// masked `u64` compare. The `Some` path is authoritative — it verifies
 /// by substitution (copy `b`'s differing registers into a clone of `a`
 /// and require whole-struct equality) so bits invisible to the masked
 /// registry reads cannot slip through.
-pub fn rf_confined(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> Option<u32> {
-    let regs = registry();
-    let rf = rf_registry_index();
+pub fn rf_confined_in<S: PartialEq + Clone>(
+    regs: &[FlopReg<S>],
+    rf: u16,
+    a: &S,
+    b: &S,
+    witness: &mut DirtyWitness,
+) -> Option<u32> {
     if let Some((r, l)) = witness.pair {
         if r != rf {
             let reg = &regs[r as usize];
@@ -149,6 +168,11 @@ pub fn rf_confined(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> Op
     }
 }
 
+/// [`rf_confined_in`] over the LR5 registry and register file.
+pub fn rf_confined(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> Option<u32> {
+    rf_confined_in(registry(), rf_registry_index(), a, b, witness)
+}
+
 /// Bit-parallel stuck-at watch over one (register, lane) pair of the
 /// flop file.
 ///
@@ -156,12 +180,12 @@ pub fn rf_confined(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> Op
 /// stuck-at-0 (resp. stuck-at-1) fault targets flip-flop `b` of the
 /// pair. While golden's bit equals the stuck value the fault overlay is
 /// the identity — the faulty machine *is* the golden machine — so the
-/// fault needs no simulation at all; [`LaneWatch::triggered`] reports
-/// the bits whose faults must wake up because golden's committed value
-/// now disagrees with them.
+/// fault needs no simulation at all; [`LaneWatch::triggered_in`]
+/// reports the bits whose faults must wake up because golden's
+/// committed value now disagrees with them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneWatch {
-    /// Index into [`registry`].
+    /// Index into the core's registry.
     pub reg: u16,
     /// Lane within the register.
     pub lane: u16,
@@ -183,12 +207,18 @@ impl LaneWatch {
     }
 
     /// The watched bits whose stuck value disagrees with `state`'s
-    /// committed value: bit `b` of the result is set when a stuck-at-0
-    /// fault watches a bit that is now 1, or a stuck-at-1 fault watches
-    /// a bit that is now 0. Two `u64` ops check up to 128 parked faults.
-    pub fn triggered(&self, state: &CpuState) -> u64 {
-        let v = registry()[self.reg as usize].read(state, self.lane as usize);
+    /// committed value, read through the core's registry `regs`: bit
+    /// `b` of the result is set when a stuck-at-0 fault watches a bit
+    /// that is now 1, or a stuck-at-1 fault watches a bit that is now
+    /// 0. Two `u64` ops check up to 128 parked faults.
+    pub fn triggered_in<S>(&self, regs: &[FlopReg<S>], state: &S) -> u64 {
+        let v = regs[self.reg as usize].read(state, self.lane as usize);
         (v & self.stuck0) | (!v & self.stuck1)
+    }
+
+    /// [`LaneWatch::triggered_in`] over the LR5 registry.
+    pub fn triggered(&self, state: &CpuState) -> u64 {
+        self.triggered_in(registry(), state)
     }
 }
 
@@ -344,5 +374,97 @@ mod tests {
         assert!(!converged(&a, &b, &mut w));
         assert_eq!(w.pair, Some((rf_high.reg, rf_high.lane)));
         let _ = FlopId { reg: rf_high.reg, lane: rf_high.lane, bit: rf_high.bit };
+    }
+
+    /// The generic scans over another core's registry: the LR7's.
+    mod lr7 {
+        use super::super::*;
+        use crate::flops::{all_flops_in, flip_bit_in, get_bit_in, label_of_in};
+        use crate::{CoreModel, Lr7, Lr7State};
+
+        fn regs() -> &'static [FlopReg<Lr7State>] {
+            Lr7::registry()
+        }
+
+        #[test]
+        fn every_sampled_flip_is_found_witnessed_and_healed() {
+            let a = Lr7State::reset(0);
+            let mut w = DirtyWitness::new();
+            assert!(converged_in(regs(), &a, &a.clone(), &mut w));
+            for id in all_flops_in(regs()).step_by(37) {
+                let mut b = a.clone();
+                flip_bit_in(regs(), &mut b, id);
+                let mut w = DirtyWitness::new();
+                assert!(
+                    !converged_in(regs(), &a, &b, &mut w),
+                    "{} not seen",
+                    label_of_in(regs(), id)
+                );
+                assert_eq!(
+                    w.pair,
+                    Some((id.reg, id.lane)),
+                    "{} witness wrong",
+                    label_of_in(regs(), id)
+                );
+                // Second query hits the witness fast path.
+                assert!(!converged_in(regs(), &a, &b, &mut w));
+                // Healing the flip converges, whatever the stale witness.
+                flip_bit_in(regs(), &mut b, id);
+                assert!(converged_in(regs(), &a, &b, &mut w));
+            }
+        }
+
+        #[test]
+        fn witness_tracks_a_difference_moving_through_the_rob() {
+            let a = Lr7State::reset(0);
+            let mut b = a.clone();
+            b.rob_val[3] ^= 1 << 9;
+            let mut w = DirtyWitness::new();
+            assert!(!converged_in(regs(), &a, &b, &mut w));
+            let first = w.pair;
+            // The value retires into a register: the stale witness
+            // misses and the rescan must find the new pair.
+            b.rob_val[3] = a.rob_val[3];
+            b.set_reg(7, a.reg(7) ^ 1 << 9);
+            assert!(!converged_in(regs(), &a, &b, &mut w));
+            assert_ne!(w.pair, first);
+            let rf = regs().iter().position(|r| r.name == "regs").unwrap() as u16;
+            assert_eq!(w.pair, Some((rf, 6)));
+            assert_eq!(
+                rf_confined_in(regs(), rf, &a, &b, &mut w),
+                Some(1 << 6),
+                "the residue is register 7 alone"
+            );
+            b.set_reg(7, a.reg(7));
+            assert!(converged_in(regs(), &a, &b, &mut w));
+        }
+
+        #[test]
+        fn watch_matches_per_bit_semantics_for_sampled_flops() {
+            let mut state = Lr7State::reset(0);
+            for (i, id) in all_flops_in(regs()).step_by(41).enumerate() {
+                if i % 2 == 0 {
+                    flip_bit_in(regs(), &mut state, id);
+                }
+            }
+            for id in all_flops_in(regs()).step_by(29) {
+                for stuck1 in [false, true] {
+                    let mut watch = LaneWatch::new(id.reg, id.lane);
+                    if stuck1 {
+                        watch.stuck1 = 1 << id.bit;
+                    } else {
+                        watch.stuck0 = 1 << id.bit;
+                    }
+                    let fired = watch.triggered_in(regs(), &state) & (1 << id.bit) != 0;
+                    assert_eq!(
+                        fired,
+                        get_bit_in(regs(), &state, id) != stuck1,
+                        "{} stuck-at-{} trigger wrong",
+                        label_of_in(regs(), id),
+                        u8::from(stuck1)
+                    );
+                }
+            }
+        }
     }
 }

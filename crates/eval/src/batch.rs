@@ -5,11 +5,13 @@
 //! or trace end — per injection. But every experiment in a campaign is a
 //! tiny perturbation of the *same* golden execution, which this engine
 //! exploits with three cooperating layers (each independently togglable
-//! via [`BatchConfig`]):
+//! via [`BatchConfig`]). One engine, [`run_batch_group`], serves every
+//! core model: it is generic over [`CoreBatch`] and monomorphized per
+//! core, so LR5 and LR7 run the same layers.
 //!
 //! 1. **Fan-out from checkpoint** — the fault list is sorted by strike
 //!    cycle and grouped by the checkpoint span it restores from. One
-//!    fault-free *walker* CPU replays each span once; every fault forks
+//!    fault-free *walker* core replays each span once; every fault forks
 //!    a faulty machine (a *lane*) off the walker's committed state at
 //!    its strike cycle, so the group shares a single restore and a
 //!    single pre-fault fast-forward instead of one per injection.
@@ -19,22 +21,25 @@
 //!    side-effect-free [`TrialView`] and only forks a private copy at
 //!    the moment it first diverges (to run its DSR capture window).
 //! 2. **Dirty-set early-out** — after a transient strikes, its lane is
-//!    compared against the walker's state with a witnessed scan
-//!    ([`lockstep_cpu::dirty::converged`]) every cycle. The moment the
-//!    dirty set is seen empty the fault is provably masked for the
-//!    rest of the run (see the soundness argument in DESIGN.md §10)
-//!    and the lane is retired instead of simulating to the end of the
-//!    trace. A lane whose residue is *confined to architectural
-//!    registers* ([`lockstep_cpu::dirty::rf_confined`]) goes one step
-//!    further: the register file has exactly one read site and one
-//!    write site in the pipeline, both decodable from golden's
-//!    pre-cycle state, so the lane is parked at zero simulation cost —
-//!    golden's WB writes clean its dirty registers (both machines would
-//!    write the same value), and the lane wakes only the cycle a dirty
-//!    register lands in the decoded read-candidate set
-//!    ([`lockstep_cpu::exec::rf_read_candidates`]). Dead-register
-//!    residue, the dominant fate of masked transients, parks to the end
-//!    of the trace without a single simulated cycle.
+//!    compared against the walker's state with a witnessed scan of the
+//!    core's registry ([`lockstep_cpu::dirty::converged_in`]) every
+//!    cycle. The moment the dirty set is seen empty the fault is
+//!    provably masked for the rest of the run (the machine is closed:
+//!    see DESIGN.md §10) and the lane is retired instead of simulating
+//!    to the end of the trace. On a core that supplies register-file
+//!    oracles ([`CoreBatch::rf_registry_index`], LR5 today) a lane
+//!    whose residue is *confined to architectural registers*
+//!    ([`lockstep_cpu::dirty::rf_confined_in`]) goes one step further:
+//!    the register file has exactly one read site and one write site in
+//!    the pipeline, both decodable from golden's pre-cycle state, so the
+//!    lane is parked at zero simulation cost — golden's WB writes clean
+//!    its dirty registers (both machines would write the same value),
+//!    and the lane wakes only the cycle a dirty register lands in the
+//!    decoded read-candidate set ([`CoreBatch::rf_read_candidates`]).
+//!    Dead-register residue, the dominant fate of masked transients,
+//!    parks to the end of the trace without a single simulated cycle.
+//!    On other cores register residue stays a live lane until it
+//!    converges.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
@@ -42,8 +47,9 @@
 //!    masks checked against the walker's committed state with two ALU
 //!    ops per cycle. The cycle golden's bit first disagrees, the fault
 //!    wakes into a scalar lane (the fallback rule); a woken lane that
-//!    re-converges with golden is re-parked, up to a small cap.
-//!    Stuck-ats *on register-file flops* use the register-file parking
+//!    re-converges with golden is re-parked, up to a small cap. This
+//!    identity argument holds on any core. With register-file oracles,
+//!    stuck-ats *on register-file flops* use the register-file parking
 //!    of layer 2 instead of a watch: even while golden's bit disagrees
 //!    with the stuck value the whole divergence is one known register
 //!    value, so the fault stays parked until that register is read
@@ -55,12 +61,12 @@
 //! compared against. Either way the per-cycle comparison values are
 //! identical, which is why one batched engine serves both replay modes
 //! and produces archives byte-identical to the scalar engine
-//! (`tests/batch_equivalence.rs`).
+//! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
-use lockstep_cpu::dirty::{converged, rf_confined, rf_registry_index, DirtyWitness, LaneWatch};
-use lockstep_cpu::exec::{rf_read_candidates, rf_write_of};
-use lockstep_cpu::{flops, CoreModel, Cpu, CpuState, Lr7, PortSet, PortTrace};
+use lockstep_cpu::dirty::{converged_in, rf_confined_in, DirtyWitness, LaneWatch};
+use lockstep_cpu::flops::{self, FlopReg};
+use lockstep_cpu::{dirty, exec, CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_mem::{Memory, TrialLog, TrialView};
 use lockstep_workloads::GoldenCheckpoints;
@@ -166,10 +172,10 @@ impl BatchCost {
 /// one machine). Note what is *not* here: a memory image. A live lane
 /// has, by definition, matched golden's ports so far, so its memory is
 /// bit-identical to the walker's — it reads the walker's image through
-/// a [`TrialView`] and owns ~a `CpuState` of private data, which is
+/// a [`TrialView`] and owns ~one core state of private data, which is
 /// what lets thousands of lanes stay cache-resident at once.
-struct Lane {
-    cpu: Cpu,
+struct Lane<C> {
+    cpu: C,
     fault: Fault,
     outs: Vec<usize>,
     witness: DirtyWitness,
@@ -206,8 +212,9 @@ struct RfParked {
     /// Bit `r - 1` set: the faulty machine's register `r` currently
     /// differs from golden's.
     dirty: u32,
-    /// The faulty machine's register file (authoritative for dirty
-    /// registers; clean ones equal golden's live value by definition).
+    /// The faulty machine's dirty register values (lane `r - 1` for
+    /// register `r`). Clean lanes are never read: those registers equal
+    /// golden's live value by definition.
     regs: [u32; 31],
     /// Walker cycle at which the entry parked, for savings accounting.
     park_cycle: u64,
@@ -238,15 +245,28 @@ fn rf_masks(entries: &[RfParked], rf: u16) -> (u32, u32, usize) {
 }
 
 /// The faulty machine implied by a parked entry: `base` (golden) with
-/// the entry's dirty registers substituted in.
-fn rf_materialize(entry: &RfParked, base: &CpuState) -> CpuState {
+/// the entry's dirty registers substituted in through the register-file
+/// registry entry `rf`.
+fn rf_materialize<S: Clone>(rf: &FlopReg<S>, entry: &RfParked, base: &S) -> S {
     let mut st = base.clone();
-    for r in 0..31 {
-        if entry.dirty & (1 << r) != 0 {
-            st.regs[r] = entry.regs[r];
+    for (lane, &v) in entry.regs.iter().enumerate() {
+        if entry.dirty & (1 << lane) != 0 {
+            rf.write(&mut st, lane, u64::from(v));
         }
     }
     st
+}
+
+/// The `dirty` registers of `state`, read through the register-file
+/// registry entry `rf` (clean lanes left zero; see [`RfParked::regs`]).
+fn rf_dirty_values<S>(rf: &FlopReg<S>, state: &S, dirty: u32) -> [u32; 31] {
+    let mut regs = [0u32; 31];
+    for (lane, v) in regs.iter_mut().enumerate() {
+        if dirty & (1 << lane) != 0 {
+            *v = rf.read(state, lane) as u32;
+        }
+    }
+    regs
 }
 
 /// A register value with a stuck-at bit forced.
@@ -287,20 +307,100 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
     group.parked.push(Parked { fault, outs, reparks });
 }
 
-/// Runs one batched group: every fault in `faults` is injected into the
-/// golden execution described by `checkpoints` + `trace`, sharing a
-/// single fault-free walker replay of the group's span. Returns one
-/// outcome per fault, aligned with the input order: `Some((detect
-/// cycle, DSR))` for a manifested error, `None` for a masked fault —
-/// bit-identical to running each fault through the scalar engine.
+/// Per-core capabilities of the batched engine, and its entry point.
+///
+/// Fan-out, the dirty-set early-out and identity parking in watches need
+/// nothing beyond the [`CoreModel`] contract: a closed machine whose
+/// next state is a pure function of its state and memory, and a flop
+/// registry to compare and watch through. So every core runs every
+/// layer, and LR5's engine is this one monomorphized for [`Cpu`].
+///
+/// Register-file parking is the one layer that needs knowledge of the
+/// pipeline: where the register file is read and written. It is an
+/// optional capability, dispatched statically through the `rf_*`
+/// functions below. [`Cpu`] supplies it; [`Lr7`] does not, so LR7
+/// register residue stays a live lane until it converges.
+pub trait CoreBatch: CoreModel {
+    /// The identity: every core runs the layers it is asked for. Kept
+    /// only until the benchmark harness drops its call; archives that
+    /// recorded an older clamp (LR7 shards labelled `"fanout"`) still
+    /// load and merge.
+    fn clamp_layers(requested: BatchConfig) -> BatchConfig {
+        requested
+    }
+
+    /// Runs one batched group on this core model (see
+    /// [`run_batch_group`] for the contract).
+    fn run_batch_group(
+        checkpoints: &GoldenCheckpoints<Self::State>,
+        trace: &PortTrace,
+        faults: &[Fault],
+        window: u32,
+        layers: BatchConfig,
+    ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
+        run_batch_group::<Self>(checkpoints, trace, faults, window, layers)
+    }
+
+    /// Index in [`CoreModel::registry`] of the architectural register
+    /// file — 31 lanes of 32 bits, lane `r - 1` holding register `r` —
+    /// when this core supplies the register-file parking oracles, or
+    /// `None` (the default) when it does not. A core that returns
+    /// `Some` must supply both oracles below.
+    fn rf_registry_index() -> Option<u16> {
+        None
+    }
+
+    /// A superset of the registers the next cycle may read, decoded from
+    /// the pre-cycle state (bit `r - 1` for register `r`). Consulted
+    /// only when [`CoreBatch::rf_registry_index`] is `Some`.
+    fn rf_read_candidates(_pre: &Self::State) -> u32 {
+        unreachable!("{} supplies no register-file parking oracles", Self::NAME)
+    }
+
+    /// The exact register-file write the next cycle retires, as
+    /// `(register, value)`, decoded from the pre-cycle state. Consulted
+    /// only when [`CoreBatch::rf_registry_index`] is `Some`.
+    fn rf_write_of(_pre: &Self::State) -> Option<(u8, u32)> {
+        unreachable!("{} supplies no register-file parking oracles", Self::NAME)
+    }
+}
+
+/// LR5 supplies the register-file parking oracles: one decoded read
+/// site ([`exec::rf_read_candidates`]) and one exact write site
+/// ([`exec::rf_write_of`]).
+impl CoreBatch for Cpu {
+    fn rf_registry_index() -> Option<u16> {
+        Some(dirty::rf_registry_index())
+    }
+
+    fn rf_read_candidates(pre: &Self::State) -> u32 {
+        exec::rf_read_candidates(pre)
+    }
+
+    fn rf_write_of(pre: &Self::State) -> Option<(u8, u32)> {
+        exec::rf_write_of(pre)
+    }
+}
+
+/// LR7 runs every layer but register-file parking: its rename and
+/// reorder machinery has no single decodable read or write site.
+impl CoreBatch for Lr7 {}
+
+/// Runs one batched group on core `C`: every fault in `faults` is
+/// injected into the golden execution described by `checkpoints` +
+/// `trace`, sharing a single fault-free walker replay of the group's
+/// span. Returns one outcome per fault, aligned with the input order:
+/// `Some((detect cycle, DSR))` for a manifested error, `None` for a
+/// masked fault — bit-identical to running each fault through the
+/// scalar engine, whatever the layer set.
 ///
 /// The walker restores the checkpoint nearest the earliest in-range
 /// fault; callers typically pre-group faults so one call covers one
 /// checkpoint span, but any fault list works (the walker jumps forward
 /// over idle stretches via later checkpoints). Batched groups do not
 /// report per-fault checkpoint hit distances — the restore is shared.
-pub fn run_batch_group(
-    checkpoints: &GoldenCheckpoints,
+pub fn run_batch_group<C: CoreBatch>(
+    checkpoints: &GoldenCheckpoints<C::State>,
     trace: &PortTrace,
     faults: &[Fault],
     window: u32,
@@ -322,20 +422,23 @@ pub fn run_batch_group(
         return (outcomes, cost);
     };
 
+    let regs = C::registry();
     let cp = checkpoints
         .nearest_at(faults[first].cycle)
         .expect("golden captures always include the cycle-0 checkpoint");
-    let mut wcpu = Cpu::from_state(cp.cpu.clone());
+    let mut wcpu = C::from_state(cp.cpu.clone());
     let mut wmem = cp.mem.clone();
     let mut wports = PortSet::new();
     let mut cycle = cp.cycle;
     cost.skipped_cycles += cp.cycle;
 
     let mut pending = in_range.into_iter().peekable();
-    let mut lanes: Vec<Lane> = Vec::new();
+    let mut lanes: Vec<Lane<C>> = Vec::new();
     let mut watches: Vec<WatchGroup> = Vec::new();
+    // The register-file parking lot stays empty on a core without the
+    // oracles, so every phase below that touches it is skipped.
     let mut rf_parked: Vec<RfParked> = Vec::new();
-    let rf_idx = rf_registry_index();
+    let rf_idx = C::rf_registry_index();
     // Cached `rf_masks` aggregates, refreshed whenever the lot changes.
     let mut rf_stale = false;
     let (mut rf_dirty_union, mut rf_stuck_rf, mut rf_nonrf_stuck) = (0u32, 0u32, 0usize);
@@ -356,7 +459,7 @@ pub fn run_batch_group(
                     .nearest_at(target)
                     .expect("golden captures always include the cycle-0 checkpoint");
                 if cp.cycle > cycle {
-                    wcpu = Cpu::from_state(cp.cpu.clone());
+                    wcpu = C::from_state(cp.cpu.clone());
                     wmem = cp.mem.clone();
                     cost.skipped_cycles += cp.cycle - cycle;
                     cycle = cp.cycle;
@@ -376,14 +479,14 @@ pub fn run_batch_group(
         // pre-state, so it steps through `at` with the other lanes), and
         // golden's predicted WB write cleans — or, for a register-file
         // stuck-at's target, re-forces — the written register.
-        if !rf_parked.is_empty() {
+        if let (Some(rf_idx), false) = (rf_idx, rf_parked.is_empty()) {
             if rf_stale {
                 (rf_dirty_union, rf_stuck_rf, rf_nonrf_stuck) = rf_masks(&rf_parked, rf_idx);
                 rf_stale = false;
             }
             let pre = wcpu.state();
-            let reads = rf_read_candidates(pre);
-            let wr = rf_write_of(pre);
+            let reads = C::rf_read_candidates(pre);
+            let wr = C::rf_write_of(pre);
             let write_hits =
                 wr.is_some_and(|(r, _)| (rf_dirty_union | rf_stuck_rf) & 1 << (r - 1) != 0);
             if reads & rf_dirty_union != 0 || write_hits {
@@ -393,7 +496,7 @@ pub fn run_batch_group(
                     if reads & e.dirty != 0 {
                         let entry = rf_parked.swap_remove(pi);
                         lanes.push(Lane {
-                            cpu: Cpu::from_state(rf_materialize(&entry, pre)),
+                            cpu: C::from_state(rf_materialize(&regs[rf_idx as usize], &entry, pre)),
                             fault: entry.fault,
                             outs: entry.outs,
                             witness: DirtyWitness::new(),
@@ -460,7 +563,7 @@ pub fn run_batch_group(
                 // Past its strike a transient's overlay is the identity.
                 lane.cpu.step(&mut view, &mut lports);
             } else {
-                lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay(st, at));
+                lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay_for::<C>(st, at));
             }
             cost.replayed_cycles += 1;
             let diff = lports.diff_mask(gp);
@@ -473,7 +576,7 @@ pub fn run_batch_group(
             let mut dsr_bits = diff;
             let mut c = at + 1;
             while c < at + u64::from(window) && c < trace_len {
-                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay(st, c));
+                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay_for::<C>(st, c));
                 dsr_bits |=
                     lports.diff_mask(trace.get(c).expect("capture within the golden trace"));
                 cost.replayed_cycles += 1;
@@ -503,8 +606,10 @@ pub fn run_batch_group(
         // a transient whose dirty set emptied is provably masked from
         // here and retires; a lane whose remaining divergence is
         // confined to architectural registers parks in the zero-cost
-        // register-file lot; a woken stuck-at whose forced bit agrees
-        // with golden again goes back into a zero-cost watch.
+        // register-file lot (cores with the oracles only); a woken
+        // stuck-at whose forced bit agrees with golden again goes back
+        // into a zero-cost watch. The witness check comes first in both
+        // scans, so a lane that stays divergent costs one compare.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
@@ -520,12 +625,13 @@ pub fn run_batch_group(
             // full-convergence check; rescanning for an RF-confined
             // residue it is no longer allowed to park on would cost a
             // registry walk every cycle.
-            let verdict = if lane.reparks < REPARK_CAP {
-                rf_confined(lane.cpu.state(), committed, &mut lane.witness)
-            } else if converged(lane.cpu.state(), committed, &mut lane.witness) {
-                Some(0)
-            } else {
-                None
+            let verdict = match rf_idx {
+                Some(rf) if lane.reparks < REPARK_CAP => {
+                    rf_confined_in(regs, rf, lane.cpu.state(), committed, &mut lane.witness)
+                }
+                _ => {
+                    converged_in(regs, lane.cpu.state(), committed, &mut lane.witness).then_some(0)
+                }
             };
             let Some(dirty) = verdict else {
                 li += 1;
@@ -537,7 +643,7 @@ pub fn run_batch_group(
                     cost.masked_early_out += n;
                     cost.early_out_cycles_saved += (trace_len - cycle) * n;
                     lanes.swap_remove(li);
-                } else if lane.fault.flop.reg == rf_idx {
+                } else if Some(lane.fault.flop.reg) == rf_idx {
                     // A register-file stuck-at parks in the RF lot even
                     // when clean: golden's next write to its target may
                     // re-dirty it, which phase (0) tracks exactly.
@@ -547,7 +653,7 @@ pub fn run_batch_group(
                         outs: lane.outs,
                         reparks: lane.reparks + 1,
                         dirty: 0,
-                        regs: lane.cpu.state().regs,
+                        regs: [0; 31],
                         park_cycle: cycle,
                     });
                     rf_stale = true;
@@ -557,19 +663,20 @@ pub fn run_batch_group(
                     park(&mut watches, lane.fault, outs, reparks);
                     lanes.swap_remove(li);
                 }
-            } else if lane.reparks < REPARK_CAP {
+            } else {
+                // Only the register-file scan reports residue, and only
+                // under the re-park cap.
+                let rf = rf_idx.expect("register residue implies the register-file scan");
                 let lane = lanes.swap_remove(li);
                 rf_parked.push(RfParked {
                     fault: lane.fault,
                     outs: lane.outs,
                     reparks: lane.reparks + 1,
                     dirty,
-                    regs: lane.cpu.state().regs,
+                    regs: rf_dirty_values(&regs[rf as usize], lane.cpu.state(), dirty),
                     park_cycle: cycle,
                 });
                 rf_stale = true;
-            } else {
-                li += 1;
             }
         }
 
@@ -579,7 +686,7 @@ pub fn run_batch_group(
         let first_new = lanes.len();
         let mut wi = 0;
         while wi < watches.len() {
-            if watches[wi].watch.triggered(committed) == 0 {
+            if watches[wi].watch.triggered_in(regs, committed) == 0 {
                 wi += 1;
                 continue;
             }
@@ -587,7 +694,7 @@ pub fn run_batch_group(
             let mut kept = Vec::new();
             for entry in parked {
                 let stuck1 = entry.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit(committed, entry.fault.flop) == stuck1 {
+                if flops::get_bit_in(regs, committed, entry.fault.flop) == stuck1 {
                     kept.push(entry);
                     continue;
                 }
@@ -601,9 +708,9 @@ pub fn run_batch_group(
                     continue;
                 }
                 let mut st = committed.clone();
-                entry.fault.overlay(&mut st, at);
+                entry.fault.overlay_for::<C>(&mut st, at);
                 lanes.push(Lane {
-                    cpu: Cpu::from_state(st),
+                    cpu: C::from_state(st),
                     fault: entry.fault,
                     outs: entry.outs,
                     witness: DirtyWitness::new(),
@@ -638,7 +745,7 @@ pub fn run_batch_group(
         // residue. (An entry parked by phase (3) this very cycle was
         // verified agreeing against this same committed state, so the
         // possibly stale `rf_nonrf_stuck` guard cannot miss a wake.)
-        if rf_nonrf_stuck > 0 && !rf_parked.is_empty() {
+        if let (Some(rf_idx), true) = (rf_idx, rf_nonrf_stuck > 0 && !rf_parked.is_empty()) {
             let mut pi = 0;
             while pi < rf_parked.len() {
                 let e = &rf_parked[pi];
@@ -647,15 +754,15 @@ pub fn run_batch_group(
                     continue;
                 }
                 let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit(committed, e.fault.flop) == stuck1 {
+                if flops::get_bit_in(regs, committed, e.fault.flop) == stuck1 {
                     pi += 1;
                     continue;
                 }
                 let entry = rf_parked.swap_remove(pi);
-                let mut st = rf_materialize(&entry, committed);
-                entry.fault.overlay(&mut st, at);
+                let mut st = rf_materialize(&regs[rf_idx as usize], &entry, committed);
+                entry.fault.overlay_for::<C>(&mut st, at);
                 lanes.push(Lane {
-                    cpu: Cpu::from_state(st),
+                    cpu: C::from_state(st),
                     fault: entry.fault,
                     outs: entry.outs,
                     witness: DirtyWitness::new(),
@@ -690,9 +797,9 @@ pub fn run_batch_group(
             // Faults striking a register-file flop park instantly: the
             // strike *is* an RF-confined divergence by construction, so
             // no lane is ever materialized for them.
-            if f.flop.reg == rf_idx {
+            if let Some(rf) = rf_idx.filter(|&rf| f.flop.reg == rf) {
                 let lane = usize::from(f.flop.lane);
-                let g = committed.regs[lane];
+                let g = regs[rf as usize].read(committed, lane) as u32;
                 let (fv, dirty) = if f.kind == FaultKind::Transient {
                     if !layers.early_out {
                         // fall through to a scalar lane below
@@ -707,7 +814,7 @@ pub fn run_batch_group(
                     (fv, Some(if fv == g { 0 } else { 1 << f.flop.lane }))
                 };
                 if let Some(dirty) = dirty {
-                    let mut regs = committed.regs;
+                    let mut regs = [0; 31];
                     regs[lane] = fv;
                     rf_parked.push(RfParked {
                         fault: f,
@@ -722,16 +829,16 @@ pub fn run_batch_group(
                 }
             }
             let stuck1 = f.kind == FaultKind::StuckAt1;
-            let agrees =
-                f.kind != FaultKind::Transient && flops::get_bit(committed, f.flop) == stuck1;
+            let agrees = f.kind != FaultKind::Transient
+                && flops::get_bit_in(regs, committed, f.flop) == stuck1;
             if agrees && layers.parked_lanes {
                 park(&mut watches, f, vec![i], 0);
                 continue;
             }
             let mut st = committed.clone();
-            f.overlay(&mut st, at);
+            f.overlay_for::<C>(&mut st, at);
             lanes.push(Lane {
-                cpu: Cpu::from_state(st),
+                cpu: C::from_state(st),
                 fault: f,
                 outs: vec![i],
                 witness: DirtyWitness::new(),
@@ -758,204 +865,6 @@ pub fn run_batch_group(
             cost.parked_masked += n;
         }
     }
-    (outcomes, cost)
-}
-
-/// Per-core batched-engine capability. The accelerator layers (dirty-
-/// set early-out, register-file parking, bit-parallel watches) are
-/// proofs about the LR5 microstructure — its single-read-site register
-/// file and decodable write-back — so only [`Cpu`] runs them. Other
-/// cores clamp to the core-agnostic fan-out substrate, which is still
-/// byte-identical to their scalar engine (the outcome of a batched
-/// group never depends on the layer set).
-pub trait CoreBatch: CoreModel {
-    /// The layer combination this core's engine actually runs when
-    /// `requested` is configured. Campaign stats record the clamped
-    /// label, so archives describe what really executed.
-    fn clamp_layers(requested: BatchConfig) -> BatchConfig;
-
-    /// Runs one batched group on this core model (see
-    /// [`run_batch_group`] for the contract).
-    fn run_batch_group(
-        checkpoints: &GoldenCheckpoints<Self::State>,
-        trace: &PortTrace,
-        faults: &[Fault],
-        window: u32,
-        layers: BatchConfig,
-    ) -> (Vec<Option<(u64, Dsr)>>, BatchCost);
-}
-
-impl CoreBatch for Cpu {
-    fn clamp_layers(requested: BatchConfig) -> BatchConfig {
-        requested
-    }
-
-    fn run_batch_group(
-        checkpoints: &GoldenCheckpoints,
-        trace: &PortTrace,
-        faults: &[Fault],
-        window: u32,
-        layers: BatchConfig,
-    ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-        run_batch_group(checkpoints, trace, faults, window, layers)
-    }
-}
-
-impl CoreBatch for Lr7 {
-    fn clamp_layers(_requested: BatchConfig) -> BatchConfig {
-        BatchConfig::FAN_OUT
-    }
-
-    fn run_batch_group(
-        checkpoints: &GoldenCheckpoints<<Lr7 as CoreModel>::State>,
-        trace: &PortTrace,
-        faults: &[Fault],
-        window: u32,
-        _layers: BatchConfig,
-    ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-        run_batch_group_fanout::<Lr7>(checkpoints, trace, faults, window)
-    }
-}
-
-/// A scalar lane of the core-agnostic fan-out engine: no convergence
-/// witness, no parking — just a faulty machine stepped to detection or
-/// the end of the trace.
-struct FanoutLane<C> {
-    cpu: C,
-    fault: Fault,
-    outs: Vec<usize>,
-}
-
-/// [`run_batch_group`] restricted to layer 1 (fan-out from a shared
-/// walker), generic over the core model. Every fault becomes a scalar
-/// lane off the walker's committed state at its strike cycle; lanes
-/// stay memoryless behind a [`TrialView`] until they first diverge.
-/// Outcomes are bit-identical to the scalar engine for any core whose
-/// checkpoints restore exactly.
-pub fn run_batch_group_fanout<C: CoreModel>(
-    checkpoints: &GoldenCheckpoints<C::State>,
-    trace: &PortTrace,
-    faults: &[Fault],
-    window: u32,
-) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-    assert!(window >= 1, "capture window must be at least one cycle");
-    let trace_len = trace.len();
-    let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
-    let mut cost = BatchCost::default();
-
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| faults[i].cycle);
-    let in_range: Vec<usize> = order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
-    cost.skipped_cycles += trace_len * (faults.len() - in_range.len()) as u64;
-    let Some(&first) = in_range.first() else {
-        return (outcomes, cost);
-    };
-
-    let cp = checkpoints
-        .nearest_at(faults[first].cycle)
-        .expect("golden captures always include the cycle-0 checkpoint");
-    let mut wcpu = C::from_state(cp.cpu.clone());
-    let mut wmem = cp.mem.clone();
-    let mut wports = PortSet::new();
-    let mut cycle = cp.cycle;
-    cost.skipped_cycles += cp.cycle;
-
-    let mut pending = in_range.into_iter().peekable();
-    let mut lanes: Vec<FanoutLane<C>> = Vec::new();
-    let mut mem_pool: Vec<Memory> = Vec::new();
-    let mut lports = PortSet::new();
-    let mut log = TrialLog::new();
-
-    while cycle < trace_len {
-        if lanes.is_empty() {
-            // Idle: jump the walker forward over any checkpoint between
-            // here and the next strike.
-            let Some(&i) = pending.peek() else {
-                break;
-            };
-            let target = faults[i].cycle;
-            if target > cycle {
-                let cp = checkpoints
-                    .nearest_at(target)
-                    .expect("golden captures always include the cycle-0 checkpoint");
-                if cp.cycle > cycle {
-                    wcpu = C::from_state(cp.cpu.clone());
-                    wmem = cp.mem.clone();
-                    cost.skipped_cycles += cp.cycle - cycle;
-                    cycle = cp.cycle;
-                }
-            }
-        }
-
-        let at = cycle;
-        let gp = trace.get(at).expect("walker within the golden trace");
-
-        // Step every live lane through `at` against the walker's image
-        // (identical to the lane's own while its ports match golden); a
-        // diverging lane forks a private image and runs its capture
-        // window — exactly the scalar engine's DSR semantics.
-        let mut li = 0;
-        while li < lanes.len() {
-            let lane = &mut lanes[li];
-            let f = lane.fault;
-            log.clear();
-            let mut view = TrialView::new(&wmem, &mut log);
-            if f.kind == FaultKind::Transient {
-                lane.cpu.step(&mut view, &mut lports);
-            } else {
-                lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay_for::<C>(st, at));
-            }
-            cost.replayed_cycles += 1;
-            let diff = lports.diff_mask(gp);
-            if diff == 0 {
-                li += 1;
-                continue;
-            }
-            let mut mem = fork_mem(&mut mem_pool, &wmem);
-            mem.apply_trial(&log);
-            let mut dsr_bits = diff;
-            let mut c = at + 1;
-            while c < at + u64::from(window) && c < trace_len {
-                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay_for::<C>(st, c));
-                dsr_bits |=
-                    lports.diff_mask(trace.get(c).expect("capture within the golden trace"));
-                cost.replayed_cycles += 1;
-                c += 1;
-            }
-            let out = Some((at, Dsr::from_bits(dsr_bits)));
-            for &o in &lane.outs {
-                outcomes[o] = out;
-            }
-            mem_pool.push(mem);
-            lanes.swap_remove(li);
-        }
-
-        // Walk the fault-free golden machine through `at`.
-        wcpu.step(&mut wmem, &mut wports);
-        debug_assert_eq!(
-            wports.diff_mask(gp),
-            0,
-            "fault-free walker diverged from the recorded golden trace at cycle {at}"
-        );
-        cycle += 1;
-        cost.replayed_cycles += 1;
-        let committed = wcpu.state();
-
-        // Admit faults striking at `at` (exact duplicates share a lane).
-        while pending.peek().is_some_and(|&i| faults[i].cycle == at) {
-            let i = pending.next().expect("peeked");
-            let f = faults[i];
-            if let Some(lane) = lanes.iter_mut().find(|l| l.fault == f) {
-                lane.outs.push(i);
-                continue;
-            }
-            let mut st = committed.clone();
-            f.overlay_for::<C>(&mut st, at);
-            lanes.push(FanoutLane { cpu: C::from_state(st), fault: f, outs: vec![i] });
-            cost.lane_activations += 1;
-        }
-    }
-
     (outcomes, cost)
 }
 

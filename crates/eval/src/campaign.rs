@@ -202,8 +202,8 @@ pub struct CampaignConfig {
     pub batch: Option<BatchConfig>,
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
     /// pipeline). [`CoreKind::Lr7`] runs the out-of-order core behind
-    /// the same [`CoreModel`] contracts; its batched engine clamps to
-    /// the fan-out layer (see [`CoreBatch::clamp_layers`]).
+    /// the same [`CoreModel`] contracts, on the same batched engine and
+    /// layers (only register-file parking is LR5's; see [`CoreBatch`]).
     pub core: CoreKind,
     /// Redundancy arrangement under test (default
     /// [`RedundancyMode::Fixed`], the paper's permanently paired DMR).
@@ -255,29 +255,17 @@ impl CampaignConfig {
     }
 
     /// The batch layers the engine will actually use: the configured
-    /// ones, except that divergence tracing forces the scalar per-fault
-    /// path (the trace recorder samples one dedicated faulty CPU per
-    /// injection, which is exactly what batching shares away). Like the
-    /// LR7 layer clamp, the fallback is recorded honestly: stats and
-    /// shard provenance report the layers that really ran, `"off"`
-    /// here.
+    /// ones on every core, except that divergence tracing forces the
+    /// scalar per-fault path (the trace recorder samples one dedicated
+    /// faulty CPU per injection, which is exactly what batching shares
+    /// away). The fallback is recorded honestly: stats and shard
+    /// provenance report the layers that really ran, `"off"` here.
     pub fn effective_batch(&self) -> Option<BatchConfig> {
         if self.trace_window.is_some() {
             None
         } else {
             self.batch
         }
-    }
-
-    /// [`effective_batch`](Self::effective_batch) after the selected
-    /// core's layer clamp — the label recorded in stats and shard
-    /// provenance, describing the layers that really ran (LR7 supports
-    /// only the fan-out substrate; richer layer sets clamp down).
-    pub fn effective_batch_clamped(&self) -> Option<BatchConfig> {
-        self.effective_batch().map(|layers| match self.core {
-            CoreKind::Lr5 => <Cpu as CoreBatch>::clamp_layers(layers),
-            CoreKind::Lr7 => <Lr7 as CoreBatch>::clamp_layers(layers),
-        })
     }
 }
 
@@ -636,7 +624,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 /// queue run as one slice. The engine is a pure function of the
 /// [`CoreModel`] contracts — registry-driven fault plans,
 /// snapshot/restore checkpoints, overlay stepping, and the 62-SC port
-/// comparison — so every replay mode and the fan-out batch layer work
+/// comparison — so every replay mode and every batch layer work
 /// identically on any conforming core.
 pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult {
     let queued = config.workloads.len() as u64 * config.faults_per_workload as u64;
@@ -696,7 +684,7 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
         slices.push(slice);
     }
     let fault_counts: Vec<u64> = slices.iter().map(|s| s.len() as u64).collect();
-    let batch = config.effective_batch().map(C::clamp_layers);
+    let batch = config.effective_batch();
     let items = work_items(&captures, slices, batch.is_some());
 
     let injection_start = Instant::now();
@@ -909,7 +897,7 @@ fn run_injection_phase<C: CoreBatch>(
     counters: &[WorkCounters],
 ) -> (Vec<Produced>, BatchCost) {
     let window = config.capture_window;
-    let batch = config.effective_batch().map(C::clamp_layers);
+    let batch = config.effective_batch();
     let dme = config.redundancy == RedundancyMode::Dme;
     let lockstep = config.effective_replay_mode().is_lockstep();
     let checkpointed = config.checkpoint_interval.is_some();

@@ -31,9 +31,8 @@
 //!   results; see [`crate::batch::BatchConfig`]. Ignored when
 //!   `--trace-window` is on (tracing needs the scalar per-fault path);
 //! * `--core {lr5,lr7}` — core model under test (default `lr5`, the
-//!   in-order pipeline; `lr7` is the out-of-order core). LR7 clamps the
-//!   batched engine to its fan-out layer; campaign outcomes are
-//!   unaffected by the clamp;
+//!   in-order pipeline; `lr7` is the out-of-order core). Both cores run
+//!   every `--batch-mode` layer on the one batched engine;
 //! * `--redundancy {fixed,dynamic,dme}` — the redundancy arrangement
 //!   under evaluation (default `fixed` DMR). `dynamic` pairs/unpairs at
 //!   runtime and re-syncs from golden checkpoints instead of

@@ -127,9 +127,10 @@ pub struct ShardRepr {
     pub redundancy: String,
     /// Effective replay mode label (`"shadow"` / `"lockstep"`).
     pub replay_mode: String,
-    /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`),
-    /// after the core's layer clamp. Provenance only: the batch mode
-    /// never changes a record, so shards of one job may differ in it.
+    /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`).
+    /// Provenance only: the batch mode never changes a record, so shards
+    /// of one job may differ in it (LR7 shards written before every core
+    /// ran every layer say `"fanout"` whatever was requested).
     pub batch_mode: String,
 }
 
@@ -181,10 +182,7 @@ impl ShardRepr {
             core: config.core.label().to_owned(),
             redundancy: config.redundancy.label().to_owned(),
             replay_mode: config.effective_replay_mode().label().to_owned(),
-            batch_mode: config
-                .effective_batch_clamped()
-                .map_or("off", BatchConfig::label)
-                .to_owned(),
+            batch_mode: config.effective_batch().map_or("off", BatchConfig::label).to_owned(),
         }
     }
 

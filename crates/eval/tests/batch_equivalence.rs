@@ -13,17 +13,18 @@
 //! * group level — [`run_batch_group`] against one checkpointed
 //!   shadow-replay [`run_injection`] call per fault, over
 //!   property-sampled fault sets (duplicates and past-end strikes
-//!   included);
+//!   included) on both core models;
 //! * campaign level — archives compared as serialized bytes with the
 //!   stats block normalized out (stats carry wall-clock timings and the
 //!   batch-mode label itself, which are *supposed* to differ).
 
+use std::any::Any;
 use std::sync::OnceLock;
 
 use lockstep_core::RedundancyMode;
-use lockstep_cpu::{flops, Cpu};
+use lockstep_cpu::{flops, CoreKind, CoreModel, Cpu, Lr7};
 use lockstep_eval::archive::CampaignArchive;
-use lockstep_eval::batch::{run_batch_group, BatchConfig};
+use lockstep_eval::batch::{run_batch_group, BatchConfig, CoreBatch};
 use lockstep_eval::campaign::{
     run_campaign, run_injection, CampaignConfig, CampaignResult, CampaignStats, Reference,
     ReplayMode, ReplayStart,
@@ -37,21 +38,27 @@ const SEED: u64 = 61;
 const ALL_LAYERS: [BatchConfig; 4] =
     [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES, BatchConfig::FULL];
 
-type CaptureCache = std::sync::Mutex<Vec<((&'static str, u64), &'static GoldenCapture)>>;
+type CaptureCache =
+    std::sync::Mutex<Vec<((&'static str, &'static str, u64), &'static (dyn Any + Send + Sync))>>;
 
-/// Golden captures are expensive; share one per (workload, interval).
-fn capture(name: &'static str, interval: u64) -> &'static GoldenCapture {
+/// Golden captures are expensive; share one per (core, workload,
+/// interval).
+fn capture<C: CoreModel>(name: &'static str, interval: u64) -> &'static GoldenCapture<C::State> {
     static CACHE: OnceLock<CaptureCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| std::sync::Mutex::new(Vec::new()));
     let mut cache = cache.lock().unwrap();
-    if let Some((_, cap)) = cache.iter().find(|(k, _)| *k == (name, interval)) {
-        return cap;
-    }
-    let w = Workload::find(name).unwrap();
-    let cap: &'static GoldenCapture =
-        Box::leak(Box::new(w.golden_capture(SEED, 400_000, interval)));
-    cache.push(((name, interval), cap));
-    cap
+    let key = (C::NAME, name, interval);
+    let cap = match cache.iter().find(|(k, _)| *k == key) {
+        Some(&(_, cap)) => cap,
+        None => {
+            let w = Workload::find(name).unwrap();
+            let cap: &'static GoldenCapture<C::State> =
+                Box::leak(Box::new(w.golden_capture_for::<C>(SEED, 400_000, interval)));
+            cache.push((key, cap));
+            cap
+        }
+    };
+    cap.downcast_ref().expect("cache keyed by core name")
 }
 
 fn base_config() -> CampaignConfig {
@@ -72,13 +79,71 @@ fn archive_bytes(result: &CampaignResult) -> String {
     serde_json::to_string(&archive).expect("archive serializes")
 }
 
+/// One batched group call on core `C` against the per-fault scalar
+/// replay of the same faults: `picks` are (flop index, kind, strike
+/// cycle in thousandths of the golden run).
+fn check_group<C: CoreBatch>(
+    workload: &'static str,
+    interval: u64,
+    picks: &[(usize, u8, u64)],
+    window: u32,
+    layers: BatchConfig,
+) -> Result<(), TestCaseError> {
+    let cap = capture::<C>(workload, interval);
+    let flop_count = flops::all_flops_in(C::registry()).count();
+    let faults: Vec<Fault> = picks
+        .iter()
+        .map(|&(flop_pick, kind, cycle_frac)| {
+            let flop = flops::all_flops_in(C::registry()).nth(flop_pick % flop_count).unwrap();
+            let kind = match kind {
+                0 => FaultKind::Transient,
+                1 => FaultKind::StuckAt0,
+                _ => FaultKind::StuckAt1,
+            };
+            Fault::new(flop, kind, cap.run.cycles * cycle_frac / 1000)
+        })
+        .collect();
+
+    let (outcomes, cost) =
+        run_batch_group::<C>(&cap.checkpoints, &cap.trace, &faults, window, layers);
+    prop_assert_eq!(outcomes.len(), faults.len());
+    for (fault, batched) in faults.iter().zip(&outcomes) {
+        let scalar = run_injection::<C>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            Reference::Recorded(&cap.trace),
+            *fault,
+            window,
+            None,
+        )
+        .outcome;
+        prop_assert_eq!(
+            *batched,
+            scalar,
+            "{} `{}` diverged from scalar replay for {:?}",
+            C::NAME,
+            layers.label(),
+            fault
+        );
+    }
+    // Counter sanity: disabled layers must not report savings.
+    if !layers.early_out {
+        prop_assert_eq!(cost.masked_early_out, 0);
+        prop_assert_eq!(cost.early_out_cycles_saved, 0);
+    }
+    if !layers.parked_lanes {
+        prop_assert_eq!(cost.parked_masked, 0);
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(52))]
 
     /// Group-level equivalence: one batched group call returns exactly
-    /// the per-fault scalar outcomes, for every layer combination, over
-    /// fault sets that mix kinds, repeat flops (duplicate faults share
-    /// a lane), and strike past the end of the run.
+    /// the per-fault scalar outcomes, on either core and for every
+    /// layer combination, over fault sets that mix kinds, repeat flops
+    /// (duplicate faults share a lane), and strike past the end of the
+    /// run.
     #[test]
     fn batch_group_matches_per_fault_scalar_replay(
         picks in proptest::collection::vec((0usize..10_000, 0u8..3, 0u64..1100), 1..40),
@@ -86,46 +151,11 @@ proptest! {
         interval in proptest::sample::select(vec![512u64, 1024, 4096]),
         layers in proptest::sample::select(ALL_LAYERS.to_vec()),
         workload in proptest::sample::select(vec!["rspeed", "pntrch"]),
+        core in proptest::sample::select(CoreKind::ALL.to_vec()),
     ) {
-        let cap = capture(workload, interval);
-        let flop_count = flops::all_flops().count();
-        let faults: Vec<Fault> = picks
-            .iter()
-            .map(|&(flop_pick, kind, cycle_frac)| {
-                let flop = flops::all_flops().nth(flop_pick % flop_count).unwrap();
-                let kind = match kind {
-                    0 => FaultKind::Transient,
-                    1 => FaultKind::StuckAt0,
-                    _ => FaultKind::StuckAt1,
-                };
-                Fault::new(flop, kind, cap.run.cycles * cycle_frac / 1000)
-            })
-            .collect();
-
-        let (outcomes, cost) =
-            run_batch_group(&cap.checkpoints, &cap.trace, &faults, window, layers);
-        prop_assert_eq!(outcomes.len(), faults.len());
-        for (fault, batched) in faults.iter().zip(&outcomes) {
-            let scalar = run_injection::<Cpu>(
-                ReplayStart::Checkpoint(&cap.checkpoints),
-                Reference::Recorded(&cap.trace),
-                *fault,
-                window,
-                None,
-            )
-            .outcome;
-            prop_assert_eq!(
-                *batched, scalar,
-                "`{}` diverged from scalar replay for {:?}", layers.label(), fault
-            );
-        }
-        // Counter sanity: disabled layers must not report savings.
-        if !layers.early_out {
-            prop_assert_eq!(cost.masked_early_out, 0);
-            prop_assert_eq!(cost.early_out_cycles_saved, 0);
-        }
-        if !layers.parked_lanes {
-            prop_assert_eq!(cost.parked_masked, 0);
+        match core {
+            CoreKind::Lr5 => check_group::<Cpu>(workload, interval, &picks, window, layers)?,
+            CoreKind::Lr7 => check_group::<Lr7>(workload, interval, &picks, window, layers)?,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The LR7 out-of-order core's campaign contracts: behind the
 //! [`CoreModel`] trait the injection engine must treat it exactly like
 //! the LR5 — same archive whatever the thread count, replay mode, or
-//! (supported) batch mode, and the same shard/merge determinism. None
+//! batch mode, and the same shard/merge determinism. None
 //! of these compare LR7 *against* LR5 (the cores diverge
 //! microarchitecturally, that is the point); they pin down that every
 //! execution strategy over the *same* core is byte-identical.
@@ -59,7 +59,7 @@ fn lr7_archives_byte_identical_across_thread_counts() {
 
 /// Replay-mode equivalence holds for LR7 too: shadow replay against the
 /// recorded golden trace is byte-identical to full lockstep replay
-/// against live golden twins.
+/// against live golden twins, on the scalar and the full batch engine.
 #[test]
 fn lr7_archives_byte_identical_across_replay_modes() {
     let mut cfg = base_config();
@@ -73,39 +73,51 @@ fn lr7_archives_byte_identical_across_replay_modes() {
         archive_bytes(&lockstep),
         "replay mode changed the LR7 archive"
     );
+    cfg.batch = Some(BatchConfig::FULL);
+    let batched = run_campaign(&cfg);
+    assert_eq!(batched.stats.replay_mode, "lockstep");
+    assert_eq!(
+        archive_bytes(&shadow),
+        archive_bytes(&batched),
+        "the batch engine changed the LR7 lockstep archive"
+    );
 }
 
-/// Checkpoint fan-out — the batch layer LR7 supports — is
-/// byte-identical to scalar replay, for checkpointing off, dense, and
-/// default spacing.
+/// Every batch layer set runs on LR7 and is byte-identical to scalar
+/// replay, for checkpointing off, dense, and default spacing.
 #[test]
-fn lr7_fanout_batch_byte_identical_to_scalar() {
+fn lr7_every_batch_layer_set_byte_identical_to_scalar() {
     for interval in [None, Some(512), Some(4096)] {
         let mut cfg = base_config();
         cfg.checkpoint_interval = interval;
-        let scalar = run_campaign(&cfg);
-        cfg.batch = Some(BatchConfig::FAN_OUT);
-        let batched = run_campaign(&cfg);
-        assert_eq!(batched.stats.batch_mode, "fanout");
-        assert_eq!(
-            archive_bytes(&scalar),
-            archive_bytes(&batched),
-            "fan-out changed the LR7 archive at checkpoint interval {interval:?}"
-        );
+        let scalar = archive_bytes(&run_campaign(&cfg));
+        for layers in
+            [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES, BatchConfig::FULL]
+        {
+            cfg.batch = Some(layers);
+            let batched = run_campaign(&cfg);
+            assert_eq!(batched.stats.batch_mode, layers.label());
+            assert_eq!(
+                scalar,
+                archive_bytes(&batched),
+                "`{}` changed the LR7 archive at checkpoint interval {interval:?}",
+                layers.label()
+            );
+        }
     }
 }
 
-/// Asking the LR7 for layers it cannot run (early-out and parked lanes
-/// assume the memoryless in-order walker) clamps to fan-out rather than
-/// silently computing wrong outcomes — and the clamped label is what
-/// the stats record.
+/// LR7 runs the layers it is asked for: `full` is recorded as such, is
+/// byte-identical to the scalar engine, and really uses the dirty-set
+/// early-out and identity parking.
 #[test]
-fn lr7_clamps_unsupported_batch_layers_to_fanout() {
+fn lr7_full_batch_runs_early_out_and_parking() {
     let mut cfg = base_config();
     cfg.batch = Some(BatchConfig::FULL);
-    assert_eq!(cfg.effective_batch_clamped(), Some(BatchConfig::FAN_OUT));
     let result = run_campaign(&cfg);
-    assert_eq!(result.stats.batch_mode, "fanout", "stats must record the clamped layers");
+    assert_eq!(result.stats.batch_mode, "full", "stats must record the layers that ran");
+    assert!(result.stats.masked_early_out > 0, "no LR7 transient took the early-out");
+    assert!(result.stats.parked_masked > 0, "no LR7 stuck-at parked to the end");
     cfg.batch = None;
     let scalar = run_campaign(&cfg);
     assert_eq!(archive_bytes(&scalar), archive_bytes(&result));
@@ -115,7 +127,7 @@ fn lr7_clamps_unsupported_batch_layers_to_fanout() {
 /// is byte-identical to fixed DMR (same scalar detection, different
 /// recovery story), and `dme` runs the retired-effect comparator
 /// deterministically across thread counts and engines — the full
-/// batch engine (clamped to fan-out) included.
+/// batch engine included.
 #[test]
 fn lr7_redundancy_modes_are_thread_deterministic() {
     use lockstep_core::RedundancyMode;
@@ -151,7 +163,7 @@ fn lr7_redundancy_modes_are_thread_deterministic() {
     }
     cfg.batch = Some(BatchConfig::FULL);
     let batched = run_campaign(&cfg);
-    assert_eq!(batched.stats.batch_mode, "fanout");
+    assert_eq!(batched.stats.batch_mode, "full");
     assert_eq!(
         Some(archive_bytes(&batched)),
         reference,

@@ -15,6 +15,7 @@
 //! missing shards, and merges.
 
 use lockstep_core::{ErrorRecord, RedundancyMode};
+use lockstep_cpu::CoreKind;
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::BatchConfig;
 use lockstep_eval::campaign::{run_campaign, CampaignConfig, CampaignStats, ReplayMode};
@@ -212,36 +213,41 @@ fn tied_records_keep_plan_order_across_threads_and_shard_order() {
     }
 }
 
-/// A job resumed across an engine change: the first half of its shards
-/// ran on the scalar engine and the rest on the full batch engine. The
-/// batch mode never changes a record, so the shards still form one job
-/// and merge byte-identical to the single-shot campaign, under the port
-/// comparator and DME's retire-stream comparator alike; the merged
-/// stats name the mix.
+/// A job resumed across an engine change. On LR5 the first half of its
+/// shards ran on the scalar engine and the rest on the full batch
+/// engine. On LR7 the first half ran fan-out only, as every LR7 batch
+/// shard did while LR7 clamped its layers (those shards say
+/// `"fanout"`), and the rest ran `full`. The batch mode never changes a
+/// record, so the shards still form one job and merge byte-identical to
+/// the single-shot campaign, under the port comparator and DME's
+/// retire-stream comparator alike; the merged stats name the mix.
 #[test]
 fn shards_from_different_batch_modes_merge_byte_identical() {
-    for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
-        let cfg = CampaignConfig { redundancy, ..base_config() };
-        let single = run_campaign(&cfg);
-        assert!(!single.records.is_empty(), "{redundancy:?}: campaign must manifest errors");
-        let specs = plan_shards(&cfg, 4);
-        let archives: Vec<CampaignArchive> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let batch = (i >= specs.len() / 2).then_some(BatchConfig::FULL);
-                run_shard(&CampaignConfig { batch, ..cfg.clone() }, spec)
-            })
-            .collect();
-        assert_eq!(archives[0].shard.as_ref().unwrap().batch_mode, "off");
-        assert_eq!(archives[3].shard.as_ref().unwrap().batch_mode, "full");
-        let merged = merge_shard_archives(&archives).expect("mixed-engine shards merge");
-        assert_eq!(merged.stats.batch_mode, "mixed");
-        assert_eq!(
-            archive_bytes(merged),
-            archive_bytes(CampaignArchive::from_result(&single)),
-            "{redundancy:?}: mixed-engine merge diverged from single-shot"
-        );
+    for (core, older) in [(CoreKind::Lr5, None), (CoreKind::Lr7, Some(BatchConfig::FAN_OUT))] {
+        for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+            let cfg = CampaignConfig { core, redundancy, ..base_config() };
+            let single = run_campaign(&cfg);
+            assert!(!single.records.is_empty(), "{core} {redundancy:?}: campaign must manifest");
+            let specs = plan_shards(&cfg, 4);
+            let archives: Vec<CampaignArchive> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let batch = if i < specs.len() / 2 { older } else { Some(BatchConfig::FULL) };
+                    run_shard(&CampaignConfig { batch, ..cfg.clone() }, spec)
+                })
+                .collect();
+            let older_label = older.map_or("off", BatchConfig::label);
+            assert_eq!(archives[0].shard.as_ref().unwrap().batch_mode, older_label);
+            assert_eq!(archives[3].shard.as_ref().unwrap().batch_mode, "full");
+            let merged = merge_shard_archives(&archives).expect("mixed-engine shards merge");
+            assert_eq!(merged.stats.batch_mode, "mixed");
+            assert_eq!(
+                archive_bytes(merged),
+                archive_bytes(CampaignArchive::from_result(&single)),
+                "{core} {redundancy:?}: mixed-engine merge diverged from single-shot"
+            );
+        }
     }
 }
 

@@ -560,6 +560,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_status_line_is_a_bad_request_on_a_small_stack() {
+        // ~100 KB of `[` in a `status` line: under the server's 1 MiB
+        // line cap, and deep enough to overflow the 2 MiB stack of the
+        // thread that parses requests if the parser recursed unbounded.
+        let line = format!(r#"{{"cmd":"status","job":{}}}"#, "[".repeat(100_000));
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Request::parse(&line))
+            .unwrap()
+            .join()
+            .expect("parsing must not panic")
+            .unwrap_err();
+        assert_eq!(err.code, "bad_request", "{err:?}");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn job_spec_round_trips_and_builds_a_config() {
         let spec = job_spec();
         let json = serde_json::to_string(&spec).unwrap();
