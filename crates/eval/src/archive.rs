@@ -11,6 +11,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use lockstep_core::ErrorRecord;
+use lockstep_cpu::UnitId;
 use lockstep_obs::DivergenceTrace;
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
@@ -134,6 +135,14 @@ pub enum ArchiveError {
     Json(serde_json::Error),
     /// Unsupported format version.
     Version(u32),
+    /// A record names a unit that does not exist: its `unit_index` is
+    /// not below `UnitId::ALL.len()`.
+    UnitIndex {
+        /// Position of the record in `records`.
+        record: usize,
+        /// The out-of-range index it carries.
+        unit_index: u8,
+    },
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -142,6 +151,11 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::Io(e) => write!(f, "archive i/o error: {e}"),
             ArchiveError::Json(e) => write!(f, "archive parse error: {e}"),
             ArchiveError::Version(v) => write!(f, "unsupported archive version {v}"),
+            ArchiveError::UnitIndex { record, unit_index } => write!(
+                f,
+                "record {record} has unit_index {unit_index}, but there are only {} units",
+                UnitId::ALL.len()
+            ),
         }
     }
 }
@@ -279,16 +293,26 @@ impl CampaignArchive {
 
     /// Loads an archive from JSON.
     ///
+    /// Every record's unit index is checked here, so the analysis and
+    /// training paths downstream ([`ErrorRecord::unit`]) can index the
+    /// unit table without panicking on a corrupt file.
+    ///
     /// # Errors
     ///
     /// Returns [`ArchiveError`] on filesystem, parse or version
-    /// mismatch.
+    /// mismatch, or on a record whose unit index is out of range.
     pub fn load(path: &Path) -> Result<CampaignArchive, ArchiveError> {
         let mut text = String::new();
         std::fs::File::open(path)?.read_to_string(&mut text)?;
         let archive: CampaignArchive = serde_json::from_str(&text)?;
         if !(MIN_ARCHIVE_VERSION..=ARCHIVE_VERSION).contains(&archive.version) {
             return Err(ArchiveError::Version(archive.version));
+        }
+        let bad =
+            archive.records.iter().position(|r| usize::from(r.unit_index) >= UnitId::ALL.len());
+        if let Some(record) = bad {
+            let unit_index = archive.records[record].unit_index;
+            return Err(ArchiveError::UnitIndex { record, unit_index });
         }
         Ok(archive)
     }
@@ -1043,6 +1067,31 @@ mod tests {
             Err(ArchiveError::Version(99)) => {}
             other => panic!("expected version error, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_unit_index_rejected() {
+        // A corrupt unit index used to load fine and then panic the
+        // analysis and training paths that index the unit table.
+        let result = small_result();
+        let mut archive = CampaignArchive::from_result(&result);
+        assert!(archive.records.len() >= 2, "fixture must manifest errors");
+        archive.records[1].unit_index = 200;
+        let dir = std::env::temp_dir().join("lockstep_archive_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad_unit_index.json");
+        archive.save(&path).unwrap();
+        match CampaignArchive::load(&path) {
+            Err(e @ ArchiveError::UnitIndex { record: 1, unit_index: 200 }) => {
+                assert!(e.to_string().contains("unit_index 200"), "{e}");
+            }
+            other => panic!("expected unit index error, got {other:?}"),
+        }
+        // The last valid index still loads.
+        archive.records[1].unit_index = (UnitId::ALL.len() - 1) as u8;
+        archive.save(&path).unwrap();
+        assert!(CampaignArchive::load(&path).is_ok());
         std::fs::remove_file(&path).ok();
     }
 

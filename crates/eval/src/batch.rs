@@ -19,7 +19,12 @@
 //!    matches golden its memory image is provably identical to the
 //!    walker's, so it executes against the walker's image through a
 //!    side-effect-free [`TrialView`] and only forks a private copy at
-//!    the moment it first diverges (to run its DSR capture window).
+//!    the moment it first diverges. That fork is the *hand-over*: the
+//!    lane, live, goes to the scalar engine's [`run_injection`] as a
+//!    [`ReplayStart::Live`] start, against the group's comparator —
+//!    the recorded port trace, which detects it on the spot and runs
+//!    its DSR capture window, or under DME the retire stream, which
+//!    runs it on until a retirement differs or the trace ends.
 //! 2. **Dirty-set early-out** — after a transient strikes, its lane is
 //!    compared against the walker's state with a witnessed scan of the
 //!    core's registry ([`lockstep_cpu::dirty::converged_in`]) every
@@ -59,17 +64,22 @@
 //! it re-produces the recorded [`PortTrace`] (debug-asserted every
 //! cycle), in lockstep terms it *is* the fault-free twin the lanes are
 //! compared against. Either way the per-cycle comparison values are
-//! identical, which is why one batched engine serves both replay modes
-//! and produces archives byte-identical to the scalar engine
-//! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
+//! identical — which is also why a handed-over lane's continuation
+//! compares against the recording in both modes — so one batched
+//! engine serves both replay modes and produces archives byte-identical
+//! to the scalar engine (`tests/batch_equivalence.rs`,
+//! `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
 use lockstep_cpu::dirty::{converged_in, rf_confined_in, DirtyWitness, LaneWatch};
 use lockstep_cpu::flops::{self, FlopReg};
 use lockstep_cpu::{dirty, exec, CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
+use lockstep_iss::Retired;
 use lockstep_mem::{Memory, TrialLog, TrialView};
 use lockstep_workloads::GoldenCheckpoints;
+
+use crate::campaign::{run_injection, Reference, ReplayStart};
 
 /// How many times one stuck-at fault may be re-parked after waking. A
 /// fault that keeps oscillating between parked and live costs a watch
@@ -131,12 +141,12 @@ impl BatchConfig {
 ///
 /// Unlike the scalar [`ReplayCost`](crate::campaign::ReplayCost),
 /// `replayed_cycles` counts machines actually stepped — walker, lanes,
-/// and capture-window steps — regardless of replay mode (the walker
-/// serves as the golden twin, so lockstep replay costs no extra
-/// simulation in batch mode).
+/// and the hand-over continuations of port-divergent lanes — regardless
+/// of replay mode (the walker serves as the golden twin, so lockstep
+/// replay costs no extra simulation in batch mode).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchCost {
-    /// CPU-cycles actually simulated (walker + lanes + capture).
+    /// CPU-cycles actually simulated (walker + lanes + continuations).
     pub replayed_cycles: u64,
     /// Cycles skipped by checkpoint restores/jumps and by faults whose
     /// strike lies past the end of the golden run.
@@ -278,8 +288,8 @@ fn forced(v: u32, bit: u8, stuck1: bool) -> u32 {
     }
 }
 
-/// Forks a capture-window memory image off the walker's, recycling a
-/// retired image when one is available.
+/// Forks a hand-over memory image off the walker's, recycling a retired
+/// image when one is available.
 fn fork_mem(mem_pool: &mut Vec<Memory>, wmem: &Memory) -> Memory {
     match mem_pool.pop() {
         Some(mut m) => {
@@ -329,8 +339,9 @@ pub trait CoreBatch: CoreModel {
         requested
     }
 
-    /// Runs one batched group on this core model (see
-    /// [`run_batch_group`] for the contract).
+    /// Runs one batched group on this core model under the port
+    /// comparator of fixed and dynamic lockstep: [`run_batch_group`]
+    /// with no retire stream.
     fn run_batch_group(
         checkpoints: &GoldenCheckpoints<Self::State>,
         trace: &PortTrace,
@@ -338,7 +349,7 @@ pub trait CoreBatch: CoreModel {
         window: u32,
         layers: BatchConfig,
     ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-        run_batch_group::<Self>(checkpoints, trace, faults, window, layers)
+        run_batch_group::<Self>(checkpoints, trace, None, faults, window, layers)
     }
 
     /// Index in [`CoreModel::registry`] of the architectural register
@@ -394,6 +405,14 @@ impl CoreBatch for Lr7 {}
 /// masked fault — bit-identical to running each fault through the
 /// scalar engine, whatever the layer set.
 ///
+/// `retire_stream` picks the comparator that decides a lane once its
+/// ports first diverge from `trace`: `None` for the port comparator of
+/// fixed and dynamic lockstep ([`Reference::Recorded`]), or golden's
+/// retire stream ([`crate::dme::retire_stream`] of `trace`) for DME's
+/// ([`Reference::RetireStream`]). Either way the lane is handed over
+/// live to [`run_injection`], so the outcome equals the scalar replay's
+/// against that reference (DESIGN.md §13).
+///
 /// The walker restores the checkpoint nearest the earliest in-range
 /// fault; callers typically pre-group faults so one call covers one
 /// checkpoint span, but any fault list works (the walker jumps forward
@@ -402,12 +421,17 @@ impl CoreBatch for Lr7 {}
 pub fn run_batch_group<C: CoreBatch>(
     checkpoints: &GoldenCheckpoints<C::State>,
     trace: &PortTrace,
+    retire_stream: Option<&[(u64, Retired)]>,
     faults: &[Fault],
     window: u32,
     layers: BatchConfig,
 ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
     assert!(window >= 1, "capture window must be at least one cycle");
     let trace_len = trace.len();
+    let reference = match retire_stream {
+        None => Reference::Recorded(trace),
+        Some(stream) => Reference::RetireStream { cycles: trace_len, stream },
+    };
     let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
     let mut cost = BatchCost::default();
 
@@ -549,9 +573,9 @@ pub fn run_batch_group<C: CoreBatch>(
         // still match golden discards its trial log: the walker is
         // about to apply the very same side effects for it. A lane
         // that diverges is materialized on the spot — fork the pre-`at`
-        // image, replay the divergent cycle's log onto it, and finish
-        // the DSR capture window against the trace with real memory
-        // (identical values to a live twin), clamped to the end of the
+        // image and replay the divergent cycle's log onto it — and
+        // handed over, live, to the comparator, which decides it from
+        // cycle `at` on with real memory, clamped to the end of the
         // golden run like the scalar engine.
         let mut li = 0;
         while li < lanes.len() {
@@ -566,28 +590,21 @@ pub fn run_batch_group<C: CoreBatch>(
                 lane.cpu.step_with_overlay(&mut view, &mut lports, |st| f.overlay_for::<C>(st, at));
             }
             cost.replayed_cycles += 1;
-            let diff = lports.diff_mask(gp);
-            if diff == 0 {
+            if lports.diff_mask(gp) == 0 {
                 li += 1;
                 continue;
             }
+            let lane = lanes.swap_remove(li);
             let mut mem = fork_mem(&mut mem_pool, &wmem);
             mem.apply_trial(&log);
-            let mut dsr_bits = diff;
-            let mut c = at + 1;
-            while c < at + u64::from(window) && c < trace_len {
-                lane.cpu.step_with_overlay(&mut mem, &mut lports, |st| f.overlay_for::<C>(st, c));
-                dsr_bits |=
-                    lports.diff_mask(trace.get(c).expect("capture within the golden trace"));
-                cost.replayed_cycles += 1;
-                c += 1;
-            }
-            let out = Some((at, Dsr::from_bits(dsr_bits)));
+            let start =
+                ReplayStart::Live { state: lane.cpu.state(), mem: &mut mem, ports: &lports, at };
+            let handed = run_injection::<C>(start, reference, f, window, None);
+            cost.replayed_cycles += handed.cost.replayed_cycles;
             for &o in &lane.outs {
-                outcomes[o] = out;
+                outcomes[o] = handed.outcome;
             }
             mem_pool.push(mem);
-            lanes.swap_remove(li);
         }
 
         // (2) Walk the fault-free golden machine through cycle `at`.

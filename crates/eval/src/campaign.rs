@@ -62,8 +62,13 @@
 //! comparator. The comparator reads only the retire ports, so a fault
 //! whose ports match golden on every cycle cannot be detected by it
 //! (the subset lemma, DESIGN.md §13): every port-masked fault is scored
-//! masked, and only the port-divergent ones replay through
-//! [`run_injection`] against [`Reference::RetireStream`].
+//! masked. A port-divergent lane is not replayed: the batched engine
+//! hands the live machine to [`run_injection`] as a
+//! [`ReplayStart::Live`] start against [`Reference::RetireStream`],
+//! which decides it exactly as a replay from its checkpoint would, in
+//! the same pass. Fixed and dynamic lockstep take the same hand-over
+//! against [`Reference::Recorded`], so both comparators share one
+//! divergence path.
 //!
 //! # One work queue
 //!
@@ -77,7 +82,6 @@
 //! DSR) with plan position breaking ties, so neither threads nor shard
 //! cuts reach the archive.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,7 +99,7 @@ use lockstep_workloads::{GoldenCapture, GoldenCheckpoints, GoldenRun, Workload};
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{total_cost, BatchConfig, BatchCost, CoreBatch};
+use crate::batch::{run_batch_group, total_cost, BatchConfig, BatchCost, CoreBatch};
 use crate::dme::{retire_stream, retired_diff_mask, stream_skew_mask};
 
 /// Default DSR capture window (cycles from first divergence until the
@@ -213,8 +217,8 @@ pub struct CampaignConfig {
     /// swaps the per-cycle port comparison for the retired-effect
     /// stream comparator over a shifted redundant address space. Every
     /// mode runs on the engine [`CampaignConfig::batch`] selects; under
-    /// DME the batched engine port-compares every fault and replays
-    /// only the port-divergent ones against the retire stream.
+    /// DME the batched engine port-compares every fault and hands each
+    /// port-divergent one, live, to the retire comparator.
     pub redundancy: RedundancyMode,
 }
 
@@ -259,7 +263,9 @@ impl CampaignConfig {
     /// scalar per-fault path (the trace recorder samples one dedicated
     /// faulty CPU per injection, which is exactly what batching shares
     /// away). The fallback is recorded honestly: stats and shard
-    /// provenance report the layers that really ran, `"off"` here.
+    /// provenance report the layers that really ran, `"off"` here, and
+    /// each campaign or shard that falls back announces it with an
+    /// [`Event::BatchModeDowngraded`].
     pub fn effective_batch(&self) -> Option<BatchConfig> {
         if self.trace_window.is_some() {
             None
@@ -658,6 +664,14 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
             cpus: config.cpus as u64,
         });
     }
+    let batch = config.effective_batch();
+    if let Some(events) = config.events.as_ref().filter(|_| batch != config.batch) {
+        events.emit(&Event::BatchModeDowngraded {
+            requested: config.batch.map_or("off", BatchConfig::label).to_owned(),
+            effective: batch.map_or("off", BatchConfig::label).to_owned(),
+            trace_window: config.trace_window.map_or(0, u64::from),
+        });
+    }
 
     let workloads = &config.workloads[covered.clone()];
     let stim_seeds: Vec<u64> = covered.clone().map(|wi| config.seed ^ (wi as u64) << 32).collect();
@@ -684,7 +698,6 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
         slices.push(slice);
     }
     let fault_counts: Vec<u64> = slices.iter().map(|s| s.len() as u64).collect();
-    let batch = config.effective_batch();
     let items = work_items(&captures, slices, batch.is_some());
 
     let injection_start = Instant::now();
@@ -873,21 +886,19 @@ fn work_items<S>(
 
 /// Phase 2: the one work queue. Worker threads pull [`WorkItem`]s off a
 /// shared cursor and run each through the batched engine
-/// ([`CoreBatch::run_batch_group`], one shared walker per group) or
-/// fault by fault through [`run_injection`], against the reference the
-/// configuration selects. This loop is the only place that updates the
-/// per-workload counters, emits the per-fault events and builds
-/// [`ErrorRecord`]s. Outcomes are a pure per-fault function, so neither
-/// the thread count nor the item order reaches the records.
+/// ([`run_batch_group`], one shared walker per group) or fault by fault
+/// through [`run_injection`], against the reference the configuration
+/// selects. This loop is the only place that updates the per-workload
+/// counters, emits the per-fault events and builds [`ErrorRecord`]s.
+/// Outcomes are a pure per-fault function, so neither the thread count
+/// nor the item order reaches the records.
 ///
-/// Under DME the batched engine runs the port comparison, which the
-/// retire comparator cannot beat: a port-masked fault is DME-masked,
-/// and a port-divergent one is replayed through [`run_injection`]
-/// against the retire stream to decide it.
+/// Under DME each batched group gets its workload's retire stream: the
+/// engine port-compares every fault and hands each port-divergent lane,
+/// live, to the retire comparator, which decides it in the same pass.
 ///
 /// Batched groups share their restore, so a batched phase reports no
-/// per-fault checkpoint hits and leaves the hit-distance stats at zero,
-/// DME's replays of port-divergent faults included.
+/// per-fault checkpoint hits and leaves the hit-distance stats at zero.
 fn run_injection_phase<C: CoreBatch>(
     config: &CampaignConfig,
     workloads: &[&'static Workload],
@@ -932,7 +943,7 @@ fn run_injection_phase<C: CoreBatch>(
             run_injection::<C>(start, reference, fault, window, trace_window);
         c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
         c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
-        if checkpointed && batch.is_none() {
+        if checkpointed {
             c.hit_distance_sum.fetch_add(cost.hit_distance, Ordering::Relaxed);
             c.hit_distance_max.fetch_max(cost.hit_distance, Ordering::Relaxed);
             // A fault past the golden runtime never restores a snapshot:
@@ -963,9 +974,10 @@ fn run_injection_phase<C: CoreBatch>(
                     let results = match batch {
                         Some(layers) => {
                             let faults: Vec<Fault> = item.iter().map(|&(_, f)| f).collect();
-                            let (outcomes, cost) = C::run_batch_group(
+                            let (outcomes, cost) = run_batch_group::<C>(
                                 &cap.checkpoints,
                                 &cap.trace,
+                                retires.get(li).map(Vec::as_slice),
                                 &faults,
                                 window,
                                 layers,
@@ -973,16 +985,7 @@ fn run_injection_phase<C: CoreBatch>(
                             c.replayed_cycles.fetch_add(cost.replayed_cycles, Ordering::Relaxed);
                             c.skipped_cycles.fetch_add(cost.skipped_cycles, Ordering::Relaxed);
                             batch_cost = total_cost([batch_cost, cost]);
-                            outcomes
-                                .into_iter()
-                                .zip(item)
-                                .map(|(outcome, &(_, fault))| match outcome {
-                                    // Only a port-divergent fault can be
-                                    // DME-detected; the retire stream decides.
-                                    Some(_) if dme => replay(li, fault),
-                                    outcome => (outcome, None),
-                                })
-                                .collect::<Vec<_>>()
+                            outcomes.into_iter().map(|outcome| (outcome, None)).collect::<Vec<_>>()
                         }
                         None => item.iter().map(|&(_, fault)| replay(li, fault)).collect(),
                     };
@@ -1036,7 +1039,8 @@ fn elapsed_nanos(since: Instant) -> u64 {
 }
 
 /// Where an injection replay starts: from reset with a freshly built
-/// memory image, or from the golden checkpoint nearest the fault.
+/// memory image, from the golden checkpoint nearest the fault, or from
+/// a live faulty machine that has already run up to a cycle `at`.
 pub enum ReplayStart<'a, S = CpuState> {
     /// Rebuild the workload's memory image and replay from cycle 0.
     Reset {
@@ -1047,6 +1051,26 @@ pub enum ReplayStart<'a, S = CpuState> {
     },
     /// Restore the checkpoint at or below the fault cycle.
     Checkpoint(&'a GoldenCheckpoints<S>),
+    /// Continue a live faulty machine with cycle `at` already stepped:
+    /// how the batched engine hands a lane over at its first port
+    /// divergence (DESIGN.md §13). The replay compares cycle `at` first,
+    /// then steps on from `at + 1`, so the outcome is the one a replay
+    /// from the fault's checkpoint reaches, provided the machine's ports
+    /// equalled golden's on every cycle from the strike up to `at`.
+    /// Before `at` it then retired exactly golden's instructions, which
+    /// puts a [`Reference::RetireStream`] cursor on golden's first
+    /// retirement at or after `at`.
+    Live {
+        /// The machine's state after cycle `at`.
+        state: &'a S,
+        /// Its memory after cycle `at`. Borrowed: the caller keeps the
+        /// image and may recycle it.
+        mem: &'a mut Memory,
+        /// The ports it drove on cycle `at`.
+        ports: &'a PortSet,
+        /// The cycle already stepped.
+        at: u64,
+    },
 }
 
 /// What [`run_injection`] compares the faulty copy against each
@@ -1072,7 +1096,10 @@ pub enum Reference<'a> {
     },
     /// The golden retire stream of diverse-memory execution
     /// ([`crate::dme::retire_stream`]): the faulty copy's k-th
-    /// retirement is checked against stream entry k. Divergences that
+    /// retirement is checked against stream entry k, from the first
+    /// compared cycle on (the strike, or a [`ReplayStart::Live`]
+    /// hand-over's `at`), with the cursor on golden's first
+    /// retirement at or after that cycle. Divergences that
     /// never reach the retire interface stay masked — DME observes
     /// architectural effects only, the coverage it trades for
     /// tolerating address-space diversity. The faulty copy steps over
@@ -1130,6 +1157,10 @@ pub struct ReplayCost {
 /// comparison (an exactly restored core cannot diverge before the fault
 /// lands); a fault striking past the domain is masked without a replay.
 ///
+/// A [`ReplayStart::Live`] replay skips all of that: it compares the
+/// cycle already stepped, then continues the machine it was handed, and
+/// reports only the cycles it steps itself.
+///
 /// `trace_window: Some(pre)` attaches the divergence trace recorder: the
 /// replay and outcome are unchanged, and a manifested error also yields
 /// a [`DivergenceTrace`] of the last `pre` pre-detection samples plus
@@ -1138,7 +1169,10 @@ pub struct ReplayCost {
 ///
 /// # Panics
 ///
-/// Panics if a [`Reference::Twins`] reference has fewer than two CPUs.
+/// Panics if a [`Reference::Twins`] reference has fewer than two CPUs,
+/// and if a [`ReplayStart::Live`] start comes with live twins (they
+/// would need golden's state at the hand-over) or with a trace window
+/// (the states before the hand-over are gone).
 pub fn run_injection<C: CoreModel>(
     start: ReplayStart<'_, C::State>,
     reference: Reference<'_>,
@@ -1146,25 +1180,29 @@ pub fn run_injection<C: CoreModel>(
     window: u32,
     trace_window: Option<u32>,
 ) -> Injection {
+    let live = matches!(start, ReplayStart::Live { .. });
+    assert!(!(live && trace_window.is_some()), "a live start cannot be traced");
     match reference {
         Reference::Recorded(trace) => {
-            run_observed::<C, _>(start, trace.len(), fault, window, trace_window, |_, _| {
+            run_observed::<C, _>(start, trace.len(), fault, window, trace_window, |_, _, _| {
                 RecordedGolden { trace }
             })
         }
         Reference::Twins { cycles, cpus } => {
             assert!(cpus >= 2, "lockstep needs at least two CPUs");
-            run_observed::<C, _>(start, cycles, fault, window, trace_window, |state, mem| {
+            assert!(!live, "a live start cannot run against live twins");
+            run_observed::<C, _>(start, cycles, fault, window, trace_window, |state, mem, _| {
                 TwinGolden::<C>::from_parts(state, mem, cpus - 1)
             })
         }
         Reference::RetireStream { cycles, stream } => {
-            run_observed::<C, _>(start, cycles, fault, window, trace_window, |_, _| {
+            run_observed::<C, _>(start, cycles, fault, window, trace_window, |_, _, first| {
                 RetireGolden {
                     stream,
-                    // The fault-free prefix retired exactly the golden
-                    // entries below the fault cycle.
-                    next: stream.partition_point(|(c, _)| *c < fault.cycle),
+                    // Up to the first compared cycle the faulty copy's
+                    // ports were golden's, so it retired exactly the
+                    // golden entries below that cycle.
+                    next: stream.partition_point(|(c, _)| *c < first),
                 }
             })
         }
@@ -1179,7 +1217,7 @@ fn run_observed<C: CoreModel, G: GoldenRef>(
     fault: Fault,
     window: u32,
     trace_window: Option<u32>,
-    make_golden: impl FnOnce(&C::State, &Memory) -> G,
+    make_golden: impl FnOnce(&C::State, &Memory, u64) -> G,
 ) -> Injection {
     match trace_window {
         None => {
@@ -1409,80 +1447,97 @@ fn fault_active(fault: Fault, cycle: u64) -> bool {
     }
 }
 
-/// The single scalar injection engine: resolve the start (reset or
-/// nearest checkpoint), fast-forward fault-free to the injection cycle,
-/// then overlay-step against the golden reference until detection plus
-/// the capture window, or the end of the replay `domain`.
+/// The single scalar injection engine: resolve the start (reset,
+/// nearest checkpoint, or a live hand-over), fast-forward fault-free to
+/// the injection cycle, then overlay-step against the golden reference
+/// until detection plus the capture window, or the end of the replay
+/// `domain`. `make_golden` builds the reference from the start state,
+/// its memory and the first compared cycle.
 ///
 /// Pre-fault cycles are replayed without comparison for every
 /// reference: the fault overlay is the identity before `fault.cycle`,
 /// and a deterministic CPU resumed exactly (or reset over the same
 /// memory image) cannot diverge from its own recording. A fault landing
 /// after the benchmark halts is masked by construction and skips the
-/// replay entirely.
+/// replay entirely. A live start has no pre-fault cycles: its first
+/// compared cycle is the one it was handed over after.
 fn run_injection_engine<C: CoreModel, G: GoldenRef, O: ReplayObserver<C>>(
     start: ReplayStart<'_, C::State>,
     domain: u64,
     fault: Fault,
     window: u32,
     observer: &mut O,
-    make_golden: impl FnOnce(&C::State, &Memory) -> G,
+    make_golden: impl FnOnce(&C::State, &Memory, u64) -> G,
 ) -> (Option<(u64, Dsr)>, ReplayCost) {
     if fault.cycle >= domain {
         let cost = ReplayCost { skipped_cycles: domain, ..ReplayCost::default() };
         return (None, cost);
     }
-    let (mut cpu, image, start_cycle) = match start {
-        ReplayStart::Reset { workload, stim_seed } => {
-            (C::new(0), Cow::Owned(workload.memory(stim_seed)), 0)
-        }
-        ReplayStart::Checkpoint(checkpoints) => {
-            let cp = checkpoints
-                .nearest_at(fault.cycle)
-                .expect("golden captures always include the cycle-0 checkpoint");
-            (C::from_state(cp.cpu.clone()), Cow::Borrowed(&cp.mem), cp.cycle)
-        }
-    };
-    let mut golden = make_golden(cpu.state(), &image);
-    let mut mem = image.into_owned();
-    let per_cycle = golden.cpus_per_cycle();
-    let mut ports = PortSet::new();
-    let mut cost = ReplayCost {
+    let resumed = |start_cycle: u64| ReplayCost {
         checkpoint_cycle: start_cycle,
         hit_distance: fault.cycle - start_cycle,
         replayed_cycles: 0,
         skipped_cycles: start_cycle,
     };
+    let mut ports = PortSet::new();
+    let mut owned = None;
+    // The faulty copy, its memory, the cost so far, the next cycle to
+    // step, and the cycle a live start has already stepped.
+    let (mut cpu, mem, mut cost, mut cycle, stepped) = match start {
+        ReplayStart::Reset { workload, stim_seed } => {
+            (C::new(0), owned.insert(workload.memory(stim_seed)), resumed(0), 0, None)
+        }
+        ReplayStart::Checkpoint(checkpoints) => {
+            let cp = checkpoints
+                .nearest_at(fault.cycle)
+                .expect("golden captures always include the cycle-0 checkpoint");
+            let cpu = C::from_state(cp.cpu.clone());
+            (cpu, owned.insert(cp.mem.clone()), resumed(cp.cycle), cp.cycle, None)
+        }
+        ReplayStart::Live { state, mem, ports: handed, at } => {
+            ports = *handed;
+            (C::from_state(state.clone()), mem, ReplayCost::default(), at + 1, Some(at))
+        }
+    };
+    let mut golden = make_golden(cpu.state(), mem, stepped.unwrap_or(fault.cycle));
+    let per_cycle = golden.cpus_per_cycle();
 
-    let mut cycle = start_cycle;
     while cycle < fault.cycle {
-        cpu.step(&mut mem, &mut ports);
+        cpu.step(mem, &mut ports);
         golden.advance();
         cycle += 1;
         cost.replayed_cycles += per_cycle;
     }
 
     observer.begin(&cpu);
-    let (detect_cycle, mut dsr_bits) = loop {
-        if cycle >= domain {
-            return (None, cost);
-        }
-        let at = cycle;
-        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
-        cost.replayed_cycles += per_cycle;
-        cycle += 1;
+    let handed_over = stepped.map(|at| {
         let diff = golden.diff_against(at, &ports);
         observer.observe(at, diff, fault, &cpu);
-        if diff != 0 {
-            break (at, diff);
-        }
+        (at, diff)
+    });
+    let (detect_cycle, mut dsr_bits) = match handed_over.filter(|&(_, diff)| diff != 0) {
+        Some(detected) => detected,
+        None => loop {
+            if cycle >= domain {
+                return (None, cost);
+            }
+            let at = cycle;
+            cpu.step_with_overlay(mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
+            cost.replayed_cycles += per_cycle;
+            cycle += 1;
+            let diff = golden.diff_against(at, &ports);
+            observer.observe(at, diff, fault, &cpu);
+            if diff != 0 {
+                break (at, diff);
+            }
+        },
     };
     for _ in 1..window {
         if cycle >= domain {
             break;
         }
         let at = cycle;
-        cpu.step_with_overlay(&mut mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
+        cpu.step_with_overlay(mem, &mut ports, |st| fault.overlay_for::<C>(st, at));
         cost.replayed_cycles += per_cycle;
         cycle += 1;
         let diff = golden.diff_against(at, &ports);
@@ -1795,7 +1850,7 @@ mod tests {
         use lockstep_obs::MemorySink;
 
         // A batched phase reports no per-fault checkpoint hits, DME's
-        // retire-stream replays of port-divergent faults included.
+        // hand-overs of port-divergent lanes included.
         let sink = Arc::new(MemorySink::new());
         let mut cfg = tiny_config();
         cfg.faults_per_workload = 40;
@@ -1804,7 +1859,7 @@ mod tests {
         cfg.events = Some(sink.clone());
         let res = run_campaign(&cfg);
         assert_eq!(res.stats.batch_mode, "full");
-        assert!(!res.records.is_empty(), "port-divergent faults must replay and manifest");
+        assert!(!res.records.is_empty(), "handed-over lanes must manifest");
         for w in &res.stats.per_workload {
             assert_eq!((w.hit_distance_sum, w.hit_distance_max), (0, 0), "{}", w.workload);
         }
@@ -1896,6 +1951,58 @@ mod tests {
             sink.take().iter().all(|e| e.kind() != "replay_mode_downgraded"),
             "no downgrade event without a downgrade"
         );
+    }
+
+    #[test]
+    fn batch_mode_downgrade_is_announced() {
+        use lockstep_obs::MemorySink;
+
+        use crate::shard::{plan_shards, run_shard};
+
+        // Tracing forces the scalar engine; each campaign or shard that
+        // falls back says so once, on the campaign log.
+        let downgrades = |cfg: &mut CampaignConfig, shards: Option<usize>| {
+            let sink = Arc::new(MemorySink::new());
+            cfg.events = Some(sink.clone());
+            match shards {
+                None => {
+                    run_campaign(cfg);
+                }
+                Some(n) => {
+                    for spec in plan_shards(cfg, n) {
+                        run_shard(cfg, &spec);
+                    }
+                }
+            }
+            sink.take()
+                .into_iter()
+                .filter(|e| e.kind() == "batch_mode_downgraded")
+                .collect::<Vec<Event>>()
+        };
+        let mut cfg = tiny_config();
+        cfg.faults_per_workload = 10;
+        cfg.batch = Some(BatchConfig::FULL);
+        cfg.trace_window = Some(32);
+        match &downgrades(&mut cfg, None)[..] {
+            [Event::BatchModeDowngraded { requested, effective, trace_window }] => {
+                assert_eq!(requested, "full");
+                assert_eq!(effective, "off");
+                assert_eq!(*trace_window, 32);
+            }
+            other => panic!("expected exactly one downgrade event, got {other:?}"),
+        }
+        assert_eq!(downgrades(&mut cfg, Some(3)).len(), 3, "one event per shard");
+
+        // A batched campaign without tracing, and a traced scalar one,
+        // are not downgraded and say nothing.
+        let mut batched = tiny_config();
+        batched.faults_per_workload = 10;
+        batched.batch = Some(BatchConfig::FULL);
+        assert!(downgrades(&mut batched, None).is_empty(), "no event without a downgrade");
+        let mut traced = tiny_config();
+        traced.faults_per_workload = 10;
+        traced.trace_window = Some(32);
+        assert!(downgrades(&mut traced, None).is_empty(), "no event without a batch request");
     }
 
     #[test]

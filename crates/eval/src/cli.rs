@@ -29,7 +29,8 @@
 //!   simulation layers (default `full`; `off` replays every fault on
 //!   its own scalar engine). All spellings yield bit-identical campaign
 //!   results; see [`crate::batch::BatchConfig`]. Ignored when
-//!   `--trace-window` is on (tracing needs the scalar per-fault path);
+//!   `--trace-window` is on (tracing needs the scalar per-fault path;
+//!   the event log then carries a `batch_mode_downgraded` event);
 //! * `--core {lr5,lr7}` — core model under test (default `lr5`, the
 //!   in-order pipeline; `lr7` is the out-of-order core). Both cores run
 //!   every `--batch-mode` layer on the one batched engine;

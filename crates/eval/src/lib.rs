@@ -17,8 +17,10 @@
 //! * [`batch`] — the batched fault-simulation engine: one fault-free
 //!   walker replay shared by every fault in a checkpoint span, dirty-set
 //!   early-out for masked transients, and bit-parallel watch masks for
-//!   parked stuck-ats. Bit-identical outcomes to [`campaign`]'s scalar
-//!   replay at a fraction of the simulated cycles (`--batch-mode`).
+//!   parked stuck-ats; a lane that diverges is handed, live, to the
+//!   scalar engine's comparator. Bit-identical outcomes to
+//!   [`campaign`]'s scalar replay at a fraction of the simulated cycles
+//!   (`--batch-mode`).
 //! * [`dme`] — diverse-memory-execution support: the retired-effect
 //!   stream comparator behind `--redundancy dme` (the
 //!   [`campaign::Reference::RetireStream`] reference) and the

@@ -4,14 +4,15 @@
 //! the same campaign replayed per fault on the scalar engine, for every
 //! layer combination, checkpoint spacing, thread count, replay mode,
 //! and comparator: under DME the batched engine filters out the
-//! port-masked faults and the retire comparator judges the rest. The
-//! order-of-magnitude saving is only usable because this equivalence is
-//! exact.
+//! port-masked faults and hands each port-divergent lane, live, to the
+//! retire comparator. The order-of-magnitude saving is only usable
+//! because this equivalence is exact.
 //!
 //! Two granularities:
 //!
 //! * group level — [`run_batch_group`] against one checkpointed
-//!   shadow-replay [`run_injection`] call per fault, over
+//!   [`run_injection`] call per fault under the same comparator (the
+//!   recorded port trace, or DME's retire stream), over
 //!   property-sampled fault sets (duplicates and past-end strikes
 //!   included) on both core models;
 //! * campaign level — archives compared as serialized bytes with the
@@ -29,6 +30,7 @@ use lockstep_eval::campaign::{
     run_campaign, run_injection, CampaignConfig, CampaignResult, CampaignStats, Reference,
     ReplayMode, ReplayStart,
 };
+use lockstep_eval::dme::retire_stream;
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_workloads::{GoldenCapture, Workload};
 use proptest::prelude::*;
@@ -80,14 +82,19 @@ fn archive_bytes(result: &CampaignResult) -> String {
 }
 
 /// One batched group call on core `C` against the per-fault scalar
-/// replay of the same faults: `picks` are (flop index, kind, strike
-/// cycle in thousandths of the golden run).
+/// replay of the same faults under the same comparator: `picks` are
+/// (flop index, kind, strike cycle in thousandths of the golden run).
+/// Under [`RedundancyMode::Dme`] the group gets the retire stream and
+/// each scalar replay runs against it from the fault's checkpoint, so a
+/// lane handed over at its first port divergence must reach the verdict
+/// of a replay that compared every retirement since the strike.
 fn check_group<C: CoreBatch>(
     workload: &'static str,
     interval: u64,
     picks: &[(usize, u8, u64)],
     window: u32,
     layers: BatchConfig,
+    redundancy: RedundancyMode,
 ) -> Result<(), TestCaseError> {
     let cap = capture::<C>(workload, interval);
     let flop_count = flops::all_flops_in(C::registry()).count();
@@ -104,24 +111,30 @@ fn check_group<C: CoreBatch>(
         })
         .collect();
 
-    let (outcomes, cost) =
-        run_batch_group::<C>(&cap.checkpoints, &cap.trace, &faults, window, layers);
+    let stream = (redundancy == RedundancyMode::Dme).then(|| retire_stream(&cap.trace));
+    let reference = match &stream {
+        None => Reference::Recorded(&cap.trace),
+        Some(stream) => Reference::RetireStream { cycles: cap.trace.len(), stream },
+    };
+    let (outcomes, cost) = run_batch_group::<C>(
+        &cap.checkpoints,
+        &cap.trace,
+        stream.as_deref(),
+        &faults,
+        window,
+        layers,
+    );
     prop_assert_eq!(outcomes.len(), faults.len());
     for (fault, batched) in faults.iter().zip(&outcomes) {
-        let scalar = run_injection::<C>(
-            ReplayStart::Checkpoint(&cap.checkpoints),
-            Reference::Recorded(&cap.trace),
-            *fault,
-            window,
-            None,
-        )
-        .outcome;
+        let start = ReplayStart::Checkpoint(&cap.checkpoints);
+        let scalar = run_injection::<C>(start, reference, *fault, window, None).outcome;
         prop_assert_eq!(
             *batched,
             scalar,
-            "{} `{}` diverged from scalar replay for {:?}",
+            "{} `{}` diverged from {:?} scalar replay for {:?}",
             C::NAME,
             layers.label(),
+            redundancy,
             fault
         );
     }
@@ -140,10 +153,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(52))]
 
     /// Group-level equivalence: one batched group call returns exactly
-    /// the per-fault scalar outcomes, on either core and for every
-    /// layer combination, over fault sets that mix kinds, repeat flops
-    /// (duplicate faults share a lane), and strike past the end of the
-    /// run.
+    /// the per-fault scalar outcomes, on either core, for every layer
+    /// combination and under both comparators, over fault sets that mix
+    /// kinds, repeat flops (duplicate faults share a lane), and strike
+    /// past the end of the run.
     #[test]
     fn batch_group_matches_per_fault_scalar_replay(
         picks in proptest::collection::vec((0usize..10_000, 0u8..3, 0u64..1100), 1..40),
@@ -153,9 +166,15 @@ proptest! {
         workload in proptest::sample::select(vec!["rspeed", "pntrch"]),
         core in proptest::sample::select(CoreKind::ALL.to_vec()),
     ) {
-        match core {
-            CoreKind::Lr5 => check_group::<Cpu>(workload, interval, &picks, window, layers)?,
-            CoreKind::Lr7 => check_group::<Lr7>(workload, interval, &picks, window, layers)?,
+        for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+            match core {
+                CoreKind::Lr5 => {
+                    check_group::<Cpu>(workload, interval, &picks, window, layers, redundancy)?
+                }
+                CoreKind::Lr7 => {
+                    check_group::<Lr7>(workload, interval, &picks, window, layers, redundancy)?
+                }
+            }
         }
     }
 }

@@ -198,7 +198,7 @@ fn shifted_image_is_a_relabelling_on_lr7() {
 /// so a fault whose ports match golden on every cycle is masked under
 /// DME too, and a fault DME detects was port-detected no later. The
 /// batched engine relies on it to score every port-masked fault masked
-/// and replay only the port-divergent ones against the retire stream.
+/// and to hand only the port-divergent ones to the retire comparator.
 fn retire_detection_implies_port_detection_for<C: CoreModel>() {
     for (k, w) in Workload::all().iter().enumerate() {
         let seed = 70 + k as u64;

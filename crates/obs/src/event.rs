@@ -116,6 +116,18 @@ pub enum Event {
         /// Redundant CPUs per lockstep unit that forced the downgrade.
         cpus: u64,
     },
+    /// The campaign requested the batched engine but ran the scalar one:
+    /// the divergence trace recorder samples one dedicated faulty CPU per
+    /// injection, which is exactly what batching shares away.
+    BatchModeDowngraded {
+        /// The batch layers the configuration asked for.
+        requested: String,
+        /// The batch mode the engine actually ran (`"off"`).
+        effective: String,
+        /// Divergence-trace pre-window, in cycles, that forced the
+        /// downgrade.
+        trace_window: u64,
+    },
     /// A dynamic lockstep pair re-synced from a golden checkpoint after
     /// a predicted-soft verdict, instead of a full task restart.
     Resync {
@@ -217,6 +229,7 @@ impl Event {
             Event::Prediction { .. } => "prediction",
             Event::RestartFallback { .. } => "restart_fallback",
             Event::ReplayModeDowngraded { .. } => "replay_mode_downgraded",
+            Event::BatchModeDowngraded { .. } => "batch_mode_downgraded",
             Event::Resync { .. } => "resync",
             Event::Span { .. } => "span",
             Event::JobSubmitted { .. } => "job_submitted",
@@ -295,6 +308,11 @@ impl Serialize for Event {
                 field(out, "requested", requested);
                 field(out, "effective", effective);
                 field(out, "cpus", cpus);
+            }
+            Event::BatchModeDowngraded { requested, effective, trace_window } => {
+                field(out, "requested", requested);
+                field(out, "effective", effective);
+                field(out, "trace_window", trace_window);
             }
             Event::Resync { workload, detect_cycle, checkpoint_cycle, resync_cycles } => {
                 field(out, "workload", workload);
@@ -403,6 +421,11 @@ impl Deserialize for Event {
                 effective: s("effective")?,
                 cpus: u("cpus")?,
             }),
+            "batch_mode_downgraded" => Ok(Event::BatchModeDowngraded {
+                requested: s("requested")?,
+                effective: s("effective")?,
+                trace_window: u("trace_window")?,
+            }),
             "resync" => Ok(Event::Resync {
                 workload: s("workload")?,
                 detect_cycle: u("detect_cycle")?,
@@ -494,6 +517,11 @@ mod tests {
                 requested: "shadow".into(),
                 effective: "lockstep".into(),
                 cpus: 3,
+            },
+            Event::BatchModeDowngraded {
+                requested: "full".into(),
+                effective: "off".into(),
+                trace_window: 64,
             },
             Event::Resync {
                 workload: "rspeed".into(),
