@@ -91,9 +91,8 @@ impl Cpu {
     /// Advances one clock cycle, filling `ports` with this cycle's output
     /// port snapshot.
     pub fn step(&mut self, mem: &mut dyn MemoryPort, ports: &mut PortSet) -> StepInfo {
-        let (next, info) = compute_next(&self.state, mem, ports);
-        self.state = next;
-        info
+        let pre = self.state.clone();
+        compute_next(&pre, &mut self.state, mem, ports)
     }
 
     /// Advances one cycle, applying `overlay` to the next state before it
@@ -106,9 +105,9 @@ impl Cpu {
         ports: &mut PortSet,
         overlay: impl FnOnce(&mut CpuState),
     ) -> StepInfo {
-        let (mut next, info) = compute_next(&self.state, mem, ports);
-        overlay(&mut next);
-        self.state = next;
+        let pre = self.state.clone();
+        let info = compute_next(&pre, &mut self.state, mem, ports);
+        overlay(&mut self.state);
         info
     }
 }

@@ -4,9 +4,10 @@
 //! [`CpuState`], performs the work of every pipeline stage (WB → MEM → EX
 //! → ID → F2 → F1, so each stage sees the latches as they stood at the
 //! start of the cycle), drives the 62-SC output-port snapshot for the
-//! cycle, and returns the complete next state. The caller commits the next
-//! state — possibly after a fault overlay has corrupted bits of it, which
-//! is exactly how transient and stuck-at faults enter the machine.
+//! cycle, and writes the complete next state into a caller-owned copy of
+//! the current one. The caller commits the next state — possibly after a
+//! fault overlay has corrupted bits of it, which is exactly how transient
+//! and stuck-at faults enter the machine.
 //!
 //! Pipeline (six stages, modeled on a small real-time core):
 //!
@@ -60,15 +61,18 @@ mod mdv {
     pub const REMU: u8 = 6;
 }
 
-/// Computes the next state for one cycle, driving `ports` as a side
-/// effect. Pure apart from the memory-port accesses.
+/// Computes the next state for one cycle into `n`, driving `ports` as
+/// a side effect. `n` must enter as a copy of `s`: every flop the cycle
+/// does not write keeps its value. Pure apart from the memory-port
+/// accesses.
 pub fn compute_next(
     s: &CpuState,
+    n: &mut CpuState,
     mem: &mut dyn MemoryPort,
     ports: &mut PortSet,
-) -> (CpuState, StepInfo) {
+) -> StepInfo {
+    debug_assert!(n == s, "the next state must enter as a copy of the current one");
     ports.clear();
-    let mut n = s.clone();
     let mut info = StepInfo::default();
 
     // Interface outputs are *gated by activity*: an idle register's
@@ -95,7 +99,7 @@ pub fn compute_next(
         // Halted: the core is quiescent; state freezes.
         ports.set(Sc::EventBus, 1 << 13);
         info.halted = true;
-        return (n, info);
+        return info;
     }
 
     n.cycle = (s.cycle + 1) & CYCLE_MASK;
@@ -287,7 +291,7 @@ pub fn compute_next(
     // MDV iteration (runs while busy, independent of pipeline stalls).
     // ------------------------------------------------------------------
     if s.mdv_busy & 1 == 1 && s.mdv_cnt > 0 {
-        mdv_iterate(s, &mut n);
+        mdv_iterate(s, n);
         n.mdv_cnt = s.mdv_cnt - 1;
     }
 
@@ -328,7 +332,7 @@ pub fn compute_next(
                     stall_loaduse = true;
                 } else if op.is_muldiv() {
                     if s.mdv_busy & 1 == 0 {
-                        start_mdv(&mut n, op, a, b);
+                        start_mdv(n, op, a, b);
                         stall_ex = true;
                     } else if s.mdv_cnt > 0 {
                         stall_ex = true;
@@ -336,7 +340,7 @@ pub fn compute_next(
                         // Completion: the waiting instruction finishes EX.
                         let result = finish_mdv(s);
                         n.mdv_busy = 0;
-                        fill_ex_latch(&mut n, s, op, result, 0);
+                        fill_ex_latch(n, s, op, result, 0);
                         ex_ran = true;
                     }
                 } else {
@@ -357,7 +361,7 @@ pub fn compute_next(
                             }
                             ports.set(Sc::BranchCtl, 1 | u32::from(taken) << 1);
                             ports.set_bus(Sc::BtgtLo, Sc::BtgtHi, if taken { target } else { 0 });
-                            fill_ex_latch(&mut n, s, op, 0, 0);
+                            fill_ex_latch(n, s, op, 0, 0);
                             ex_ran = true;
                         }
                         Opcode::Jal => {
@@ -372,7 +376,7 @@ pub fn compute_next(
                                 n.ras_sp = (s.ras_sp + 1) & 7;
                                 ports.set(Sc::RasCtl, 1);
                             }
-                            fill_ex_latch(&mut n, s, op, s.id_pc.wrapping_add(4), 0);
+                            fill_ex_latch(n, s, op, s.id_pc.wrapping_add(4), 0);
                             ex_ran = true;
                         }
                         Opcode::Jalr => {
@@ -390,7 +394,7 @@ pub fn compute_next(
                                 ports.set(Sc::RasCtl, 2 | u32::from(hit) << 2);
                                 ports.set(Sc::RasChk, parity8(predicted));
                             }
-                            fill_ex_latch(&mut n, s, op, s.id_pc.wrapping_add(4), 0);
+                            fill_ex_latch(n, s, op, s.id_pc.wrapping_add(4), 0);
                             ex_ran = true;
                         }
                         _ if op.is_load() || op.is_store() => {
@@ -406,7 +410,7 @@ pub fn compute_next(
                                 n.ex_addr = addr;
                                 n.ex_store = b;
                                 n.ex_mem_ctl = ctl;
-                                fill_ex_latch(&mut n, s, op, 0, ctl);
+                                fill_ex_latch(n, s, op, 0, ctl);
                                 ex_ran = true;
                             }
                         }
@@ -414,7 +418,7 @@ pub fn compute_next(
                             ex_trap = Some((TrapCause::Breakpoint, s.id_pc));
                         }
                         Opcode::Ecall => {
-                            fill_ex_latch(&mut n, s, op, 0, 0);
+                            fill_ex_latch(n, s, op, 0, 0);
                             ex_ran = true;
                         }
                         Opcode::Csrr => {
@@ -432,18 +436,18 @@ pub fn compute_next(
                                 }
                                 _ => {}
                             }
-                            fill_ex_latch(&mut n, s, op, v, 0);
+                            fill_ex_latch(n, s, op, v, 0);
                             ex_ran = true;
                         }
                         Opcode::Csrw => {
                             n.ex_csr = (imm & 0xF) as u8;
-                            apply_csr_write(&mut n, s, (imm & 0xF) as u8, a);
+                            apply_csr_write(n, s, (imm & 0xF) as u8, a);
                             if Csr::from_bits(imm & 0xFF) == Some(Csr::Misr) {
                                 // The signature register is a DFT output:
                                 // expose the folded value as it updates.
                                 ports.set_bus(Sc::MisrLo, Sc::MisrHi, n.csr_misr);
                             }
-                            fill_ex_latch(&mut n, s, op, a, 0);
+                            fill_ex_latch(n, s, op, a, 0);
                             ex_ran = true;
                         }
                         Opcode::Sll | Opcode::Srl | Opcode::Sra => {
@@ -451,7 +455,7 @@ pub fn compute_next(
                             ports.set(Sc::ShfChk, parity8(r));
                             n.shf_result = r;
                             n.shf_active = 1;
-                            fill_ex_latch(&mut n, s, op, 0, 0);
+                            fill_ex_latch(n, s, op, 0, 0);
                             ex_ran = true;
                         }
                         Opcode::Slli | Opcode::Srli | Opcode::Srai => {
@@ -464,7 +468,7 @@ pub fn compute_next(
                             ports.set(Sc::ShfChk, parity8(r));
                             n.shf_result = r;
                             n.shf_active = 1;
-                            fill_ex_latch(&mut n, s, op, 0, 0);
+                            fill_ex_latch(n, s, op, 0, 0);
                             ex_ran = true;
                         }
                         _ => {
@@ -478,7 +482,7 @@ pub fn compute_next(
                             ports.set(Sc::AluChk, parity8(r));
                             ports.set(Sc::Flags, u32::from(flags & 0xF));
                             n.ex_flags = flags;
-                            fill_ex_latch(&mut n, s, op, r, 0);
+                            fill_ex_latch(n, s, op, r, 0);
                             ex_ran = true;
                         }
                     }
@@ -513,7 +517,7 @@ pub fn compute_next(
     if mem_trap.is_none() && !hold_front {
         // --- ID ---
         if s.if_valid & 1 == 1 {
-            decode_into(&mut n, s, rf_write);
+            decode_into(n, s, rf_write);
         } else {
             n.id_valid = 0;
         }
@@ -594,7 +598,7 @@ pub fn compute_next(
         | u32::from(n.halted & 1) << 13;
     ports.set(Sc::EventBus, ev);
 
-    (n, info)
+    info
 }
 
 /// The architectural registers the *next* [`compute_next`] call may

@@ -2,9 +2,10 @@
 //! machine.
 //!
 //! Like LR5's executor, [`compute_next`] is pure over `(state, memory)`:
-//! it builds a complete next [`Lr7State`] and fills the 62-SC port set,
-//! and the caller commits the next state (optionally after a fault
-//! overlay). Stage order inside a cycle, oldest work first:
+//! it writes a complete next [`Lr7State`] into a caller-owned copy of
+//! the current one and fills the 62-SC port set, and the caller commits
+//! the next state (optionally after a fault overlay). Stage order inside
+//! a cycle, oldest work first:
 //!
 //! 1. **commit** — the ROB head retires (or traps); stores write memory
 //!    here and nowhere else, mispredicted control flow flushes here;
@@ -55,16 +56,18 @@ const EV_FLUSH: u32 = 1 << 9;
 const EV_STALL: u32 = 1 << 10;
 const EV_HALTED: u32 = 1 << 13;
 
-/// Computes the next state and this cycle's output ports.
+/// Computes the next state into `n` and this cycle's output ports. `n`
+/// must enter as a copy of `s`.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn compute_next(
     s: &Lr7State,
+    n: &mut Lr7State,
     mem: &mut dyn MemoryPort,
     ports: &mut PortSet,
-) -> (Lr7State, StepInfo) {
+) -> StepInfo {
+    debug_assert!(n == s, "the next state must enter as a copy of the current one");
     ports.clear();
     let mut info = StepInfo::default();
-    let mut n = s.clone();
 
     ports.set(Sc::PcChk, parity8(s.pc));
     ports.set(Sc::DbgStatus, u32::from(s.halted & 1) | (u32::from(s.rob_count & 0x1F) << 1));
@@ -91,7 +94,7 @@ pub(crate) fn compute_next(
     if s.halted & 1 == 1 {
         ports.set(Sc::EventBus, EV_HALTED);
         info.halted = true;
-        return (n, info);
+        return info;
     }
     n.cycle = (s.cycle + 1) & CYCLE_MASK;
 
@@ -135,7 +138,7 @@ pub(crate) fn compute_next(
                         n.biu_addr = addr;
                         n.biu_data = wdata;
                         n.biu_ctl = 0b0011;
-                        pop_lsq(&mut n, li);
+                        pop_lsq(n, li);
                         event |= EV_STORE;
                     }
                     Err(_) => {
@@ -147,14 +150,14 @@ pub(crate) fn compute_next(
         }
 
         if trapped {
-            take_trap(&mut n, ports, cause, s.rob_pc[h]);
+            take_trap(n, ports, cause, s.rob_pc[h]);
             info.trap = Some(cause);
             info.redirect = Some(n.pc);
             flushed = true;
             event |= EV_TRAP | EV_FLUSH;
         } else {
             if flags & F_CSR != 0 {
-                csr_write = commit_csr(&mut n, ports, s.rob_raw[h], value);
+                csr_write = commit_csr(n, ports, s.rob_raw[h], value);
             }
             if flags & F_HALT != 0 {
                 n.halted = 1;
@@ -172,12 +175,12 @@ pub(crate) fn compute_next(
             if flags & F_LOAD != 0 {
                 let li = usize::from(s.lsq_head & 7);
                 if s.lsq_count > 0 && s.lsq_rob[li] & 15 == s.rob_head & 15 {
-                    pop_lsq(&mut n, li);
+                    pop_lsq(n, li);
                 }
             }
             let npc = s.rob_npc[h];
             if flags & F_CTL != 0 {
-                train_btb(&mut n, s.rob_pc[h], npc);
+                train_btb(n, s.rob_pc[h], npc);
             }
             // Retire ports, exactly the LR5 conventions.
             ports.set(Sc::RetCtl, 1 | (csr_write << 1) | (u32::from(n.halted & 1) << 2));
@@ -194,13 +197,13 @@ pub(crate) fn compute_next(
             n.rob_done &= !(1u16 << h);
             if flags & F_HALT != 0 {
                 // Quiesce: nothing in flight survives the final retire.
-                flush(&mut n);
+                flush(n);
                 flushed = true;
             } else if npc != s.rob_ppc[h] {
                 // Mis-speculation: every younger in-flight instruction is
                 // squashed. Committed architectural state is already
                 // correct, so recovery is a front-end redirect.
-                flush(&mut n);
+                flush(n);
                 n.pc = npc;
                 n.flushes = (s.flushes.wrapping_add(1)) & 0xFFFF;
                 ports.set(Sc::FlushCtl, 1 | (1 << 2));
@@ -255,31 +258,31 @@ pub(crate) fn compute_next(
         }
 
         // ---- 3a. ISSUE: oldest ready non-memory entry executes ----
-        if let Some(i) = pick_ready(&n, false) {
-            issue_exec(&mut n, ports, i);
+        if let Some(i) = pick_ready(n, false) {
+            issue_exec(n, ports, i);
             event |= EV_ISSUE;
         }
         // ---- 3b. AGU: oldest ready memory entry computes its address ----
-        if let Some(i) = pick_ready(&n, true) {
-            run_agu(&mut n, ports, i);
+        if let Some(i) = pick_ready(n, true) {
+            run_agu(n, ports, i);
             event |= EV_AGU;
         }
 
         // ---- 4. LOAD EXECUTE: the LSQ head load reads memory ----
-        event |= exec_load(&mut n, mem, ports);
+        event |= exec_load(n, mem, ports);
 
         // ---- 5. DISPATCH: fetch buffer -> ROB/RS/LSQ ----
-        event |= dispatch(&mut n, s, ports);
+        event |= dispatch(n, s, ports);
 
         // ---- 6. FETCH: refill the fetch buffer, BTB-predicted ----
         if n.fb_valid & 1 == 0 && n.halted & 1 == 0 {
-            do_fetch(&mut n, mem, ports);
+            do_fetch(n, mem, ports);
             event |= EV_FETCH;
         }
     }
 
     ports.set(Sc::EventBus, event & 0xFFFF);
-    (n, info)
+    info
 }
 
 /// Pops LSQ slot `li` (must be the head).

@@ -91,9 +91,8 @@ impl CoreModel for Lr7 {
     }
 
     fn step(&mut self, mem: &mut dyn MemoryPort, ports: &mut PortSet) -> StepInfo {
-        let (next, info) = exec::compute_next(&self.state, mem, ports);
-        self.state = next;
-        info
+        let pre = self.state.clone();
+        exec::compute_next(&pre, &mut self.state, mem, ports)
     }
 
     fn step_with_overlay(
@@ -102,9 +101,9 @@ impl CoreModel for Lr7 {
         ports: &mut PortSet,
         overlay: impl FnOnce(&mut Lr7State),
     ) -> StepInfo {
-        let (mut next, info) = exec::compute_next(&self.state, mem, ports);
-        overlay(&mut next);
-        self.state = next;
+        let pre = self.state.clone();
+        let info = exec::compute_next(&pre, &mut self.state, mem, ports);
+        overlay(&mut self.state);
         info
     }
 

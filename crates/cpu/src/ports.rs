@@ -46,7 +46,7 @@ macro_rules! signal_categories {
             }
 
             /// Number of signals (bits) in this SC.
-            pub fn width(self) -> u32 {
+            pub const fn width(self) -> u32 {
                 match self {
                     $( Sc::$variant => $width, )+
                 }
@@ -168,10 +168,27 @@ pub fn total_signals() -> u32 {
     Sc::ALL.iter().map(|sc| sc.width()).sum()
 }
 
+/// Port slots in a [`PortSet`]: the 62 SCs padded to 64, so the port
+/// diff gathers whole groups of eight. The two padding slots stay zero.
+const SLOTS: usize = 64;
+
+// No SC is wider than 16 signals, so each fits one `u16` slot.
+const _: () = {
+    let mut i = 0;
+    while i < Sc::ALL.len() {
+        assert!(Sc::ALL[i].width() <= 16, "an SC is wider than its 16-bit port slot");
+        i += 1;
+    }
+};
+
 /// One cycle's snapshot of every output port, by signal category.
+///
+/// Each SC is held in a 16-bit slot (no SC is wider), which keeps a
+/// snapshot at 128 bytes: clearing, copying, comparing and recording one
+/// costs half what 32-bit slots would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortSet {
-    values: [u32; SC_COUNT],
+    values: [u16; SLOTS],
 }
 
 impl Default for PortSet {
@@ -183,20 +200,19 @@ impl Default for PortSet {
 impl PortSet {
     /// An all-zero (quiescent) port snapshot.
     pub fn new() -> PortSet {
-        PortSet { values: [0; SC_COUNT] }
+        PortSet { values: [0; SLOTS] }
     }
 
     /// Zeroes every SC (start of cycle).
     pub fn clear(&mut self) {
-        self.values = [0; SC_COUNT];
+        self.values = [0; SLOTS];
     }
 
     /// Sets `sc` to `value`, masked to the SC's width.
     #[inline]
     pub fn set(&mut self, sc: Sc, value: u32) {
-        let w = sc.width();
-        let mask = if w >= 32 { u32::MAX } else { (1u32 << w) - 1 };
-        self.values[sc.index()] = value & mask;
+        let mask = (1u32 << sc.width()) - 1;
+        self.values[sc.index()] = (value & mask) as u16;
     }
 
     /// Splits a 32-bit bus across a `(lo, hi)` SC pair.
@@ -209,17 +225,30 @@ impl PortSet {
     /// Reads the current value of `sc`.
     #[inline]
     pub fn get(&self, sc: Sc) -> u32 {
-        self.values[sc.index()]
+        u32::from(self.values[sc.index()])
     }
 
     /// The per-SC divergence map against `other`: bit *i* is set iff SC
     /// *i* differs. This models the checker's per-SC OR-reduction trees.
+    ///
+    /// Matching ports, the common case, cost one whole-array compare.
+    /// Otherwise every slot yields a 0/1 byte (packed 16-bit compares
+    /// once vectorized), and one multiply per eight bytes gathers them
+    /// into eight mask bits, with no branch per SC.
     pub fn diff_mask(&self, other: &PortSet) -> u64 {
+        if self.values == other.values {
+            return 0;
+        }
+        let mut differs = [0u8; SLOTS];
+        for (d, (a, b)) in differs.iter_mut().zip(self.values.iter().zip(&other.values)) {
+            *d = u8::from(a != b);
+        }
         let mut mask = 0u64;
-        for i in 0..SC_COUNT {
-            if self.values[i] != other.values[i] {
-                mask |= 1 << i;
-            }
+        for (k, group) in differs.chunks_exact(8).enumerate() {
+            let bytes = u64::from_le_bytes(group.try_into().expect("groups of eight"));
+            // Byte j of `bytes` (0 or 1) lands on bit 56 + j; no other
+            // partial product reaches the top byte or carries into it.
+            mask |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
         }
         mask
     }
@@ -234,7 +263,65 @@ pub fn parity8(value: u32) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// A port set holding `values[i]` in SC `i`, written through `set`.
+    fn ports_of(values: &[u32]) -> PortSet {
+        let mut p = PortSet::new();
+        for (&sc, &v) in Sc::ALL.iter().zip(values) {
+            p.set(sc, v);
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `diff_mask` sets bit `sc.index()` exactly when the SC reads
+        /// back differently, over equal pairs, single-SC differences and
+        /// random pairs that share a random subset of their SCs.
+        #[test]
+        fn diff_mask_flags_exactly_the_differing_scs(
+            a in vec(any::<u32>(), SC_COUNT),
+            other in vec(any::<u32>(), SC_COUNT),
+            shared in any::<u64>(),
+            (pick, bit) in (0..SC_COUNT, 0u32..16),
+            shape in 0u8..3,
+        ) {
+            let pa = ports_of(&a);
+            let pb = match shape {
+                0 => pa,
+                1 => {
+                    let sc = Sc::ALL[pick];
+                    let mut pb = pa;
+                    pb.set(sc, pa.get(sc) ^ 1 << (bit % sc.width()));
+                    pb
+                }
+                _ => {
+                    let mixed: Vec<u32> = (0..SC_COUNT)
+                        .map(|i| if shared >> i & 1 == 1 { a[i] } else { other[i] })
+                        .collect();
+                    ports_of(&mixed)
+                }
+            };
+            let mask = pa.diff_mask(&pb);
+            for &sc in Sc::ALL {
+                prop_assert_eq!(
+                    mask >> sc.index() & 1 == 1,
+                    pa.get(sc) != pb.get(sc),
+                    "{} misreported in {:#x}", sc, mask
+                );
+            }
+            prop_assert_eq!(mask >> SC_COUNT, 0, "a padding slot leaked into the mask");
+            prop_assert_eq!(mask, pb.diff_mask(&pa), "diff is symmetric");
+            if shape == 1 {
+                prop_assert_eq!(mask, 1 << pick);
+            }
+        }
+    }
 
     #[test]
     fn exactly_62_categories() {

@@ -1,7 +1,7 @@
 //! Chunked storage for per-cycle golden port traces.
 //!
-//! A golden run records one [`PortSet`] per cycle — hundreds of bytes
-//! for tens of thousands of cycles. A flat `Vec<PortSet>` pays for that
+//! A golden run records one [`PortSet`] per cycle — 128 bytes for tens
+//! of thousands of cycles. A flat `Vec<PortSet>` pays for that
 //! with repeated grow-reallocations that each copy the whole multi-
 //! megabyte prefix. [`PortTrace`] stores the trace in fixed-size chunks
 //! instead: recording never moves already-written cycles, and replay
@@ -12,8 +12,9 @@
 
 use crate::ports::PortSet;
 
-/// Cycles per chunk. 1024 × ~256 B ≈ 256 KiB — large enough that chunk
-/// bookkeeping vanishes, small enough that a short kernel wastes little.
+/// Cycles per chunk. 1024 × 128 B (62 SCs in 16-bit slots, padded to
+/// 64) = 128 KiB — large enough that chunk bookkeeping vanishes, small
+/// enough that a short kernel wastes little.
 const CHUNK: usize = 1024;
 
 /// An append-only per-cycle [`PortSet`] trace with O(1) random access.
@@ -149,6 +150,11 @@ mod tests {
         let mut c = a.clone();
         c.push(marked(9999));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn a_cycle_costs_128_bytes() {
+        assert_eq!(std::mem::size_of::<PortSet>(), 128);
     }
 
     #[test]

@@ -143,6 +143,12 @@ pub enum ArchiveError {
         /// The out-of-range index it carries.
         unit_index: u8,
     },
+    /// `injected_per_unit` has more entries than there are units, so the
+    /// per-unit rates would index past `UnitId::ALL`.
+    InjectedUnits {
+        /// The number of entries it carries.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -154,6 +160,11 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::UnitIndex { record, unit_index } => write!(
                 f,
                 "record {record} has unit_index {unit_index}, but there are only {} units",
+                UnitId::ALL.len()
+            ),
+            ArchiveError::InjectedUnits { len } => write!(
+                f,
+                "injected_per_unit has {len} entries, but there are only {} units",
                 UnitId::ALL.len()
             ),
         }
@@ -293,14 +304,16 @@ impl CampaignArchive {
 
     /// Loads an archive from JSON.
     ///
-    /// Every record's unit index is checked here, so the analysis and
-    /// training paths downstream ([`ErrorRecord::unit`]) can index the
-    /// unit table without panicking on a corrupt file.
+    /// Every record's unit index and the length of `injected_per_unit`
+    /// are checked here, so the analysis and training paths downstream
+    /// ([`ErrorRecord::unit`], `CampaignResult::manifestation_rates`)
+    /// can index the unit table without panicking on a corrupt file.
     ///
     /// # Errors
     ///
     /// Returns [`ArchiveError`] on filesystem, parse or version
-    /// mismatch, or on a record whose unit index is out of range.
+    /// mismatch, on a record whose unit index is out of range, or on an
+    /// `injected_per_unit` longer than the unit table.
     pub fn load(path: &Path) -> Result<CampaignArchive, ArchiveError> {
         let mut text = String::new();
         std::fs::File::open(path)?.read_to_string(&mut text)?;
@@ -313,6 +326,10 @@ impl CampaignArchive {
         if let Some(record) = bad {
             let unit_index = archive.records[record].unit_index;
             return Err(ArchiveError::UnitIndex { record, unit_index });
+        }
+        let len = archive.injected_per_unit.len();
+        if len > UnitId::ALL.len() {
+            return Err(ArchiveError::InjectedUnits { len });
         }
         Ok(archive)
     }
@@ -1092,6 +1109,33 @@ mod tests {
         archive.records[1].unit_index = (UnitId::ALL.len() - 1) as u8;
         archive.save(&path).unwrap();
         assert!(CampaignArchive::load(&path).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_injected_per_unit_rejected() {
+        // An extra entry used to load fine; `manifestation_rates` then
+        // panicked on `UnitId::ALL[13]` and the shard merge dropped it.
+        let result = small_result();
+        let mut archive = CampaignArchive::from_result(&result);
+        assert_eq!(archive.injected_per_unit.len(), UnitId::ALL.len());
+        archive.injected_per_unit.push([1, 0]);
+        let dir = std::env::temp_dir().join("lockstep_archive_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("oversized_injected_per_unit.json");
+        archive.save(&path).unwrap();
+        match CampaignArchive::load(&path) {
+            Err(e @ ArchiveError::InjectedUnits { len: 14 }) => {
+                assert!(e.to_string().contains("14 entries"), "{e}");
+            }
+            other => panic!("expected injected-units error, got {other:?}"),
+        }
+        // A full-length table still loads and rates cleanly.
+        archive.injected_per_unit.pop();
+        archive.save(&path).unwrap();
+        let loaded = CampaignArchive::load(&path).unwrap().into_result();
+        let rates = loaded.manifestation_rates(lockstep_cpu::Granularity::Fine);
+        assert_eq!(rates.len(), UnitId::ALL.len());
         std::fs::remove_file(&path).ok();
     }
 
