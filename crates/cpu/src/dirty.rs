@@ -25,11 +25,8 @@
 //! [`registry`] or [`CoreModel::registry`](crate::CoreModel::registry)
 //! of any other core), and the un-suffixed forms are the LR5 shorthand.
 
-use std::sync::OnceLock;
-
 use crate::flops::{registry, FlopReg};
 use crate::state::CpuState;
-use crate::units::UnitId;
 
 /// Cached location of the last known state difference: an index into
 /// the core's registry plus a lane within that register.
@@ -90,62 +87,56 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
     converged_in(registry(), a, b, witness)
 }
 
-/// Index of the LR5 architectural register file's (sole) entry in
-/// [`registry`]: 31 lanes of 32 bits, lane `r - 1` holding
-/// architectural register `r`.
-pub fn rf_registry_index() -> u16 {
-    static IDX: OnceLock<u16> = OnceLock::new();
-    *IDX.get_or_init(|| {
-        registry()
-            .iter()
-            .position(|r| r.unit == UnitId::Rf)
-            .expect("flop registry has a register-file entry") as u16
-    })
-}
-
 /// Whether the entire difference between `a` and `b` is confined to the
-/// architectural register file, entry `rf` of `regs` (31 lanes, lane
-/// `r - 1` holding register `r`). Returns the dirty-register mask (bit
-/// `r - 1` set when register `r` differs) — `Some(0)` means the states
-/// are bit-identical — or `None` when any non-RF state differs.
+/// *parkable words* `words` of the core whose registry is `regs`:
+/// `(registry entry, first bit)` pairs, lane `l` of an entry being word
+/// `first + l` of the returned mask (at most 64 words in all). Returns
+/// the dirty-word mask — `Some(0)` means the states are bit-identical —
+/// or `None` when any other state differs.
 ///
-/// This is the admission test for register-file parking: on LR5 the RF
-/// has one read site and one write site in the pipeline, both decodable
-/// from the pre-cycle state ([`crate::exec::rf_read_candidates`] and
-/// [`crate::exec::rf_write_of`]), so an RF-confined lane evolves in
-/// provable lockstep with golden at zero simulation cost until a dirty
-/// register is potentially read.
+/// This is the admission test for word parking: on LR5 every access to
+/// these words is visible from the pre-cycle state and golden's ports
+/// ([`crate::exec::park_reads`] and [`crate::exec::park_writes`]), so a
+/// word-confined lane evolves in provable lockstep with golden at zero
+/// simulation cost until a dirty word may be read.
 ///
 /// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
-/// pair is outside the RF and still differs, the answer is `None` in one
-/// masked `u64` compare. The `Some` path is authoritative — it verifies
-/// by substitution (copy `b`'s differing registers into a clone of `a`
+/// pair is outside the words and still differs, the answer is `None` in
+/// one masked `u64` compare. The `Some` path is authoritative — it
+/// verifies by substitution (copy `b`'s dirty words into a clone of `a`
 /// and require whole-struct equality) so bits invisible to the masked
 /// registry reads cannot slip through.
-pub fn rf_confined_in<S: PartialEq + Clone>(
+pub fn park_confined_in<S: PartialEq + Clone>(
     regs: &[FlopReg<S>],
-    rf: u16,
+    words: &[(u16, u8)],
     a: &S,
     b: &S,
     witness: &mut DirtyWitness,
-) -> Option<u32> {
+) -> Option<u64> {
+    let first_bit = |r: u16| words.iter().find(|&&(w, _)| w == r).map(|&(_, bit)| u32::from(bit));
     if let Some((r, l)) = witness.pair {
-        if r != rf {
+        if first_bit(r).is_none() {
             let reg = &regs[r as usize];
             if reg.read(a, l as usize) != reg.read(b, l as usize) {
                 return None;
             }
         }
     }
-    let mut dirty = 0u32;
+    let mut dirty = 0u64;
+    let mut last = None;
     for (r, reg) in regs.iter().enumerate() {
         for lane in 0..reg.lanes as usize {
             if reg.read(a, lane) != reg.read(b, lane) {
-                if r as u16 == rf {
-                    dirty |= 1 << lane;
-                } else {
-                    witness.pair = Some((r as u16, lane as u16));
-                    return None;
+                let pair = (r as u16, lane as u16);
+                match first_bit(pair.0) {
+                    Some(bit) => {
+                        dirty |= 1 << (bit + lane as u32);
+                        last = Some(pair);
+                    }
+                    None => {
+                        witness.pair = Some(pair);
+                        return None;
+                    }
                 }
             }
         }
@@ -153,24 +144,17 @@ pub fn rf_confined_in<S: PartialEq + Clone>(
     if dirty == 0 {
         return if a == b { Some(0) } else { None };
     }
-    witness.pair = Some((rf, (31 - dirty.leading_zeros()) as u16));
+    witness.pair = last;
     let mut patched = a.clone();
-    let reg = &regs[rf as usize];
-    for lane in 0..reg.lanes as usize {
-        if dirty & (1 << lane) != 0 {
-            (reg.set)(&mut patched, lane, reg.read(b, lane));
+    for &(r, bit) in words {
+        let reg = &regs[r as usize];
+        for lane in 0..reg.lanes as usize {
+            if dirty >> (u32::from(bit) + lane as u32) & 1 != 0 {
+                (reg.set)(&mut patched, lane, reg.read(b, lane));
+            }
         }
     }
-    if patched == *b {
-        Some(dirty)
-    } else {
-        None
-    }
-}
-
-/// [`rf_confined_in`] over the LR5 registry and register file.
-pub fn rf_confined(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> Option<u32> {
-    rf_confined_in(registry(), rf_registry_index(), a, b, witness)
+    (patched == *b).then_some(dirty)
 }
 
 /// Bit-parallel stuck-at watch over one (register, lane) pair of the
@@ -327,37 +311,72 @@ mod tests {
     }
 
     #[test]
-    fn rf_confined_classifies_rf_and_non_rf_diffs() {
+    fn park_confined_classifies_word_and_other_diffs() {
+        let words = crate::exec::park_words();
         let a = CpuState::reset(0);
         let mut w = DirtyWitness::new();
         // Identical states: confined with an empty dirty set.
-        assert_eq!(rf_confined(&a, &a.clone(), &mut w), Some(0));
+        assert_eq!(park_confined_in(registry(), words, &a, &a.clone(), &mut w), Some(0));
 
-        // Diffs in registers 3 and 17 only: mask has exactly those bits.
+        // Diffs in registers 3 and 17, RAS entry 5 and `epc` only: the
+        // mask has exactly those words.
         let mut b = a.clone();
         b.set_reg(3, 0xDEAD_BEEF);
         b.set_reg(17, 1);
-        assert_eq!(rf_confined(&a, &b, &mut w), Some((1 << 2) | (1 << 16)));
+        b.ras[5] = 0x40;
+        b.csr_epc = 0x1234;
+        let ras5 = 1u64 << (crate::exec::RAS_WORD + 5);
+        let epc = 1u64 << (crate::exec::CSR_WORD + 2);
+        assert_eq!(
+            park_confined_in(registry(), words, &a, &b, &mut w),
+            Some((1 << 2) | (1 << 16) | ras5 | epc)
+        );
 
-        // Any non-RF diff on top disqualifies the lane.
-        let mut c = b.clone();
-        c.ex_valid ^= 1;
-        assert_eq!(rf_confined(&a, &c, &mut w), None);
-        // The witness now points at the non-RF pair: the fast path must
-        // keep answering None in O(1) while that diff persists.
-        assert_ne!(w.pair.map(|(r, _)| r), Some(rf_registry_index()));
-        assert_eq!(rf_confined(&a, &c, &mut w), None);
+        // Any other diff on top disqualifies the lane, MISR included.
+        for poison in [|s: &mut CpuState| s.ex_valid ^= 1, |s: &mut CpuState| s.csr_misr ^= 1] {
+            let mut c = b.clone();
+            poison(&mut c);
+            assert_eq!(park_confined_in(registry(), words, &a, &c, &mut w), None);
+            // The witness now points at that pair: the fast path must
+            // keep answering None in O(1) while the diff persists.
+            let (r, _) = w.pair.expect("witnessed");
+            assert!(words.iter().all(|&(wr, _)| wr != r));
+            assert_eq!(park_confined_in(registry(), words, &a, &c, &mut w), None);
+        }
     }
 
     #[test]
-    fn rf_registry_index_is_the_register_bank() {
-        let reg = &registry()[rf_registry_index() as usize];
-        assert_eq!(reg.name, "regs");
-        assert_eq!((reg.lanes, reg.width), (31, 32));
-        // Lane r-1 holds architectural register r.
+    fn park_words_name_the_registers_the_ras_and_six_csrs() {
+        let words = crate::exec::park_words();
+        let named: Vec<(&str, u8)> =
+            words.iter().map(|&(r, bit)| (registry()[r as usize].name, bit)).collect();
+        assert_eq!(
+            named,
+            [
+                ("regs", 0),
+                ("ras", 31),
+                ("csr_status", 39),
+                ("csr_cause", 40),
+                ("csr_epc", 41),
+                ("csr_tvec", 42),
+                ("csr_scratch0", 43),
+                ("csr_scratch1", 44),
+            ]
+        );
+        // Lane r-1 of the bank holds architectural register r, and the
+        // words tile the mask without overlap.
         let mut s = CpuState::reset(0);
         s.set_reg(5, 0x1234_5678);
-        assert_eq!(reg.read(&s, 4), 0x1234_5678);
+        assert_eq!(registry()[words[0].0 as usize].read(&s, 4), 0x1234_5678);
+        let mut seen = 0u64;
+        for &(r, bit) in words {
+            for lane in 0..u32::from(registry()[r as usize].lanes) {
+                let word = 1u64 << (u32::from(bit) + lane);
+                assert_eq!(seen & word, 0, "word bit reused");
+                seen |= word;
+            }
+        }
+        assert_eq!(seen, (1 << 45) - 1);
     }
 
     #[test]
@@ -431,7 +450,7 @@ mod tests {
             let rf = regs().iter().position(|r| r.name == "regs").unwrap() as u16;
             assert_eq!(w.pair, Some((rf, 6)));
             assert_eq!(
-                rf_confined_in(regs(), rf, &a, &b, &mut w),
+                park_confined_in(regs(), &[(rf, 0)], &a, &b, &mut w),
                 Some(1 << 6),
                 "the residue is register 7 alone"
             );

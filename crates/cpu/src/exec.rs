@@ -26,6 +26,8 @@
 //! * Illegal instructions, misaligned accesses and bus errors trap to the
 //!   vector in `csr_tvec` — faults must take *defined* paths.
 
+use std::sync::OnceLock;
+
 use lockstep_isa::{Csr, Opcode, TrapCause, DEFAULT_TRAP_VECTOR};
 use lockstep_mem::MemoryPort;
 
@@ -601,59 +603,124 @@ pub fn compute_next(
     info
 }
 
-/// The architectural registers the *next* [`compute_next`] call may
-/// read from the register file, as a bitmask with bit `r - 1` set for
-/// register `r`.
+/// Word-mask bit of return-address-stack entry 0 in [`park_words`]'s
+/// numbering (entry `i` is bit `RAS_WORD + i`). Bits `0..31` are the
+/// registers, bit `r - 1` for register `r`.
+pub const RAS_WORD: u8 = 31;
+
+/// Word-mask bit of `csr_status` in [`park_words`]'s numbering. The six
+/// parkable CSRs follow in address order (`status`, `cause`, `epc`,
+/// `tvec`, `scratch0`, `scratch1`), so CSR address `a` is bit
+/// `CSR_WORD + a - 2`.
+pub const CSR_WORD: u8 = 39;
+
+/// The flop words of LR5 whose every access [`park_reads`] and
+/// [`park_writes`] can see from the pre-cycle state and golden's ports:
+/// `(registry entry, first word bit)` pairs, lane `l` of an entry being
+/// word `first + l`. 45 words in all: the 31 registers, the 8 RAS
+/// entries and six CSRs.
 ///
-/// The register file has exactly one read site — the ID stage's operand
-/// fetch (`decode_into`), whose source indices are decoded from the
-/// pre-cycle `if_instr` latch — so the candidate set is computable from
-/// the pre-cycle state alone, before the cycle executes. The mask is a
-/// tight *superset* of the registers actually read: a front-end stall,
-/// a trap, or the same-cycle WB write-through may suppress or satisfy a
-/// read without touching the file. Batched fault simulation uses this
-/// to keep faults parked while the machine provably cannot observe
-/// their registers; over-approximation only ever costs a spurious
-/// wake-up, never a missed one.
-pub fn rf_read_candidates(s: &CpuState) -> u32 {
-    if s.halted & 1 == 1 || s.if_valid & 1 == 0 || s.if_err & 1 == 1 {
-        return 0;
-    }
-    let Ok(i) = lockstep_isa::Instr::decode(s.if_instr) else {
-        return 0;
-    };
-    let (src1, src2) =
-        used_sources(i.op, i.rs1.bits() as u8, i.rs2.bits() as u8, i.rd.bits() as u8);
-    let mut mask = 0u32;
-    for src in [src1, src2].into_iter().flatten() {
-        if src != 0 {
-            mask |= 1 << (src - 1);
-        }
-    }
-    mask
+/// `csr_misr` is not parkable because a `csrw misr` folds its old value
+/// into the new one, so a write does not clean it. `cycle` and `instret`
+/// are not either: every cycle increments `cycle`, and every retirement
+/// `instret`, from its own value, so each is read whenever it changes
+/// and residue there never leaves.
+pub fn park_words() -> &'static [(u16, u8)] {
+    static WORDS: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
+    WORDS.get_or_init(|| {
+        let index = |name: &str| -> u16 {
+            crate::flops::registry()
+                .iter()
+                .position(|r| r.name == name)
+                .unwrap_or_else(|| panic!("flop registry has no `{name}` entry")) as u16
+        };
+        let csrs =
+            ["csr_status", "csr_cause", "csr_epc", "csr_tvec", "csr_scratch0", "csr_scratch1"];
+        let mut words = vec![(index("regs"), 0), (index("ras"), RAS_WORD)];
+        words.extend(csrs.iter().zip(CSR_WORD..).map(|(&name, bit)| (index(name), bit)));
+        words
+    })
 }
 
-/// The register-file write the *next* [`compute_next`] call will
-/// perform, as `(register, value)` — or `None` when no write will
-/// retire. Unlike [`rf_read_candidates`] this is *exact*: the WB stage
-/// runs unconditionally ahead of every stall decision, and its operands
-/// (opcode, destination, load data) are all pre-cycle latches.
-pub fn rf_write_of(s: &CpuState) -> Option<(u8, u32)> {
-    if s.halted & 1 == 1 || s.wb_valid & 1 != 1 {
-        return None;
-    }
-    let op = Opcode::from_bits(u32::from(s.wb_op));
-    if !op.is_some_and(Opcode::writes_rd) || s.wb_rd & 0x1F == 0 {
-        return None;
-    }
-    let value = match op {
-        Some(o) if o.is_load() => {
-            let word = if s.wb_mmio & 1 == 1 { s.biu_rdata } else { s.dmc_rdata };
-            extract_load(word, s.wb_lane & 3, o)
+/// A superset of the [`park_words`] the cycle from pre-cycle state `s`
+/// reads, given `golden`, the ports that cycle drives on a machine whose
+/// parked words all go unread (every such machine drives the same ports
+/// as golden, DESIGN.md §10).
+///
+/// * **Registers:** one read site, the ID stage's operand fetch, whose
+///   sources decode from the pre-cycle `if_instr` latch. A stall, a trap
+///   or the WB write-through may suppress a read, so this is a superset.
+/// * **RAS:** a return pops entry `(ras_sp - 1) & 7`, exactly when
+///   golden's `RasCtl` bit 1 is set.
+/// * **CSRs:** a `csrr` in the ID/EX latch may read CSR `id_imm & 0xF`,
+///   and a trap (golden's `ExcCtl` bit 0) reads `csr_tvec`.
+pub fn park_reads(s: &CpuState, golden: &PortSet) -> u64 {
+    let mut words = 0u64;
+    if s.halted & 1 == 0 && s.if_valid & 1 == 1 && s.if_err & 1 == 0 {
+        if let Ok(i) = lockstep_isa::Instr::decode(s.if_instr) {
+            let (src1, src2) =
+                used_sources(i.op, i.rs1.bits() as u8, i.rs2.bits() as u8, i.rd.bits() as u8);
+            for src in [src1, src2].into_iter().flatten().filter(|&r| r != 0) {
+                words |= 1 << (src - 1);
+            }
         }
-        _ => s.wb_value,
-    };
-    Some((s.wb_rd & 0x1F, value))
+    }
+    if golden.get(Sc::RasCtl) & 2 != 0 {
+        words |= 1 << (RAS_WORD + (s.ras_sp.wrapping_sub(1) & 7));
+    }
+    if s.id_valid & 1 == 1 && Opcode::from_bits(u32::from(s.id_op)) == Some(Opcode::Csrr) {
+        words |= csr_word(s.id_imm);
+    }
+    if golden.get(Sc::ExcCtl) & 1 != 0 {
+        words |= csr_word(Csr::Tvec.bits());
+    }
+    words
+}
+
+/// Exactly the [`park_words`] the cycle from pre-cycle state `s`
+/// writes, given `golden`, the ports that cycle drives on a machine whose
+/// parked words all go unread. Such a machine's cycle is golden's, so it
+/// writes golden's values: a written word is clean afterwards.
+///
+/// * **Registers:** WB writes `wb_rd` when its opcode writes a register.
+///   WB runs ahead of every stall decision, so this is exact.
+/// * **RAS:** a call pushes entry `ras_sp & 7`, exactly when golden's
+///   `RasCtl & 3 == 1`.
+/// * **CSRs:** a `csrw` in the ID/EX latch writes CSR `id_imm & 0xF`
+///   exactly when golden's `ExecCtl` bit 0 (EX ran) is set, and a trap
+///   writes `csr_cause` and `csr_epc`.
+pub fn park_writes(s: &CpuState, golden: &PortSet) -> u64 {
+    let mut words = 0u64;
+    if s.halted & 1 == 0
+        && s.wb_valid & 1 == 1
+        && s.wb_rd & 0x1F != 0
+        && Opcode::from_bits(u32::from(s.wb_op)).is_some_and(Opcode::writes_rd)
+    {
+        words |= 1 << ((s.wb_rd & 0x1F) - 1);
+    }
+    if golden.get(Sc::RasCtl) & 3 == 1 {
+        words |= 1 << (RAS_WORD + (s.ras_sp & 7));
+    }
+    if golden.get(Sc::ExecCtl) & 1 != 0
+        && Opcode::from_bits(u32::from(s.id_op)) == Some(Opcode::Csrw)
+    {
+        words |= csr_word(s.id_imm);
+    }
+    if golden.get(Sc::ExcCtl) & 1 != 0 {
+        words |= csr_word(Csr::Cause.bits()) | csr_word(Csr::Epc.bits());
+    }
+    words
+}
+
+/// The word-mask bit of the CSR a `csrr`/`csrw` immediate selects (its
+/// low four bits, as EX decodes it), or 0 for a CSR that is not parkable.
+fn csr_word(imm: u32) -> u64 {
+    match Csr::from_bits(imm & 0xF) {
+        Some(
+            c @ (Csr::Status | Csr::Cause | Csr::Epc | Csr::Tvec | Csr::Scratch0 | Csr::Scratch1),
+        ) => 1 << (u32::from(CSR_WORD) + c.bits() - Csr::Status.bits()),
+        _ => 0,
+    }
 }
 
 /// Operand forwarding: newest value of register `src` as seen from EX.

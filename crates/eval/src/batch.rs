@@ -31,20 +31,21 @@
 //!    cycle. The moment the dirty set is seen empty the fault is
 //!    provably masked for the rest of the run (the machine is closed:
 //!    see DESIGN.md §10) and the lane is retired instead of simulating
-//!    to the end of the trace. On a core that supplies register-file
-//!    oracles ([`CoreBatch::rf_registry_index`], LR5 today) a lane
-//!    whose residue is *confined to architectural registers*
-//!    ([`lockstep_cpu::dirty::rf_confined_in`]) goes one step further:
-//!    the register file has exactly one read site and one write site in
-//!    the pipeline, both decodable from golden's pre-cycle state, so the
-//!    lane is parked at zero simulation cost — golden's WB writes clean
-//!    its dirty registers (both machines would write the same value),
-//!    and the lane wakes only the cycle a dirty register lands in the
-//!    decoded read-candidate set ([`CoreBatch::rf_read_candidates`]).
-//!    Dead-register residue, the dominant fate of masked transients,
-//!    parks to the end of the trace without a single simulated cycle.
-//!    On other cores register residue stays a live lane until it
-//!    converges.
+//!    to the end of the trace. On a core that supplies word-parking
+//!    oracles ([`CoreBatch::park_words`], LR5 today) a lane whose
+//!    residue is *confined to parkable words*
+//!    ([`lockstep_cpu::dirty::park_confined_in`]: LR5's registers,
+//!    return-address-stack entries and six CSRs) goes one step further:
+//!    it parks at zero simulation cost. A cycle that reads none of its
+//!    dirty words is golden's cycle on the faulty machine too, so the
+//!    words such a cycle reads and writes follow from golden's
+//!    pre-cycle state and recorded ports ([`CoreBatch::park_reads`],
+//!    [`CoreBatch::park_writes`]). Golden's writes clean the dirty words
+//!    they hit, and the entry wakes only the cycle a dirty word lands in
+//!    the read set. Dead-word residue, the dominant fate of masked
+//!    transients, parks to the end of the trace without a single
+//!    simulated cycle. On other cores that residue stays a live lane
+//!    until it converges.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
@@ -53,12 +54,12 @@
 //!    ops per cycle. The cycle golden's bit first disagrees, the fault
 //!    wakes into a scalar lane (the fallback rule); a woken lane that
 //!    re-converges with golden is re-parked, up to a small cap. This
-//!    identity argument holds on any core. With register-file oracles,
-//!    stuck-ats *on register-file flops* use the register-file parking
-//!    of layer 2 instead of a watch: even while golden's bit disagrees
-//!    with the stuck value the whole divergence is one known register
-//!    value, so the fault stays parked until that register is read
-//!    rather than waking on every bit flip.
+//!    identity argument holds on any core. With word-parking oracles,
+//!    stuck-ats *on parkable words* use the word parking of layer 2
+//!    instead of a watch: even while golden's bit disagrees with the
+//!    stuck value the whole divergence is one known word value, so the
+//!    fault stays parked until that word is read rather than waking on
+//!    every bit flip.
 //!
 //! The walker doubles as the live golden twin: in shadow replay terms
 //! it re-produces the recorded [`PortTrace`] (debug-asserted every
@@ -71,9 +72,9 @@
 //! `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
-use lockstep_cpu::dirty::{converged_in, rf_confined_in, DirtyWitness, LaneWatch};
-use lockstep_cpu::flops::{self, FlopReg};
-use lockstep_cpu::{dirty, exec, CoreModel, Cpu, Lr7, PortSet, PortTrace};
+use lockstep_cpu::dirty::{converged_in, park_confined_in, DirtyWitness, LaneWatch};
+use lockstep_cpu::flops::{self, FlopId, FlopReg};
+use lockstep_cpu::{exec, CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_iss::Retired;
 use lockstep_mem::{Memory, TrialLog, TrialView};
@@ -208,79 +209,157 @@ struct WatchGroup {
 }
 
 /// A fault parked because its entire divergence from golden is confined
-/// to architectural registers. Costs zero simulation per cycle: the
-/// register file's single write site cleans dirty registers as golden
-/// retires writes (both machines would write the identical value, which
-/// is computed from non-dirty latches), and the single read site —
-/// decoded from golden's pre-cycle fetch latch — tells us the exact
-/// cycle a dirty register might be observed, which is when the entry
+/// to parkable words (LR5: registers, RAS entries and six CSRs; see
+/// [`CoreBatch::park_words`]). Costs zero simulation per cycle: a cycle
+/// that reads none of the dirty words is golden's cycle on the faulty
+/// machine too, so golden's writes clean the words they write (both
+/// machines write the identical value), and the read oracle tells us the
+/// exact cycle a dirty word might be observed, which is when the entry
 /// wakes into a scalar [`Lane`].
-struct RfParked {
+struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
     reparks: u32,
-    /// Bit `r - 1` set: the faulty machine's register `r` currently
-    /// differs from golden's.
-    dirty: u32,
-    /// The faulty machine's dirty register values (lane `r - 1` for
-    /// register `r`). Clean lanes are never read: those registers equal
-    /// golden's live value by definition.
-    regs: [u32; 31],
+    /// Bit `w` set: the faulty machine's word `w` currently differs from
+    /// golden's.
+    dirty: u64,
+    /// The word a stuck-at forces (one bit), or 0 for a transient or a
+    /// stuck-at outside the parkable words. Golden's writes re-force it.
+    target: u64,
+    /// The faulty machine's dirty word values, indexed by word. Clean
+    /// words are never read: they equal golden's live value by
+    /// definition.
+    vals: [u64; 64],
     /// Walker cycle at which the entry parked, for savings accounting.
     park_cycle: u64,
 }
 
-/// Aggregate wake filters over the register-file parking lot: the union
-/// of all dirty-register masks, the set of registers targeted by parked
-/// register-file stuck-ats (whose dirtiness golden's writes can *re*-
-/// introduce), and how many parked stuck-ats target a non-RF flop (and
-/// so need a per-cycle agreement check against golden's committed
-/// state). The common per-cycle case is two mask tests and no per-entry
-/// work at all.
-fn rf_masks(entries: &[RfParked], rf: u16) -> (u32, u32, usize) {
-    let mut dirty_union = 0u32;
-    let mut stuck_rf = 0u32;
-    let mut nonrf_stuck = 0usize;
-    for e in entries {
-        dirty_union |= e.dirty;
-        if e.fault.kind != FaultKind::Transient {
-            if e.fault.flop.reg == rf {
-                stuck_rf |= 1 << e.fault.flop.lane;
-            } else {
-                nonrf_stuck += 1;
+/// The word parking lot of one batched group, with the core's word
+/// layout and cached aggregate wake filters. It stays empty on a core
+/// without parkable words, so every phase that touches it is skipped.
+struct WordLot<S: 'static> {
+    regs: &'static [FlopReg<S>],
+    words: &'static [(u16, u8)],
+    /// Registry slot `(entry, lane)` of every word, indexed by word.
+    slots: [(u16, u16); 64],
+    entries: Vec<WordParked>,
+    /// Set whenever `entries` changes; [`WordLot::refresh`] clears it.
+    stale: bool,
+    /// Union of all entries' dirty words.
+    dirty_union: u64,
+    /// Union of all entries' stuck-at target words, whose dirtiness
+    /// golden's writes can *re*-introduce.
+    targets: u64,
+    /// How many entries are stuck-ats on a flop outside the words, and
+    /// so need a per-cycle agreement check against golden.
+    other_stuck: usize,
+}
+
+impl<S: Clone> WordLot<S> {
+    fn new(regs: &'static [FlopReg<S>], words: &'static [(u16, u8)]) -> Self {
+        let mut slots = [(0, 0); 64];
+        for &(r, first) in words {
+            for lane in 0..regs[r as usize].lanes {
+                slots[usize::from(first) + usize::from(lane)] = (r, lane);
             }
         }
-    }
-    (dirty_union, stuck_rf, nonrf_stuck)
-}
-
-/// The faulty machine implied by a parked entry: `base` (golden) with
-/// the entry's dirty registers substituted in through the register-file
-/// registry entry `rf`.
-fn rf_materialize<S: Clone>(rf: &FlopReg<S>, entry: &RfParked, base: &S) -> S {
-    let mut st = base.clone();
-    for (lane, &v) in entry.regs.iter().enumerate() {
-        if entry.dirty & (1 << lane) != 0 {
-            rf.write(&mut st, lane, u64::from(v));
+        WordLot {
+            regs,
+            words,
+            slots,
+            entries: Vec::new(),
+            stale: false,
+            dirty_union: 0,
+            targets: 0,
+            other_stuck: 0,
         }
     }
-    st
-}
 
-/// The `dirty` registers of `state`, read through the register-file
-/// registry entry `rf` (clean lanes left zero; see [`RfParked::regs`]).
-fn rf_dirty_values<S>(rf: &FlopReg<S>, state: &S, dirty: u32) -> [u32; 31] {
-    let mut regs = [0u32; 31];
-    for (lane, v) in regs.iter_mut().enumerate() {
-        if dirty & (1 << lane) != 0 {
-            *v = rf.read(state, lane) as u32;
-        }
+    /// The word `flop` lies in, if it lies in one.
+    fn word_of(&self, flop: FlopId) -> Option<usize> {
+        self.words
+            .iter()
+            .find(|&&(r, _)| r == flop.reg)
+            .map(|&(_, first)| usize::from(first) + usize::from(flop.lane))
     }
-    regs
+
+    /// Word `w` of `state`.
+    fn read(&self, state: &S, w: usize) -> u64 {
+        let (r, lane) = self.slots[w];
+        self.regs[r as usize].read(state, usize::from(lane))
+    }
+
+    /// Recomputes the aggregate wake filters if the lot changed.
+    fn refresh(&mut self) {
+        if !self.stale {
+            return;
+        }
+        (self.dirty_union, self.targets, self.other_stuck) = (0, 0, 0);
+        for e in &self.entries {
+            self.dirty_union |= e.dirty;
+            self.targets |= e.target;
+            if e.fault.kind != FaultKind::Transient && e.target == 0 {
+                self.other_stuck += 1;
+            }
+        }
+        self.stale = false;
+    }
+
+    /// The `dirty` words of `state`, indexed by word (clean ones zero).
+    fn values(&self, state: &S, dirty: u64) -> [u64; 64] {
+        let mut vals = [0; 64];
+        for w in bits(dirty) {
+            vals[w] = self.read(state, w);
+        }
+        vals
+    }
+
+    /// Parks a fault whose machine differs from golden in the `dirty`
+    /// words alone, holding `vals` there.
+    fn park(
+        &mut self,
+        fault: Fault,
+        outs: Vec<usize>,
+        reparks: u32,
+        dirty: u64,
+        vals: [u64; 64],
+        at: u64,
+    ) {
+        let target = match fault.kind {
+            FaultKind::Transient => 0,
+            _ => self.word_of(fault.flop).map_or(0, |w| 1 << w),
+        };
+        self.entries.push(WordParked { fault, outs, reparks, dirty, target, vals, park_cycle: at });
+        self.stale = true;
+    }
+
+    /// Removes entry `i` and returns its faulty machine: `base` (golden)
+    /// with the entry's dirty words substituted in.
+    fn unpark(&mut self, i: usize, base: &S) -> (WordParked, S) {
+        let entry = self.entries.swap_remove(i);
+        self.stale = true;
+        let mut st = base.clone();
+        for w in bits(entry.dirty) {
+            let (r, lane) = self.slots[w];
+            self.regs[r as usize].write(&mut st, usize::from(lane), entry.vals[w]);
+        }
+        (entry, st)
+    }
 }
 
-/// A register value with a stuck-at bit forced.
-fn forced(v: u32, bit: u8, stuck1: bool) -> u32 {
+/// Iterates the set bits of a word mask.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let w = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            w
+        })
+    })
+}
+
+/// A word value with a stuck-at bit forced.
+fn forced(v: u64, bit: u8, stuck1: bool) -> u64 {
     if stuck1 {
         v | (1 << bit)
     } else {
@@ -325,11 +404,11 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
 /// registry to compare and watch through. So every core runs every
 /// layer, and LR5's engine is this one monomorphized for [`Cpu`].
 ///
-/// Register-file parking is the one layer that needs knowledge of the
-/// pipeline: where the register file is read and written. It is an
-/// optional capability, dispatched statically through the `rf_*`
-/// functions below. [`Cpu`] supplies it; [`Lr7`] does not, so LR7
-/// register residue stays a live lane until it converges.
+/// Word parking is the one layer that needs knowledge of the pipeline:
+/// which flop words a cycle reads and writes. It is an optional
+/// capability, dispatched statically through the `park_*` functions
+/// below. [`Cpu`] supplies it; [`Lr7`] does not, so LR7 residue stays a
+/// live lane until it converges.
 pub trait CoreBatch: CoreModel {
     /// The identity: every core runs the layers it is asked for. Kept
     /// only until the benchmark harness drops its call; archives that
@@ -352,49 +431,48 @@ pub trait CoreBatch: CoreModel {
         run_batch_group::<Self>(checkpoints, trace, None, faults, window, layers)
     }
 
-    /// Index in [`CoreModel::registry`] of the architectural register
-    /// file — 31 lanes of 32 bits, lane `r - 1` holding register `r` —
-    /// when this core supplies the register-file parking oracles, or
-    /// `None` (the default) when it does not. A core that returns
-    /// `Some` must supply both oracles below.
-    fn rf_registry_index() -> Option<u16> {
-        None
+    /// The *parkable words* of this core: `(registry entry, first bit)`
+    /// pairs, lane `l` of entry `r` being word `first + l` of the masks
+    /// the two oracles below return, at most 64 words in all. Empty (the
+    /// default) when the core supplies no access oracles.
+    fn park_words() -> &'static [(u16, u8)] {
+        &[]
     }
 
-    /// A superset of the registers the next cycle may read, decoded from
-    /// the pre-cycle state (bit `r - 1` for register `r`). Consulted
-    /// only when [`CoreBatch::rf_registry_index`] is `Some`.
-    fn rf_read_candidates(_pre: &Self::State) -> u32 {
-        unreachable!("{} supplies no register-file parking oracles", Self::NAME)
+    /// A superset of the words the cycle from pre-cycle state `pre`
+    /// reads, given `golden`, the ports golden drives that cycle.
+    /// Consulted only when [`CoreBatch::park_words`] is not empty.
+    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u64 {
+        0
     }
 
-    /// The exact register-file write the next cycle retires, as
-    /// `(register, value)`, decoded from the pre-cycle state. Consulted
-    /// only when [`CoreBatch::rf_registry_index`] is `Some`.
-    fn rf_write_of(_pre: &Self::State) -> Option<(u8, u32)> {
-        unreachable!("{} supplies no register-file parking oracles", Self::NAME)
+    /// Exactly the words the cycle from pre-cycle state `pre` writes,
+    /// given `golden`, the ports golden drives that cycle. Consulted only
+    /// when [`CoreBatch::park_words`] is not empty.
+    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u64 {
+        0
     }
 }
 
-/// LR5 supplies the register-file parking oracles: one decoded read
-/// site ([`exec::rf_read_candidates`]) and one exact write site
-/// ([`exec::rf_write_of`]).
+/// LR5 supplies the word-parking oracles over its registers, RAS
+/// entries and six CSRs ([`exec::park_words`], [`exec::park_reads`],
+/// [`exec::park_writes`]).
 impl CoreBatch for Cpu {
-    fn rf_registry_index() -> Option<u16> {
-        Some(dirty::rf_registry_index())
+    fn park_words() -> &'static [(u16, u8)] {
+        exec::park_words()
     }
 
-    fn rf_read_candidates(pre: &Self::State) -> u32 {
-        exec::rf_read_candidates(pre)
+    fn park_reads(pre: &Self::State, golden: &PortSet) -> u64 {
+        exec::park_reads(pre, golden)
     }
 
-    fn rf_write_of(pre: &Self::State) -> Option<(u8, u32)> {
-        exec::rf_write_of(pre)
+    fn park_writes(pre: &Self::State, golden: &PortSet) -> u64 {
+        exec::park_writes(pre, golden)
     }
 }
 
-/// LR7 runs every layer but register-file parking: its rename and
-/// reorder machinery has no single decodable read or write site.
+/// LR7 runs every layer but word parking: its rename and reorder
+/// machinery has no access oracle written for it (DESIGN.md §12).
 impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
@@ -459,19 +537,13 @@ pub fn run_batch_group<C: CoreBatch>(
     let mut pending = in_range.into_iter().peekable();
     let mut lanes: Vec<Lane<C>> = Vec::new();
     let mut watches: Vec<WatchGroup> = Vec::new();
-    // The register-file parking lot stays empty on a core without the
-    // oracles, so every phase below that touches it is skipped.
-    let mut rf_parked: Vec<RfParked> = Vec::new();
-    let rf_idx = C::rf_registry_index();
-    // Cached `rf_masks` aggregates, refreshed whenever the lot changes.
-    let mut rf_stale = false;
-    let (mut rf_dirty_union, mut rf_stuck_rf, mut rf_nonrf_stuck) = (0u32, 0u32, 0usize);
+    let mut lot = WordLot::new(regs, C::park_words());
     let mut mem_pool: Vec<Memory> = Vec::new();
     let mut lports = PortSet::new();
     let mut log = TrialLog::new();
 
     while cycle < trace_len {
-        if lanes.is_empty() && watches.is_empty() && rf_parked.is_empty() {
+        if lanes.is_empty() && watches.is_empty() && lot.entries.is_empty() {
             // Idle: nothing to simulate until the next strike. Jump the
             // walker forward over any checkpoint between here and there.
             let Some(&i) = pending.peek() else {
@@ -494,76 +566,39 @@ pub fn run_batch_group<C: CoreBatch>(
         let at = cycle;
         let gp = trace.get(at).expect("walker within the golden trace");
 
-        // (0) Register-file parking lot, checked against the walker's
-        // *pre*-cycle state (the same state every machine agrees on for
-        // everything outside the dirty registers). Two mask tests filter
-        // the common nothing-to-do case; a firing filter pays one pass:
-        // an entry whose dirty register sits in this cycle's decoded
-        // read-candidate set wakes into a scalar lane (materialized from
-        // pre-state, so it steps through `at` with the other lanes), and
-        // golden's predicted WB write cleans — or, for a register-file
-        // stuck-at's target, re-forces — the written register.
-        if let (Some(rf_idx), false) = (rf_idx, rf_parked.is_empty()) {
-            if rf_stale {
-                (rf_dirty_union, rf_stuck_rf, rf_nonrf_stuck) = rf_masks(&rf_parked, rf_idx);
-                rf_stale = false;
-            }
+        // (0) Word parking lot, checked against the walker's *pre*-cycle
+        // state and golden's ports of this cycle, which every parked
+        // machine shares with golden until it reads a dirty word
+        // (DESIGN.md §10). Two mask tests filter the common
+        // nothing-to-do case. An entry with a dirty word in the read
+        // set wakes into a scalar lane (materialized from pre-state, so
+        // it steps through `at` with the other lanes); the words the
+        // cycle writes are applied after the walker's step, from its
+        // committed values.
+        let mut lot_writes = 0u64;
+        if !lot.entries.is_empty() {
+            lot.refresh();
             let pre = wcpu.state();
-            let reads = C::rf_read_candidates(pre);
-            let wr = C::rf_write_of(pre);
-            let write_hits =
-                wr.is_some_and(|(r, _)| (rf_dirty_union | rf_stuck_rf) & 1 << (r - 1) != 0);
-            if reads & rf_dirty_union != 0 || write_hits {
+            let reads = if lot.dirty_union != 0 { C::park_reads(pre, gp) } else { 0 };
+            if reads & lot.dirty_union != 0 {
                 let mut pi = 0;
-                while pi < rf_parked.len() {
-                    let e = &mut rf_parked[pi];
-                    if reads & e.dirty != 0 {
-                        let entry = rf_parked.swap_remove(pi);
-                        lanes.push(Lane {
-                            cpu: C::from_state(rf_materialize(&regs[rf_idx as usize], &entry, pre)),
-                            fault: entry.fault,
-                            outs: entry.outs,
-                            witness: DirtyWitness::new(),
-                            reparks: entry.reparks,
-                        });
-                        cost.lane_activations += 1;
-                        rf_stale = true;
+                while pi < lot.entries.len() {
+                    if reads & lot.entries[pi].dirty == 0 {
+                        pi += 1;
                         continue;
                     }
-                    if let Some((r, v)) = wr {
-                        let bit = 1u32 << (r - 1);
-                        let rf_target = e.fault.kind != FaultKind::Transient
-                            && e.fault.flop.reg == rf_idx
-                            && e.fault.flop.lane == u16::from(r - 1);
-                        if rf_target {
-                            let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                            let fv = forced(v, e.fault.flop.bit, stuck1);
-                            e.regs[usize::from(r - 1)] = fv;
-                            if fv != v {
-                                e.dirty |= bit;
-                            } else {
-                                e.dirty &= !bit;
-                            }
-                            rf_stale = true;
-                        } else if e.dirty & bit != 0 {
-                            e.regs[usize::from(r - 1)] = v;
-                            e.dirty &= !bit;
-                            rf_stale = true;
-                            if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
-                                // Last dirty register overwritten: the
-                                // faulty machine is golden again, masked
-                                // for the rest of the run.
-                                let n = e.outs.len() as u64;
-                                cost.masked_early_out += n;
-                                cost.early_out_cycles_saved += (trace_len - e.park_cycle) * n;
-                                rf_parked.swap_remove(pi);
-                                continue;
-                            }
-                        }
-                    }
-                    pi += 1;
+                    let (entry, st) = lot.unpark(pi, pre);
+                    lanes.push(Lane {
+                        cpu: C::from_state(st),
+                        fault: entry.fault,
+                        outs: entry.outs,
+                        witness: DirtyWitness::new(),
+                        reparks: entry.reparks,
+                    });
+                    cost.lane_activations += 1;
                 }
             }
+            lot_writes = C::park_writes(pre, gp) & (lot.dirty_union | lot.targets);
         }
 
         // (1) Step every live lane through cycle `at` *before* the
@@ -618,15 +653,52 @@ pub fn run_batch_group<C: CoreBatch>(
         cost.replayed_cycles += 1;
         let committed = wcpu.state();
 
+        // (2b) Golden's writes of cycle `at` clean the dirty words they
+        // hit (both machines wrote the identical value), or, for a word
+        // stuck-at's target, re-force it from golden's committed value.
+        // A transient whose last dirty word is overwritten is golden
+        // again: masked for the rest of the run.
+        if lot_writes != 0 {
+            let mut pi = 0;
+            while pi < lot.entries.len() {
+                let e = &mut lot.entries[pi];
+                let hit = lot_writes & (e.dirty | e.target);
+                if hit == 0 {
+                    pi += 1;
+                    continue;
+                }
+                lot.stale = true;
+                e.dirty &= !hit;
+                if hit & e.target != 0 {
+                    let w = e.target.trailing_zeros() as usize;
+                    let (r, lane) = lot.slots[w];
+                    let g = regs[r as usize].read(committed, usize::from(lane));
+                    let fv = forced(g, e.fault.flop.bit, e.fault.kind == FaultKind::StuckAt1);
+                    e.vals[w] = fv;
+                    if fv != g {
+                        e.dirty |= e.target;
+                    }
+                }
+                if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
+                    let n = e.outs.len() as u64;
+                    cost.masked_early_out += n;
+                    cost.early_out_cycles_saved += (trace_len - e.park_cycle) * n;
+                    lot.entries.swap_remove(pi);
+                    continue;
+                }
+                pi += 1;
+            }
+        }
+
         // (3) Convergence checks against the walker's committed state
         // (both machines are now post-`at`, so the comparison is exact):
         // a transient whose dirty set emptied is provably masked from
         // here and retires; a lane whose remaining divergence is
-        // confined to architectural registers parks in the zero-cost
-        // register-file lot (cores with the oracles only); a woken
-        // stuck-at whose forced bit agrees with golden again goes back
-        // into a zero-cost watch. The witness check comes first in both
-        // scans, so a lane that stays divergent costs one compare.
+        // confined to parkable words parks in the zero-cost word lot
+        // (cores with the oracles only); a woken stuck-at whose forced
+        // bit agrees with golden again goes back into a zero-cost
+        // watch. The witness check comes first in both scans, so a lane
+        // that stays divergent costs one compare.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
@@ -639,61 +711,31 @@ pub fn run_batch_group<C: CoreBatch>(
                 continue;
             }
             // Past the re-park cap a transient only gets the cheap
-            // full-convergence check; rescanning for an RF-confined
+            // full-convergence check; rescanning for a word-confined
             // residue it is no longer allowed to park on would cost a
             // registry walk every cycle.
-            let verdict = match rf_idx {
-                Some(rf) if lane.reparks < REPARK_CAP => {
-                    rf_confined_in(regs, rf, lane.cpu.state(), committed, &mut lane.witness)
-                }
-                _ => {
-                    converged_in(regs, lane.cpu.state(), committed, &mut lane.witness).then_some(0)
-                }
+            let verdict = if !lot.words.is_empty() && lane.reparks < REPARK_CAP {
+                park_confined_in(regs, lot.words, lane.cpu.state(), committed, &mut lane.witness)
+            } else {
+                converged_in(regs, lane.cpu.state(), committed, &mut lane.witness).then_some(0)
             };
             let Some(dirty) = verdict else {
                 li += 1;
                 continue;
             };
-            if dirty == 0 {
-                if lane.fault.kind == FaultKind::Transient {
-                    let n = lane.outs.len() as u64;
-                    cost.masked_early_out += n;
-                    cost.early_out_cycles_saved += (trace_len - cycle) * n;
-                    lanes.swap_remove(li);
-                } else if Some(lane.fault.flop.reg) == rf_idx {
-                    // A register-file stuck-at parks in the RF lot even
-                    // when clean: golden's next write to its target may
-                    // re-dirty it, which phase (0) tracks exactly.
-                    let lane = lanes.swap_remove(li);
-                    rf_parked.push(RfParked {
-                        fault: lane.fault,
-                        outs: lane.outs,
-                        reparks: lane.reparks + 1,
-                        dirty: 0,
-                        regs: [0; 31],
-                        park_cycle: cycle,
-                    });
-                    rf_stale = true;
-                } else {
-                    let outs = std::mem::take(&mut lane.outs);
-                    let reparks = lane.reparks + 1;
-                    park(&mut watches, lane.fault, outs, reparks);
-                    lanes.swap_remove(li);
-                }
+            let lane = lanes.swap_remove(li);
+            if dirty == 0 && lane.fault.kind == FaultKind::Transient {
+                let n = lane.outs.len() as u64;
+                cost.masked_early_out += n;
+                cost.early_out_cycles_saved += (trace_len - cycle) * n;
+            } else if dirty == 0 && lot.word_of(lane.fault.flop).is_none() {
+                park(&mut watches, lane.fault, lane.outs, lane.reparks + 1);
             } else {
-                // Only the register-file scan reports residue, and only
-                // under the re-park cap.
-                let rf = rf_idx.expect("register residue implies the register-file scan");
-                let lane = lanes.swap_remove(li);
-                rf_parked.push(RfParked {
-                    fault: lane.fault,
-                    outs: lane.outs,
-                    reparks: lane.reparks + 1,
-                    dirty,
-                    regs: rf_dirty_values(&regs[rf as usize], lane.cpu.state(), dirty),
-                    park_cycle: cycle,
-                });
-                rf_stale = true;
+                // Word residue, or a word stuck-at even when clean:
+                // golden's next write to its target may re-dirty it,
+                // which phase (2b) tracks exactly.
+                let vals = lot.values(lane.cpu.state(), dirty);
+                lot.park(lane.fault, lane.outs, lane.reparks + 1, dirty, vals, cycle);
             }
         }
 
@@ -753,30 +795,28 @@ pub fn run_batch_group<C: CoreBatch>(
             }
         }
 
-        // (4b) RF-parked stuck-ats targeting a *non*-RF flop stay in
-        // provable lockstep only while golden's bit agrees with the
+        // (4b) Word-parked stuck-ats on a flop *outside* the words stay
+        // in provable lockstep only while golden's bit agrees with the
         // stuck value (the watch condition); the cycle it first
-        // disagrees the overlay would smear a fresh non-RF diff, so the
-        // entry wakes into a scalar lane off the committed state, dirty
-        // registers substituted in — exactly like a watch wake, plus
-        // residue. (An entry parked by phase (3) this very cycle was
-        // verified agreeing against this same committed state, so the
-        // possibly stale `rf_nonrf_stuck` guard cannot miss a wake.)
-        if let (Some(rf_idx), true) = (rf_idx, rf_nonrf_stuck > 0 && !rf_parked.is_empty()) {
+        // disagrees the overlay would smear a fresh diff, so the entry
+        // wakes into a scalar lane off the committed state, dirty words
+        // substituted in — exactly like a watch wake, plus residue. (An
+        // entry parked by phase (3) this very cycle was verified
+        // agreeing against this same committed state, so the possibly
+        // stale `other_stuck` guard cannot miss a wake.)
+        if lot.other_stuck > 0 && !lot.entries.is_empty() {
             let mut pi = 0;
-            while pi < rf_parked.len() {
-                let e = &rf_parked[pi];
-                if e.fault.kind == FaultKind::Transient || e.fault.flop.reg == rf_idx {
-                    pi += 1;
-                    continue;
-                }
+            while pi < lot.entries.len() {
+                let e = &lot.entries[pi];
                 let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit_in(regs, committed, e.fault.flop) == stuck1 {
+                if e.fault.kind == FaultKind::Transient
+                    || e.target != 0
+                    || flops::get_bit_in(regs, committed, e.fault.flop) == stuck1
+                {
                     pi += 1;
                     continue;
                 }
-                let entry = rf_parked.swap_remove(pi);
-                let mut st = rf_materialize(&regs[rf_idx as usize], &entry, committed);
+                let (entry, mut st) = lot.unpark(pi, committed);
                 entry.fault.overlay_for::<C>(&mut st, at);
                 lanes.push(Lane {
                     cpu: C::from_state(st),
@@ -786,7 +826,6 @@ pub fn run_batch_group<C: CoreBatch>(
                     reparks: entry.reparks,
                 });
                 cost.lane_activations += 1;
-                rf_stale = true;
             }
         }
 
@@ -807,45 +846,29 @@ pub fn run_batch_group<C: CoreBatch>(
                 entry.outs.push(i);
                 continue;
             }
-            if let Some(entry) = rf_parked.iter_mut().find(|e| e.fault == f) {
+            if let Some(entry) = lot.entries.iter_mut().find(|e| e.fault == f) {
                 entry.outs.push(i);
                 continue;
             }
-            // Faults striking a register-file flop park instantly: the
-            // strike *is* an RF-confined divergence by construction, so
-            // no lane is ever materialized for them.
-            if let Some(rf) = rf_idx.filter(|&rf| f.flop.reg == rf) {
-                let lane = usize::from(f.flop.lane);
-                let g = regs[rf as usize].read(committed, lane) as u32;
-                let (fv, dirty) = if f.kind == FaultKind::Transient {
-                    if !layers.early_out {
-                        // fall through to a scalar lane below
-                        (0, None)
-                    } else {
-                        (g ^ 1 << f.flop.bit, Some(1u32 << f.flop.lane))
-                    }
-                } else if !layers.parked_lanes {
-                    (0, None)
-                } else {
-                    let fv = forced(g, f.flop.bit, f.kind == FaultKind::StuckAt1);
-                    (fv, Some(if fv == g { 0 } else { 1 << f.flop.lane }))
-                };
-                if let Some(dirty) = dirty {
-                    let mut regs = [0; 31];
-                    regs[lane] = fv;
-                    rf_parked.push(RfParked {
-                        fault: f,
-                        outs: vec![i],
-                        reparks: 0,
-                        dirty,
-                        regs,
-                        park_cycle: cycle,
-                    });
-                    rf_stale = true;
-                    continue;
-                }
-            }
             let stuck1 = f.kind == FaultKind::StuckAt1;
+            // Faults striking a parkable word park instantly: the strike
+            // *is* a word-confined divergence by construction, so no
+            // lane is ever materialized for them.
+            let word_layer = match f.kind {
+                FaultKind::Transient => layers.early_out,
+                _ => layers.parked_lanes,
+            };
+            if let Some(w) = lot.word_of(f.flop).filter(|_| word_layer) {
+                let g = lot.read(committed, w);
+                let fv = match f.kind {
+                    FaultKind::Transient => g ^ 1 << f.flop.bit,
+                    _ => forced(g, f.flop.bit, stuck1),
+                };
+                let mut vals = [0; 64];
+                vals[w] = fv;
+                lot.park(f, vec![i], 0, if fv == g { 0 } else { 1 << w }, vals, cycle);
+                continue;
+            }
             let agrees = f.kind != FaultKind::Transient
                 && flops::get_bit_in(regs, committed, f.flop) == stuck1;
             if agrees && layers.parked_lanes {
@@ -873,7 +896,7 @@ pub fn run_batch_group<C: CoreBatch>(
             cost.parked_masked += entry.outs.len() as u64;
         }
     }
-    for entry in &rf_parked {
+    for entry in &lot.entries {
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
             cost.masked_early_out += n;

@@ -207,7 +207,7 @@ pub struct CampaignConfig {
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
     /// pipeline). [`CoreKind::Lr7`] runs the out-of-order core behind
     /// the same [`CoreModel`] contracts, on the same batched engine and
-    /// layers (only register-file parking is LR5's; see [`CoreBatch`]).
+    /// layers (only word parking is LR5's; see [`CoreBatch`]).
     pub core: CoreKind,
     /// Redundancy arrangement under test (default
     /// [`RedundancyMode::Fixed`], the paper's permanently paired DMR).

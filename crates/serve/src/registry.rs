@@ -15,14 +15,17 @@
 //! ```
 //!
 //! A shard file is the unit of durability: it appears atomically
-//! (written to a temp name, then renamed) and only ever holds a
-//! complete archive. A restarted server reconstructs all state from
+//! (written to a temp name and synced, then renamed, then its directory
+//! synced) and only ever holds a complete archive, even across a power
+//! loss. A restarted server reconstructs all state from
 //! this layout alone — whatever shard files exist are done, everything
 //! else is requeued. Shard completion is **first-writer-wins**: a
 //! timed-out shard may finish twice, and the second writer is dropped.
 //! That is safe because shard reruns are byte-identical (property
 //! `shard_reruns_are_byte_identical` in `lockstep-eval`).
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,7 +46,7 @@ pub struct JobRecord {
     pub shards: u64,
 }
 
-/// Distinguishes shard-write temp files across concurrent writers.
+/// Distinguishes temp files across concurrent writers.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Handle on a service data directory.
@@ -89,6 +92,7 @@ impl Registry {
         let record = JobRecord { id: format!("job-{next:06}"), spec: spec.clone(), shards };
         let dir = self.job_dir(&record.id);
         std::fs::create_dir_all(dir.join("shards"))?;
+        sync_dir(&self.root.join("jobs"))?;
         let json = serde_json::to_string(&record)
             .map_err(|e| std::io::Error::other(format!("job record serialization: {e}")))?;
         write_atomic(&dir.join("job.json"), json.as_bytes())?;
@@ -144,14 +148,13 @@ impl Registry {
         }
         let json = serde_json::to_string(archive)
             .map_err(|e| std::io::Error::other(format!("shard archive serialization: {e}")))?;
-        let tmp = path.with_extension(format!("tmp{}", TMP_SEQ.fetch_add(1, Ordering::Relaxed)));
-        std::fs::write(&tmp, json.as_bytes())?;
+        let tmp = write_temp(&path, json.as_bytes())?;
         if path.exists() {
             // Lost the race after serializing; drop our copy.
             std::fs::remove_file(&tmp).ok();
             return Ok(false);
         }
-        std::fs::rename(&tmp, &path)?;
+        commit(&tmp, &path)?;
         Ok(true)
     }
 
@@ -213,11 +216,34 @@ struct FailureMarker {
 }
 
 /// Writes `bytes` to `path` via a temp file + rename, so readers never
-/// observe a partial file.
+/// observe a partial file and a crash leaves either the old state or
+/// the complete new file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = write_temp(path, bytes)?;
+    commit(&tmp, path)
+}
+
+/// Writes `bytes` to a fresh temp file beside `path` and syncs its
+/// contents to disk, returning the temp path. Without the sync a crash
+/// after the rename could leave `path` naming an empty or partial file.
+fn write_temp(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
     let tmp = path.with_extension(format!("tmp{}", TMP_SEQ.fetch_add(1, Ordering::Relaxed)));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    Ok(tmp)
+}
+
+/// Renames a synced temp file over `path`, then syncs the directory so
+/// the rename itself is on disk.
+fn commit(tmp: &Path, path: &Path) -> std::io::Result<()> {
+    std::fs::rename(tmp, path)?;
+    sync_dir(path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new(".")))
+}
+
+/// Syncs a directory's entries to disk.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

@@ -742,6 +742,70 @@ pub const ALL: &[Workload] = &[
     },
 ];
 
+/// Trap exerciser: points `tvec` at a handler, then each iteration
+/// takes a misaligned-load trap and an `ebreak`, calls and returns from a
+/// subroutine, and moves values through every writable CSR but `misr`.
+/// The handler reads `cause`/`epc` with `csrr`, publishes them, and
+/// returns past the trapping instruction through `epc`. No suite kernel
+/// traps or touches the return-address stack fault-free, so this is the
+/// workload that exercises those paths.
+const TRAPEX: &str = r"
+.equ SENSOR, 0xFFFF0000
+.equ OUTPUT, 0xFFFF8000
+start:
+    li   s0, SENSOR
+    li   s1, OUTPUT
+    li   s2, 12            ; outer iterations
+    li   s3, 0             ; traps taken
+    la   t0, handler
+    csrw tvec, t0
+outer:
+    lw   a0, 0(s0)
+    csrw scratch0, a0
+    csrw status, s2
+    add  t1, a0, s2        ; the handler saves t1 in scratch1
+    lw   t2, 2(s0)         ; misaligned: traps, the handler skips it
+    csrr a1, scratch0
+    call mix
+    sw   a1, 16(s1)
+    ebreak                 ; breakpoint: traps, the handler skips it
+    csrr t3, status
+    csrr t4, tvec
+    xor  t3, t3, t4
+    csrw cause, t3
+    csrw epc, a1
+    csrr t5, cause
+    csrr t6, epc
+    add  t5, t5, t6
+    sw   t5, 20(s1)
+    csrw misr, t5
+    addi s2, s2, -1
+    bnez s2, outer
+    sw   s3, 24(s1)
+    ecall
+
+mix:                       ; gp and tp: no other kernel writes them
+    slli gp, a1, 3
+    xor  a1, a1, gp
+    srli tp, a1, 5
+    add  a1, a1, tp
+    addi a1, a1, 77
+    ret
+
+handler:
+    csrw scratch1, t1      ; free t1
+    csrr t1, cause
+    sw   t1, 0(s1)
+    csrr t1, epc
+    sw   t1, 4(s1)
+    addi s3, s3, 1
+    addi t1, t1, 4         ; resume after the trapping instruction
+    csrw epc, t1
+    csrr t1, scratch1
+    csrr t0, epc
+    jr   t0
+";
+
 // CACHEB is defined for ablation experiments that need extra memory-bound
 // pressure; it is exposed via `extra()` rather than the default suite so
 // the default suite matches the 12-kernel footprint used in experiments.
@@ -762,6 +826,11 @@ pub fn extra() -> &'static [Workload] {
             name: "basefx",
             description: "fixed-point basics: Newton isqrt, saturating Q16 multiply",
             source: BASEFX,
+        },
+        Workload {
+            name: "trapex",
+            description: "trap exerciser: misaligned load and ebreak traps, csrr/csrw, call/ret",
+            source: TRAPEX,
         },
     ];
     EXTRA
