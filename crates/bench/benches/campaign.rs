@@ -1,21 +1,17 @@
 //! The `campaign` group: injection throughput with the golden-state
-//! checkpoint engine on vs. off, and shadow vs. full-lockstep replay.
+//! checkpoint engine on vs. off.
 //!
 //! All configurations produce bit-identical `ErrorRecord` streams (see
-//! `crates/eval/tests/checkpoint_equivalence.rs` and
-//! `crates/eval/tests/replay_equivalence.rs`); what this measures is
-//! the cost model. From reset, each injection replays `inject_cycle +
+//! `crates/eval/tests/checkpoint_equivalence.rs`); what this measures
+//! is the cost model. From reset, each injection replays `inject_cycle +
 //! detection latency` cycles and re-assembles its memory image; from a
 //! checkpoint it replays `hit distance + detection latency + capture
-//! window` cycles from a cloned snapshot. Shadow replay steps one CPU
-//! per cycle against the recorded golden trace; full-lockstep replay
-//! steps two (faulty + golden twin). EXPERIMENTS.md records the
+//! window` cycles from a cloned snapshot. EXPERIMENTS.md records the
 //! measured speedups.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use lockstep_eval::campaign::ReplayMode;
 use lockstep_eval::{run_campaign, CampaignConfig};
 use lockstep_workloads::Workload;
 
@@ -49,28 +45,5 @@ fn bench_campaign(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shadow vs. full-lockstep replay at the default checkpoint spacing:
-/// the campaign engine's headline saving. `checkpointed_4096` above and
-/// `shadow_4096` here are the same configuration under different names;
-/// the pair to compare is `shadow_4096` vs `lockstep_4096`.
-fn bench_replay_mode(c: &mut Criterion) {
-    let injections = (FAULTS_PER_WORKLOAD * 2) as u64;
-    let mut group = c.benchmark_group("replay_mode");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(injections));
-    for mode in [ReplayMode::Shadow, ReplayMode::Lockstep] {
-        group.bench_function(format!("{}_4096", mode.label()), |b| {
-            b.iter(|| {
-                let mut cfg = config(Some(4096));
-                cfg.replay_mode = mode;
-                black_box(run_campaign(&cfg))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(replay_mode, bench_replay_mode);
-
 criterion_group!(campaign, bench_campaign);
-criterion_main!(campaign, replay_mode);
+criterion_main!(campaign);

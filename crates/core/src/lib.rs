@@ -18,12 +18,12 @@
 //!   ablation;
 //! * [`harness`] — a live lockstep system (redundant CPUs, shared-bus or
 //!   replicated memory, per-cycle checking, reset & restart recovery);
-//! * [`redundancy`] — the campaign redundancy axis
-//!   (fixed / dynamic / DME) and the dynamic-pairing harness with
+//! * [`redundancy`] — the campaign comparator axis (fixed port compare
+//!   / DME retire stream) and the dynamic-pairing harness with
 //!   checkpoint re-sync recovery;
 //! * [`shadow`] — the shadow-golden harness: one live CPU checked
 //!   against a recorded golden port trace, the semantics behind the
-//!   campaign engine's fast replay mode;
+//!   campaign engine's replay;
 //! * [`log`] — the lockstep error data logging of Figure 7.
 //!
 //! # Example

@@ -1,24 +1,24 @@
-//! Redundancy configurations beyond fixed DMR: the campaign-wide
-//! redundancy axis plus the dynamic-pairing lockstep harness.
+//! Redundancy configurations beyond fixed DMR: the campaign's
+//! comparator axis plus the dynamic-pairing lockstep harness.
 //!
-//! The paper's baseline (and every earlier PR) hard-wires *fixed*
-//! lockstep: the redundant CPUs are permanently paired and every
+//! The paper's baseline hard-wires *fixed* lockstep: the redundant CPUs
+//! are permanently paired, compared port by port every cycle, and every
 //! divergence triggers a full reset-and-restart. This module adds the
 //! two alternatives the evaluation compares against:
 //!
-//! * [`RedundancyMode::Dynamic`] — the CPUs can pair and unpair at
-//!   runtime ([`DynamicLockstep`]), and after a predicted-soft BIST
-//!   verdict the pair **re-syncs from the nearest golden checkpoint**
-//!   instead of restarting the task from reset. The recovery cost drops
-//!   from the full task runtime to the checkpoint replay distance,
-//!   which is what the `dynamic_pairing` experiment measures as a LERT
-//!   delta.
-//! * [`RedundancyMode::Dme`] — diverse memory execution: the redundant
-//!   copy runs over a structurally shifted address space
-//!   (`lockstep_mem::dme`) and the copies are compared on their
-//!   canonical retired-effect streams rather than per-cycle ports,
-//!   which detects shared address-path stuck-ats that identical
-//!   lockstep provably masks.
+//! * [`RedundancyMode::Dme`] — diverse memory execution, the one
+//!   alternative *detector*: the redundant copy runs over a
+//!   structurally shifted address space (`lockstep_mem::dme`) and the
+//!   copies are compared on their canonical retired-effect streams
+//!   rather than per-cycle ports, which detects shared address-path
+//!   stuck-ats that identical lockstep provably masks.
+//! * [`DynamicLockstep`] — a pairing and *recovery* policy, not a
+//!   detector: the CPUs can pair and unpair at runtime, and after a
+//!   predicted-soft BIST verdict the pair **re-syncs from the nearest
+//!   golden checkpoint** instead of restarting the task from reset. It
+//!   detects exactly like fixed lockstep, so it is not a campaign
+//!   comparator; the `dynamic_pairing` experiment measures its
+//!   recovery cost as a LERT delta.
 //!
 //! Re-sync soundness (DESIGN.md §13): a golden checkpoint is a
 //! `(state, memory)` pair captured on the fault-free run, so restoring
@@ -39,9 +39,9 @@ use lockstep_obs::{Event, EventSink};
 use crate::checker::Checker;
 use crate::harness::{accumulate_capture_window, LockstepEvent};
 
-/// The campaign redundancy axis: how the redundant copies are arranged
-/// and compared. Mirrors `CoreKind` so every surface (spec, CLI,
-/// archive, shards, serve protocol) threads it the same way.
+/// The campaign redundancy axis: how the redundant copies are compared.
+/// Mirrors `CoreKind` so every surface (spec, CLI, archive, shards,
+/// serve protocol) threads it the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RedundancyMode {
     /// Permanently paired DMR with per-cycle port comparison and
@@ -49,10 +49,6 @@ pub enum RedundancyMode {
     /// default everywhere.
     #[default]
     Fixed,
-    /// Runtime pair/unpair with checkpoint re-sync recovery
-    /// ([`DynamicLockstep`]). Detection is identical to [`RedundancyMode::Fixed`];
-    /// only the recovery path (and hence LERT) differs.
-    Dynamic,
     /// Diverse memory execution: the redundant copy runs over a shifted
     /// address space and the copies are compared on retired-effect
     /// streams, covering shared address-path faults.
@@ -61,14 +57,12 @@ pub enum RedundancyMode {
 
 impl RedundancyMode {
     /// Every supported mode, in display order.
-    pub const ALL: [RedundancyMode; 3] =
-        [RedundancyMode::Fixed, RedundancyMode::Dynamic, RedundancyMode::Dme];
+    pub const ALL: [RedundancyMode; 2] = [RedundancyMode::Fixed, RedundancyMode::Dme];
 
     /// The stable label used in flags, specs, archives and stats.
     pub fn label(self) -> &'static str {
         match self {
             RedundancyMode::Fixed => "fixed",
-            RedundancyMode::Dynamic => "dynamic",
             RedundancyMode::Dme => "dme",
         }
     }
@@ -324,6 +318,8 @@ mod tests {
             assert_eq!(mode.to_string(), mode.label());
         }
         assert_eq!(RedundancyMode::from_flag("tmr"), None);
+        // Dynamic pairing is a recovery policy, not a comparator.
+        assert_eq!(RedundancyMode::from_flag("dynamic"), None);
         assert_eq!(RedundancyMode::default(), RedundancyMode::Fixed);
     }
 }

@@ -201,8 +201,10 @@ impl From<serde_json::Error> for ArchiveError {
 /// or diverse-memory execution; v10 adds the optional `lc` compiler
 /// provenance block now that campaigns can run LC kernels compiled by
 /// `lockstep-cc` (which compiler version built them, and which
-/// kernels).
-pub const ARCHIVE_VERSION: u32 = 10;
+/// kernels); v11 drops the replay mode from the stats block and from
+/// shard provenance (only shadow replay remains) and writes only the
+/// `fixed` / `dme` redundancy labels.
+pub const ARCHIVE_VERSION: u32 = 11;
 
 /// Oldest format version [`CampaignArchive::load`] still accepts. v2
 /// files simply have no trace blobs, pre-v4 stats blocks default to
@@ -213,8 +215,10 @@ pub const ARCHIVE_VERSION: u32 = 10;
 /// single-shot archives by construction), pre-v8 files default the
 /// core model to `"lr5"` (the only core that existed before v8),
 /// pre-v9 files default the redundancy arrangement to `"fixed"` (the
-/// only comparison that existed before v9), and pre-v10 files default
-/// to no compiler provenance (compiled workloads did not exist yet).
+/// only comparison that existed before v9), pre-v10 files default to
+/// no compiler provenance (compiled workloads did not exist yet), and
+/// the `replay_mode` label of v4–v10 files is ignored (both replay
+/// modes gave identical records).
 pub const MIN_ARCHIVE_VERSION: u32 = 2;
 
 impl CampaignArchive {
@@ -393,8 +397,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -438,8 +440,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -501,9 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_stats_without_replay_mode_defaults_to_shadow() {
+    fn pre_v4_stats_without_replay_mode_still_loads() {
         // v2/v3 writers predate replay modes: their stats block has no
-        // `replay_mode` field. Those runs were all shadow replays.
+        // `replay_mode` field.
         #[derive(Serialize)]
         struct StatsV3 {
             checkpoint_interval: u64,
@@ -559,7 +559,6 @@ mod tests {
         let path = dir.join("v3_compat.json");
         std::fs::write(&path, serde_json::to_string(&v3).unwrap()).unwrap();
         let loaded = CampaignArchive::load(&path).expect("v4 reader must accept v3 files");
-        assert_eq!(loaded.stats.replay_mode, "shadow");
         assert_eq!(loaded.stats.injected, s.injected);
         std::fs::remove_file(&path).ok();
     }
@@ -651,7 +650,7 @@ mod tests {
             )],
             stats: StatsV5 {
                 checkpoint_interval: s.checkpoint_interval,
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "shadow".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -789,7 +788,7 @@ mod tests {
             )],
             stats: StatsV7 {
                 checkpoint_interval: s.checkpoint_interval,
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "shadow".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -903,7 +902,7 @@ mod tests {
             stats: StatsV8 {
                 checkpoint_interval: s.checkpoint_interval,
                 core: s.core.clone(),
-                replay_mode: s.replay_mode.clone(),
+                replay_mode: "shadow".to_owned(),
                 injected: s.injected,
                 manifested: s.manifested,
                 masked: s.masked,
@@ -995,6 +994,50 @@ mod tests {
     }
 
     #[test]
+    fn v10_archive_with_retired_labels_still_loads() {
+        // A v10 writer recorded the replay mode in the stats block and
+        // in shard provenance, and could name the retired `dynamic`
+        // redundancy and intermediate batch-layer labels.
+        use crate::shard::{ShardRepr, ShardSpec};
+
+        let result = small_result();
+        let mut archive = CampaignArchive::from_result(&result);
+        let config = CampaignConfig {
+            workloads: vec![Workload::find("idctrn").unwrap()],
+            ..CampaignConfig::new(120, 5)
+        };
+        let spec = ShardSpec { index: 0, count: 1, fault_lo: 0, fault_hi: 120 };
+        archive.shard = Some(ShardRepr::new(&config, &spec));
+        let v10 = serde_json::to_string(&archive)
+            .unwrap()
+            .replacen(&format!(r#""version":{ARCHIVE_VERSION}"#), r#""version":10"#, 1)
+            .replace(
+                r#""redundancy":"fixed""#,
+                r#""redundancy":"dynamic","replay_mode":"lockstep""#,
+            )
+            .replace(r#""batch_mode":"off""#, r#""batch_mode":"lanes""#);
+        assert_eq!(v10.matches(r#""replay_mode":"lockstep""#).count(), 2, "stats and shard");
+        let dir = std::env::temp_dir().join("lockstep_archive_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v10_retired_labels.json");
+        std::fs::write(&path, &v10).unwrap();
+        let loaded = CampaignArchive::load(&path).expect("v11 reader must accept v10 files");
+        assert_eq!(loaded.version, 10);
+        assert_eq!(
+            loaded.stats.redundancy, "dynamic",
+            "stats keep the label they were written with"
+        );
+        assert_eq!(loaded.stats.batch_mode, "lanes");
+        let shard = loaded.shard.as_ref().unwrap();
+        assert_eq!(shard.redundancy, "fixed", "`dynamic` shards ran the fixed engine");
+        assert_eq!(shard.batch_mode, "lanes");
+        assert_eq!(loaded.records, result.records);
+        // Written again, the archive names no replay mode.
+        assert!(!serde_json::to_string(&loaded).unwrap().contains("replay_mode"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn lc_campaigns_record_compiler_provenance() {
         let result = run_campaign(&CampaignConfig {
             workloads: vec![
@@ -1008,8 +1051,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,
@@ -1045,8 +1086,6 @@ mod tests {
             checkpoint_interval: Some(1024),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,

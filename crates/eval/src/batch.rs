@@ -66,10 +66,9 @@
 //! cycle), in lockstep terms it *is* the fault-free twin the lanes are
 //! compared against. Either way the per-cycle comparison values are
 //! identical — which is also why a handed-over lane's continuation
-//! compares against the recording in both modes — so one batched
-//! engine serves both replay modes and produces archives byte-identical
-//! to the scalar engine (`tests/batch_equivalence.rs`,
-//! `tests/lr7_equivalence.rs`).
+//! compares against the recording — so the batched engine produces
+//! archives byte-identical to the scalar engine
+//! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
 use lockstep_cpu::dirty::{converged_in, park_confined_in, DirtyWitness, LaneWatch};
@@ -113,7 +112,9 @@ impl BatchConfig {
     /// All three layers (the `--batch-mode` default).
     pub const FULL: BatchConfig = BatchConfig { early_out: true, parked_lanes: true };
 
-    /// Canonical flag/stat spelling of this layer combination.
+    /// Canonical stat spelling of this layer combination. Only `full`
+    /// is a flag value; the intermediate layer sets are ablation
+    /// labels (`bench_campaign`'s trajectory table).
     pub fn label(self) -> &'static str {
         match (self.early_out, self.parked_lanes) {
             (false, false) => "fanout",
@@ -124,14 +125,11 @@ impl BatchConfig {
     }
 
     /// Parses a `--batch-mode` flag value: `Some(None)` for `"off"`
-    /// (scalar per-fault replay), `Some(Some(_))` for a layer
-    /// combination, `None` for an unknown spelling.
+    /// (scalar per-fault replay), `Some(Some(FULL))` for `"full"`,
+    /// `None` for any other spelling.
     pub fn from_flag(s: &str) -> Option<Option<BatchConfig>> {
         match s {
             "off" => Some(None),
-            "fanout" => Some(Some(BatchConfig::FAN_OUT)),
-            "earlyout" => Some(Some(BatchConfig::EARLY_OUT)),
-            "lanes" => Some(Some(BatchConfig::LANES)),
             "full" => Some(Some(BatchConfig::FULL)),
             _ => None,
         }
@@ -142,9 +140,9 @@ impl BatchConfig {
 ///
 /// Unlike the scalar [`ReplayCost`](crate::campaign::ReplayCost),
 /// `replayed_cycles` counts machines actually stepped — walker, lanes,
-/// and the hand-over continuations of port-divergent lanes — regardless
-/// of replay mode (the walker serves as the golden twin, so lockstep
-/// replay costs no extra simulation in batch mode).
+/// and the hand-over continuations of port-divergent lanes (the walker
+/// serves as the golden twin, so the port compare costs no extra
+/// simulation in batch mode).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchCost {
     /// CPU-cycles actually simulated (walker + lanes + continuations).
@@ -419,8 +417,8 @@ pub trait CoreBatch: CoreModel {
     }
 
     /// Runs one batched group on this core model under the port
-    /// comparator of fixed and dynamic lockstep: [`run_batch_group`]
-    /// with no retire stream.
+    /// comparator of fixed lockstep: [`run_batch_group`] with no retire
+    /// stream.
     fn run_batch_group(
         checkpoints: &GoldenCheckpoints<Self::State>,
         trace: &PortTrace,
@@ -485,7 +483,7 @@ impl CoreBatch for Lr7 {}
 ///
 /// `retire_stream` picks the comparator that decides a lane once its
 /// ports first diverge from `trace`: `None` for the port comparator of
-/// fixed and dynamic lockstep ([`Reference::Recorded`]), or golden's
+/// fixed lockstep ([`Reference::Recorded`]), or golden's
 /// retire stream ([`crate::dme::retire_stream`] of `trace`) for DME's
 /// ([`Reference::RetireStream`]). Either way the lane is handed over
 /// live to [`run_injection`], so the outcome equals the scalar replay's
@@ -923,13 +921,16 @@ mod tests {
 
     #[test]
     fn flag_spellings_round_trip() {
-        for layers in
-            [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES, BatchConfig::FULL]
-        {
-            assert_eq!(BatchConfig::from_flag(layers.label()), Some(Some(layers)));
-        }
+        assert_eq!(
+            BatchConfig::from_flag(BatchConfig::FULL.label()),
+            Some(Some(BatchConfig::FULL))
+        );
         assert_eq!(BatchConfig::from_flag("off"), Some(None));
         assert_eq!(BatchConfig::from_flag("warp"), None);
+        // The intermediate layer sets are ablation labels, not flags.
+        for layers in [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES] {
+            assert_eq!(BatchConfig::from_flag(layers.label()), None);
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!    DESIGN.md §13, executed.
 //!
 //! 2. **LERT accounting** — the full injection campaign runs once
-//!    (detection is redundancy-independent; see
-//!    `tests/dynamic_equivalence.rs`), then every handling model's mean
-//!    LERT is computed twice over the identical record stream and
+//!    (dynamic pairing detects with the fixed port compare, so one
+//!    fixed campaign serves both columns), then every handling model's
+//!    mean LERT is computed twice over the identical record stream and
 //!    predictor folds: once charging `restart_cycles` (golden runtime —
 //!    fixed DMR's soft-error recovery) and once charging
 //!    `resync_cycles(detect_cycle mod interval)` (replay from the

@@ -24,12 +24,14 @@
 //! the faulty copy against each replayed cycle is a [`Reference`]:
 //!
 //! * [`Reference::Recorded`] — the recorded golden [`PortTrace`] of the
-//!   single golden pass ([`ReplayMode::Shadow`], the default). One CPU
-//!   and one memory clone per injection.
+//!   single golden pass (shadow replay), the port comparator of every
+//!   [`RedundancyMode::Fixed`] campaign. One CPU and one memory clone
+//!   per injection.
 //! * [`Reference::Twins`] — live fault-free golden-twin CPUs, each with
-//!   its own clone of the checkpoint memory ([`ReplayMode::Lockstep`],
-//!   board-level lockstep, the paper's Figure 1a). N CPUs and N memory
-//!   clones per injection.
+//!   its own clone of the checkpoint memory (board-level lockstep, the
+//!   paper's Figure 1a). N CPUs and N memory clones per injection. No
+//!   campaign runs it: it is the oracle the recorded reference is
+//!   tested against.
 //! * [`Reference::RetireStream`] — the golden retire stream, under
 //!   [`RedundancyMode::Dme`]: the faulty copy is checked on its retired
 //!   effects instead of its ports.
@@ -37,8 +39,8 @@
 //! The first two are bit-identical: under replicated memory a
 //! fault-free twin restored from the same snapshot deterministically
 //! re-produces the recorded trace, so comparing against the recording
-//! *is* comparing against the twin (`tests/replay_equivalence.rs`
-//! asserts byte-identical archives).
+//! *is* comparing against the twin, with two or more CPUs
+//! (`tests/replay_equivalence.rs` asserts it fault by fault).
 //!
 //! DME's redundant copy runs over a shifted physical image, but the
 //! engine never builds one: without a planted decoder fault the shift
@@ -54,9 +56,9 @@
 //! every fault restoring from the same checkpoint shares one fault-free
 //! walker replay, transients retire the moment their dirty set empties,
 //! and agreeing stuck-ats wait in bit-parallel watch masks at zero
-//! simulation cost. Outcomes are bit-identical to the scalar engine in
-//! either replay mode (`tests/batch_equivalence.rs` asserts
-//! byte-identical archives), so batch mode is purely a throughput knob.
+//! simulation cost. Outcomes are bit-identical to the scalar engine
+//! (`tests/batch_equivalence.rs` asserts byte-identical archives), so
+//! batch mode is purely a throughput knob.
 //!
 //! Under DME the batched engine is a filter in front of the retire
 //! comparator. The comparator reads only the retire ports, so a fault
@@ -66,9 +68,9 @@
 //! hands the live machine to [`run_injection`] as a
 //! [`ReplayStart::Live`] start against [`Reference::RetireStream`],
 //! which decides it exactly as a replay from its checkpoint would, in
-//! the same pass. Fixed and dynamic lockstep take the same hand-over
-//! against [`Reference::Recorded`], so both comparators share one
-//! divergence path.
+//! the same pass. Fixed lockstep takes the same hand-over against
+//! [`Reference::Recorded`], so both comparators share one divergence
+//! path.
 //!
 //! # One work queue
 //!
@@ -114,46 +116,6 @@ pub const DEFAULT_TRACE_WINDOW: u32 = 64;
 /// workloads crate so campaign callers need only one import).
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = lockstep_workloads::DEFAULT_CHECKPOINT_INTERVAL;
 
-/// What the faulty CPU is compared against during injection replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayMode {
-    /// Shadow-golden replay (the default): step only the faulty CPU and
-    /// feed the checker the recorded golden port trace. Costs one CPU
-    /// and one memory clone per injection.
-    #[default]
-    Shadow,
-    /// Full lockstep replay: step the faulty CPU *and* live fault-free
-    /// golden-twin CPUs, each driving its own clone of the checkpoint
-    /// memory (board-level lockstep, Figure 1a). The semantics anchor
-    /// shadow mode is differentially tested against; roughly 2x the
-    /// simulation work in DMR.
-    Lockstep,
-}
-
-impl ReplayMode {
-    /// Canonical flag/stat spelling (`"shadow"` / `"lockstep"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayMode::Shadow => "shadow",
-            ReplayMode::Lockstep => "lockstep",
-        }
-    }
-
-    /// Parses a `--replay-mode` flag value.
-    pub fn from_flag(s: &str) -> Option<ReplayMode> {
-        match s {
-            "shadow" => Some(ReplayMode::Shadow),
-            "lockstep" => Some(ReplayMode::Lockstep),
-            _ => None,
-        }
-    }
-
-    /// `true` for [`ReplayMode::Lockstep`].
-    pub fn is_lockstep(self) -> bool {
-        self == ReplayMode::Lockstep
-    }
-}
-
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -187,15 +149,6 @@ pub struct CampaignConfig {
     /// injection path (`checkpoint_interval` set); with checkpointing
     /// off the option is ignored.
     pub trace_window: Option<u32>,
-    /// What injection replays compare the faulty CPU against (default:
-    /// [`ReplayMode::Shadow`]). See [`CampaignConfig::effective_replay_mode`]
-    /// for the N>2 fallback.
-    pub replay_mode: ReplayMode,
-    /// Redundant CPUs per lockstep unit (default 2, the paper's DCLS).
-    /// Shadow replay is inherently DMR — one live CPU against one
-    /// recorded twin — so configurations with more CPUs fall back to
-    /// full lockstep replay.
-    pub cpus: usize,
     /// Batched fault simulation: `Some(layers)` runs the batched engine
     /// of [`crate::batch`] with the given layer combination instead of
     /// one scalar replay per fault, in every redundancy mode; `None`
@@ -209,15 +162,12 @@ pub struct CampaignConfig {
     /// the same [`CoreModel`] contracts, on the same batched engine and
     /// layers (only word parking is LR5's; see [`CoreBatch`]).
     pub core: CoreKind,
-    /// Redundancy arrangement under test (default
-    /// [`RedundancyMode::Fixed`], the paper's permanently paired DMR).
-    /// [`RedundancyMode::Dynamic`] detects identically to fixed — the
-    /// axis changes only the recovery path, measured by the
-    /// `dynamic_pairing` experiment — while [`RedundancyMode::Dme`]
-    /// swaps the per-cycle port comparison for the retired-effect
-    /// stream comparator over a shifted redundant address space. Every
-    /// mode runs on the engine [`CampaignConfig::batch`] selects; under
-    /// DME the batched engine port-compares every fault and hands each
+    /// Comparator under test (default [`RedundancyMode::Fixed`], the
+    /// paper's per-cycle port compare of a permanently paired DMR).
+    /// [`RedundancyMode::Dme`] swaps it for the retired-effect stream
+    /// comparator over a shifted redundant address space. Both run on
+    /// the engine [`CampaignConfig::batch`] selects; under DME the
+    /// batched engine port-compares every fault and hands each
     /// port-divergent one, live, to the retire comparator.
     pub redundancy: RedundancyMode,
 }
@@ -235,26 +185,9 @@ impl CampaignConfig {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: ReplayMode::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::default(),
             redundancy: RedundancyMode::default(),
-        }
-    }
-
-    /// The replay mode the engine will actually use: the configured one,
-    /// except that shadow requests with more than two CPUs fall back to
-    /// full lockstep replay (shadow is DMR-only — a recorded trace
-    /// cannot stand in for several live twins in a majority vote).
-    /// For a single fault the records are identical either way: all
-    /// fault-free twins agree, so the majority compare degenerates to
-    /// the DMR pairwise compare.
-    pub fn effective_replay_mode(&self) -> ReplayMode {
-        if self.cpus > 2 {
-            ReplayMode::Lockstep
-        } else {
-            self.replay_mode
         }
     }
 
@@ -320,11 +253,11 @@ impl WorkloadStats {
 /// Whole-campaign throughput instrumentation.
 ///
 /// `Deserialize` is written by hand so that fields added after archives
-/// of this struct already existed are optional on read: `replay_mode`
-/// defaults to shadow (files that predate it were produced by the
-/// recorded-trace path) and the batch-mode fields default to `"off"` /
-/// zero (files that predate them were produced by the scalar per-fault
-/// engines).
+/// of this struct already existed are optional on read: the batch-mode
+/// fields default to `"off"` / zero (files that predate them were
+/// produced by the scalar per-fault engines). The `replay_mode` label of
+/// v4–v10 stats blocks is ignored: both replay modes gave identical
+/// records, and only shadow replay remains.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CampaignStats {
     /// Checkpoint spacing used, or 0 if checkpointing was disabled.
@@ -333,11 +266,9 @@ pub struct CampaignStats {
     /// [`CoreKind::label`]).
     pub core: String,
     /// Redundancy mode label of the producing run (`"fixed"` /
-    /// `"dynamic"` / `"dme"`; see [`RedundancyMode::label`]).
+    /// `"dme"`; see [`RedundancyMode::label`]). Archives written before
+    /// v11 may say `"dynamic"`, which ran the fixed engine.
     pub redundancy: String,
-    /// Replay mode label of the producing run (`"shadow"` /
-    /// `"lockstep"`; see [`ReplayMode::label`]).
-    pub replay_mode: String,
     /// Total faults injected.
     pub injected: u64,
     /// Faults that manifested as detected errors.
@@ -389,12 +320,6 @@ impl Deserialize for CampaignStats {
                 Ok(v) => Deserialize::deserialize(v)?,
                 Err(_) => RedundancyMode::Fixed.label().to_owned(),
             },
-            replay_mode: match value.field("replay_mode") {
-                Ok(v) => Deserialize::deserialize(v)?,
-                // Archives that predate the field were produced by the
-                // recorded-trace path — shadow replay by construction.
-                Err(_) => ReplayMode::Shadow.label().to_owned(),
-            },
             injected: Deserialize::deserialize(value.field("injected")?)?,
             manifested: Deserialize::deserialize(value.field("manifested")?)?,
             masked: Deserialize::deserialize(value.field("masked")?)?,
@@ -434,8 +359,7 @@ impl CampaignStats {
     /// split, injection rate, and per-workload replay/checkpoint cost.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "== Campaign throughput (core: {}, redundancy: {}, checkpoint interval: {}, \
-             replay mode: {}) ==\n\n\
+            "== Campaign throughput (core: {}, redundancy: {}, checkpoint interval: {}) ==\n\n\
              {} injections ({} manifested, {} masked) at {:.0} injections/sec\n\
              golden capture {:.1} ms, injection phase {:.1} ms, total {:.1} ms\n\n",
             if self.core.is_empty() { "lr5" } else { &self.core },
@@ -445,7 +369,6 @@ impl CampaignStats {
             } else {
                 format!("{} cycles", self.checkpoint_interval)
             },
-            if self.replay_mode.is_empty() { "shadow" } else { &self.replay_mode },
             self.injected,
             self.manifested,
             self.masked,
@@ -630,7 +553,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 /// queue run as one slice. The engine is a pure function of the
 /// [`CoreModel`] contracts — registry-driven fault plans,
 /// snapshot/restore checkpoints, overlay stepping, and the 62-SC port
-/// comparison — so every replay mode and every batch layer work
+/// comparison — so every comparator and every batch layer work
 /// identically on any conforming core.
 pub fn run_campaign_for<C: CoreBatch>(config: &CampaignConfig) -> CampaignResult {
     let queued = config.workloads.len() as u64 * config.faults_per_workload as u64;
@@ -655,15 +578,6 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
     queue: Range<u64>,
 ) -> CampaignResult {
     let run_start = Instant::now();
-    assert!(config.cpus >= 2, "lockstep needs at least two CPUs");
-    let mode = config.effective_replay_mode();
-    if let Some(events) = config.events.as_ref().filter(|_| mode != config.replay_mode) {
-        events.emit(&Event::ReplayModeDowngraded {
-            requested: config.replay_mode.label().to_owned(),
-            effective: mode.label().to_owned(),
-            cpus: config.cpus as u64,
-        });
-    }
     let batch = config.effective_batch();
     if let Some(events) = config.events.as_ref().filter(|_| batch != config.batch) {
         events.emit(&Event::BatchModeDowngraded {
@@ -760,7 +674,6 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
         checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
         core: C::NAME.to_owned(),
         redundancy: config.redundancy.label().to_owned(),
-        replay_mode: mode.label().to_owned(),
         injected,
         manifested,
         masked: injected - manifested,
@@ -910,14 +823,10 @@ fn run_injection_phase<C: CoreBatch>(
     let window = config.capture_window;
     let batch = config.effective_batch();
     let dme = config.redundancy == RedundancyMode::Dme;
-    let lockstep = config.effective_replay_mode().is_lockstep();
+    // Replays resume from the golden store only when checkpointing is
+    // on; otherwise each rebuilds its image and replays from reset.
+    // Tracing rides the checkpointed port comparison only.
     let checkpointed = config.checkpoint_interval.is_some();
-    // Full lockstep replay always resumes from the golden store (with
-    // checkpointing off only the mandatory cycle-0 snapshot exists,
-    // i.e. replay-from-reset); shadow and DME replays resume only when
-    // checkpointing is on. Tracing rides the checkpointed port
-    // comparison only.
-    let resumes = checkpointed || (lockstep && !dme);
     let trace_window = config.trace_window.filter(|_| checkpointed && !dme);
     let retires: Vec<Vec<(u64, Retired)>> = if dme {
         captures.iter().map(|cap| retire_stream(&cap.trace)).collect()
@@ -927,15 +836,13 @@ fn run_injection_phase<C: CoreBatch>(
     // One scalar replay of covered workload `li`, with its costs counted.
     let replay = |li: usize, fault: Fault| {
         let (workload, cap, c) = (workloads[li], &captures[li], &counters[li]);
-        let start = if resumes {
+        let start = if checkpointed {
             ReplayStart::Checkpoint(&cap.checkpoints)
         } else {
             ReplayStart::Reset { workload, stim_seed: stim_seeds[li] }
         };
         let reference = if dme {
             Reference::RetireStream { cycles: cap.trace.len(), stream: &retires[li] }
-        } else if lockstep {
-            Reference::Twins { cycles: cap.run.cycles, cpus: config.cpus }
         } else {
             Reference::Recorded(&cap.trace)
         };
@@ -1085,9 +992,9 @@ pub enum Reference<'a> {
     Recorded(&'a PortTrace),
     /// `cpus - 1` live fault-free golden twins restored beside the
     /// faulty CPU, each with its own memory clone (full lockstep replay,
-    /// board-level Figure 1a): the reference semantics shadow replay is
-    /// tested against, at `cpus` CPU-cycles per replayed cycle.
-    /// `cpus` must be at least 2.
+    /// board-level Figure 1a, DMR at 2 CPUs and TMR at 3): the oracle
+    /// the recorded reference is tested against fault by fault, at
+    /// `cpus` CPU-cycles per replayed cycle. `cpus` must be at least 2.
     Twins {
         /// The golden run's length in cycles (the replay domain).
         cycles: u64,
@@ -1262,7 +1169,7 @@ trait GoldenRef {
     fn diff_against(&mut self, cycle: u64, ports: &PortSet) -> u64;
 }
 
-/// Shadow mode's reference: the recorded golden port trace.
+/// Shadow replay's reference: the recorded golden port trace.
 struct RecordedGolden<'a> {
     trace: &'a PortTrace,
 }
@@ -1279,7 +1186,7 @@ impl GoldenRef for RecordedGolden<'_> {
     }
 }
 
-/// Full-lockstep mode's reference: live fault-free golden-twin CPUs,
+/// Full lockstep replay's reference: live fault-free golden-twin CPUs,
 /// each driving its own clone of the checkpoint memory (board-level
 /// lockstep, Figure 1a).
 struct TwinGolden<C: CoreModel> {
@@ -1825,27 +1732,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_mode_detects_identically_to_fixed() {
-        // Dynamic lockstep changes only the recovery path; its
-        // injection phase is the fixed engine, so records match
-        // bit-for-bit — and a requested batch engine runs as configured,
-        // against the scalar fixed reference.
-        let mut fixed = tiny_config();
-        fixed.faults_per_workload = 60;
-        let mut dynamic = fixed.clone();
-        dynamic.redundancy = RedundancyMode::Dynamic;
-        dynamic.batch = Some(BatchConfig::FULL);
-        assert_eq!(dynamic.effective_batch(), Some(BatchConfig::FULL));
-        let a = run_campaign(&fixed);
-        let b = run_campaign(&dynamic);
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.stats.redundancy, "fixed");
-        assert_eq!(b.stats.redundancy, "dynamic");
-        assert_eq!(b.stats.batch_mode, "full");
-        assert!(b.stats.render().contains("redundancy: dynamic"));
-    }
-
-    #[test]
     fn batched_dme_reports_no_checkpoint_hits() {
         use lockstep_obs::MemorySink;
 
@@ -1916,41 +1802,6 @@ mod tests {
         cfg.checkpoint_interval = None;
         let off = run_campaign(&cfg);
         assert_eq!(on.records, off.records, "checkpointing is a cost knob in DME mode too");
-    }
-
-    #[test]
-    fn replay_mode_downgrade_is_announced() {
-        use lockstep_obs::MemorySink;
-
-        // cpus > 2 silently forced lockstep replay before; now the
-        // fallback is an event on the campaign log.
-        let sink = Arc::new(MemorySink::new());
-        let mut cfg = tiny_config();
-        cfg.faults_per_workload = 10;
-        cfg.cpus = 3;
-        cfg.events = Some(sink.clone());
-        run_campaign(&cfg);
-        let downgrades: Vec<Event> =
-            sink.take().into_iter().filter(|e| e.kind() == "replay_mode_downgraded").collect();
-        match &downgrades[..] {
-            [Event::ReplayModeDowngraded { requested, effective, cpus }] => {
-                assert_eq!(requested, "shadow");
-                assert_eq!(effective, "lockstep");
-                assert_eq!(*cpus, 3);
-            }
-            other => panic!("expected exactly one downgrade event, got {other:?}"),
-        }
-
-        // A DMR shadow campaign is not downgraded and says nothing.
-        let sink = Arc::new(MemorySink::new());
-        let mut cfg = tiny_config();
-        cfg.faults_per_workload = 10;
-        cfg.events = Some(sink.clone());
-        run_campaign(&cfg);
-        assert!(
-            sink.take().iter().all(|e| e.kind() != "replay_mode_downgraded"),
-            "no downgrade event without a downgrade"
-        );
     }
 
     #[test]

@@ -20,38 +20,34 @@
 //! * `--trace-window N` — record a divergence trace per manifested
 //!   error, keeping the last `N` pre-detection cycles (`0` disables;
 //!   default off);
-//! * `--replay-mode {shadow,lockstep}` — what the faulty CPU is
-//!   compared against during injection replay: the recorded golden
-//!   port trace (`shadow`, the default) or live fault-free golden-twin
-//!   CPUs (`lockstep`). Both yield bit-identical campaign results; see
-//!   [`crate::campaign::ReplayMode`];
-//! * `--batch-mode {off,fanout,earlyout,lanes,full}` — batched fault
-//!   simulation layers (default `full`; `off` replays every fault on
-//!   its own scalar engine). All spellings yield bit-identical campaign
-//!   results; see [`crate::batch::BatchConfig`]. Ignored when
-//!   `--trace-window` is on (tracing needs the scalar per-fault path;
-//!   the event log then carries a `batch_mode_downgraded` event);
+//! * `--batch-mode {off,full}` — the batched fault-simulation engine
+//!   (default `full`; `off` replays every fault on its own scalar
+//!   engine). Both yield bit-identical campaign results; see
+//!   [`crate::batch::BatchConfig`]. Ignored when `--trace-window` is on
+//!   (tracing needs the scalar per-fault path; the event log then
+//!   carries a `batch_mode_downgraded` event);
 //! * `--core {lr5,lr7}` — core model under test (default `lr5`, the
-//!   in-order pipeline; `lr7` is the out-of-order core). Both cores run
-//!   every `--batch-mode` layer on the one batched engine;
-//! * `--redundancy {fixed,dynamic,dme}` — the redundancy arrangement
-//!   under evaluation (default `fixed` DMR). `dynamic` pairs/unpairs at
-//!   runtime and re-syncs from golden checkpoints instead of
-//!   restarting; `dme` runs the redundant copy over a shifted address
-//!   space and compares retired-effect streams. Every mode runs on the
-//!   engine `--batch-mode` selects; see
-//!   [`lockstep_core::RedundancyMode`].
+//!   in-order pipeline; `lr7` is the out-of-order core);
+//! * `--redundancy {fixed,dme}` — the comparator under evaluation
+//!   (default `fixed`, the per-cycle port compare of DMR); `dme` runs
+//!   the redundant copy over a shifted address space and compares
+//!   retired-effect streams. See [`lockstep_core::RedundancyMode`].
+//!
+//! The portable flags are checked as one [`CampaignSpec`], the
+//! description the campaign service validates too, so a bad value
+//! (zero faults, an unknown workload or label) exits 2 with the same
+//! message the service would give.
 
 use std::sync::Arc;
 
 use lockstep_core::RedundancyMode;
 use lockstep_cpu::CoreKind;
 use lockstep_obs::{EventSink, JsonlSink};
-use lockstep_workloads::{fuzz, lc, Workload};
+use lockstep_workloads::Workload;
 
 use crate::batch::BatchConfig;
-use crate::campaign::{CampaignConfig, ReplayMode, DEFAULT_CHECKPOINT_INTERVAL};
-use crate::spec::CampaignSpec;
+use crate::campaign::{CampaignConfig, DEFAULT_CHECKPOINT_INTERVAL};
+use crate::spec::{CampaignSpec, DEFAULT_SPEC_BATCH_MODE, DEFAULT_SPEC_REPLAY_MODE};
 
 /// Parsed common options.
 #[derive(Debug, Clone)]
@@ -70,8 +66,6 @@ pub struct CommonArgs {
     pub events: Option<Arc<dyn EventSink>>,
     /// Divergence-trace pre-detection window (`None` = tracing off).
     pub trace_window: Option<u32>,
-    /// Injection replay mode (`--replay-mode`; default shadow).
-    pub replay_mode: ReplayMode,
     /// Batched fault-simulation layers (`--batch-mode`; default full,
     /// `None` = scalar per-fault replay).
     pub batch: Option<BatchConfig>,
@@ -83,20 +77,21 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses `std::env::args()`-style arguments (the program name in
-    /// position 0 is ignored). Unknown flags abort with a usage message.
+    /// position 0 is ignored). Unknown flags, and values the campaign
+    /// spec refuses, abort with exit status 2.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> CommonArgs {
-        let mut out = CommonArgs {
-            faults: 2000,
+        let mut threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let mut checkpoint_interval = Some(DEFAULT_CHECKPOINT_INTERVAL);
+        let mut events: Option<Arc<dyn EventSink>> = None;
+        let mut trace_window = None;
+        let mut spec = CampaignSpec {
+            workloads: Workload::all().iter().map(|w| w.name.to_owned()).collect(),
+            faults_per_workload: 2000,
             seed: 2018,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            workloads: Workload::all().iter().collect(),
-            checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
-            events: None,
-            trace_window: None,
-            replay_mode: ReplayMode::default(),
-            batch: Some(BatchConfig::FULL),
-            core: CoreKind::default(),
-            redundancy: RedundancyMode::default(),
+            replay_mode: DEFAULT_SPEC_REPLAY_MODE.to_owned(),
+            batch_mode: DEFAULT_SPEC_BATCH_MODE.to_owned(),
+            core: CoreKind::default().label().to_owned(),
+            redundancy: RedundancyMode::default().label().to_owned(),
         };
         let mut it = args.into_iter().skip(1);
         while let Some(flag) = it.next() {
@@ -104,140 +99,83 @@ impl CommonArgs {
                 |flag: &str| it.next().unwrap_or_else(|| die(&format!("{flag} requires a value")));
             match flag.as_str() {
                 "--faults" => {
-                    out.faults = value("--faults").parse().unwrap_or_else(|_| die("bad --faults"))
+                    spec.faults_per_workload =
+                        value("--faults").parse().unwrap_or_else(|_| die("bad --faults"))
                 }
                 "--seed" => {
-                    out.seed = value("--seed").parse().unwrap_or_else(|_| die("bad --seed"))
+                    spec.seed = value("--seed").parse().unwrap_or_else(|_| die("bad --seed"))
                 }
                 "--threads" => {
-                    out.threads =
-                        value("--threads").parse().unwrap_or_else(|_| die("bad --threads"))
+                    threads = value("--threads").parse().unwrap_or_else(|_| die("bad --threads"))
                 }
                 "--workloads" => {
-                    let list = value("--workloads");
-                    out.workloads = Vec::new();
-                    for name in list.split(',') {
-                        let name = name.trim();
-                        // `fuzz:<seed>[:<count>]` expands to generated
-                        // workloads (see lockstep_workloads::fuzz).
-                        if let Some(spec) = name.strip_prefix("fuzz:") {
-                            let spec = fuzz::FuzzSpec::parse(spec).unwrap_or_else(|| {
-                                die(&format!(
-                                    "bad fuzz spec `{name}` (expected fuzz:<seed>[:<count>])"
-                                ))
-                            });
-                            out.workloads.extend(spec.workloads());
-                        } else if let Some(kernel) = name.strip_prefix("lc:") {
-                            // `lc:<kernel>` selects one compiled-LC
-                            // workload; `lc:all` the whole compiled set.
-                            if kernel == "all" {
-                                out.workloads.extend(lc::all());
-                            } else {
-                                out.workloads.push(lc::compiled(kernel).unwrap_or_else(|| {
-                                    die(&format!(
-                                        "unknown lc kernel `{kernel}` \
-                                         (expected lc:all or lc:<kernel>)"
-                                    ))
-                                }));
-                            }
-                        } else {
-                            out.workloads.push(
-                                Workload::find(name)
-                                    .unwrap_or_else(|| die(&format!("unknown workload `{name}`"))),
-                            );
-                        }
-                    }
+                    spec.workloads =
+                        value("--workloads").split(',').map(|w| w.trim().to_owned()).collect()
                 }
                 "--checkpoint-interval" => {
                     let k: u64 = value("--checkpoint-interval")
                         .parse()
                         .unwrap_or_else(|_| die("bad --checkpoint-interval"));
-                    out.checkpoint_interval = (k != 0).then_some(k);
+                    checkpoint_interval = (k != 0).then_some(k);
                 }
                 "--events" => {
                     let path = value("--events");
                     let sink = JsonlSink::create(std::path::Path::new(&path))
                         .unwrap_or_else(|e| die(&format!("cannot create event log `{path}`: {e}")));
-                    out.events = Some(Arc::new(sink));
+                    events = Some(Arc::new(sink));
                 }
                 "--trace-window" => {
                     let n: u32 = value("--trace-window")
                         .parse()
                         .unwrap_or_else(|_| die("bad --trace-window"));
-                    out.trace_window = (n != 0).then_some(n);
+                    trace_window = (n != 0).then_some(n);
                 }
-                "--replay-mode" => {
-                    let m = value("--replay-mode");
-                    out.replay_mode = ReplayMode::from_flag(&m).unwrap_or_else(|| {
-                        die(&format!("bad --replay-mode `{m}` (expected shadow or lockstep)"))
-                    });
-                }
-                "--batch-mode" => {
-                    let m = value("--batch-mode");
-                    out.batch = BatchConfig::from_flag(&m).unwrap_or_else(|| {
-                        die(&format!(
-                            "bad --batch-mode `{m}` \
-                             (expected off, fanout, earlyout, lanes, or full)"
-                        ))
-                    });
-                }
-                "--core" => {
-                    let m = value("--core");
-                    out.core = CoreKind::from_flag(&m)
-                        .unwrap_or_else(|| die(&format!("bad --core `{m}` (expected lr5 or lr7)")));
-                }
-                "--redundancy" => {
-                    let m = value("--redundancy");
-                    out.redundancy = RedundancyMode::from_flag(&m).unwrap_or_else(|| {
-                        die(&format!("bad --redundancy `{m}` (expected fixed, dynamic or dme)"))
-                    });
-                }
+                "--batch-mode" => spec.batch_mode = value("--batch-mode"),
+                "--core" => spec.core = value("--core"),
+                "--redundancy" => spec.redundancy = value("--redundancy"),
                 "--help" | "-h" => {
                     println!(
                         "usage: [--faults N] [--seed S] [--threads T] \
                          [--workloads a,b,c | fuzz:<seed>[:<count>] | lc:<kernel>|lc:all] \
                          [--checkpoint-interval K (0 = off)] [--events PATH] \
-                         [--trace-window N (0 = off)] [--replay-mode shadow|lockstep] \
-                         [--batch-mode off|fanout|earlyout|lanes|full] [--core lr5|lr7] \
-                         [--redundancy fixed|dynamic|dme]"
+                         [--trace-window N (0 = off)] [--batch-mode off|full] \
+                         [--core lr5|lr7] [--redundancy fixed|dme]"
                     );
                     std::process::exit(0);
                 }
                 other => die(&format!("unknown flag `{other}`")),
             }
         }
-        out
-    }
-
-    /// The portable subset of these args as the shared
-    /// [`CampaignSpec`] — the same description a `lockstep-serve` job
-    /// carries, so a CLI invocation can be replayed through the service
-    /// (and vice versa) knob for knob.
-    pub fn spec(&self) -> CampaignSpec {
-        CampaignSpec {
-            workloads: self.workloads.iter().map(|w| w.name.to_owned()).collect(),
-            faults_per_workload: self.faults as u64,
-            seed: self.seed,
-            replay_mode: self.replay_mode.label().to_owned(),
-            batch_mode: self.batch.map_or("off", BatchConfig::label).to_owned(),
-            core: self.core.label().to_owned(),
-            redundancy: self.redundancy.label().to_owned(),
+        let config = spec.campaign_config(threads).unwrap_or_else(|e| die(&e.to_string()));
+        CommonArgs {
+            faults: config.faults_per_workload,
+            seed: config.seed,
+            threads,
+            workloads: config.workloads,
+            checkpoint_interval,
+            events,
+            trace_window,
+            batch: config.batch,
+            core: config.core,
+            redundancy: config.redundancy,
         }
     }
 
     /// Builds the campaign configuration these args describe: the
-    /// shared-spec resolution plus the process-local knobs only the CLI
-    /// has (thread count, checkpoint interval, event sink, trace
-    /// window).
+    /// validated spec plus the process-local knobs only the CLI has
+    /// (thread count, checkpoint interval, event sink, trace window).
     pub fn campaign_config(&self) -> CampaignConfig {
-        let mut config = self
-            .spec()
-            .campaign_config(self.threads)
-            .expect("flag values were validated at parse time");
-        config.checkpoint_interval = self.checkpoint_interval;
-        config.events = self.events.clone();
-        config.trace_window = self.trace_window;
-        config
+        CampaignConfig {
+            workloads: self.workloads.clone(),
+            threads: self.threads,
+            checkpoint_interval: self.checkpoint_interval,
+            events: self.events.clone(),
+            trace_window: self.trace_window,
+            batch: self.batch,
+            core: self.core,
+            redundancy: self.redundancy,
+            ..CampaignConfig::new(self.faults, self.seed)
+        }
     }
 }
 
@@ -249,6 +187,7 @@ fn die(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockstep_workloads::fuzz;
 
     fn parse(args: &[&str]) -> CommonArgs {
         let mut v = vec!["prog".to_owned()];
@@ -263,7 +202,6 @@ mod tests {
         assert_eq!(a.seed, 2018);
         assert_eq!(a.workloads.len(), 12);
         assert_eq!(a.checkpoint_interval, Some(DEFAULT_CHECKPOINT_INTERVAL));
-        assert_eq!(a.replay_mode, ReplayMode::Shadow);
     }
 
     #[test]
@@ -338,22 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_flag() {
-        assert_eq!(parse(&["--replay-mode", "shadow"]).replay_mode, ReplayMode::Shadow);
-        let a = parse(&["--replay-mode", "lockstep"]);
-        assert_eq!(a.replay_mode, ReplayMode::Lockstep);
-        let c = a.campaign_config();
-        assert_eq!(c.replay_mode, ReplayMode::Lockstep);
-        assert_eq!(c.cpus, 2);
-    }
-
-    #[test]
     fn batch_mode_flag() {
         assert_eq!(parse(&[]).batch, Some(BatchConfig::FULL), "batching is the default");
         assert_eq!(parse(&["--batch-mode", "off"]).batch, None);
-        assert_eq!(parse(&["--batch-mode", "fanout"]).batch, Some(BatchConfig::FAN_OUT));
-        assert_eq!(parse(&["--batch-mode", "earlyout"]).batch, Some(BatchConfig::EARLY_OUT));
-        assert_eq!(parse(&["--batch-mode", "lanes"]).batch, Some(BatchConfig::LANES));
         let c = parse(&["--batch-mode", "full"]).campaign_config();
         assert_eq!(c.batch, Some(BatchConfig::FULL));
         assert_eq!(c.effective_batch(), Some(BatchConfig::FULL));
@@ -372,7 +297,6 @@ mod tests {
     fn redundancy_flag() {
         assert_eq!(parse(&[]).redundancy, RedundancyMode::Fixed, "fixed DMR is the default");
         assert_eq!(parse(&["--redundancy", "fixed"]).redundancy, RedundancyMode::Fixed);
-        assert_eq!(parse(&["--redundancy", "dynamic"]).redundancy, RedundancyMode::Dynamic);
         let a = parse(&["--redundancy", "dme"]);
         assert_eq!(a.redundancy, RedundancyMode::Dme);
         let c = a.campaign_config();

@@ -90,11 +90,10 @@ pub fn stream_skew_mask() -> u64 {
 /// divergence as `(cycle, dsr)`, or `None` if the pair stays agreeing
 /// for `max_cycles`.
 ///
-/// * [`RedundancyMode::Fixed`] / [`RedundancyMode::Dynamic`] — both
-///   copies run identity-translated over identical images and are
-///   compared per cycle on all 62 SC ports. Both copies read the same
-///   wrong words, so the comparison provably never fires; the run is
-///   the negative control.
+/// * [`RedundancyMode::Fixed`] — both copies run identity-translated
+///   over identical images and are compared per cycle on all 62 SC
+///   ports. Both copies read the same wrong words, so the comparison
+///   provably never fires; the run is the negative control.
 /// * [`RedundancyMode::Dme`] — the redundant copy runs over the shifted
 ///   image behind the offset translation, and the copies are compared
 ///   on their retired-effect streams. The same physical fault corrupts
@@ -121,7 +120,7 @@ pub fn run_decoder_stuck_at_on<C: CoreModel>(
     max_cycles: u64,
 ) -> Option<(u64, Dsr)> {
     let (mut mem_b, offset) = match redundancy {
-        RedundancyMode::Fixed | RedundancyMode::Dynamic => (base.clone(), 0),
+        RedundancyMode::Fixed => (base.clone(), 0),
         RedundancyMode::Dme => {
             (shift_image(&base, DEFAULT_DME_OFFSET_WORDS), DEFAULT_DME_OFFSET_WORDS)
         }
@@ -138,7 +137,7 @@ pub fn run_decoder_stuck_at_on<C: CoreModel>(
         cpu_a.step(&mut DmePort::new(&mut mem_a, 0).with_fault(fault), &mut ports_a);
         cpu_b.step(&mut DmePort::new(&mut mem_b, offset).with_fault(fault), &mut ports_b);
         match redundancy {
-            RedundancyMode::Fixed | RedundancyMode::Dynamic => {
+            RedundancyMode::Fixed => {
                 let diff = ports_a.diff_mask(&ports_b);
                 if diff != 0 {
                     return Some((cycle, Dsr::from_bits(diff)));

@@ -283,8 +283,6 @@ mod tests {
             checkpoint_interval: Some(2048),
             events: None,
             trace_window: None,
-            replay_mode: Default::default(),
-            cpus: 2,
             batch: None,
             core: CoreKind::Lr5,
             redundancy: RedundancyMode::Fixed,

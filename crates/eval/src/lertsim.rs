@@ -253,8 +253,6 @@ mod tests {
                 checkpoint_interval: Some(4096),
                 events: None,
                 trace_window: None,
-                replay_mode: Default::default(),
-                cpus: 2,
                 batch: None,
                 core: lockstep_cpu::CoreKind::Lr5,
                 redundancy: lockstep_core::RedundancyMode::Fixed,

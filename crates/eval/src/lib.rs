@@ -12,8 +12,11 @@
 //!   twice as fast. The live path in `lockstep-core::harness` exists too
 //!   and the two are cross-checked in the integration tests.) One entry
 //!   point, [`campaign::run_injection`], replays a fault against any
-//!   [`campaign::Reference`] — the recording, live twins, or DME's
-//!   retire stream — and one work queue runs every campaign and shard.
+//!   [`campaign::Reference`] — the recording, DME's retire stream, or
+//!   the live golden twins the recording is tested against fault by
+//!   fault — and one work queue runs every campaign and shard. A
+//!   campaign's shape is its core, its comparator (`--redundancy
+//!   fixed|dme`) and the engine switch (`--batch-mode off|full`).
 //! * [`batch`] — the batched fault-simulation engine: one fault-free
 //!   walker replay shared by every fault in a checkpoint span, dirty-set
 //!   early-out for masked transients, and bit-parallel watch masks for

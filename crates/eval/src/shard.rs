@@ -15,7 +15,7 @@
 //! archive byte-identical (stats aside) to the single-shot
 //! [`run_campaign`](crate::campaign::run_campaign) archive — the
 //! property `tests/shard_resume.rs` pins across shard cuts, thread
-//! counts, replay modes, and batch modes.
+//! counts, and batch modes.
 //!
 //! This is the substrate of the `lockstep-serve` campaign service: jobs
 //! are split with [`plan_shards`], shards are leased to workers and
@@ -37,6 +37,7 @@ use crate::archive::{
 };
 use crate::batch::{BatchConfig, CoreBatch};
 use crate::campaign::{record_key, run_queue_slice, CampaignConfig, CampaignStats, WorkloadStats};
+use crate::spec::current_label;
 
 /// One contiguous slice `[fault_lo, fault_hi)` of a campaign's global
 /// fault queue, to be run by [`run_shard`].
@@ -122,18 +123,22 @@ pub struct ShardRepr {
     /// Core model label (`"lr5"` / `"lr7"`) — shards of one job must
     /// have replayed on the same core.
     pub core: String,
-    /// Redundancy mode label (`"fixed"` / `"dynamic"` / `"dme"`) —
-    /// shards of one job must have compared the copies the same way.
+    /// Redundancy mode label (`"fixed"` / `"dme"`) — shards of one job
+    /// must have compared the copies the same way.
     pub redundancy: String,
-    /// Effective replay mode label (`"shadow"` / `"lockstep"`).
-    pub replay_mode: String,
-    /// Effective batch mode label (`"off"`, `"fanout"`, ... `"full"`).
+    /// Effective batch mode label (`"off"` / `"full"`, or an ablation
+    /// layer set).
     /// Provenance only: the batch mode never changes a record, so shards
     /// of one job may differ in it (LR7 shards written before every core
     /// ran every layer say `"fanout"` whatever was requested).
     pub batch_mode: String,
 }
 
+/// Reads every provenance version back to v7. Shards written before
+/// v11 also carry a `replay_mode` label, which is ignored (both replay
+/// modes gave identical records), and may name the retired `dynamic`
+/// redundancy label, which reads as `fixed` (it ran the fixed engine),
+/// so an older server's shards merge with new ones.
 impl Deserialize for ShardRepr {
     fn deserialize(value: &Value) -> Result<ShardRepr, JsonError> {
         Ok(ShardRepr {
@@ -156,10 +161,9 @@ impl Deserialize for ShardRepr {
             // Shards that predate the redundancy axis could only have
             // run fixed identical lockstep.
             redundancy: match value.field("redundancy") {
-                Ok(v) => Deserialize::deserialize(v)?,
+                Ok(v) => current_label("redundancy", Deserialize::deserialize(v)?),
                 Err(_) => RedundancyMode::Fixed.label().to_owned(),
             },
-            replay_mode: Deserialize::deserialize(value.field("replay_mode")?)?,
             batch_mode: Deserialize::deserialize(value.field("batch_mode")?)?,
         })
     }
@@ -181,7 +185,6 @@ impl ShardRepr {
             trace_window: config.trace_window.map_or(0, u64::from),
             core: config.core.label().to_owned(),
             redundancy: config.redundancy.label().to_owned(),
-            replay_mode: config.effective_replay_mode().label().to_owned(),
             batch_mode: config.effective_batch().map_or("off", BatchConfig::label).to_owned(),
         }
     }
@@ -202,7 +205,6 @@ impl ShardRepr {
             && self.trace_window == other.trace_window
             && self.core == other.core
             && self.redundancy == other.redundancy
-            && self.replay_mode == other.replay_mode
     }
 
     /// `true` when tracing was active for this job (trace blobs ride in
@@ -449,7 +451,6 @@ pub fn merge_shard_archives(shards: &[CampaignArchive]) -> Result<CampaignArchiv
         checkpoint_interval: job.checkpoint_interval,
         core: job.core.clone(),
         redundancy: job.redundancy.clone(),
-        replay_mode: job.replay_mode.clone(),
         injected: total,
         manifested: manifested_total,
         masked: total - manifested_total,

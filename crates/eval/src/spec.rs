@@ -4,19 +4,29 @@
 //! experiment CLIs ([`crate::cli::CommonArgs`]) and the `lockstep-serve`
 //! JSON protocol — each with its own field names, defaults, and
 //! validation. `CampaignSpec` unifies them: one serializable struct
-//! holding the portable knobs (workloads, faults, seed, replay mode,
-//! batch mode, core model, redundancy mode), one typed validation error
-//! ([`SpecError`]), and one [`CampaignSpec::campaign_config`] that
-//! resolves it into a runnable [`CampaignConfig`]. The CLI builds a
-//! spec from flags; the service deserializes one straight off the
-//! wire and persists it in the job registry.
+//! holding the portable knobs (workloads, faults, seed, batch engine,
+//! core model, comparator), one typed validation error ([`SpecError`]),
+//! and one [`CampaignSpec::campaign_config`] that resolves it into a
+//! runnable [`CampaignConfig`]. The CLI builds and validates a spec
+//! from its flags; the service deserializes one straight off the wire
+//! and persists it in the job registry.
+//!
+//! A campaign's real choices are the core (`lr5` / `lr7`), the
+//! comparator (`fixed` port compare / `dme` retire stream) and the
+//! batch engine switch (`off` / `full`). The `replay_mode` field has
+//! one value, `shadow`: replay against the recorded golden trace.
 //!
 //! The deserializer accepts the historical field spellings as aliases
 //! (`faults` for `faults_per_workload`, `replay` for `replay_mode`,
-//! `batch` for `batch_mode`), so archived job files and old client
-//! scripts keep working. Fields the source omits take the documented
-//! service defaults: seed 1, shadow replay, the full batch engine,
-//! the LR5 core, and fixed redundancy.
+//! `batch` for `batch_mode`) and maps retired axis labels to the labels
+//! that replaced them (`lockstep` → `shadow`, `dynamic` → `fixed`,
+//! `fanout` / `earlyout` / `lanes` → `full`): each retired value ran a
+//! path the equivalence suites prove record-identical to its
+//! replacement, so archived job files and old client scripts keep
+//! working. Only deserialization maps them; a spec built in code or
+//! from flags must name a current label. Fields the source omits take
+//! the documented service defaults: seed 1, shadow replay, the full
+//! batch engine, the LR5 core, and fixed redundancy.
 
 use lockstep_core::RedundancyMode;
 use lockstep_cpu::CoreKind;
@@ -25,9 +35,7 @@ use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::BatchConfig;
-use crate::campaign::{
-    CampaignConfig, ReplayMode, DEFAULT_CAPTURE_WINDOW, DEFAULT_CHECKPOINT_INTERVAL,
-};
+use crate::campaign::{CampaignConfig, DEFAULT_CAPTURE_WINDOW, DEFAULT_CHECKPOINT_INTERVAL};
 
 /// Portable description of a campaign, shared by the CLIs and the
 /// campaign service (see the module docs).
@@ -43,21 +51,22 @@ pub struct CampaignSpec {
     pub faults_per_workload: u64,
     /// Master campaign seed (stimulus and fault sampling).
     pub seed: u64,
-    /// Replay mode flag value (`"shadow"` / `"lockstep"`).
+    /// Replay label, always `"shadow"` (replay against the recorded
+    /// golden trace, the only replay there is). Kept as a field so
+    /// specs and persisted jobs keep their shape.
     pub replay_mode: String,
-    /// Batch engine flag value (`"off"` / `"fanout"` / `"earlyout"` /
-    /// `"lanes"` / `"full"`).
+    /// Batch engine flag value (`"off"` / `"full"`).
     pub batch_mode: String,
     /// Core model flag value (`"lr5"` / `"lr7"`).
     pub core: String,
-    /// Redundancy mode flag value (`"fixed"` / `"dynamic"` / `"dme"`).
+    /// Comparator flag value (`"fixed"` / `"dme"`).
     pub redundancy: String,
 }
 
 /// Spec defaults, spelled once (and documented in
 /// `docs/CAMPAIGN_SERVICE.md`).
 pub const DEFAULT_SPEC_SEED: u64 = 1;
-/// Default replay mode flag value.
+/// The one replay label.
 pub const DEFAULT_SPEC_REPLAY_MODE: &str = "shadow";
 /// Default batch mode flag value.
 pub const DEFAULT_SPEC_BATCH_MODE: &str = "full";
@@ -86,14 +95,23 @@ impl Deserialize for CampaignSpec {
                 Ok(v) => Deserialize::deserialize(v)?,
                 Err(_) => DEFAULT_SPEC_SEED,
             },
-            replay_mode: str_or(aliased("replay_mode", "replay"), DEFAULT_SPEC_REPLAY_MODE)?,
-            batch_mode: str_or(aliased("batch_mode", "batch"), DEFAULT_SPEC_BATCH_MODE)?,
+            replay_mode: current_label(
+                "replay_mode",
+                str_or(aliased("replay_mode", "replay"), DEFAULT_SPEC_REPLAY_MODE)?,
+            ),
+            batch_mode: current_label(
+                "batch_mode",
+                str_or(aliased("batch_mode", "batch"), DEFAULT_SPEC_BATCH_MODE)?,
+            ),
             // Specs that predate the core-model axis ran on the only
             // core that existed, the in-order LR5.
             core: str_or(value.field("core"), CoreKind::Lr5.label())?,
             // Specs that predate the redundancy axis ran the only
             // arrangement that existed, fixed lockstep.
-            redundancy: str_or(value.field("redundancy"), RedundancyMode::Fixed.label())?,
+            redundancy: current_label(
+                "redundancy",
+                str_or(value.field("redundancy"), RedundancyMode::Fixed.label())?,
+            ),
         })
     }
 }
@@ -113,13 +131,16 @@ pub enum SpecError {
     BadFuzzSpec(String),
     /// `faults_per_workload` is zero.
     ZeroFaults,
-    /// The replay mode is not `shadow` or `lockstep`.
+    /// The campaign's total fault count (workloads × faults per
+    /// workload) does not fit in 64 bits.
+    TooManyFaults,
+    /// The replay label is not `shadow`.
     UnknownReplayMode(String),
-    /// The batch mode is not in the flag vocabulary.
+    /// The batch mode is not `off` or `full`.
     UnknownBatchMode(String),
     /// The core model is not `lr5` or `lr7`.
     UnknownCore(String),
-    /// The redundancy mode is not `fixed`, `dynamic` or `dme`.
+    /// The redundancy mode is not `fixed` or `dme`.
     UnknownRedundancy(String),
     /// The requested shard count is zero (job-level, service only).
     ZeroShards,
@@ -134,6 +155,7 @@ impl SpecError {
             SpecError::UnknownWorkload(_) => "unknown_workload",
             SpecError::BadFuzzSpec(_) => "bad_fuzz_spec",
             SpecError::ZeroFaults => "zero_faults",
+            SpecError::TooManyFaults => "too_many_faults",
             SpecError::UnknownReplayMode(_) => "unknown_replay_mode",
             SpecError::UnknownBatchMode(_) => "unknown_batch_mode",
             SpecError::UnknownCore(_) => "unknown_core",
@@ -152,13 +174,20 @@ impl std::fmt::Display for SpecError {
                 write!(f, "bad fuzz spec `{s}` (expected fuzz:<seed>[:<count>])")
             }
             SpecError::ZeroFaults => write!(f, "faults_per_workload must be at least 1"),
-            SpecError::UnknownReplayMode(m) => write!(f, "unknown replay mode `{m}`"),
-            SpecError::UnknownBatchMode(m) => write!(f, "unknown batch mode `{m}`"),
+            SpecError::TooManyFaults => {
+                write!(f, "workloads x faults_per_workload exceeds 2^64 - 1 faults")
+            }
+            SpecError::UnknownReplayMode(m) => {
+                write!(f, "unknown replay mode `{m}` (expected shadow)")
+            }
+            SpecError::UnknownBatchMode(m) => {
+                write!(f, "unknown batch mode `{m}` (expected off or full)")
+            }
             SpecError::UnknownCore(c) => {
                 write!(f, "unknown core `{c}` (expected lr5 or lr7)")
             }
             SpecError::UnknownRedundancy(r) => {
-                write!(f, "unknown redundancy mode `{r}` (expected fixed, dynamic or dme)")
+                write!(f, "unknown redundancy mode `{r}` (expected fixed or dme)")
             }
             SpecError::ZeroShards => write!(f, "shards must be at least 1"),
         }
@@ -167,15 +196,34 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// Retired axis labels, as `(field, retired label, replacement)`.
+const RETIRED_LABELS: [(&str, &str, &str); 5] = [
+    ("replay_mode", "lockstep", "shadow"),
+    ("batch_mode", "fanout", "full"),
+    ("batch_mode", "earlyout", "full"),
+    ("batch_mode", "lanes", "full"),
+    ("redundancy", "dynamic", "fixed"),
+];
+
+/// The label that replaced `label` if it is a retired value of `field`,
+/// or `label` itself.
+pub(crate) fn current_label(field: &str, label: String) -> String {
+    RETIRED_LABELS
+        .iter()
+        .find(|&&(f, retired, _)| f == field && retired == label)
+        .map_or(label, |&(_, _, replacement)| replacement.to_owned())
+}
+
 impl CampaignSpec {
     /// Total fault queue length this spec describes (after workload
     /// expansion).
     ///
     /// # Errors
     ///
-    /// Returns the first [`SpecError`] if the spec does not validate.
+    /// Returns the workload resolution's [`SpecError`], or
+    /// [`SpecError::TooManyFaults`] when the total overflows `u64`.
     pub fn total_faults(&self) -> Result<u64, SpecError> {
-        Ok(self.resolve_workloads()?.len() as u64 * self.faults_per_workload)
+        checked_total(self.resolve_workloads()?.len(), self.faults_per_workload)
     }
 
     /// Expands `fuzz:` and `lc:` tokens and resolves every workload
@@ -219,16 +267,6 @@ impl CampaignSpec {
         Ok(out)
     }
 
-    /// The parsed replay mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::UnknownReplayMode`].
-    pub fn replay(&self) -> Result<ReplayMode, SpecError> {
-        ReplayMode::from_flag(&self.replay_mode)
-            .ok_or_else(|| SpecError::UnknownReplayMode(self.replay_mode.clone()))
-    }
-
     /// The parsed batch layers (`None` = scalar per-fault replay).
     ///
     /// # Errors
@@ -258,21 +296,14 @@ impl CampaignSpec {
             .ok_or_else(|| SpecError::UnknownRedundancy(self.redundancy.clone()))
     }
 
-    /// Checks every field without building anything.
+    /// Checks every field; the spec validates exactly when
+    /// [`CampaignSpec::campaign_config`] succeeds.
     ///
     /// # Errors
     ///
     /// Returns the first failing field's [`SpecError`].
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.resolve_workloads()?;
-        if self.faults_per_workload == 0 {
-            return Err(SpecError::ZeroFaults);
-        }
-        self.replay()?;
-        self.batch()?;
-        self.core_kind()?;
-        self.redundancy_mode()?;
-        Ok(())
+        self.campaign_config(1).map(drop)
     }
 
     /// Resolves the spec into a runnable configuration with `threads`
@@ -284,11 +315,16 @@ impl CampaignSpec {
     ///
     /// Returns the first failing field's [`SpecError`].
     pub fn campaign_config(&self, threads: usize) -> Result<CampaignConfig, SpecError> {
+        let workloads = self.resolve_workloads()?;
         if self.faults_per_workload == 0 {
             return Err(SpecError::ZeroFaults);
         }
+        checked_total(workloads.len(), self.faults_per_workload)?;
+        if self.replay_mode != DEFAULT_SPEC_REPLAY_MODE {
+            return Err(SpecError::UnknownReplayMode(self.replay_mode.clone()));
+        }
         Ok(CampaignConfig {
-            workloads: self.resolve_workloads()?,
+            workloads,
             faults_per_workload: self.faults_per_workload as usize,
             seed: self.seed,
             threads,
@@ -296,13 +332,17 @@ impl CampaignSpec {
             checkpoint_interval: Some(DEFAULT_CHECKPOINT_INTERVAL),
             events: None,
             trace_window: None,
-            replay_mode: self.replay()?,
-            cpus: 2,
             batch: self.batch()?,
             core: self.core_kind()?,
             redundancy: self.redundancy_mode()?,
         })
     }
+}
+
+/// `workloads × faults_per_workload`, or [`SpecError::TooManyFaults`]
+/// when it overflows.
+fn checked_total(workloads: usize, faults_per_workload: u64) -> Result<u64, SpecError> {
+    (workloads as u64).checked_mul(faults_per_workload).ok_or(SpecError::TooManyFaults)
 }
 
 #[cfg(test)]
@@ -314,7 +354,7 @@ mod tests {
             workloads: vec!["idctrn".to_owned(), "rspeed".to_owned()],
             faults_per_workload: 30,
             seed: 9,
-            replay_mode: "lockstep".to_owned(),
+            replay_mode: "shadow".to_owned(),
             batch_mode: "off".to_owned(),
             core: "lr7".to_owned(),
             redundancy: "dme".to_owned(),
@@ -333,12 +373,12 @@ mod tests {
     fn old_field_names_are_aliases() {
         // The CLI's historical spellings: `faults`, `replay`, `batch`.
         let back: CampaignSpec = serde_json::from_str(
-            r#"{"workloads":["rspeed"],"faults":12,"seed":4,"replay":"lockstep","batch":"fanout"}"#,
+            r#"{"workloads":["rspeed"],"faults":12,"seed":4,"replay":"shadow","batch":"off"}"#,
         )
         .unwrap();
         assert_eq!(back.faults_per_workload, 12);
-        assert_eq!(back.replay_mode, "lockstep");
-        assert_eq!(back.batch_mode, "fanout");
+        assert_eq!(back.replay_mode, "shadow");
+        assert_eq!(back.batch_mode, "off");
         assert_eq!(back.core, "lr5", "pre-core specs default to LR5");
         assert_eq!(back.redundancy, "fixed", "pre-redundancy specs default to fixed lockstep");
 
@@ -347,6 +387,27 @@ mod tests {
             serde_json::from_str(r#"{"workloads":["rspeed"],"faults_per_workload":7,"faults":99}"#)
                 .unwrap();
         assert_eq!(both.faults_per_workload, 7);
+    }
+
+    #[test]
+    fn retired_labels_load_as_their_replacements() {
+        // A job persisted before the replay-mode, `dynamic` and
+        // intermediate-layer labels were retired resumes as the run
+        // they were proven record-identical to (historical field
+        // spellings included), and is written back with current labels.
+        for batch in ["fanout", "earlyout", "lanes"] {
+            let back: CampaignSpec = serde_json::from_str(&format!(
+                r#"{{"workloads":["rspeed"],"faults":3,"replay":"lockstep","batch":"{batch}","redundancy":"dynamic"}}"#
+            ))
+            .unwrap();
+            let labels =
+                (back.replay_mode.as_str(), back.batch_mode.as_str(), back.redundancy.as_str());
+            assert_eq!(labels, ("shadow", "full", "fixed"));
+            assert!(back.validate().is_ok());
+            let written = serde_json::to_string(&back).unwrap();
+            assert!(!written.contains("lockstep") && !written.contains(batch), "{written}");
+            assert!(!written.contains("dynamic"), "{written}");
+        }
     }
 
     #[test]
@@ -386,6 +447,18 @@ mod tests {
         s.batch_mode = "x".to_owned();
         assert_eq!(s.validate().unwrap_err().code(), "unknown_batch_mode");
 
+        // Retired labels are aliases on deserialization only: a spec
+        // built in code (or from flags) must name a current one.
+        let mut s = spec();
+        s.replay_mode = "lockstep".to_owned();
+        assert_eq!(s.validate().unwrap_err(), SpecError::UnknownReplayMode("lockstep".to_owned()));
+        let mut s = spec();
+        s.batch_mode = "lanes".to_owned();
+        assert_eq!(s.validate().unwrap_err(), SpecError::UnknownBatchMode("lanes".to_owned()));
+        let mut s = spec();
+        s.redundancy = "dynamic".to_owned();
+        assert_eq!(s.validate().unwrap_err(), SpecError::UnknownRedundancy("dynamic".to_owned()));
+
         let mut s = spec();
         s.redundancy = "tmr".to_owned();
         let err = s.validate().unwrap_err();
@@ -403,6 +476,11 @@ mod tests {
         assert_eq!(resolved[0].name, "rspeed");
         assert_eq!(resolved[3].name, "fuzz7_002");
         assert_eq!(s.total_faults().unwrap(), 120);
+
+        // A total past u64::MAX is a typed error, not a wrapped count.
+        s.faults_per_workload = u64::MAX / 2 + 1;
+        assert_eq!(s.total_faults().unwrap_err(), SpecError::TooManyFaults);
+        assert_eq!(s.validate().unwrap_err().code(), "too_many_faults");
 
         s.workloads = vec!["fuzz:bad:spec:extra".to_owned()];
         assert_eq!(s.resolve_workloads().unwrap_err().code(), "bad_fuzz_spec");
@@ -439,7 +517,6 @@ mod tests {
         assert_eq!(config.faults_per_workload, 30);
         assert_eq!(config.seed, 9);
         assert_eq!(config.threads, 3);
-        assert_eq!(config.replay_mode, ReplayMode::Lockstep);
         assert!(config.batch.is_none());
         assert_eq!(config.core, CoreKind::Lr7);
         assert_eq!(config.redundancy, RedundancyMode::Dme);

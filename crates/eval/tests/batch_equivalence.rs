@@ -2,8 +2,7 @@
 //! campaign run in `--batch-mode` — shared walker fan-out, dirty-set
 //! early-out, bit-parallel parked lanes — must be **byte-identical** to
 //! the same campaign replayed per fault on the scalar engine, for every
-//! layer combination, checkpoint spacing, thread count, replay mode,
-//! and comparator: under DME the batched engine filters out the
+//! layer combination, checkpoint spacing, thread count, and comparator: under DME the batched engine filters out the
 //! port-masked faults and hands each port-divergent lane, live, to the
 //! retire comparator. The order-of-magnitude saving is only usable
 //! because this equivalence is exact.
@@ -19,49 +18,25 @@
 //!   stats block normalized out (stats carry wall-clock timings and the
 //!   batch-mode label itself, which are *supposed* to differ).
 
-use std::any::Any;
-use std::sync::OnceLock;
-
 use lockstep_core::RedundancyMode;
-use lockstep_cpu::{flops, CoreKind, CoreModel, Cpu, Lr7};
+use lockstep_cpu::{flops, CoreKind, Cpu, Lr7};
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::{run_batch_group, BatchConfig, CoreBatch};
 use lockstep_eval::campaign::{
     run_campaign, run_injection, CampaignConfig, CampaignResult, CampaignStats, Reference,
-    ReplayMode, ReplayStart,
+    ReplayStart,
 };
 use lockstep_eval::dme::retire_stream;
 use lockstep_fault::{Fault, FaultKind};
-use lockstep_workloads::{GoldenCapture, Workload};
+use lockstep_workloads::Workload;
 use proptest::prelude::*;
+
+mod common;
 
 const SEED: u64 = 61;
 
 const ALL_LAYERS: [BatchConfig; 4] =
     [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES, BatchConfig::FULL];
-
-type CaptureCache =
-    std::sync::Mutex<Vec<((&'static str, &'static str, u64), &'static (dyn Any + Send + Sync))>>;
-
-/// Golden captures are expensive; share one per (core, workload,
-/// interval).
-fn capture<C: CoreModel>(name: &'static str, interval: u64) -> &'static GoldenCapture<C::State> {
-    static CACHE: OnceLock<CaptureCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| std::sync::Mutex::new(Vec::new()));
-    let mut cache = cache.lock().unwrap();
-    let key = (C::NAME, name, interval);
-    let cap = match cache.iter().find(|(k, _)| *k == key) {
-        Some(&(_, cap)) => cap,
-        None => {
-            let w = Workload::find(name).unwrap();
-            let cap: &'static GoldenCapture<C::State> =
-                Box::leak(Box::new(w.golden_capture_for::<C>(SEED, 400_000, interval)));
-            cache.push((key, cap));
-            cap
-        }
-    };
-    cap.downcast_ref().expect("cache keyed by core name")
-}
 
 fn base_config() -> CampaignConfig {
     CampaignConfig {
@@ -96,7 +71,7 @@ fn check_group<C: CoreBatch>(
     layers: BatchConfig,
     redundancy: RedundancyMode,
 ) -> Result<(), TestCaseError> {
-    let cap = capture::<C>(workload, interval);
+    let cap = common::capture::<C>(workload, SEED, interval);
     let flop_count = flops::all_flops_in(C::registry()).count();
     let faults: Vec<Fault> = picks
         .iter()
@@ -292,23 +267,6 @@ fn batched_archives_byte_identical_across_thread_counts() {
             None => reference = Some(bytes),
         }
     }
-}
-
-/// Batch mode composes with lockstep replay: the walker doubles as the
-/// live golden twin, so the batched engine serves both modes and the
-/// archives stay byte-identical to scalar lockstep replay.
-#[test]
-fn batched_lockstep_replay_matches_scalar_lockstep() {
-    let mut cfg = base_config();
-    cfg.faults_per_workload = 25;
-    cfg.replay_mode = ReplayMode::Lockstep;
-    let scalar = run_campaign(&cfg);
-    assert_eq!(scalar.stats.replay_mode, "lockstep");
-    cfg.batch = Some(BatchConfig::FULL);
-    let batched = run_campaign(&cfg);
-    assert_eq!(batched.stats.replay_mode, "lockstep");
-    assert_eq!(batched.stats.batch_mode, "full");
-    assert_eq!(archive_bytes(&scalar), archive_bytes(&batched));
 }
 
 /// The savings counters tell a consistent story: a full-layer campaign

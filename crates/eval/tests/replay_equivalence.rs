@@ -1,178 +1,139 @@
-//! The shadow-golden replay engine's correctness contract: a campaign
-//! replayed in shadow mode (faulty CPU vs the recorded golden port
-//! trace) must be **byte-identical** to the same campaign replayed in
-//! full lockstep mode (faulty CPU vs live fault-free golden twins) —
-//! same records in the same order, same trace blobs, same masked set —
-//! for every checkpoint spacing, thread count, and tracing setting.
-//! The ~2x simulation saving is only usable because this equivalence
-//! is exact.
+//! The shadow-golden replay engine's correctness contract, fault by
+//! fault: replaying a fault against the recorded golden port trace
+//! ([`Reference::Recorded`], what every port-compare campaign runs)
+//! must give exactly what replaying it against live fault-free golden
+//! twins gives ([`Reference::Twins`], board-level lockstep, Figure 1a) —
+//! the same outcome (masked, or detection cycle and DSR) and the same
+//! divergence trace — with two CPUs and with three, from reset and from
+//! checkpoints, traced and untraced, on both core models.
 //!
-//! Archives are compared as serialized bytes with the stats block
-//! normalized out: stats carry wall-clock timings and the mode label
-//! itself, which are *supposed* to differ between the two runs.
+//! Live twins are the oracle here, not a campaign mode: a fault-free
+//! twin restored from the same snapshot deterministically re-produces
+//! the recording, so checking every sampled fault against both
+//! references pins the recording to the semantics it stands in for.
+//! With three CPUs the majority vote of identical fault-free twins
+//! degenerates to the pairwise compare, so TMR gives DMR's outcome too.
 
-use std::sync::Arc;
+use lockstep_cpu::{CoreModel, Cpu, Lr7};
+use lockstep_eval::campaign::{run_injection, Reference, ReplayStart};
+use lockstep_fault::{CampaignPlan, PlanConfig};
+use lockstep_workloads::{GoldenCapture, Workload};
 
-use lockstep_eval::archive::CampaignArchive;
-use lockstep_eval::campaign::{
-    run_campaign, CampaignConfig, CampaignResult, CampaignStats, ReplayMode,
-};
-use lockstep_obs::{EventSink, JsonlSink};
-use lockstep_workloads::Workload;
+mod common;
 
-fn base_config() -> CampaignConfig {
-    CampaignConfig {
-        workloads: vec![Workload::find("rspeed").unwrap(), Workload::find("idctrn").unwrap()],
-        threads: 4,
-        checkpoint_interval: Some(4096),
-        ..CampaignConfig::new(40, 2024)
-    }
-}
+const STIM_SEED: u64 = 2024;
+const CAPTURE_WINDOW: u32 = 16;
+const TRACE_WINDOW: u32 = 32;
+/// Checkpoint spacings the checkpointed starts restore from: dense and
+/// the campaign default.
+const INTERVALS: [u64; 2] = [512, 4096];
+/// Every start: `None` from reset, `Some(k)` from the nearest checkpoint
+/// of spacing `INTERVALS[k]`.
+const ALL_STARTS: [Option<usize>; 3] = [None, Some(0), Some(1)];
+/// Untraced and traced replays.
+const ALL_TRACE_WINDOWS: [Option<u32>; 2] = [None, Some(TRACE_WINDOW)];
 
-/// The archive bytes of a result with the throughput stats zeroed out:
-/// everything an analysis consumes — records, injection counts, golden
-/// data, trace blobs — byte-for-byte.
-fn archive_bytes(result: &CampaignResult) -> String {
-    let mut archive = CampaignArchive::from_result(result);
-    archive.stats = CampaignStats::default();
-    serde_json::to_string(&archive).expect("archive serializes")
-}
+/// Replays every fault of a `faults`-fault sampled plan of `name`
+/// against the recording and against two and three live CPUs, from
+/// each of `starts` with each of `trace_windows`, and asserts identical
+/// outcomes and traces. Returns how many faults manifested, so callers
+/// can insist the fixture exercises detection.
+fn assert_twins_agree_with_recording<C: CoreModel>(
+    name: &'static str,
+    faults: usize,
+    starts: &[Option<usize>],
+    trace_windows: &[Option<u32>],
+) -> usize {
+    let workload = Workload::find(name).unwrap();
+    let captures: Vec<&GoldenCapture<C::State>> =
+        INTERVALS.iter().map(|&k| common::capture::<C>(name, STIM_SEED, k)).collect();
+    let golden = captures[0];
+    let cycles = golden.run.cycles;
+    assert_eq!(golden.trace.len(), cycles, "{name}: the recording spans the golden run");
+    let plan = CampaignPlan::sampled_for::<C>(PlanConfig::new(cycles, STIM_SEED ^ 7), faults);
+    assert_eq!(plan.faults().len(), faults);
 
-fn run_mode(cfg: &CampaignConfig, mode: ReplayMode) -> CampaignResult {
-    let mut cfg = cfg.clone();
-    cfg.replay_mode = mode;
-    run_campaign(&cfg)
-}
-
-/// The tentpole equivalence: byte-identical archives across replay
-/// modes, for checkpointing off, dense, and default spacing.
-#[test]
-fn archives_byte_identical_across_replay_modes() {
-    for interval in [None, Some(512), Some(4096)] {
-        let mut cfg = base_config();
-        cfg.checkpoint_interval = interval;
-        let shadow = run_mode(&cfg, ReplayMode::Shadow);
-        let lockstep = run_mode(&cfg, ReplayMode::Lockstep);
-        assert!(!shadow.records.is_empty(), "campaign must manifest errors");
-        assert_eq!(
-            archive_bytes(&shadow),
-            archive_bytes(&lockstep),
-            "replay mode changed the archive at checkpoint interval {interval:?}"
-        );
-        assert_eq!(shadow.stats.replay_mode, "shadow");
-        assert_eq!(lockstep.stats.replay_mode, "lockstep");
-    }
-}
-
-/// Thread-count independence holds in both modes (the record stream is
-/// re-sorted into campaign order after the shared queue drains).
-#[test]
-fn archives_byte_identical_across_thread_counts() {
-    let mut cfg = base_config();
-    cfg.faults_per_workload = 25;
-    let mut seen: Vec<(ReplayMode, String)> = Vec::new();
-    for mode in [ReplayMode::Shadow, ReplayMode::Lockstep] {
-        for threads in [1usize, 2, 8] {
-            let mut c = cfg.clone();
-            c.threads = threads;
-            let bytes = archive_bytes(&run_mode(&c, mode));
-            if let Some((_, reference)) = seen.iter().find(|(m, _)| *m == mode) {
-                assert_eq!(&bytes, reference, "{mode:?} archive depends on thread count");
-            } else {
-                seen.push((mode, bytes));
+    let mut manifested = 0;
+    for (i, &fault) in plan.faults().iter().enumerate() {
+        let start = |from: Option<usize>| match from {
+            None => ReplayStart::Reset { workload, stim_seed: STIM_SEED },
+            Some(k) => ReplayStart::Checkpoint(&captures[k].checkpoints),
+        };
+        let mut detected = false;
+        for &from in starts {
+            for &trace_window in trace_windows {
+                // The outcome and the divergence trace, compared whole.
+                let replay = |reference| {
+                    let injection = run_injection::<C>(
+                        start(from),
+                        reference,
+                        fault,
+                        CAPTURE_WINDOW,
+                        trace_window,
+                    );
+                    (injection.outcome, injection.trace)
+                };
+                let recorded = replay(Reference::Recorded(&golden.trace));
+                if trace_window.is_some() {
+                    assert_eq!(
+                        recorded.1.is_some(),
+                        recorded.0.is_some(),
+                        "one trace per detection"
+                    );
+                }
+                detected = recorded.0.is_some();
+                for cpus in [2, 3] {
+                    assert_eq!(
+                        replay(Reference::Twins { cycles, cpus }),
+                        recorded,
+                        "{} {name} fault {i} ({fault:?}): {cpus} live CPUs disagree with the \
+                         recording (start {from:?}, trace window {trace_window:?})",
+                        C::NAME,
+                    );
+                }
             }
         }
+        manifested += usize::from(detected);
     }
-    // And across modes too, down to one worker.
-    assert_eq!(seen[0].1, seen[1].1, "modes disagree");
+    manifested
 }
 
-/// Divergence traces (the `--trace-window` path) are part of the
-/// archive and must also be mode-independent: both modes step the
-/// faulty CPU identically, and the trace samples observe only it.
-#[test]
-fn traced_archives_byte_identical_across_replay_modes() {
-    let mut cfg = base_config();
-    cfg.faults_per_workload = 30;
-    cfg.trace_window = Some(32);
-    let shadow = run_mode(&cfg, ReplayMode::Shadow);
-    let lockstep = run_mode(&cfg, ReplayMode::Lockstep);
-    assert!(
-        shadow.traces.iter().any(|t| t.is_some()),
-        "traced campaign must record divergence traces"
-    );
-    assert_eq!(shadow.traces, lockstep.traces, "trace blobs differ between replay modes");
-    assert_eq!(archive_bytes(&shadow), archive_bytes(&lockstep));
-}
-
-/// The `--events` log tells the same story in both modes: identical
-/// Inject/Detect/Masked/CheckpointHit/GoldenPass streams (compared as
-/// single-threaded line sets with the wall-clock Span lines dropped).
-#[test]
-fn event_logs_identical_across_replay_modes() {
-    fn event_lines(mode: ReplayMode, path: &std::path::Path) -> Vec<String> {
-        let mut cfg = base_config();
-        cfg.faults_per_workload = 20;
-        cfg.threads = 1;
-        cfg.replay_mode = mode;
-        let sink = Arc::new(JsonlSink::create(path).unwrap());
-        cfg.events = Some(sink.clone());
-        let _ = run_campaign(&cfg);
-        sink.flush();
-        let text = std::fs::read_to_string(path).unwrap();
-        text.lines().filter(|l| !l.contains("\"type\":\"span\"")).map(str::to_owned).collect()
+/// The oracle over the hand-written anchor pair on one core: some but
+/// not all sampled faults must manifest, so both the detection path
+/// (DSR capture window, trace samples) and the masked path are checked.
+fn assert_oracle_on<C: CoreModel>() {
+    for name in ["rspeed", "idctrn"] {
+        let faults = 40;
+        let manifested =
+            assert_twins_agree_with_recording::<C>(name, faults, &ALL_STARTS, &ALL_TRACE_WINDOWS);
+        assert!(manifested > 0, "{} {name}: no sampled fault manifested", C::NAME);
+        assert!(manifested < faults, "{} {name}: every sampled fault manifested", C::NAME);
     }
-    let dir = std::env::temp_dir().join("lockstep_replay_equivalence");
-    std::fs::create_dir_all(&dir).unwrap();
-    let shadow_path = dir.join("shadow.jsonl");
-    let lockstep_path = dir.join("lockstep.jsonl");
-    let shadow = event_lines(ReplayMode::Shadow, &shadow_path);
-    let lockstep = event_lines(ReplayMode::Lockstep, &lockstep_path);
-    assert!(shadow.iter().any(|l| l.contains("\"type\":\"detect\"")), "no detections logged");
-    assert!(
-        shadow.iter().any(|l| l.contains("\"type\":\"checkpoint_hit\"")),
-        "no checkpoint hits logged"
-    );
-    assert_eq!(shadow, lockstep, "event streams differ between replay modes");
-    std::fs::remove_file(&shadow_path).ok();
-    std::fs::remove_file(&lockstep_path).ok();
 }
 
-/// Full-suite sweep, tier-2 only: every workload, both modes, traced,
-/// byte-identical. This is the heavyweight version of the fast tests
-/// above (one golden pass + two replay passes over all 12 kernels).
+#[test]
+fn lr5_recording_matches_live_twins_fault_by_fault() {
+    assert_oracle_on::<Cpu>();
+}
+
+#[test]
+fn lr7_recording_matches_live_twins_fault_by_fault() {
+    assert_oracle_on::<Lr7>();
+}
+
+/// Full-suite sweep, tier-2 only: every workload on both cores. The
+/// starts and the untraced replay are covered above; the sweep adds
+/// every kernel's instruction mix, from the dense checkpoints (the
+/// cheapest start), traced (a traced replay decides the outcome too).
 #[cfg(feature = "slow-tests")]
 #[test]
 #[ignore = "full-suite sweep; run with --features slow-tests -- --ignored"]
-fn full_suite_archives_byte_identical_across_replay_modes() {
-    let mut cfg = base_config();
-    cfg.workloads = Workload::all().iter().collect();
-    cfg.faults_per_workload = 100;
-    cfg.trace_window = Some(32);
-    let shadow = run_mode(&cfg, ReplayMode::Shadow);
-    let lockstep = run_mode(&cfg, ReplayMode::Lockstep);
-    assert!(shadow.records.len() > 100, "sweep too sparse");
-    assert_eq!(archive_bytes(&shadow), archive_bytes(&lockstep));
-}
-
-/// Shadow replay is DMR-only: an N>2 configuration has a majority to
-/// vote with, which a recorded trace cannot reproduce, so the campaign
-/// falls back to full lockstep replay. For single faults the majority
-/// of identical fault-free twins degenerates to the pairwise compare,
-/// so the records still match the DMR run bit-for-bit.
-#[test]
-fn tmr_config_falls_back_to_lockstep_replay() {
-    let mut cfg = base_config();
-    cfg.faults_per_workload = 25;
-
-    let dmr = run_mode(&cfg, ReplayMode::Shadow);
-    assert_eq!(dmr.stats.replay_mode, "shadow");
-
-    let mut tmr_cfg = cfg.clone();
-    tmr_cfg.cpus = 3;
-    assert_eq!(tmr_cfg.effective_replay_mode(), ReplayMode::Lockstep);
-    tmr_cfg.replay_mode = ReplayMode::Shadow; // explicitly requested, still overridden
-    let tmr = run_campaign(&tmr_cfg);
-    assert_eq!(tmr.stats.replay_mode, "lockstep", "TMR must not shadow-replay");
-    assert_eq!(archive_bytes(&dmr), archive_bytes(&tmr));
+fn full_suite_recording_matches_live_twins_fault_by_fault() {
+    let traced = [Some(TRACE_WINDOW)];
+    let mut manifested = 0;
+    for w in Workload::all() {
+        manifested += assert_twins_agree_with_recording::<Cpu>(w.name, 40, &[Some(0)], &traced);
+        manifested += assert_twins_agree_with_recording::<Lr7>(w.name, 40, &[Some(0)], &traced);
+    }
+    assert!(manifested > 100, "sweep too sparse");
 }

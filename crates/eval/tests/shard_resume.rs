@@ -3,7 +3,7 @@
 //! boundary and resumed by a fresh process from the persisted shard
 //! archives** — must merge to an archive **byte-identical** to the
 //! uninterrupted single-shot run, across shard cuts, thread counts,
-//! replay modes, and batch modes. This is what lets `lockstep-serve`
+//! comparators, and batch modes. This is what lets `lockstep-serve`
 //! requeue timed-out shards and resume in-flight jobs after a restart
 //! without ever corrupting a result.
 //!
@@ -18,7 +18,7 @@ use lockstep_core::{ErrorRecord, RedundancyMode};
 use lockstep_cpu::CoreKind;
 use lockstep_eval::archive::CampaignArchive;
 use lockstep_eval::batch::BatchConfig;
-use lockstep_eval::campaign::{run_campaign, CampaignConfig, CampaignStats, ReplayMode};
+use lockstep_eval::campaign::{run_campaign, CampaignConfig, CampaignStats};
 use lockstep_eval::shard::{merge_shard_archives, plan_shards, run_shard};
 use lockstep_workloads::Workload;
 use proptest::prelude::*;
@@ -85,8 +85,8 @@ proptest! {
 
     /// The satellite contract: kill-at-arbitrary-shard-boundary +
     /// resume merges byte-identical to the uninterrupted single-shot
-    /// archive, across shard cuts × kill points × thread counts ×
-    /// replay modes × batch modes.
+    /// archive, across shard cuts × kill points × thread counts × batch
+    /// modes.
     #[test]
     fn killed_and_resumed_job_merges_byte_identical(
         seed in 1u64..10_000,
@@ -94,14 +94,12 @@ proptest! {
         shard_count in 1usize..8,
         kill_frac in 0u32..=100,
         threads in 1usize..=4,
-        lockstep in any::<bool>(),
         batched in any::<bool>(),
     ) {
         let mut cfg = base_config();
         cfg.seed = seed;
         cfg.faults_per_workload = faults;
         cfg.threads = threads;
-        cfg.replay_mode = if lockstep { ReplayMode::Lockstep } else { ReplayMode::Shadow };
         cfg.batch = batched.then_some(BatchConfig::FULL);
 
         let single = run_campaign(&cfg);

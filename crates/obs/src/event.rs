@@ -104,18 +104,6 @@ pub enum Event {
         /// The substituted mean golden runtime in cycles.
         mean_cycles: u64,
     },
-    /// The campaign requested one replay mode but the engine ran
-    /// another (shadow is DMR-only: a recorded trace cannot stand in
-    /// for several live twins in a majority vote, so TMR-and-up
-    /// configurations run full lockstep replay).
-    ReplayModeDowngraded {
-        /// The replay mode the configuration asked for.
-        requested: String,
-        /// The replay mode the engine actually ran.
-        effective: String,
-        /// Redundant CPUs per lockstep unit that forced the downgrade.
-        cpus: u64,
-    },
     /// The campaign requested the batched engine but ran the scalar one:
     /// the divergence trace recorder samples one dedicated faulty CPU per
     /// injection, which is exactly what batching shares away.
@@ -228,7 +216,6 @@ impl Event {
             Event::BistStop { .. } => "bist_stop",
             Event::Prediction { .. } => "prediction",
             Event::RestartFallback { .. } => "restart_fallback",
-            Event::ReplayModeDowngraded { .. } => "replay_mode_downgraded",
             Event::BatchModeDowngraded { .. } => "batch_mode_downgraded",
             Event::Resync { .. } => "resync",
             Event::Span { .. } => "span",
@@ -303,11 +290,6 @@ impl Serialize for Event {
             Event::RestartFallback { workload, mean_cycles } => {
                 field(out, "workload", workload);
                 field(out, "mean_cycles", mean_cycles);
-            }
-            Event::ReplayModeDowngraded { requested, effective, cpus } => {
-                field(out, "requested", requested);
-                field(out, "effective", effective);
-                field(out, "cpus", cpus);
             }
             Event::BatchModeDowngraded { requested, effective, trace_window } => {
                 field(out, "requested", requested);
@@ -416,11 +398,6 @@ impl Deserialize for Event {
                 workload: s("workload")?,
                 mean_cycles: u("mean_cycles")?,
             }),
-            "replay_mode_downgraded" => Ok(Event::ReplayModeDowngraded {
-                requested: s("requested")?,
-                effective: s("effective")?,
-                cpus: u("cpus")?,
-            }),
             "batch_mode_downgraded" => Ok(Event::BatchModeDowngraded {
                 requested: s("requested")?,
                 effective: s("effective")?,
@@ -513,11 +490,6 @@ mod tests {
                 hard: true,
             },
             Event::RestartFallback { workload: "missing".into(), mean_cycles: 9000 },
-            Event::ReplayModeDowngraded {
-                requested: "shadow".into(),
-                effective: "lockstep".into(),
-                cpus: 3,
-            },
             Event::BatchModeDowngraded {
                 requested: "full".into(),
                 effective: "off".into(),

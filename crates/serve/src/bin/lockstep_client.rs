@@ -14,11 +14,10 @@ use lockstep_core::{Dsr, ErrorRecord, Predictor, PredictorConfig};
 use lockstep_cpu::Granularity;
 use lockstep_eval::campaign::run_campaign;
 use lockstep_eval::dataset::Dataset;
-use lockstep_eval::spec::CampaignSpec;
+use lockstep_eval::spec::{CampaignSpec, DEFAULT_SPEC_REPLAY_MODE};
 use lockstep_fault::ErrorKind;
 use lockstep_serve::proto::{JobStatus, PredictResponse, StatusResponse, SubmitResponse};
 use lockstep_serve::JobSpec;
-use lockstep_workloads::fuzz;
 use serde::json::Value;
 
 fn main() {
@@ -82,14 +81,13 @@ fn usage() -> String {
     "usage: lockstep_client [--addr HOST:PORT] <command>\n\
      commands:\n  \
      ping\n  \
-     submit --workloads a,b[,fuzz:<seed>[:<count>]] --faults N [--seed S] [--shards K]\n         \
-     [--replay-mode shadow|lockstep] [--batch-mode off|fanout|earlyout|lanes|full]\n         \
-     [--core lr5|lr7]\n  \
+     submit --workloads a,b[,fuzz:<seed>[:<count>]|lc:<kernel>] --faults N [--seed S]\n         \
+     [--shards K] [--batch-mode off|full] [--core lr5|lr7] [--redundancy fixed|dme]\n  \
      status [--job job-NNNNNN]\n  \
      wait --job job-NNNNNN [--timeout-secs N]\n  \
      predict --dsr 0xHEX [--granularity coarse|fine] [--core lr5|lr7]\n  \
-     check --workloads a,b --faults N [--seed S] [--shards K] [--granularity coarse|fine]\n       \
-     [--core lr5|lr7]\n  \
+     check --workloads a,b --faults N [--seed S] [--shards K] [--granularity coarse|fine]\n        \
+     [--batch-mode off|full] [--core lr5|lr7] [--redundancy fixed|dme]\n  \
      shutdown"
         .to_owned()
 }
@@ -105,7 +103,8 @@ fn flag_value(flags: &[String], name: &str) -> Option<String> {
     })
 }
 
-/// Sends one request line and returns the one response line.
+/// Sends one request line and returns the one response line. A server
+/// that closes the connection without answering is an error.
 fn request(addr: &str, line: &str) -> String {
     let stream =
         TcpStream::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
@@ -114,9 +113,12 @@ fn request(addr: &str, line: &str) -> String {
         .write_all(format!("{line}\n").as_bytes())
         .unwrap_or_else(|e| die(&format!("send failed: {e}")));
     let mut response = String::new();
-    BufReader::new(stream)
+    let read = BufReader::new(stream)
         .read_line(&mut response)
         .unwrap_or_else(|e| die(&format!("receive failed: {e}")));
+    if read == 0 {
+        die("server closed the connection");
+    }
     response.trim_end().to_owned()
 }
 
@@ -134,36 +136,30 @@ fn request_ok<T: serde::Deserialize>(addr: &str, line: &str) -> T {
         .unwrap_or_else(|e| die(&format!("unexpected response `{response}`: {e}")))
 }
 
+/// The job the `submit` and `check` flags describe, validated the way
+/// the server validates it. Workload tokens go out as given (the
+/// server expands `fuzz:` and `lc:` itself).
 fn spec_from_flags(flags: &[String]) -> JobSpec {
     let list = flag_value(flags, "--workloads").unwrap_or_else(|| die("missing --workloads"));
-    let mut workloads = Vec::new();
-    for name in list.split(',') {
-        let name = name.trim();
-        if let Some(spec) = name.strip_prefix("fuzz:") {
-            let spec = fuzz::FuzzSpec::parse(spec)
-                .unwrap_or_else(|| die(&format!("bad fuzz spec `{name}`")));
-            workloads.extend(spec.workloads().iter().map(|w| w.name.to_owned()));
-        } else {
-            workloads.push(name.to_owned());
-        }
-    }
-    JobSpec {
+    let spec = JobSpec {
         campaign: CampaignSpec {
-            workloads,
+            workloads: list.split(',').map(|w| w.trim().to_owned()).collect(),
             faults_per_workload: flag_value(flags, "--faults")
                 .unwrap_or_else(|| die("missing --faults"))
                 .parse()
                 .unwrap_or_else(|_| die("bad --faults")),
             seed: flag_value(flags, "--seed")
                 .map_or(1, |s| s.parse().unwrap_or_else(|_| die("bad --seed"))),
-            replay_mode: flag_value(flags, "--replay-mode").unwrap_or("shadow".to_owned()),
+            replay_mode: DEFAULT_SPEC_REPLAY_MODE.to_owned(),
             batch_mode: flag_value(flags, "--batch-mode").unwrap_or("full".to_owned()),
             core: flag_value(flags, "--core").unwrap_or("lr5".to_owned()),
             redundancy: flag_value(flags, "--redundancy").unwrap_or("fixed".to_owned()),
         },
         shards: flag_value(flags, "--shards")
             .map_or(4, |s| s.parse().unwrap_or_else(|_| die("bad --shards"))),
-    }
+    };
+    spec.validate().unwrap_or_else(|e| die(&e.to_string()));
+    spec
 }
 
 fn submit_line(spec: &JobSpec) -> String {
@@ -207,11 +203,12 @@ fn check(addr: &str, flags: &[String]) {
     };
     let timeout = flag_value(flags, "--timeout-secs")
         .map_or(600, |s| s.parse().unwrap_or_else(|_| die("bad --timeout-secs")));
+    let mut config = spec.campaign_config().unwrap_or_else(|e| die(&e.to_string()));
 
     eprintln!(
         "submitting {} workloads x {} faults on the {} ...",
-        spec.campaign.workloads.len(),
-        spec.campaign.faults_per_workload,
+        config.workloads.len(),
+        config.faults_per_workload,
         spec.campaign.core
     );
     let submitted: SubmitResponse = request_ok(addr, &submit_line(&spec));
@@ -224,7 +221,6 @@ fn check(addr: &str, flags: &[String]) {
 
     // The offline path the paper's experiments use (repro_all /
     // fig10_table_contents): same records, same training call.
-    let mut config = spec.campaign_config().unwrap_or_else(|e| die(&e.to_string()));
     config.threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let result = run_campaign(&config);
     let records: Vec<&ErrorRecord> = result.records.iter().collect();

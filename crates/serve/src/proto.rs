@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JobSpec {
     /// The portable campaign description (workloads, faults, seed,
-    /// replay/batch modes, core model).
+    /// batch engine, core model, comparator).
     pub campaign: CampaignSpec,
     /// Requested shard count (the planner clamps to the queue size).
     pub shards: u64,
@@ -63,11 +63,7 @@ impl JobSpec {
     ///
     /// Returns the first failing field's typed [`SpecError`].
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.campaign.validate()?;
-        if self.shards == 0 {
-            return Err(SpecError::ZeroShards);
-        }
-        Ok(())
+        self.campaign_config().map(drop)
     }
 
     /// Builds the campaign configuration a worker runs one shard of
@@ -80,8 +76,11 @@ impl JobSpec {
     ///
     /// Returns the same typed errors as [`JobSpec::validate`].
     pub fn campaign_config(&self) -> Result<CampaignConfig, SpecError> {
-        self.validate()?;
-        self.campaign.campaign_config(1)
+        let config = self.campaign.campaign_config(1)?;
+        if self.shards == 0 {
+            return Err(SpecError::ZeroShards);
+        }
+        Ok(config)
     }
 }
 
@@ -398,7 +397,6 @@ pub struct ShutdownResponse {
 mod tests {
     use super::*;
     use lockstep_cpu::CoreKind;
-    use lockstep_eval::campaign::ReplayMode;
     use lockstep_eval::spec::{
         DEFAULT_SPEC_BATCH_MODE, DEFAULT_SPEC_REPLAY_MODE, DEFAULT_SPEC_SEED,
     };
@@ -409,7 +407,7 @@ mod tests {
                 workloads: vec!["idctrn".to_owned(), "rspeed".to_owned()],
                 faults_per_workload: 30,
                 seed: 9,
-                replay_mode: "lockstep".to_owned(),
+                replay_mode: "shadow".to_owned(),
                 batch_mode: "off".to_owned(),
                 core: "lr7".to_owned(),
                 redundancy: "fixed".to_owned(),
@@ -477,11 +475,7 @@ mod tests {
     fn submit_accepts_the_redundancy_axis() {
         use lockstep_core::RedundancyMode;
 
-        for (mode, expected) in [
-            ("fixed", RedundancyMode::Fixed),
-            ("dynamic", RedundancyMode::Dynamic),
-            ("dme", RedundancyMode::Dme),
-        ] {
+        for (mode, expected) in [("fixed", RedundancyMode::Fixed), ("dme", RedundancyMode::Dme)] {
             let line = format!(
                 r#"{{"cmd":"submit","workloads":["rspeed"],"faults_per_workload":5,"redundancy":"{mode}"}}"#
             );
@@ -588,7 +582,6 @@ mod tests {
         assert_eq!(config.faults_per_workload, 30);
         assert_eq!(config.seed, 9);
         assert_eq!(config.threads, 1, "shards run single-threaded");
-        assert_eq!(config.replay_mode, ReplayMode::Lockstep);
         assert!(config.batch.is_none());
         assert_eq!(config.core, CoreKind::Lr7);
     }

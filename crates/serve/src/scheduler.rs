@@ -230,6 +230,11 @@ impl Scheduler {
         self.generation.load(Ordering::SeqCst)
     }
 
+    /// The most shards the queue holds ([`SchedulerConfig::queue_capacity`]).
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.config.queue_capacity
+    }
+
     /// Pending (not yet leased) shards.
     pub fn queued_shards(&self) -> usize {
         self.inner.lock().expect("no poisoned scheduler").queue.len()

@@ -177,6 +177,18 @@ impl Service {
 
     fn submit(&self, spec: crate::proto::JobSpec) -> Result<SubmitResponse, RequestError> {
         let config = spec.campaign_config()?;
+        // A job that could never fit the queue is refused before it is
+        // planned: the plan holds one entry per shard, so an oversized
+        // shard count would be allocated first and refused after.
+        let total = config.workloads.len() as u64 * config.faults_per_workload as u64;
+        let shards = spec.shards.min(total);
+        let capacity = self.scheduler.queue_capacity();
+        if shards > capacity as u64 {
+            return Err(RequestError::new(
+                "queue_full",
+                format!("queue full: {shards} shards exceed capacity {capacity}"),
+            ));
+        }
         let specs = plan_shards(&config, spec.shards as usize);
         let job = self
             .registry

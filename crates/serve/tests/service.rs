@@ -266,6 +266,109 @@ fn restarted_server_resumes_incomplete_jobs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A job an older server persisted under since-retired labels
+/// (`lockstep` replay, `dynamic` redundancy, `lanes` batching), with
+/// two of its four shards written under them, resumes on a new server
+/// and merges byte-identical to a single-shot run of the job.
+#[test]
+fn job_persisted_with_retired_labels_resumes_and_merges() {
+    let dir = temp_dir("retired_labels");
+    let spec = seeded_spec(11, 4);
+    let campaign = spec.campaign_config().unwrap();
+    let specs = plan_shards(&campaign, 4);
+    {
+        let registry = Registry::open(&dir).expect("registry opens");
+        let job = registry.create_job(&spec, specs.len() as u64).expect("job registers");
+        let record = dir.join("jobs").join(&job.id).join("job.json");
+        let older = std::fs::read_to_string(&record)
+            .unwrap()
+            .replace(r#""replay_mode":"shadow""#, r#""replay_mode":"lockstep""#)
+            .replace(r#""batch_mode":"full""#, r#""batch_mode":"lanes""#)
+            .replace(r#""redundancy":"fixed""#, r#""redundancy":"dynamic""#);
+        assert!(older.contains("lockstep") && older.contains("lanes") && older.contains("dynamic"));
+        std::fs::write(&record, older).unwrap();
+        for shard_spec in &specs[..2] {
+            let archive = serde_json::to_string(&run_shard(&campaign, shard_spec))
+                .unwrap()
+                .replacen(&format!(r#""version":{ARCHIVE_VERSION}"#), r#""version":10"#, 1)
+                .replace(r#""batch_mode":"full""#, r#""batch_mode":"lanes""#)
+                .replace(
+                    r#""redundancy":"fixed""#,
+                    r#""redundancy":"dynamic","replay_mode":"lockstep""#,
+                );
+            std::fs::write(registry.shard_path(&job.id, shard_spec.index), archive).unwrap();
+        }
+    }
+
+    let handle = serve(
+        "127.0.0.1:0",
+        &dir,
+        ServiceConfig {
+            scheduler: SchedulerConfig { workers: 2, ..SchedulerConfig::default() },
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("server restarts");
+    let status = wait_for(&handle, "job-000001", Duration::from_secs(300));
+    assert_eq!(status.state, "done", "resumed job must complete: {status:?}");
+
+    let registry = Registry::open(&dir).unwrap();
+    let merged = merge_shard_archives(&registry.load_completed("job-000001").unwrap()).unwrap();
+    assert_eq!(merged.stats.redundancy, "fixed");
+    assert_eq!(merged.stats.batch_mode, "mixed");
+    let single = CampaignArchive::from_result(&run_campaign(&campaign));
+    assert_eq!(
+        archive_bytes(merged),
+        archive_bytes(single),
+        "a job resumed across the label change must merge byte-identical to single-shot"
+    );
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Submit lines that once took the server down are typed refusals: a
+/// shard plan too large to allocate is refused before it is planned,
+/// and a fault total past `u64::MAX` is an error, not a wrapped count.
+/// The server answers the next request.
+#[test]
+fn oversized_submits_are_refused_and_the_server_keeps_answering() {
+    let dir = temp_dir("oversized");
+    let handle = serve(
+        "127.0.0.1:0",
+        &dir,
+        ServiceConfig {
+            scheduler: SchedulerConfig { workers: 0, ..SchedulerConfig::default() },
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("server starts");
+
+    for (line, code) in [
+        (
+            r#"{"cmd":"submit","workloads":["rspeed"],"faults_per_workload":1000000000000000000,"shards":1000000000000000000}"#,
+            "queue_full",
+        ),
+        (
+            r#"{"cmd":"submit","workloads":["rspeed","idctrn"],"faults_per_workload":9223372036854775808,"shards":4}"#,
+            "too_many_faults",
+        ),
+    ] {
+        let response = send(&handle, line);
+        let value =
+            Value::parse(&response).unwrap_or_else(|e| panic!("`{line}` → `{response}`: {e}"));
+        assert!(!value.field("ok").unwrap().as_bool().unwrap(), "`{line}` must be refused");
+        assert_eq!(value.field("code").unwrap().as_str().unwrap(), code, "for `{line}`");
+    }
+    let pong = Value::parse(&send(&handle, r#"{"cmd":"ping"}"#)).expect("the server still answers");
+    assert!(pong.field("ok").unwrap().as_bool().unwrap());
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The bounded queue rejects submits it cannot hold instead of
 /// accepting work it would starve.
 #[test]

@@ -29,8 +29,6 @@ fn one_error_full_lifecycle() {
         checkpoint_interval: Some(4096),
         events: None,
         trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
         batch: None,
         core: lockstep_cpu::CoreKind::Lr5,
         redundancy: lockstep::core::RedundancyMode::Fixed,

@@ -33,8 +33,6 @@ fn run_scaled(faults_per_workload: usize) -> CampaignResult {
         checkpoint_interval: Some(4096),
         events: None,
         trace_window: None,
-        replay_mode: Default::default(),
-        cpus: 2,
         batch: None,
         core: lockstep_cpu::CoreKind::Lr5,
         redundancy: lockstep::core::RedundancyMode::Fixed,

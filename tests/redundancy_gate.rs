@@ -1,8 +1,7 @@
 //! Tier-1 gate for the redundancy axis's coverage claim: on the
 //! minimized witness program (`tests/repros/dme_addr_decoder_aliasing.asm`)
-//! a planted address-decoder stuck-at is detected by **zero** of the
-//! fixed/dynamic identical-lockstep runs and by **all** of the
-//! diverse-memory runs. The full kernel × decoder-line matrix lives in
+//! a planted address-decoder stuck-at is missed by the fixed
+//! identical-lockstep run and detected by the diverse-memory run. The full kernel × decoder-line matrix lives in
 //! `crates/eval/tests/dme_detection.rs`; this file is the fast PR-gate
 //! subset the root `cargo test -q` always runs.
 
@@ -27,13 +26,11 @@ fn witness_image() -> Memory {
 #[test]
 fn planted_decoder_stuck_at_zero_fixed_vs_full_dme_coverage() {
     let fault = AddrStuckAt { bit: 8, stuck_one: false };
-    let mut identical_hits = 0;
-    for mode in [RedundancyMode::Fixed, RedundancyMode::Dynamic] {
-        if run_decoder_stuck_at_on::<Cpu>(witness_image(), fault, mode, 10_000).is_some() {
-            identical_hits += 1;
-        }
-    }
-    assert_eq!(identical_hits, 0, "identical lockstep must share the decoder's lie");
+    assert_eq!(
+        run_decoder_stuck_at_on::<Cpu>(witness_image(), fault, RedundancyMode::Fixed, 10_000),
+        None,
+        "identical lockstep must share the decoder's lie"
+    );
 
     let (cycle, dsr) =
         run_decoder_stuck_at_on::<Cpu>(witness_image(), fault, RedundancyMode::Dme, 10_000)
