@@ -96,9 +96,10 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
 ///
 /// This is the admission test for word parking: on LR5 every access to
 /// these words is visible from the pre-cycle state and golden's ports
-/// ([`crate::exec::park_reads`] and [`crate::exec::park_writes`]), so a
-/// word-confined lane evolves in provable lockstep with golden at zero
-/// simulation cost until a dirty word may be read.
+/// ([`crate::exec::park_reads`] and [`crate::exec::park_writes`]; a
+/// counter's own increment is golden's, [`crate::exec::park_advancing`]),
+/// so a word-confined lane evolves in provable lockstep with golden at
+/// zero simulation cost until a dirty word may be read.
 ///
 /// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
 /// pair is outside the words and still differs, the answer is `None` in
@@ -346,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn park_words_name_the_registers_the_ras_and_six_csrs() {
+    fn park_words_name_the_registers_ras_csrs_counters_and_latches() {
         let words = crate::exec::park_words();
         let named: Vec<(&str, u8)> =
             words.iter().map(|&(r, bit)| (registry()[r as usize].name, bit)).collect();
@@ -361,8 +362,30 @@ mod tests {
                 ("csr_tvec", 42),
                 ("csr_scratch0", 43),
                 ("csr_scratch1", 44),
+                ("cycle", 45),
+                ("instret", 46),
+                ("hartid", 47),
+                ("dmc_addr", 48),
+                ("dmc_wdata", 49),
+                ("dmc_mask", 50),
+                ("dmc_rdata", 51),
+                ("wb_lane", 52),
+                ("mdv_op", 53),
+                ("mdv_cnt", 54),
+                ("mdv_a", 55),
+                ("mdv_b", 56),
+                ("mdv_acc_lo", 57),
+                ("mdv_acc_hi", 58),
+                ("mdv_neg", 59),
             ]
         );
+        use crate::exec::{CYCLE_WORD, DMC_WORD, HARTID_WORD, MDV_WORD};
+        let at = |name: &str| named.iter().find(|&&(n, _)| n == name).map(|&(_, bit)| bit);
+        assert_eq!(at("cycle"), Some(CYCLE_WORD));
+        assert_eq!(at("hartid"), Some(HARTID_WORD));
+        assert_eq!(at("dmc_addr"), Some(DMC_WORD));
+        assert_eq!(at("mdv_op"), Some(MDV_WORD));
+        assert_eq!(crate::exec::park_advancing(), 0b11 << CYCLE_WORD, "the two counters");
         // Lane r-1 of the bank holds architectural register r, and the
         // words tile the mask without overlap.
         let mut s = CpuState::reset(0);
@@ -376,7 +399,7 @@ mod tests {
                 seen |= word;
             }
         }
-        assert_eq!(seen, (1 << 45) - 1);
+        assert_eq!(seen, (1 << 60) - 1);
     }
 
     #[test]

@@ -609,22 +609,55 @@ pub fn compute_next(
 pub const RAS_WORD: u8 = 31;
 
 /// Word-mask bit of `csr_status` in [`park_words`]'s numbering. The six
-/// parkable CSRs follow in address order (`status`, `cause`, `epc`,
+/// writable CSRs follow in address order (`status`, `cause`, `epc`,
 /// `tvec`, `scratch0`, `scratch1`), so CSR address `a` is bit
 /// `CSR_WORD + a - 2`.
 pub const CSR_WORD: u8 = 39;
 
+/// Word-mask bit of the `cycle` counter; `instret` is the next bit.
+pub const CYCLE_WORD: u8 = 45;
+
+/// Word-mask bit of `hartid`.
+pub const HARTID_WORD: u8 = 47;
+
+/// Word-mask bit of `dmc_addr`. `dmc_wdata`, `dmc_mask`, `dmc_rdata` and
+/// `wb_lane` follow in that order.
+pub const DMC_WORD: u8 = 48;
+
+/// Word-mask bit of `mdv_op`. `mdv_cnt`, `mdv_a`, `mdv_b`, `mdv_acc_lo`,
+/// `mdv_acc_hi` and `mdv_neg` follow in that order.
+pub const MDV_WORD: u8 = 53;
+
+/// The advancing words: `cycle` and `instret` (see [`park_advancing`]).
+const COUNTER_WORDS: u64 = 0b11 << CYCLE_WORD;
+/// The posted store: `dmc_addr`, `dmc_wdata` and `dmc_mask`.
+const DMC_STORE_WORDS: u64 = 0b111 << DMC_WORD;
+const DMC_RDATA_WORD: u64 = 1 << (DMC_WORD + 3);
+const WB_LANE_WORD: u64 = 1 << (DMC_WORD + 4);
+/// Every MDV latch but `mdv_busy`.
+const MDV_WORDS: u64 = 0x7F << MDV_WORD;
+/// What one MDV iteration writes: `mdv_cnt`, `mdv_acc_lo`, `mdv_acc_hi`.
+const MDV_ITERATE_WORDS: u64 = (1 << 1 | 1 << 4 | 1 << 5) << MDV_WORD;
+
 /// The flop words of LR5 whose every access [`park_reads`] and
 /// [`park_writes`] can see from the pre-cycle state and golden's ports:
 /// `(registry entry, first word bit)` pairs, lane `l` of an entry being
-/// word `first + l`. 45 words in all: the 31 registers, the 8 RAS
-/// entries and six CSRs.
+/// word `first + l`. 60 words in all:
+///
+/// * the 31 registers and the 8 RAS entries;
+/// * the six writable CSRs, the `cycle` and `instret` counters (the
+///   [`park_advancing`] words) and `hartid`;
+/// * the DMCU's posted store (`dmc_addr`, `dmc_wdata`, `dmc_mask`), its
+///   load data `dmc_rdata` and the WB latch's byte lane `wb_lane`;
+/// * the MDV operands, accumulator and control (`mdv_op`, `mdv_cnt`,
+///   `mdv_a`, `mdv_b`, `mdv_acc_lo`, `mdv_acc_hi`, `mdv_neg`).
 ///
 /// `csr_misr` is not parkable because a `csrw misr` folds its old value
-/// into the new one, so a write does not clean it. `cycle` and `instret`
-/// are not either: every cycle increments `cycle`, and every retirement
-/// `instret`, from its own value, so each is read whenever it changes
-/// and residue there never leaves.
+/// into the new one, so a write does not clean it. The control latches
+/// the oracles decode from (`dmc_pending`, `mdv_busy`, `wb_valid`,
+/// `wb_op`, `wb_mmio`, ...) stay out too: they decide which words a
+/// cycle touches, so the oracles need golden's copy of them to be the
+/// faulty machine's.
 pub fn park_words() -> &'static [(u16, u8)] {
     static WORDS: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
     WORDS.get_or_init(|| {
@@ -634,12 +667,44 @@ pub fn park_words() -> &'static [(u16, u8)] {
                 .position(|r| r.name == name)
                 .unwrap_or_else(|| panic!("flop registry has no `{name}` entry")) as u16
         };
-        let csrs =
-            ["csr_status", "csr_cause", "csr_epc", "csr_tvec", "csr_scratch0", "csr_scratch1"];
+        let scalars = [
+            "csr_status",
+            "csr_cause",
+            "csr_epc",
+            "csr_tvec",
+            "csr_scratch0",
+            "csr_scratch1",
+            "cycle",
+            "instret",
+            "hartid",
+            "dmc_addr",
+            "dmc_wdata",
+            "dmc_mask",
+            "dmc_rdata",
+            "wb_lane",
+            "mdv_op",
+            "mdv_cnt",
+            "mdv_a",
+            "mdv_b",
+            "mdv_acc_lo",
+            "mdv_acc_hi",
+            "mdv_neg",
+        ];
         let mut words = vec![(index("regs"), 0), (index("ras"), RAS_WORD)];
-        words.extend(csrs.iter().zip(CSR_WORD..).map(|(&name, bit)| (index(name), bit)));
+        words.extend(scalars.iter().zip(CSR_WORD..).map(|(&name, bit)| (index(name), bit)));
         words
     })
+}
+
+/// The [`park_words`] that *advance* instead of holding: `cycle` and
+/// `instret`. Every cycle increments `cycle`, and every retirement
+/// `instret`, from its own value; that self-increment is the one read
+/// whose value flows only back into the word, and it happens on exactly
+/// the cycles it happens on golden. So while unread (no `csrr` selects
+/// it) a faulty counter counts in step with golden's, and its value at
+/// wake follows from its value at park and golden's delta since.
+pub fn park_advancing() -> u64 {
+    COUNTER_WORDS
 }
 
 /// A superset of the [`park_words`] the cycle from pre-cycle state `s`
@@ -652,8 +717,17 @@ pub fn park_words() -> &'static [(u16, u8)] {
 ///   or the WB write-through may suppress a read, so this is a superset.
 /// * **RAS:** a return pops entry `(ras_sp - 1) & 7`, exactly when
 ///   golden's `RasCtl` bit 1 is set.
-/// * **CSRs:** a `csrr` in the ID/EX latch may read CSR `id_imm & 0xF`,
-///   and a trap (golden's `ExcCtl` bit 0) reads `csr_tvec`.
+/// * **CSRs, counters and `hartid`:** a `csrr` in the ID/EX latch may
+///   read the CSR `id_imm & 0xF` selects, and a trap (golden's `ExcCtl`
+///   bit 0) reads `csr_tvec`. A counter's own increment is not a read
+///   here ([`park_advancing`]).
+/// * **DMCU:** a posted store drains (and drives its ports) from
+///   `dmc_addr`, `dmc_wdata` and `dmc_mask` whenever `dmc_pending`; a load
+///   in WB extracts its byte lane `wb_lane` of `dmc_rdata` (RAM) or of
+///   `biu_rdata` (MMIO, `wb_mmio`).
+/// * **MDV:** while `mdv_busy`, the ports show `mdv_cnt` and
+///   `mdv_acc_lo`, an iteration reads the operands and accumulator, and
+///   the completing instruction reads `mdv_neg`: every MDV word.
 pub fn park_reads(s: &CpuState, golden: &PortSet) -> u64 {
     let mut words = 0u64;
     if s.halted & 1 == 0 && s.if_valid & 1 == 1 && s.if_err & 1 == 0 {
@@ -674,6 +748,18 @@ pub fn park_reads(s: &CpuState, golden: &PortSet) -> u64 {
     if golden.get(Sc::ExcCtl) & 1 != 0 {
         words |= csr_word(Csr::Tvec.bits());
     }
+    if s.dmc_pending & 1 == 1 {
+        words |= DMC_STORE_WORDS;
+    }
+    if s.wb_valid & 1 == 1 && Opcode::from_bits(u32::from(s.wb_op)).is_some_and(Opcode::is_load) {
+        words |= WB_LANE_WORD;
+        if s.wb_mmio & 1 == 0 {
+            words |= DMC_RDATA_WORD;
+        }
+    }
+    if s.mdv_busy & 1 == 1 {
+        words |= MDV_WORDS;
+    }
     words
 }
 
@@ -686,9 +772,22 @@ pub fn park_reads(s: &CpuState, golden: &PortSet) -> u64 {
 ///   WB runs ahead of every stall decision, so this is exact.
 /// * **RAS:** a call pushes entry `ras_sp & 7`, exactly when golden's
 ///   `RasCtl & 3 == 1`.
-/// * **CSRs:** a `csrw` in the ID/EX latch writes CSR `id_imm & 0xF`
-///   exactly when golden's `ExecCtl` bit 0 (EX ran) is set, and a trap
-///   writes `csr_cause` and `csr_epc`.
+/// * **CSRs:** a `csrw` in the ID/EX latch writes the writable CSR
+///   `id_imm & 0xF` selects exactly when golden's `ExecCtl` bit 0 (EX
+///   ran) is set, and a trap writes `csr_cause` and `csr_epc`. Nothing
+///   writes the counters or `hartid`.
+/// * **DMCU:** a RAM store in MEM (golden's `DCtl`: access, store, not
+///   MMIO) posts `dmc_addr`, `dmc_wdata` and `dmc_mask`, and a RAM load
+///   latches `dmc_rdata` unless it bus-faults. A MEM-stage trap is
+///   golden's `ExcCtl` bit 0 with the front end held (`IfReq` bit 0
+///   clear): an EX-stage trap never holds it.
+/// * **WB latch:** MEM hands a valid instruction to WB, writing
+///   `wb_lane`, unless it traps or arms an MMIO transaction (golden's
+///   `StallCause` bit 2).
+/// * **MDV:** a start (golden's `StallCause` bit 1, an EX stall that is
+///   not load-use, while `mdv_busy` is clear) loads every MDV word, and
+///   an iteration (busy, golden's `MdvStatus` count nonzero) writes
+///   `mdv_cnt`, `mdv_acc_lo` and `mdv_acc_hi`.
 pub fn park_writes(s: &CpuState, golden: &PortSet) -> u64 {
     let mut words = 0u64;
     if s.halted & 1 == 0
@@ -703,23 +802,47 @@ pub fn park_writes(s: &CpuState, golden: &PortSet) -> u64 {
     }
     if golden.get(Sc::ExecCtl) & 1 != 0
         && Opcode::from_bits(u32::from(s.id_op)) == Some(Opcode::Csrw)
+        && Csr::from_bits(s.id_imm & 0xF).is_some_and(|c| !c.is_read_only())
     {
         words |= csr_word(s.id_imm);
     }
-    if golden.get(Sc::ExcCtl) & 1 != 0 {
+    let trap = golden.get(Sc::ExcCtl) & 1 != 0;
+    if trap {
         words |= csr_word(Csr::Cause.bits()) | csr_word(Csr::Epc.bits());
+    }
+    let mem_trap = trap && golden.get(Sc::IfReq) & 1 == 0;
+    let dctl = golden.get(Sc::DCtl) & 0b1_0011;
+    if dctl == 0b0_0011 {
+        words |= DMC_STORE_WORDS;
+    } else if dctl == 0b0_0001 && !mem_trap {
+        words |= DMC_RDATA_WORD;
+    }
+    if s.halted & 1 == 0 && s.ex_valid & 1 == 1 && !mem_trap && golden.get(Sc::StallCause) & 4 == 0
+    {
+        words |= WB_LANE_WORD;
+    }
+    if s.mdv_busy & 1 == 0 {
+        if golden.get(Sc::StallCause) & 2 != 0 {
+            words |= MDV_WORDS;
+        }
+    } else if s.halted & 1 == 0 && golden.get(Sc::MdvStatus) >> 1 != 0 {
+        words |= MDV_ITERATE_WORDS;
     }
     words
 }
 
 /// The word-mask bit of the CSR a `csrr`/`csrw` immediate selects (its
-/// low four bits, as EX decodes it), or 0 for a CSR that is not parkable.
+/// low four bits, as EX decodes it), or 0 for `misr`, the one CSR that is
+/// not parkable.
 fn csr_word(imm: u32) -> u64 {
     match Csr::from_bits(imm & 0xF) {
         Some(
             c @ (Csr::Status | Csr::Cause | Csr::Epc | Csr::Tvec | Csr::Scratch0 | Csr::Scratch1),
         ) => 1 << (u32::from(CSR_WORD) + c.bits() - Csr::Status.bits()),
-        _ => 0,
+        Some(Csr::Cycle) => 1 << CYCLE_WORD,
+        Some(Csr::Instret) => 1 << (CYCLE_WORD + 1),
+        Some(Csr::Hartid) => 1 << HARTID_WORD,
+        Some(Csr::Misr) | None => 0,
     }
 }
 

@@ -9,12 +9,15 @@
 //! Every cycle of every program below is checked twice over:
 //!
 //! 1. each parkable word that golden's cycle changes is in
-//!    `park_writes`;
+//!    `park_writes`, except the advancing words (`park_advancing`, the
+//!    counters): those are never in `park_writes` and change only by
+//!    golden's own +1;
 //! 2. on a sample of cycles, every word outside `park_reads` is
 //!    perturbed in a copy of golden's pre-cycle state. Stepping the copy
 //!    must drive golden's ports bit for bit, and the perturbation must
 //!    be held (the word was not written) or erased (it was), with no
-//!    other state touched.
+//!    other state touched. A perturbed advancing word must keep its
+//!    offset from golden's.
 //!
 //! The sample is every seventh cycle plus every cycle on which golden
 //! pushes or pops the return-address stack, traps, or holds a CSR
@@ -23,22 +26,26 @@
 
 use std::sync::OnceLock;
 
-use lockstep_cpu::exec::{CSR_WORD, RAS_WORD};
+use lockstep_cpu::exec::{CSR_WORD, CYCLE_WORD, DMC_WORD, HARTID_WORD, MDV_WORD, RAS_WORD};
 use lockstep_cpu::{
-    park_confined_in, park_reads, park_words, park_writes, CoreModel, Cpu, CpuState, DirtyWitness,
-    FlopReg, PortSet, Sc,
+    park_advancing, park_confined_in, park_reads, park_words, park_writes, CoreModel, Cpu,
+    CpuState, DirtyWitness, FlopReg, PortSet, Sc,
 };
 use lockstep_isa::Opcode;
 use lockstep_mem::{TrialLog, TrialView};
 use lockstep_workloads::{fuzz, lc, Workload};
 
 const MAX_CYCLES: u64 = 60_000;
-const PERTURB: u64 = 0x5A5A_1234;
+/// Odd, so that it flips the two-bit words too, and wider than 32 bits,
+/// so that it reaches the counters' high bits.
+const PERTURB: u64 = 0x5A5A_5A5A_1235;
 
 /// Per-word probe outcomes, summed over a corpus.
 struct Coverage {
-    /// Cycles on which the word changed.
+    /// Cycles on which the word changed (advanced, for a counter).
     changed: [u64; 64],
+    /// Cycles on which the word was in `park_reads`.
+    read: [u64; 64],
     /// Perturbations the cycle left in place.
     held: [u64; 64],
     /// Perturbations the cycle overwrote with golden's value.
@@ -47,12 +54,13 @@ struct Coverage {
 
 impl Coverage {
     fn new() -> Coverage {
-        Coverage { changed: [0; 64], held: [0; 64], erased: [0; 64] }
+        Coverage { changed: [0; 64], read: [0; 64], held: [0; 64], erased: [0; 64] }
     }
 
     fn add(&mut self, other: &Coverage) {
         for w in 0..64 {
             self.changed[w] += other.changed[w];
+            self.read[w] += other.read[w];
             self.held[w] += other.held[w];
             self.erased[w] += other.erased[w];
         }
@@ -75,6 +83,11 @@ fn read(regs: &[FlopReg], slot: (usize, usize), s: &CpuState) -> u64 {
     regs[slot.0].read(s, slot.1)
 }
 
+/// `b - a` modulo the width of the word in `slot`.
+fn offset(regs: &[FlopReg], slot: (usize, usize), a: u64, b: u64) -> u64 {
+    b.wrapping_sub(a) & (u64::MAX >> (64 - u32::from(regs[slot.0].width)))
+}
+
 /// Whether golden's cycle from `pre` is one of the sampled event cycles.
 fn event_cycle(pre: &CpuState, golden: &PortSet) -> bool {
     let csr_op = pre.id_valid & 1 == 1
@@ -86,6 +99,7 @@ fn event_cycle(pre: &CpuState, golden: &PortSet) -> bool {
 fn check(w: &Workload) -> Coverage {
     let regs = Cpu::registry();
     let words = park_words();
+    let advancing = park_advancing();
     let slots = slots();
     let mut cov = Coverage::new();
     let mut mem = w.memory(0xC0FFEE);
@@ -99,9 +113,22 @@ fn check(w: &Workload) -> Coverage {
         let post = cpu.state();
         let reads = park_reads(&pre, &gports);
         let writes = park_writes(&pre, &gports);
+        assert_eq!(writes & advancing, 0, "{} cycle {cycle}: a counter in park_writes", w.name);
         for (w_idx, &slot) in slots.iter().enumerate() {
-            if read(regs, slot, post) != read(regs, slot, &pre) {
-                cov.changed[w_idx] += 1;
+            cov.read[w_idx] += reads >> w_idx & 1;
+            let (before, after) = (read(regs, slot, &pre), read(regs, slot, post));
+            if after == before {
+                continue;
+            }
+            cov.changed[w_idx] += 1;
+            if advancing >> w_idx & 1 == 1 {
+                assert_eq!(
+                    offset(regs, slot, before, after),
+                    1,
+                    "{} cycle {cycle}: counter word {w_idx} moved by other than +1",
+                    w.name
+                );
+            } else {
                 assert!(
                     writes >> w_idx & 1 == 1,
                     "{} cycle {cycle}: word {w_idx} changed but is not in park_writes",
@@ -132,7 +159,18 @@ fn check(w: &Workload) -> Coverage {
                         .unwrap_or_else(|| {
                             panic!("{} cycle {cycle}: unread word {w_idx} spread", w.name)
                         });
-                if writes >> w_idx & 1 == 1 {
+                if advancing >> w_idx & 1 == 1 {
+                    let before = offset(regs, slot, read(regs, slot, &pre), v);
+                    let after =
+                        offset(regs, slot, read(regs, slot, post), read(regs, slot, lane.state()));
+                    assert_eq!(
+                        (dirty, after),
+                        (1 << w_idx, before),
+                        "{} cycle {cycle}: counter word {w_idx} lost its offset from golden",
+                        w.name
+                    );
+                    cov.held[w_idx] += 1;
+                } else if writes >> w_idx & 1 == 1 {
                     assert_eq!(dirty, 0, "{} cycle {cycle}: written word {w_idx} kept", w.name);
                     cov.erased[w_idx] += 1;
                 } else {
@@ -184,6 +222,25 @@ fn trapping() -> &'static Coverage {
     COV.get_or_init(|| check(Workload::find("trapex").expect("trap exerciser registered")))
 }
 
+fn counting() -> &'static Coverage {
+    static COV: OnceLock<Coverage> = OnceLock::new();
+    COV.get_or_init(|| check(Workload::find("ctrex").expect("counter exerciser registered")))
+}
+
+/// Every corpus's coverage, summed.
+fn all_corpora() -> Coverage {
+    let mut cov = Coverage::new();
+    for corpus in [suite(), compiled(), fuzzed(), trapping(), counting()] {
+        cov.add(corpus);
+    }
+    cov
+}
+
+/// The word bits `first..first + n`.
+fn word_range(first: u8, n: usize) -> std::ops::Range<usize> {
+    usize::from(first)..usize::from(first) + n
+}
+
 /// The words a coverage count missed.
 fn missing(counts: &[u64; 64]) -> Vec<usize> {
     (0..slots().len()).filter(|&w| counts[w] == 0).collect()
@@ -215,18 +272,61 @@ fn oracles_hold_on_the_trap_program() {
     // Every CSR word is written (a trap writes `cause` and `epc`) and
     // held.
     let cov = trapping();
-    for w in usize::from(CSR_WORD)..slots().len() {
+    for w in word_range(CSR_WORD, 6) {
         assert!(cov.erased[w] > 0 && cov.held[w] > 0, "CSR word {w} not exercised");
     }
 }
 
 #[test]
-fn every_word_is_written_erased_and_held_across_the_corpora() {
-    let mut cov = Coverage::new();
-    for corpus in [suite(), compiled(), fuzzed(), trapping()] {
-        cov.add(corpus);
+fn oracles_hold_on_the_counter_program() {
+    // `ctrex` reads both counters and `hartid` with `csrr`, so each is
+    // in `park_reads` on some cycle; between reads the counters advance
+    // and a perturbed one keeps its offset from golden's.
+    let cov = counting();
+    for w in word_range(CYCLE_WORD, 3) {
+        assert!(cov.read[w] > 0 && cov.held[w] > 0, "counter or hartid word {w} not exercised");
     }
-    assert_eq!(missing(&cov.changed)[..], [], "words never written");
-    assert_eq!(missing(&cov.erased)[..], [], "words never erased by a write");
+    for w in word_range(CYCLE_WORD, 2) {
+        assert!(cov.changed[w] > 0, "counter word {w} never advanced");
+    }
+}
+
+#[test]
+fn advancing_words_are_exactly_the_counters() {
+    assert_eq!(park_advancing(), 0b11 << CYCLE_WORD);
+    // `cycle` advances on every cycle up to the halting one, and
+    // `instret` on every retirement.
+    let w = Workload::find("ctrex").expect("counter exerciser registered");
+    let run = w.golden_run(0xC0FFEE, MAX_CYCLES);
+    assert_eq!(counting().changed[usize::from(CYCLE_WORD)], run.cycles);
+    assert_eq!(counting().changed[usize::from(CYCLE_WORD) + 1], run.instructions);
+}
+
+#[test]
+fn dmc_and_mdv_latches_are_written_erased_and_held() {
+    let cov = all_corpora();
+    for w in word_range(DMC_WORD, 5).chain(word_range(MDV_WORD, 7)) {
+        assert!(
+            cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
+            "DMC/MDV word {w} not exercised: {} changed, {} erased, {} held",
+            cov.changed[w],
+            cov.erased[w],
+            cov.held[w]
+        );
+    }
+}
+
+#[test]
+fn every_word_is_written_erased_and_held_across_the_corpora() {
+    // Nothing writes the counters or `hartid`, so they cannot be erased;
+    // the counters advance instead, and all three are held.
+    let cov = all_corpora();
+    let never_written = park_advancing() | 1 << HARTID_WORD;
+    let missing_written = |counts: &[u64; 64]| -> Vec<usize> {
+        missing(counts).into_iter().filter(|&w| never_written >> w & 1 == 0).collect()
+    };
+    assert_eq!(missing_written(&cov.changed)[..], [], "words never written");
+    assert_eq!(missing_written(&cov.erased)[..], [], "words never erased by a write");
     assert_eq!(missing(&cov.held)[..], [], "words never held");
+    assert_eq!(cov.changed[usize::from(HARTID_WORD)], 0, "hartid changed");
 }

@@ -35,17 +35,19 @@
 //!    oracles ([`CoreBatch::park_words`], LR5 today) a lane whose
 //!    residue is *confined to parkable words*
 //!    ([`lockstep_cpu::dirty::park_confined_in`]: LR5's registers,
-//!    return-address-stack entries and six CSRs) goes one step further:
-//!    it parks at zero simulation cost. A cycle that reads none of its
+//!    return-address-stack entries, CSRs, `cycle`/`instret` counters,
+//!    `hartid`, and DMCU and MDV latches) goes one step further: it
+//!    parks at zero simulation cost. A cycle that reads none of its
 //!    dirty words is golden's cycle on the faulty machine too, so the
 //!    words such a cycle reads and writes follow from golden's
 //!    pre-cycle state and recorded ports ([`CoreBatch::park_reads`],
 //!    [`CoreBatch::park_writes`]). Golden's writes clean the dirty words
-//!    they hit, and the entry wakes only the cycle a dirty word lands in
-//!    the read set. Dead-word residue, the dominant fate of masked
-//!    transients, parks to the end of the trace without a single
-//!    simulated cycle. On other cores that residue stays a live lane
-//!    until it converges.
+//!    they hit, a parked counter counts exactly golden's increments
+//!    ([`CoreBatch::park_advancing`]), and the entry wakes only the
+//!    cycle a dirty word lands in the read set. Dead-word residue, the
+//!    dominant fate of masked transients, parks to the end of the trace
+//!    without a single simulated cycle. On other cores that residue
+//!    stays a live lane until it converges.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
@@ -206,14 +208,19 @@ struct WatchGroup {
     parked: Vec<Parked>,
 }
 
+/// Most advancing words a core may declare
+/// ([`CoreBatch::park_advancing`]); LR5 has two, `cycle` and `instret`.
+const MAX_ADVANCING: usize = 2;
+
 /// A fault parked because its entire divergence from golden is confined
-/// to parkable words (LR5: registers, RAS entries and six CSRs; see
-/// [`CoreBatch::park_words`]). Costs zero simulation per cycle: a cycle
-/// that reads none of the dirty words is golden's cycle on the faulty
-/// machine too, so golden's writes clean the words they write (both
-/// machines write the identical value), and the read oracle tells us the
-/// exact cycle a dirty word might be observed, which is when the entry
-/// wakes into a scalar [`Lane`].
+/// to parkable words (LR5: registers, RAS entries, CSRs, counters,
+/// `hartid`, DMCU and MDV latches; see [`CoreBatch::park_words`]). Costs
+/// zero simulation per cycle: a cycle that reads none of the dirty words
+/// is golden's cycle on the faulty machine too, so golden's writes clean
+/// the words they write (both machines write the identical value), an
+/// advancing word counts exactly golden's increments, and the read
+/// oracle tells us the exact cycle a dirty word might be observed, which
+/// is when the entry wakes into a scalar [`Lane`].
 struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
@@ -226,8 +233,12 @@ struct WordParked {
     target: u64,
     /// The faulty machine's dirty word values, indexed by word. Clean
     /// words are never read: they equal golden's live value by
-    /// definition.
+    /// definition. An advancing word holds its value at park.
     vals: [u64; 64],
+    /// Golden's value of each dirty advancing word at park, by the word's
+    /// rank among the advancing words: the faulty copy has counted
+    /// exactly golden's increments since.
+    anchor: [u64; MAX_ADVANCING],
     /// Walker cycle at which the entry parked, for savings accounting.
     park_cycle: u64,
 }
@@ -240,6 +251,8 @@ struct WordLot<S: 'static> {
     words: &'static [(u16, u8)],
     /// Registry slot `(entry, lane)` of every word, indexed by word.
     slots: [(u16, u16); 64],
+    /// The advancing words ([`CoreBatch::park_advancing`]).
+    advancing: u64,
     entries: Vec<WordParked>,
     /// Set whenever `entries` changes; [`WordLot::refresh`] clears it.
     stale: bool,
@@ -254,7 +267,8 @@ struct WordLot<S: 'static> {
 }
 
 impl<S: Clone> WordLot<S> {
-    fn new(regs: &'static [FlopReg<S>], words: &'static [(u16, u8)]) -> Self {
+    fn new(regs: &'static [FlopReg<S>], words: &'static [(u16, u8)], advancing: u64) -> Self {
+        assert!(advancing.count_ones() as usize <= MAX_ADVANCING, "too many advancing words");
         let mut slots = [(0, 0); 64];
         for &(r, first) in words {
             for lane in 0..regs[r as usize].lanes {
@@ -265,6 +279,7 @@ impl<S: Clone> WordLot<S> {
             regs,
             words,
             slots,
+            advancing,
             entries: Vec::new(),
             stale: false,
             dirty_union: 0,
@@ -312,34 +327,80 @@ impl<S: Clone> WordLot<S> {
         vals
     }
 
-    /// Parks a fault whose machine differs from golden in the `dirty`
-    /// words alone, holding `vals` there.
+    /// Index of advancing word `w` in an entry's `anchor`.
+    fn rank(&self, w: usize) -> usize {
+        (self.advancing & ((1 << w) - 1)).count_ones() as usize
+    }
+
+    /// Parks a fault whose machine differs from `golden`, golden's state
+    /// at the same cycle, in the `dirty` words alone, holding `vals`
+    /// there. A stuck-at on an advancing word is dirty from here on
+    /// whatever its value: golden's counter moves on, and no golden write
+    /// ever re-forces the word.
+    #[allow(clippy::too_many_arguments)]
     fn park(
         &mut self,
         fault: Fault,
         outs: Vec<usize>,
         reparks: u32,
         dirty: u64,
-        vals: [u64; 64],
+        mut vals: [u64; 64],
+        golden: &S,
         at: u64,
     ) {
         let target = match fault.kind {
             FaultKind::Transient => 0,
             _ => self.word_of(fault.flop).map_or(0, |w| 1 << w),
         };
-        self.entries.push(WordParked { fault, outs, reparks, dirty, target, vals, park_cycle: at });
+        for w in bits(target & self.advancing & !dirty) {
+            vals[w] = self.read(golden, w);
+        }
+        let dirty = dirty | (target & self.advancing);
+        let mut anchor = [0; MAX_ADVANCING];
+        for w in bits(dirty & self.advancing) {
+            anchor[self.rank(w)] = self.read(golden, w);
+        }
+        self.entries.push(WordParked {
+            fault,
+            outs,
+            reparks,
+            dirty,
+            target,
+            vals,
+            anchor,
+            park_cycle: at,
+        });
         self.stale = true;
     }
 
     /// Removes entry `i` and returns its faulty machine: `base` (golden)
-    /// with the entry's dirty words substituted in.
+    /// with the entry's dirty words substituted in. An advancing word
+    /// wakes as its value at park advanced by golden's count since.
     fn unpark(&mut self, i: usize, base: &S) -> (WordParked, S) {
         let entry = self.entries.swap_remove(i);
         self.stale = true;
         let mut st = base.clone();
         for w in bits(entry.dirty) {
             let (r, lane) = self.slots[w];
-            self.regs[r as usize].write(&mut st, usize::from(lane), entry.vals[w]);
+            let reg = &self.regs[r as usize];
+            let mut v = entry.vals[w];
+            if self.advancing >> w & 1 != 0 {
+                let mask = u64::MAX >> (64 - u32::from(reg.width));
+                let golden_delta =
+                    reg.read(base, usize::from(lane)).wrapping_sub(entry.anchor[self.rank(w)]);
+                if entry.target >> w & 1 == 0 {
+                    v = v.wrapping_add(golden_delta);
+                } else {
+                    // A stuck-at re-forces its bit after every increment.
+                    // The steps are at most the cycles since park, paid
+                    // only on a wake.
+                    let stuck1 = entry.fault.kind == FaultKind::StuckAt1;
+                    for _ in 0..golden_delta & mask {
+                        v = forced(v.wrapping_add(1) & mask, entry.fault.flop.bit, stuck1);
+                    }
+                }
+            }
+            reg.write(&mut st, usize::from(lane), v);
         }
         (entry, st)
     }
@@ -450,11 +511,23 @@ pub trait CoreBatch: CoreModel {
     fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u64 {
         0
     }
+
+    /// The [`CoreBatch::park_words`] that *advance* rather than hold, as
+    /// a word mask (empty by default): counters that no cycle writes
+    /// (never in [`CoreBatch::park_writes`]) and whose one unlisted read
+    /// is their own increment by one, on exactly the cycles golden's copy
+    /// increments. A parked copy counts in step with golden's (a stuck-at
+    /// forcing a bit of it after each count), so it wakes from its value
+    /// at park and golden's delta since, with no per-cycle work.
+    fn park_advancing() -> u64 {
+        0
+    }
 }
 
 /// LR5 supplies the word-parking oracles over its registers, RAS
-/// entries and six CSRs ([`exec::park_words`], [`exec::park_reads`],
-/// [`exec::park_writes`]).
+/// entries, CSRs, counters, `hartid` and DMCU and MDV latches
+/// ([`exec::park_words`], [`exec::park_reads`], [`exec::park_writes`],
+/// [`exec::park_advancing`]).
 impl CoreBatch for Cpu {
     fn park_words() -> &'static [(u16, u8)] {
         exec::park_words()
@@ -466,6 +539,10 @@ impl CoreBatch for Cpu {
 
     fn park_writes(pre: &Self::State, golden: &PortSet) -> u64 {
         exec::park_writes(pre, golden)
+    }
+
+    fn park_advancing() -> u64 {
+        exec::park_advancing()
     }
 }
 
@@ -535,7 +612,7 @@ pub fn run_batch_group<C: CoreBatch>(
     let mut pending = in_range.into_iter().peekable();
     let mut lanes: Vec<Lane<C>> = Vec::new();
     let mut watches: Vec<WatchGroup> = Vec::new();
-    let mut lot = WordLot::new(regs, C::park_words());
+    let mut lot = WordLot::new(regs, C::park_words(), C::park_advancing());
     let mut mem_pool: Vec<Memory> = Vec::new();
     let mut lports = PortSet::new();
     let mut log = TrialLog::new();
@@ -733,7 +810,7 @@ pub fn run_batch_group<C: CoreBatch>(
                 // golden's next write to its target may re-dirty it,
                 // which phase (2b) tracks exactly.
                 let vals = lot.values(lane.cpu.state(), dirty);
-                lot.park(lane.fault, lane.outs, lane.reparks + 1, dirty, vals, cycle);
+                lot.park(lane.fault, lane.outs, lane.reparks + 1, dirty, vals, committed, cycle);
             }
         }
 
@@ -864,7 +941,8 @@ pub fn run_batch_group<C: CoreBatch>(
                 };
                 let mut vals = [0; 64];
                 vals[w] = fv;
-                lot.park(f, vec![i], 0, if fv == g { 0 } else { 1 << w }, vals, cycle);
+                let dirty = if fv == g { 0 } else { 1 << w };
+                lot.park(f, vec![i], 0, dirty, vals, committed, cycle);
                 continue;
             }
             let agrees = f.kind != FaultKind::Transient
@@ -930,6 +1008,53 @@ mod tests {
         // The intermediate layer sets are ablation labels, not flags.
         for layers in [BatchConfig::FAN_OUT, BatchConfig::EARLY_OUT, BatchConfig::LANES] {
             assert_eq!(BatchConfig::from_flag(layers.label()), None);
+        }
+    }
+
+    /// A counter fault parked in the word lot at its strike and woken
+    /// `span` cycles later wakes as the machine stepped live with the
+    /// overlay over those cycles: every bit of `cycle` and `instret`,
+    /// transient and stuck-at-0/1. `rspeed` never reads a counter, so the
+    /// live machine differs from golden in the counter alone.
+    #[test]
+    fn counter_wakes_match_a_live_machine_with_the_overlay() {
+        let (strike, span) = (300u64, 1500u64);
+        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        let mut mem = w.memory(7);
+        let mut golden = Cpu::new(0);
+        let mut ports = PortSet::new();
+        for _ in 0..=strike {
+            golden.step(&mut mem, &mut ports);
+        }
+        let (at_strike, mem_at_strike) = (golden.snapshot(), mem.clone());
+        for _ in 0..span {
+            golden.step(&mut mem, &mut ports);
+        }
+        let regs = Cpu::registry();
+        let mut lot = WordLot::new(regs, Cpu::park_words(), Cpu::park_advancing());
+        for name in ["cycle", "instret"] {
+            let reg = regs.iter().position(|r| r.name == name).expect("counter") as u16;
+            let w = lot.word_of(FlopId { reg, lane: 0, bit: 0 }).expect("a parkable word");
+            for bit in 0..regs[reg as usize].width {
+                for kind in [FaultKind::Transient, FaultKind::StuckAt0, FaultKind::StuckAt1] {
+                    let f = Fault::new(FlopId { reg, lane: 0, bit }, kind, strike);
+                    let mut live = Cpu::from_state(at_strike.clone());
+                    f.overlay_for::<Cpu>(live.state_mut(), strike);
+                    let (g, fv) = (lot.read(&at_strike, w), lot.read(live.state(), w));
+                    let mut vals = [0; 64];
+                    vals[w] = fv;
+                    let dirty = if fv == g { 0 } else { 1 << w };
+                    lot.park(f, vec![0], 0, dirty, vals, &at_strike, strike);
+                    let mut m = mem_at_strike.clone();
+                    for at in strike + 1..=strike + span {
+                        live.step_with_overlay(&mut m, &mut ports, |st| {
+                            f.overlay_for::<Cpu>(st, at)
+                        });
+                    }
+                    let (_, woken) = lot.unpark(0, golden.state());
+                    assert_eq!(&woken, live.state(), "{name} bit {bit} {kind:?}");
+                }
+            }
         }
     }
 

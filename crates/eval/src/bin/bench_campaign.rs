@@ -1,6 +1,7 @@
 //! Measures campaign injection throughput across the batched
-//! fault-simulation layers and writes the result to `BENCH_campaign.json`
-//! (the committed copy at the repo root is regenerated by this binary).
+//! fault-simulation layers and appends the result as one row to the
+//! trajectory in `BENCH_campaign.json` (the committed copies at the repo
+//! root grow by one row each time this binary is run on them).
 //!
 //! ```text
 //! cargo run --release -p lockstep-eval --bin bench_campaign -- \
@@ -14,14 +15,22 @@
 //! its simulated-cycle counts, and the host it ran on. The record
 //! streams are asserted identical across every run before anything is
 //! written: a throughput number from a run that changed the physics
-//! would be meaningless. The shared campaign flags apply, so
+//! would be meaningless. A row records the commit and UTC date it was
+//! measured at, the host, the rounds and the campaign settings beside
+//! the per-mode results; the file is a JSON array of rows, one per line,
+//! oldest first, so earlier rows are never lost. The shared campaign
+//! flags apply, so
 //! `--redundancy dme` cross-checks DME's path through the batched
 //! engine against its scalar reference, and `--core lr7` runs every
 //! layer on the out-of-order core.
 
+use std::process::Command;
+use std::time::{SystemTime, UNIX_EPOCH};
+
 use lockstep_eval::batch::BatchConfig;
 use lockstep_eval::cli::CommonArgs;
 use lockstep_eval::CampaignResult;
+use serde::json::Value;
 use serde::Serialize;
 
 /// Rounds of the five modes. A wall-time figure from one run moves with
@@ -72,9 +81,12 @@ struct ConfigRow {
     speedup_vs_off: f64,
 }
 
-/// The whole report, serialized to `BENCH_campaign.json`.
+/// One row of the trajectory in `BENCH_campaign.json`: what was
+/// measured, where and when, and the per-mode results.
 #[derive(Serialize)]
 struct Report {
+    commit: String,
+    date: String,
     bench: &'static str,
     faults_per_workload: usize,
     workloads: Vec<String>,
@@ -188,6 +200,8 @@ fn main() {
 
     let (records, injected) = reference.expect("at least one run");
     let report = Report {
+        commit: commit(),
+        date: utc_date(SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs())),
         bench: "campaign_batch_modes",
         faults_per_workload: args.faults,
         workloads: args.workloads.iter().map(|w| w.name.to_owned()).collect(),
@@ -202,10 +216,100 @@ fn main() {
         manifested: records.len(),
         configs,
     };
-    let text = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out_path, text + "\n").unwrap_or_else(|e| {
-        eprintln!("error: cannot write `{out_path}`: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out_path}");
+    let row = serde_json::to_string(&report).expect("report serializes");
+    let old = match std::fs::read_to_string(&out_path) {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => fail(&format!("cannot read `{out_path}`: {e}")),
+    };
+    let text = appended(old.as_deref(), &row)
+        .unwrap_or_else(|e| fail(&format!("`{out_path}` is not a trajectory: {e}")));
+    std::fs::write(&out_path, text)
+        .unwrap_or_else(|e| fail(&format!("cannot write `{out_path}`: {e}")));
+    eprintln!("appended a row to {out_path}");
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+/// The trajectory `old` with `row` appended: a JSON array of rows, one
+/// per line. No file yet starts a new array; a file holding one report
+/// object from before the trajectory keeps it as the first row.
+fn appended(old: Option<&str>, row: &str) -> Result<String, serde::json::Error> {
+    let Some(old) = old else {
+        return Ok(format!("[\n{row}\n]\n"));
+    };
+    let body = old.trim_end();
+    Ok(match Value::parse(body)? {
+        Value::Array(rows) if rows.is_empty() => format!("[\n{row}\n]\n"),
+        Value::Array(_) => {
+            let rows = body.strip_suffix(']').expect("a parsed array ends in `]`").trim_end();
+            format!("{rows},\n{row}\n]\n")
+        }
+        _ => format!("[\n{body},\n{row}\n]\n"),
+    })
+}
+
+/// `git rev-parse --short HEAD`, suffixed `-dirty` when tracked files
+/// differ from it, or `unknown` outside a git checkout.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok().filter(|o| o.status.success())?;
+        Some(String::from_utf8_lossy(&out.stdout).trim().to_owned())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(hash) if !hash.is_empty() => {
+            let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+            if status.is_some_and(|s| !s.is_empty()) {
+                format!("{hash}-dirty")
+            } else {
+                hash
+            }
+        }
+        _ => "unknown".to_owned(),
+    }
+}
+
+/// `secs` past the Unix epoch as a UTC `YYYY-MM-DDTHH:MM:SSZ` string.
+fn utc_date(secs: u64) -> String {
+    // Days since 1970-01-01 to a civil date (H. Hinnant's algorithm).
+    let z = (secs / 86_400) as i64 + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + i64::from(month <= 2);
+    let s = secs % 86_400;
+    format!("{year:04}-{month:02}-{day:02}T{:02}:{:02}:{:02}Z", s / 3_600, s / 60 % 60, s % 60)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn utc_dates_are_civil() {
+        assert_eq!(utc_date(0), "1970-01-01T00:00:00Z");
+        assert_eq!(utc_date(951_782_400), "2000-02-29T00:00:00Z");
+        assert_eq!(utc_date(1_792_318_530), "2026-10-18T10:15:30Z");
+    }
+
+    #[test]
+    fn rows_append_and_earlier_rows_are_kept() {
+        let first = appended(None, r#"{"n":1}"#).unwrap();
+        assert_eq!(first, "[\n{\"n\":1}\n]\n");
+        let second = appended(Some(&first), r#"{"n":2}"#).unwrap();
+        assert_eq!(second, "[\n{\"n\":1},\n{\"n\":2}\n]\n");
+        let rows = Value::parse(&second).unwrap();
+        assert_eq!(rows.as_array().unwrap().len(), 2);
+        // A single report from before the trajectory becomes row one.
+        let legacy = appended(Some("{\"n\":0}\n"), r#"{"n":1}"#).unwrap();
+        assert_eq!(legacy, "[\n{\"n\":0},\n{\"n\":1}\n]\n");
+        assert!(appended(Some("[{\"n\":"), r#"{"n":1}"#).is_err());
+    }
 }

@@ -132,15 +132,18 @@ proptest! {
     /// combination and under both comparators, over fault sets that mix
     /// kinds, repeat flops (duplicate faults share a lane), and strike
     /// past the end of the run. `lc_quicksort` recurses deep enough to
-    /// wrap the return-address stack and `trapex` traps, so the RAS and
-    /// CSR word oracles are exercised too.
+    /// wrap the return-address stack, `trapex` traps and `ctrex` reads
+    /// the counters and `hartid`, so the RAS, CSR and counter word
+    /// oracles are exercised too.
     #[test]
     fn batch_group_matches_per_fault_scalar_replay(
         picks in proptest::collection::vec((0usize..10_000, 0u8..3, 0u64..1100), 1..40),
         window in 1u32..=24,
         interval in proptest::sample::select(vec![512u64, 1024, 4096]),
         layers in proptest::sample::select(ALL_LAYERS.to_vec()),
-        workload in proptest::sample::select(vec!["rspeed", "pntrch", "lc_quicksort", "trapex"]),
+        workload in proptest::sample::select(
+            vec!["rspeed", "pntrch", "lc_quicksort", "trapex", "ctrex"]
+        ),
         core in proptest::sample::select(CoreKind::ALL.to_vec()),
     ) {
         for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
@@ -225,16 +228,19 @@ fn archives_byte_identical_across_batch_layers_and_intervals() {
     }
 }
 
-/// The archive contract on the two workloads whose golden runs push and
-/// pop the return-address stack and take traps: there a parked word is
-/// read or written through the RAS and CSR oracles, not only through
-/// the register file's.
+/// The archive contract on the workloads whose golden runs push and pop
+/// the return-address stack, take traps and read the counters: there a
+/// parked word is read or written through the RAS and CSR oracles, and
+/// a parked counter wakes on a `csrr`, not only through the register
+/// file's oracles.
 #[test]
 fn archives_byte_identical_on_call_and_trap_workloads() {
     for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
         let mut cfg = base_config();
-        cfg.workloads =
-            vec![Workload::find("lc_quicksort").unwrap(), Workload::find("trapex").unwrap()];
+        cfg.workloads = ["lc_quicksort", "trapex", "ctrex"]
+            .iter()
+            .map(|name| Workload::find(name).unwrap())
+            .collect();
         cfg.faults_per_workload = 150;
         cfg.redundancy = redundancy;
         let scalar = run_campaign(&cfg);

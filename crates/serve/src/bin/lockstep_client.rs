@@ -38,19 +38,19 @@ fn main() {
         die(&usage());
     };
     match command.as_str() {
-        "ping" => println!("{}", request(&addr, r#"{"cmd":"ping"}"#)),
-        "shutdown" => println!("{}", request(&addr, r#"{"cmd":"shutdown"}"#)),
+        "ping" => relay(&addr, r#"{"cmd":"ping"}"#),
+        "shutdown" => relay(&addr, r#"{"cmd":"shutdown"}"#),
         "status" => {
             let job = flag_value(flags, "--job");
             let line = match job {
                 Some(id) => format!(r#"{{"cmd":"status","job":"{id}"}}"#),
                 None => r#"{"cmd":"status"}"#.to_owned(),
             };
-            println!("{}", request(&addr, &line));
+            relay(&addr, &line);
         }
         "submit" => {
             let spec = spec_from_flags(flags);
-            println!("{}", request(&addr, &submit_line(&spec)));
+            relay(&addr, &submit_line(&spec));
         }
         "predict" => {
             let dsr = flag_value(flags, "--dsr").unwrap_or_else(|| die("predict needs --dsr"));
@@ -59,7 +59,7 @@ fn main() {
             let line = format!(
                 r#"{{"cmd":"predict","dsr":"{dsr}","granularity":"{granularity}","core":"{core}"}}"#
             );
-            println!("{}", request(&addr, &line));
+            relay(&addr, &line);
         }
         "wait" => {
             let job = flag_value(flags, "--job").unwrap_or_else(|| die("wait needs --job"));
@@ -122,14 +122,29 @@ fn request(addr: &str, line: &str) -> String {
     response.trim_end().to_owned()
 }
 
+/// Whether a response line says `"ok": true`.
+fn is_ok(response: &str) -> bool {
+    Value::parse(response)
+        .ok()
+        .and_then(|v| v.field("ok").and_then(Value::as_bool).ok())
+        .unwrap_or(false)
+}
+
+/// Sends one request and prints the server's line; exits 2 when the
+/// server refused it, so a script can tell a refusal from an answer by
+/// the exit status.
+fn relay(addr: &str, line: &str) {
+    let response = request(addr, line);
+    println!("{response}");
+    if !is_ok(&response) {
+        std::process::exit(2);
+    }
+}
+
 /// Sends a request that must succeed, parsing the typed response.
 fn request_ok<T: serde::Deserialize>(addr: &str, line: &str) -> T {
     let response = request(addr, line);
-    let ok = Value::parse(&response)
-        .ok()
-        .and_then(|v| v.field("ok").and_then(Value::as_bool).ok())
-        .unwrap_or(false);
-    if !ok {
+    if !is_ok(&response) {
         die(&format!("server refused `{line}`: {response}"));
     }
     serde_json::from_str(&response)

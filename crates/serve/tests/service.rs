@@ -369,6 +369,45 @@ fn oversized_submits_are_refused_and_the_server_keeps_answering() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `lockstep_client`'s one-shot commands print the server's line and
+/// exit by its `ok` field: 0 for an answer, 2 for a refusal.
+#[test]
+fn client_one_shot_commands_exit_2_on_a_refusal() {
+    let dir = temp_dir("client_exit");
+    let handle = serve(
+        "127.0.0.1:0",
+        &dir,
+        ServiceConfig {
+            scheduler: SchedulerConfig { workers: 0, ..SchedulerConfig::default() },
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("server starts");
+    let client = |args: &[&str]| {
+        let addr = handle.addr().to_string();
+        std::process::Command::new(env!("CARGO_BIN_EXE_lockstep_client"))
+            .args(["--addr", addr.as_str()])
+            .args(args)
+            .output()
+            .expect("client runs")
+    };
+
+    let huge = "1000000000000000000";
+    let refused = client(&["submit", "--workloads", "rspeed", "--faults", huge, "--shards", huge]);
+    let line = String::from_utf8_lossy(&refused.stdout);
+    assert_eq!(refused.status.code(), Some(2), "a refused submit exits 2: {line}");
+    let value = Value::parse(line.trim_end()).expect("the client prints the server's line");
+    assert_eq!(value.field("code").unwrap().as_str().unwrap(), "queue_full");
+
+    let pong = client(&["ping"]);
+    assert_eq!(pong.status.code(), Some(0), "ping exits 0");
+    assert!(String::from_utf8_lossy(&pong.stdout).contains(r#""ok":true"#));
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The bounded queue rejects submits it cannot hold instead of
 /// accepting work it would starve.
 #[test]

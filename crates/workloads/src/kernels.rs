@@ -806,6 +806,63 @@ handler:
     jr   t0
 ";
 
+/// Counter exerciser: each iteration reads `cycle`, `instret` and
+/// `hartid` with `csrr` at several points and publishes the counter
+/// values (never `hartid`, which differs between lockstep harts), with
+/// multiply/divide work and RAM loads and stores between long idle
+/// loops. No other kernel reads a counter, so this is the workload whose
+/// counter faults wake from parking. The counter values it publishes
+/// are microarchitectural (the pipeline reads them in EX, with older
+/// instructions still in flight), so it stays out of the ISS
+/// differential, like `csrr cycle` in generated programs.
+const CTREX: &str = r"
+.equ SENSOR, 0xFFFF0000
+.equ OUTPUT, 0xFFFF8000
+start:
+    li   s0, SENSOR
+    li   s1, OUTPUT
+    li   s2, 10            ; outer iterations
+    la   s3, buf
+outer:
+    csrr a0, cycle
+    sw   a0, 0(s1)
+    li   t0, 40
+idle1:
+    addi t0, t0, -1
+    bnez t0, idle1
+    lw   a1, 0(s0)         ; sensor sample
+    mul  a2, a1, s2
+    sw   a2, 0(s3)
+    lw   a3, 0(s3)
+    xori a3, a3, 0x55
+    sh   a3, 6(s3)
+    lhu  a4, 6(s3)
+    csrr a5, instret
+    sub  a5, a5, a4
+    sw   a5, 4(s1)
+    csrr t1, hartid        ; read, never published
+    li   t0, 40
+idle2:
+    addi t0, t0, -1
+    bnez t0, idle2
+    li   t2, 7
+    divu a6, a1, t2
+    remu a7, a1, t2
+    csrr t3, cycle
+    sub  t3, t3, a0        ; cycles this iteration
+    add  t3, t3, a6
+    sw   t3, 8(s1)
+    sw   a7, 12(s1)
+    csrr t4, instret
+    sw   t4, 16(s1)
+    csrw misr, t4
+    addi s2, s2, -1
+    bnez s2, outer
+    ecall
+buf:
+    .space 16
+";
+
 // CACHEB is defined for ablation experiments that need extra memory-bound
 // pressure; it is exposed via `extra()` rather than the default suite so
 // the default suite matches the 12-kernel footprint used in experiments.
@@ -831,6 +888,11 @@ pub fn extra() -> &'static [Workload] {
             name: "trapex",
             description: "trap exerciser: misaligned load and ebreak traps, csrr/csrw, call/ret",
             source: TRAPEX,
+        },
+        Workload {
+            name: "ctrex",
+            description: "counter exerciser: csrr cycle/instret/hartid between idle loops",
+            source: CTREX,
         },
     ];
     EXTRA
