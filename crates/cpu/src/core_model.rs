@@ -131,6 +131,44 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
 
     /// Committed-cycle count of `state`.
     fn cycle(state: &Self::State) -> u64;
+
+    /// The *parkable words* of this core: `(registry entry, first bit)`
+    /// pairs, lane `l` of entry `r` being word `first + l` of the masks
+    /// the oracles below return, at most 64 words in all. A parkable word
+    /// is one whose every read and write a cycle makes follows from the
+    /// pre-cycle state and golden's ports, so the batch engine can park a
+    /// fault whose residue lies in such words at zero simulation cost
+    /// (DESIGN.md §10). Empty (the default) when the core supplies no
+    /// access oracles.
+    fn park_words() -> &'static [(u16, u8)] {
+        &[]
+    }
+
+    /// A superset of the [`CoreModel::park_words`] the cycle from
+    /// pre-cycle state `pre` reads, given `golden`, the ports that cycle
+    /// drives on a machine whose parked words all go unread (every such
+    /// machine drives golden's ports).
+    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u64 {
+        0
+    }
+
+    /// Exactly the [`CoreModel::park_words`] the cycle from pre-cycle
+    /// state `pre` writes, given `golden`, the ports that cycle drives.
+    /// Such a cycle is golden's, so a written word is clean afterwards.
+    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u64 {
+        0
+    }
+
+    /// The [`CoreModel::park_words`] that *advance* rather than hold, as
+    /// a word mask (empty by default): counters that no cycle writes
+    /// (never in [`CoreModel::park_writes`]) and whose one unlisted read
+    /// is their own increment by one, on exactly the cycles golden's copy
+    /// increments. A parked copy counts in step with golden's (a stuck-at
+    /// forcing a bit of it after each count), so it wakes from its value
+    /// at park and golden's delta since, with no per-cycle work.
+    fn park_advancing() -> u64 {
+        0
+    }
 }
 
 impl CoreModel for Cpu {
@@ -204,6 +242,22 @@ impl CoreModel for Cpu {
 
     fn cycle(state: &CpuState) -> u64 {
         state.cycle
+    }
+
+    fn park_words() -> &'static [(u16, u8)] {
+        crate::exec::park_words()
+    }
+
+    fn park_reads(pre: &CpuState, golden: &PortSet) -> u64 {
+        crate::exec::park_reads(pre, golden)
+    }
+
+    fn park_writes(pre: &CpuState, golden: &PortSet) -> u64 {
+        crate::exec::park_writes(pre, golden)
+    }
+
+    fn park_advancing() -> u64 {
+        crate::exec::park_advancing()
     }
 }
 

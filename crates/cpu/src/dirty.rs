@@ -94,12 +94,13 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
 /// the dirty-word mask — `Some(0)` means the states are bit-identical —
 /// or `None` when any other state differs.
 ///
-/// This is the admission test for word parking: on LR5 every access to
-/// these words is visible from the pre-cycle state and golden's ports
-/// ([`crate::exec::park_reads`] and [`crate::exec::park_writes`]; a
-/// counter's own increment is golden's, [`crate::exec::park_advancing`]),
-/// so a word-confined lane evolves in provable lockstep with golden at
-/// zero simulation cost until a dirty word may be read.
+/// This is the admission test for word parking: on both cores every
+/// access to these words is visible from the pre-cycle state and
+/// golden's ports ([`crate::CoreModel::park_reads`] and
+/// [`crate::CoreModel::park_writes`]; a counter's own increment is
+/// golden's, [`crate::CoreModel::park_advancing`]), so a word-confined
+/// lane evolves in provable lockstep with golden at zero simulation cost
+/// until a dirty word may be read.
 ///
 /// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
 /// pair is outside the words and still differs, the answer is `None` in
@@ -156,6 +157,30 @@ pub fn park_confined_in<S: PartialEq + Clone>(
         }
     }
     (patched == *b).then_some(dirty)
+}
+
+/// Lays out a core's parkable words: the registry entries `names`, in
+/// word-bit order, each taking as many word bits as it has lanes. Returns
+/// the `(registry entry, first bit)` pairs [`park_confined_in`] takes.
+///
+/// # Panics
+///
+/// Panics when `regs` has no entry of a name, or past 64 words.
+pub(crate) fn word_layout<S>(regs: &[FlopReg<S>], names: &[&str]) -> Vec<(u16, u8)> {
+    let mut first = 0u32;
+    names
+        .iter()
+        .map(|&name| {
+            let r = regs
+                .iter()
+                .position(|r| r.name == name)
+                .unwrap_or_else(|| panic!("flop registry has no `{name}` entry"));
+            let pair = (r as u16, first as u8);
+            first += u32::from(regs[r].lanes);
+            assert!(first <= 64, "more than 64 parkable words");
+            pair
+        })
+        .collect()
 }
 
 /// Bit-parallel stuck-at watch over one (register, lane) pair of the
@@ -479,6 +504,89 @@ mod tests {
             );
             b.set_reg(7, a.reg(7));
             assert!(converged_in(regs(), &a, &b, &mut w));
+        }
+
+        #[test]
+        fn park_words_name_the_registers_csrs_counters_hartid_and_btb_targets() {
+            use crate::lr7::exec::{BTB_WORD, CSR_WORD, CYCLE_WORD};
+            let words = Lr7::park_words();
+            let named: Vec<(&str, u8)> =
+                words.iter().map(|&(r, bit)| (regs()[r as usize].name, bit)).collect();
+            assert_eq!(
+                named,
+                [
+                    ("regs", 0),
+                    ("csr_status", CSR_WORD),
+                    ("csr_cause", 32),
+                    ("csr_epc", 33),
+                    ("csr_tvec", 34),
+                    ("csr_scratch0", 35),
+                    ("csr_scratch1", 36),
+                    ("cycle", CYCLE_WORD),
+                    ("instret", 38),
+                    ("hartid", 39),
+                    ("btb_tgt", BTB_WORD),
+                ]
+            );
+            assert_eq!(Lr7::park_advancing(), 0b11 << CYCLE_WORD, "the two counters");
+            // Lane r-1 of the bank holds architectural register r, lane i
+            // of `btb_tgt` BTB target i, and the words tile the mask
+            // without overlap.
+            let mut s = Lr7State::reset(0);
+            s.set_reg(5, 0x1234_5678);
+            s.btb_tgt[9] = 0x40;
+            assert_eq!(regs()[words[0].0 as usize].read(&s, 4), 0x1234_5678);
+            assert_eq!(regs()[words[10].0 as usize].read(&s, 9), 0x40);
+            let mut seen = 0u64;
+            for &(r, bit) in words {
+                for lane in 0..u32::from(regs()[r as usize].lanes) {
+                    let word = 1u64 << (u32::from(bit) + lane);
+                    assert_eq!(seen & word, 0, "word bit reused");
+                    seen |= word;
+                }
+            }
+            assert_eq!(seen, (1 << 56) - 1);
+        }
+
+        #[test]
+        fn park_confined_classifies_word_and_other_diffs() {
+            use crate::lr7::exec::{BTB_WORD, CSR_WORD};
+            let words = Lr7::park_words();
+            let a = Lr7State::reset(0);
+            let mut w = DirtyWitness::new();
+            assert_eq!(park_confined_in(regs(), words, &a, &a.clone(), &mut w), Some(0));
+
+            // Diffs in register 3, `epc` and BTB target 9 only: the mask
+            // has exactly those words.
+            let mut b = a.clone();
+            b.set_reg(3, 0xDEAD_BEEF);
+            b.csr_epc = 0x1234;
+            b.btb_tgt[9] = 0x40;
+            let epc = 1u64 << (CSR_WORD + 2);
+            let tgt9 = 1u64 << (BTB_WORD + 9);
+            assert_eq!(
+                park_confined_in(regs(), words, &a, &b, &mut w),
+                Some((1 << 2) | epc | tgt9)
+            );
+
+            // A BTB tag, a reservation station, the MISR or the flush
+            // counter on top disqualifies the lane.
+            let poisons: [fn(&mut Lr7State); 4] = [
+                |s| s.btb_tag[9] ^= 1,
+                |s| s.rs_v1[2] ^= 1,
+                |s| s.csr_misr ^= 1,
+                |s| s.flushes ^= 1,
+            ];
+            for poison in poisons {
+                let mut c = b.clone();
+                poison(&mut c);
+                assert_eq!(park_confined_in(regs(), words, &a, &c, &mut w), None);
+                // The witness now points at that pair: the fast path must
+                // keep answering None in O(1) while the diff persists.
+                let (r, _) = w.pair.expect("witnessed");
+                assert!(words.iter().all(|&(wr, _)| wr != r));
+                assert_eq!(park_confined_in(regs(), words, &a, &c, &mut w), None);
+            }
         }
 
         #[test]

@@ -615,10 +615,10 @@ pub const RAS_WORD: u8 = 31;
 pub const CSR_WORD: u8 = 39;
 
 /// Word-mask bit of the `cycle` counter; `instret` is the next bit.
-pub const CYCLE_WORD: u8 = 45;
+pub const CYCLE_WORD: u8 = CSR_WORD + 6;
 
 /// Word-mask bit of `hartid`.
-pub const HARTID_WORD: u8 = 47;
+pub const HARTID_WORD: u8 = CSR_WORD + 8;
 
 /// Word-mask bit of `dmc_addr`. `dmc_wdata`, `dmc_mask`, `dmc_rdata` and
 /// `wb_lane` follow in that order.
@@ -661,38 +661,34 @@ const MDV_ITERATE_WORDS: u64 = (1 << 1 | 1 << 4 | 1 << 5) << MDV_WORD;
 pub fn park_words() -> &'static [(u16, u8)] {
     static WORDS: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
     WORDS.get_or_init(|| {
-        let index = |name: &str| -> u16 {
-            crate::flops::registry()
-                .iter()
-                .position(|r| r.name == name)
-                .unwrap_or_else(|| panic!("flop registry has no `{name}` entry")) as u16
-        };
-        let scalars = [
-            "csr_status",
-            "csr_cause",
-            "csr_epc",
-            "csr_tvec",
-            "csr_scratch0",
-            "csr_scratch1",
-            "cycle",
-            "instret",
-            "hartid",
-            "dmc_addr",
-            "dmc_wdata",
-            "dmc_mask",
-            "dmc_rdata",
-            "wb_lane",
-            "mdv_op",
-            "mdv_cnt",
-            "mdv_a",
-            "mdv_b",
-            "mdv_acc_lo",
-            "mdv_acc_hi",
-            "mdv_neg",
-        ];
-        let mut words = vec![(index("regs"), 0), (index("ras"), RAS_WORD)];
-        words.extend(scalars.iter().zip(CSR_WORD..).map(|(&name, bit)| (index(name), bit)));
-        words
+        crate::dirty::word_layout(
+            crate::flops::registry(),
+            &[
+                "regs",
+                "ras",
+                "csr_status",
+                "csr_cause",
+                "csr_epc",
+                "csr_tvec",
+                "csr_scratch0",
+                "csr_scratch1",
+                "cycle",
+                "instret",
+                "hartid",
+                "dmc_addr",
+                "dmc_wdata",
+                "dmc_mask",
+                "dmc_rdata",
+                "wb_lane",
+                "mdv_op",
+                "mdv_cnt",
+                "mdv_a",
+                "mdv_b",
+                "mdv_acc_lo",
+                "mdv_acc_hi",
+                "mdv_neg",
+            ],
+        )
     })
 }
 
@@ -743,10 +739,10 @@ pub fn park_reads(s: &CpuState, golden: &PortSet) -> u64 {
         words |= 1 << (RAS_WORD + (s.ras_sp.wrapping_sub(1) & 7));
     }
     if s.id_valid & 1 == 1 && Opcode::from_bits(u32::from(s.id_op)) == Some(Opcode::Csrr) {
-        words |= csr_word(s.id_imm);
+        words |= csr_word(CSR_WORD, s.id_imm);
     }
     if golden.get(Sc::ExcCtl) & 1 != 0 {
-        words |= csr_word(Csr::Tvec.bits());
+        words |= csr_word(CSR_WORD, Csr::Tvec.bits());
     }
     if s.dmc_pending & 1 == 1 {
         words |= DMC_STORE_WORDS;
@@ -804,11 +800,11 @@ pub fn park_writes(s: &CpuState, golden: &PortSet) -> u64 {
         && Opcode::from_bits(u32::from(s.id_op)) == Some(Opcode::Csrw)
         && Csr::from_bits(s.id_imm & 0xF).is_some_and(|c| !c.is_read_only())
     {
-        words |= csr_word(s.id_imm);
+        words |= csr_word(CSR_WORD, s.id_imm);
     }
     let trap = golden.get(Sc::ExcCtl) & 1 != 0;
     if trap {
-        words |= csr_word(Csr::Cause.bits()) | csr_word(Csr::Epc.bits());
+        words |= csr_word(CSR_WORD, Csr::Cause.bits()) | csr_word(CSR_WORD, Csr::Epc.bits());
     }
     let mem_trap = trap && golden.get(Sc::IfReq) & 1 == 0;
     let dctl = golden.get(Sc::DCtl) & 0b1_0011;
@@ -832,18 +828,21 @@ pub fn park_writes(s: &CpuState, golden: &PortSet) -> u64 {
 }
 
 /// The word-mask bit of the CSR a `csrr`/`csrw` immediate selects (its
-/// low four bits, as EX decodes it), or 0 for `misr`, the one CSR that is
-/// not parkable.
-fn csr_word(imm: u32) -> u64 {
-    match Csr::from_bits(imm & 0xF) {
+/// low four bits, as the core decodes it), or 0 for `misr`, the one CSR
+/// that is not parkable. Both cores lay out the six writable CSRs in
+/// address order, then `cycle`, `instret` and `hartid`, as nine
+/// consecutive words from `csr_base`.
+pub(crate) fn csr_word(csr_base: u8, imm: u32) -> u64 {
+    let word = match Csr::from_bits(imm & 0xF) {
         Some(
             c @ (Csr::Status | Csr::Cause | Csr::Epc | Csr::Tvec | Csr::Scratch0 | Csr::Scratch1),
-        ) => 1 << (u32::from(CSR_WORD) + c.bits() - Csr::Status.bits()),
-        Some(Csr::Cycle) => 1 << CYCLE_WORD,
-        Some(Csr::Instret) => 1 << (CYCLE_WORD + 1),
-        Some(Csr::Hartid) => 1 << HARTID_WORD,
-        Some(Csr::Misr) | None => 0,
-    }
+        ) => c.bits() - Csr::Status.bits(),
+        Some(Csr::Cycle) => 6,
+        Some(Csr::Instret) => 7,
+        Some(Csr::Hartid) => 8,
+        Some(Csr::Misr) | None => return 0,
+    };
+    1 << (u32::from(csr_base) + word)
 }
 
 /// Operand forwarding: newest value of register `src` as seen from EX.

@@ -41,7 +41,7 @@ pub mod units;
 pub use core_model::{ArchCsrs, CoreKind, CoreModel};
 pub use cpu::Cpu;
 pub use dirty::{converged, park_confined_in, DirtyWitness, LaneWatch};
-pub use exec::{park_advancing, park_reads, park_words, park_writes, StepInfo};
+pub use exec::StepInfo;
 pub use flops::{FlopId, FlopReg};
 pub use lr7::{Lr7, Lr7State};
 pub use ports::{retire_effect_mask, PortSet, Sc, RETIRE_EFFECT_PORTS, SC_COUNT};

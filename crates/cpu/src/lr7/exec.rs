@@ -22,10 +22,12 @@
 //! Every array index computed from state is masked before use, so an
 //! injected fault can corrupt behaviour but never crash the simulator.
 
+use std::sync::OnceLock;
+
 use lockstep_isa::{csr::misr_fold, Csr, Format, Instr, Opcode, TrapCause, DEFAULT_TRAP_VECTOR};
 use lockstep_mem::MemoryPort;
 
-use crate::exec::StepInfo;
+use crate::exec::{csr_word, StepInfo};
 use crate::lr7::state::{Lr7State, LSQ_ENTRIES, RS_ENTRIES};
 use crate::ports::{parity8, PortSet, Sc};
 
@@ -283,6 +285,135 @@ pub(crate) fn compute_next(
 
     ports.set(Sc::EventBus, event & 0xFFFF);
     info
+}
+
+/// Word-mask bit of `csr_status` in [`park_words`]'s numbering. The six
+/// writable CSRs follow in address order, then `cycle`, `instret` and
+/// `hartid`. Bits `0..31` are the registers, bit `r - 1` for register
+/// `r`.
+pub(crate) const CSR_WORD: u8 = 31;
+
+/// Word-mask bit of the `cycle` counter; `instret` is the next bit.
+pub(crate) const CYCLE_WORD: u8 = CSR_WORD + 6;
+
+/// Word-mask bit of BTB target 0 (target `i` is bit `BTB_WORD + i`).
+pub(crate) const BTB_WORD: u8 = CSR_WORD + 9;
+
+/// The flop words of LR7 whose every access [`park_reads`] and
+/// [`park_writes`] can see from the pre-cycle state and golden's ports:
+/// `(registry entry, first word bit)` pairs, lane `l` of an entry being
+/// word `first + l`. 56 words in all: the 31 registers, the six writable
+/// CSRs, the `cycle` and `instret` counters (the [`park_advancing`]
+/// words), `hartid` and the 16 BTB targets.
+///
+/// `csr_misr` stays out because a `csrw misr` folds its old value into
+/// the new one, so a write does not clean it. The BTB tags and counters
+/// stay out because a valid entry's tag is compared on every fetch at
+/// its index, and the rename and queue structures (RAT, RS, ROB, LSQ)
+/// because the oracles decode from them.
+pub(crate) fn park_words() -> &'static [(u16, u8)] {
+    static WORDS: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
+    WORDS.get_or_init(|| {
+        crate::dirty::word_layout(
+            <super::Lr7 as crate::CoreModel>::registry(),
+            &[
+                "regs",
+                "csr_status",
+                "csr_cause",
+                "csr_epc",
+                "csr_tvec",
+                "csr_scratch0",
+                "csr_scratch1",
+                "cycle",
+                "instret",
+                "hartid",
+                "btb_tgt",
+            ],
+        )
+    })
+}
+
+/// The [`park_words`] that *advance* instead of holding: `cycle`, which
+/// every cycle that is not halted increments, and `instret`, which every
+/// retirement increments, each from its own value and on the cycles it
+/// does so on golden (see LR5's [`crate::exec::park_advancing`]).
+pub(crate) fn park_advancing() -> u64 {
+    0b11 << CYCLE_WORD
+}
+
+/// A superset of the [`park_words`] the cycle from pre-cycle state `s`
+/// reads, given `golden`, the ports that cycle drives on a machine whose
+/// parked words all go unread (DESIGN.md §10).
+///
+/// * **Registers:** dispatch reads the sources of the fetch-buffer
+///   instruction that the RAT does not map, and `csrw` its `rs1`. It runs
+///   after this cycle's commit and may stall, so every source is a
+///   superset.
+/// * **CSRs, counters and `hartid`:** a `csrr` at dispatch reads the word
+///   its `imm & 0xF` selects, and a trap (golden's `ExcCtl` bit 0) reads
+///   `csr_tvec`. A counter's own increment is not a read here.
+/// * **BTB targets:** a fetch that hits (golden's `BranchCtl` bit 0)
+///   reads the target its fetch address indexes. The index comes from
+///   golden's fetch port, because a redirect at commit moves the fetch
+///   PC within the cycle.
+pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u64 {
+    let mut words = 0u64;
+    if s.halted & 1 == 0 && s.fb_valid & 1 == 1 && s.fb_err & 1 == 0 {
+        if let Ok(i) = Instr::decode(s.fb_raw) {
+            let (src1, src2) = source_regs(i.op.format(), &i);
+            let csrw = if i.op == Opcode::Csrw { i.rs1.index() } else { 0 };
+            for r in [src1, src2, csrw].into_iter().filter(|&r| r != 0) {
+                words |= 1 << (r - 1);
+            }
+            if i.op == Opcode::Csrr {
+                words |= csr_word(CSR_WORD, i.imm as u32);
+            }
+        }
+    }
+    if golden.get(Sc::ExcCtl) & 1 != 0 {
+        words |= csr_word(CSR_WORD, Csr::Tvec.bits());
+    }
+    if golden.get(Sc::BranchCtl) & 1 != 0 {
+        words |= 1 << (u32::from(BTB_WORD) + ((golden.get(Sc::IfAddrLo) >> 2) & 15));
+    }
+    words
+}
+
+/// Exactly the [`park_words`] the cycle from pre-cycle state `s` writes,
+/// given `golden`, the ports that cycle drives on a machine whose parked
+/// words all go unread. Such a machine's cycle is golden's, so it writes
+/// golden's values: a written word is clean afterwards.
+///
+/// * **Registers:** the retiring ROB head writes register
+///   `(RfWpCtl >> 1) & 0x1F` when golden's `RfWpCtl` bit 0 is set.
+/// * **CSRs:** a retiring `csrw` (golden's `CsrCtl` bit 1) writes the CSR
+///   `(CsrCtl >> 2) & 0xF` selects when it is one of the six, and a trap
+///   writes `csr_cause` and `csr_epc`. Nothing writes the counters or
+///   `hartid`.
+/// * **BTB targets:** a retiring control instruction that was taken
+///   trains the target its PC indexes, hit or miss.
+pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u64 {
+    let mut words = 0u64;
+    let rf = golden.get(Sc::RfWpCtl);
+    let rd = (rf >> 1) & 0x1F;
+    if rf & 1 != 0 && rd != 0 {
+        words |= 1 << (rd - 1);
+    }
+    let csr = golden.get(Sc::CsrCtl);
+    if csr & 2 != 0 && (2..=7).contains(&((csr >> 2) & 0xF)) {
+        words |= csr_word(CSR_WORD, csr >> 2);
+    }
+    if golden.get(Sc::ExcCtl) & 1 != 0 {
+        words |= csr_word(CSR_WORD, Csr::Cause.bits()) | csr_word(CSR_WORD, Csr::Epc.bits());
+    }
+    if golden.get(Sc::RetCtl) & 1 != 0 {
+        let h = usize::from(s.rob_head & 15);
+        let pc = s.rob_pc[h];
+        if s.rob_flags[h] & F_CTL != 0 && s.rob_npc[h] != pc.wrapping_add(4) {
+            words |= 1 << (u32::from(BTB_WORD) + ((pc >> 2) & 15));
+        }
+    }
+    words
 }
 
 /// Pops LSQ slot `li` (must be the head).

@@ -36,13 +36,12 @@ pub use state::Lr7State;
 #[derive(Debug, Clone)]
 pub struct Lr7 {
     state: Lr7State,
-    hartid: u8,
 }
 
 impl Lr7 {
     /// Creates a core in the architectural reset state.
     pub fn new(hartid: u8) -> Lr7 {
-        Lr7 { state: Lr7State::reset(hartid), hartid: hartid & 3 }
+        Lr7 { state: Lr7State::reset(hartid) }
     }
 
     /// The current sequential state.
@@ -65,8 +64,7 @@ impl CoreModel for Lr7 {
     }
 
     fn from_state(state: Lr7State) -> Lr7 {
-        let hartid = state.hartid & 3;
-        Lr7 { state, hartid }
+        Lr7 { state }
     }
 
     fn reset_state(hartid: u8) -> Lr7State {
@@ -83,7 +81,6 @@ impl CoreModel for Lr7 {
 
     fn restore(&mut self, snapshot: &Lr7State) {
         self.state = snapshot.clone();
-        self.hartid = snapshot.hartid & 3;
     }
 
     fn is_halted(&self) -> bool {
@@ -134,6 +131,22 @@ impl CoreModel for Lr7 {
 
     fn cycle(state: &Lr7State) -> u64 {
         state.cycle
+    }
+
+    fn park_words() -> &'static [(u16, u8)] {
+        exec::park_words()
+    }
+
+    fn park_reads(pre: &Lr7State, golden: &PortSet) -> u64 {
+        exec::park_reads(pre, golden)
+    }
+
+    fn park_writes(pre: &Lr7State, golden: &PortSet) -> u64 {
+        exec::park_writes(pre, golden)
+    }
+
+    fn park_advancing() -> u64 {
+        exec::park_advancing()
     }
 }
 

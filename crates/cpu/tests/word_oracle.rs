@@ -6,6 +6,7 @@
 //! dirty words unread, so any hole in either oracle silently corrupts
 //! campaign results.
 //!
+//! Both cores are checked, LR5 at the top level and LR7 in `mod lr7`.
 //! Every cycle of every program below is checked twice over:
 //!
 //! 1. each parkable word that golden's cycle changes is in
@@ -20,16 +21,18 @@
 //!    offset from golden's.
 //!
 //! The sample is every seventh cycle plus every cycle on which golden
-//! pushes or pops the return-address stack, traps, or holds a CSR
-//! instruction in the ID/EX latch — read off golden's ports and latches,
-//! not the oracles under test.
+//! does something that reaches a parkable word other than a register —
+//! read off golden's ports and latches, not the oracles under test. On
+//! LR5 that is a return-address-stack push or pop, a trap, or a CSR
+//! instruction in the ID/EX latch; on LR7 a trap, a control
+//! instruction's retirement, a BTB hit, or a CSR instruction's dispatch
+//! or commit. On LR7 every other cycle that commits a register write
+//! (golden's `RfWpCtl`) perturbs that register alone.
 
 use std::sync::OnceLock;
 
-use lockstep_cpu::exec::{CSR_WORD, CYCLE_WORD, DMC_WORD, HARTID_WORD, MDV_WORD, RAS_WORD};
 use lockstep_cpu::{
-    park_advancing, park_confined_in, park_reads, park_words, park_writes, CoreModel, Cpu,
-    CpuState, DirtyWitness, FlopReg, PortSet, Sc,
+    park_confined_in, CoreModel, Cpu, CpuState, DirtyWitness, FlopReg, PortSet, Sc,
 };
 use lockstep_isa::Opcode;
 use lockstep_mem::{TrialLog, TrialView};
@@ -50,11 +53,22 @@ struct Coverage {
     held: [u64; 64],
     /// Perturbations the cycle overwrote with golden's value.
     erased: [u64; 64],
+    /// Cycles stepped, the halting one included.
+    cycles: u64,
+    /// Instructions retired.
+    retired: u64,
 }
 
 impl Coverage {
     fn new() -> Coverage {
-        Coverage { changed: [0; 64], read: [0; 64], held: [0; 64], erased: [0; 64] }
+        Coverage {
+            changed: [0; 64],
+            read: [0; 64],
+            held: [0; 64],
+            erased: [0; 64],
+            cycles: 0,
+            retired: 0,
+        }
     }
 
     fn add(&mut self, other: &Coverage) {
@@ -64,14 +78,66 @@ impl Coverage {
             self.held[w] += other.held[w];
             self.erased[w] += other.erased[w];
         }
+        self.cycles += other.cycles;
+        self.retired += other.retired;
+    }
+}
+
+/// Each corpus's coverage on one core, checked once however many tests
+/// ask.
+struct Corpora {
+    suite: OnceLock<Coverage>,
+    compiled: OnceLock<Coverage>,
+    fuzzed: OnceLock<Coverage>,
+    trapping: OnceLock<Coverage>,
+    counting: OnceLock<Coverage>,
+}
+
+impl Corpora {
+    const fn new() -> Corpora {
+        Corpora {
+            suite: OnceLock::new(),
+            compiled: OnceLock::new(),
+            fuzzed: OnceLock::new(),
+            trapping: OnceLock::new(),
+            counting: OnceLock::new(),
+        }
+    }
+}
+
+/// What the checker needs of a core beyond the [`CoreModel`] contract.
+trait Probe: CoreModel {
+    /// This core's coverage cache.
+    fn corpora() -> &'static Corpora;
+
+    /// The words to perturb on golden's cycle from `pre` besides the
+    /// every-seventh-cycle sample: all of them on an event cycle.
+    fn event_words(pre: &Self::State, golden: &PortSet) -> u64;
+}
+
+impl Probe for Cpu {
+    fn corpora() -> &'static Corpora {
+        static CORPORA: Corpora = Corpora::new();
+        &CORPORA
+    }
+
+    fn event_words(pre: &CpuState, golden: &PortSet) -> u64 {
+        let csr_op = pre.id_valid & 1 == 1
+            && matches!(Opcode::from_bits(u32::from(pre.id_op)), Some(Opcode::Csrr | Opcode::Csrw));
+        let event = csr_op || golden.get(Sc::RasCtl) != 0 || golden.get(Sc::ExcCtl) != 0;
+        if event {
+            u64::MAX
+        } else {
+            0
+        }
     }
 }
 
 /// Registry slot `(entry, lane)` of every parkable word, by word.
-fn slots() -> Vec<(usize, usize)> {
+fn slots<C: CoreModel>() -> Vec<(usize, usize)> {
     let mut slots = vec![(usize::MAX, 0); 64];
-    for &(r, first) in park_words() {
-        for lane in 0..usize::from(Cpu::registry()[r as usize].lanes) {
+    for &(r, first) in C::park_words() {
+        for lane in 0..usize::from(C::registry()[r as usize].lanes) {
             slots[usize::from(first) + lane] = (r as usize, lane);
         }
     }
@@ -79,41 +145,53 @@ fn slots() -> Vec<(usize, usize)> {
     slots
 }
 
-fn read(regs: &[FlopReg], slot: (usize, usize), s: &CpuState) -> u64 {
+/// The word bits of every lane of the registry entry `name`.
+fn words_of<C: CoreModel>(name: &str) -> std::ops::Range<usize> {
+    let regs = C::registry();
+    let &(r, first) = C::park_words()
+        .iter()
+        .find(|&&(r, _)| regs[r as usize].name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a parkable word of {}", C::NAME));
+    usize::from(first)..usize::from(first) + usize::from(regs[r as usize].lanes)
+}
+
+/// The word bit of the scalar registry entry `name`.
+fn word<C: CoreModel>(name: &str) -> usize {
+    words_of::<C>(name).start
+}
+
+fn read<S>(regs: &[FlopReg<S>], slot: (usize, usize), s: &S) -> u64 {
     regs[slot.0].read(s, slot.1)
 }
 
 /// `b - a` modulo the width of the word in `slot`.
-fn offset(regs: &[FlopReg], slot: (usize, usize), a: u64, b: u64) -> u64 {
+fn offset<S>(regs: &[FlopReg<S>], slot: (usize, usize), a: u64, b: u64) -> u64 {
     b.wrapping_sub(a) & (u64::MAX >> (64 - u32::from(regs[slot.0].width)))
 }
 
-/// Whether golden's cycle from `pre` is one of the sampled event cycles.
-fn event_cycle(pre: &CpuState, golden: &PortSet) -> bool {
-    let csr_op = pre.id_valid & 1 == 1
-        && matches!(Opcode::from_bits(u32::from(pre.id_op)), Some(Opcode::Csrr | Opcode::Csrw));
-    csr_op || golden.get(Sc::RasCtl) != 0 || golden.get(Sc::ExcCtl) != 0
-}
-
-/// Runs `w`'s golden execution and checks both oracle properties.
-fn check(w: &Workload) -> Coverage {
-    let regs = Cpu::registry();
-    let words = park_words();
-    let advancing = park_advancing();
-    let slots = slots();
+/// Runs `w`'s golden execution on core `C` and checks both oracle
+/// properties.
+fn check<C: Probe>(w: &Workload) -> Coverage {
+    let regs = C::registry();
+    let words = C::park_words();
+    let advancing = C::park_advancing();
+    let slots = slots::<C>();
     let mut cov = Coverage::new();
     let mut mem = w.memory(0xC0FFEE);
-    let mut cpu = Cpu::new(0);
+    let mut cpu = C::new(0);
     let (mut gports, mut pports) = (PortSet::new(), PortSet::new());
     let (mut log, mut plog) = (TrialLog::new(), TrialLog::new());
+    let name = format!("{} {}", C::NAME, w.name);
     for cycle in 0..MAX_CYCLES {
         let pre = cpu.snapshot();
         log.clear();
         let info = cpu.step(&mut TrialView::new(&mem, &mut log), &mut gports);
+        cov.cycles += 1;
+        cov.retired += u64::from(info.retired);
         let post = cpu.state();
-        let reads = park_reads(&pre, &gports);
-        let writes = park_writes(&pre, &gports);
-        assert_eq!(writes & advancing, 0, "{} cycle {cycle}: a counter in park_writes", w.name);
+        let reads = C::park_reads(&pre, &gports);
+        let writes = C::park_writes(&pre, &gports);
+        assert_eq!(writes & advancing, 0, "{name} cycle {cycle}: a counter in park_writes");
         for (w_idx, &slot) in slots.iter().enumerate() {
             cov.read[w_idx] += reads >> w_idx & 1;
             let (before, after) = (read(regs, slot, &pre), read(regs, slot, post));
@@ -125,39 +203,37 @@ fn check(w: &Workload) -> Coverage {
                 assert_eq!(
                     offset(regs, slot, before, after),
                     1,
-                    "{} cycle {cycle}: counter word {w_idx} moved by other than +1",
-                    w.name
+                    "{name} cycle {cycle}: counter word {w_idx} moved by other than +1"
                 );
             } else {
                 assert!(
                     writes >> w_idx & 1 == 1,
-                    "{} cycle {cycle}: word {w_idx} changed but is not in park_writes",
-                    w.name
+                    "{name} cycle {cycle}: word {w_idx} changed but is not in park_writes"
                 );
             }
         }
-        if cycle % 7 == 0 || event_cycle(&pre, &gports) {
+        let sample = if cycle % 7 == 0 { u64::MAX } else { C::event_words(&pre, &gports) };
+        if sample != 0 {
             for (w_idx, &slot) in slots.iter().enumerate() {
-                if reads >> w_idx & 1 == 1 {
+                if sample >> w_idx & 1 == 0 || reads >> w_idx & 1 == 1 {
                     continue;
                 }
                 let mut perturbed = pre.clone();
                 let v = read(regs, slot, &pre) ^ PERTURB;
                 regs[slot.0].write(&mut perturbed, slot.1, v);
                 let v = read(regs, slot, &perturbed);
-                let mut lane = Cpu::from_state(perturbed);
+                let mut lane = C::from_state(perturbed);
                 plog.clear();
                 lane.step(&mut TrialView::new(&mem, &mut plog), &mut pports);
                 assert_eq!(
                     pports.diff_mask(&gports),
                     0,
-                    "{} cycle {cycle}: unread word {w_idx} leaked into the ports",
-                    w.name
+                    "{name} cycle {cycle}: unread word {w_idx} leaked into the ports"
                 );
                 let dirty =
                     park_confined_in(regs, words, post, lane.state(), &mut DirtyWitness::new())
                         .unwrap_or_else(|| {
-                            panic!("{} cycle {cycle}: unread word {w_idx} spread", w.name)
+                            panic!("{name} cycle {cycle}: unread word {w_idx} spread")
                         });
                 if advancing >> w_idx & 1 == 1 {
                     let before = offset(regs, slot, read(regs, slot, &pre), v);
@@ -166,19 +242,17 @@ fn check(w: &Workload) -> Coverage {
                     assert_eq!(
                         (dirty, after),
                         (1 << w_idx, before),
-                        "{} cycle {cycle}: counter word {w_idx} lost its offset from golden",
-                        w.name
+                        "{name} cycle {cycle}: counter word {w_idx} lost its offset from golden"
                     );
                     cov.held[w_idx] += 1;
                 } else if writes >> w_idx & 1 == 1 {
-                    assert_eq!(dirty, 0, "{} cycle {cycle}: written word {w_idx} kept", w.name);
+                    assert_eq!(dirty, 0, "{name} cycle {cycle}: written word {w_idx} kept");
                     cov.erased[w_idx] += 1;
                 } else {
                     assert_eq!(
                         (dirty, read(regs, slot, lane.state())),
                         (1 << w_idx, v),
-                        "{} cycle {cycle}: unwritten word {w_idx} not held",
-                        w.name
+                        "{name} cycle {cycle}: unwritten word {w_idx} not held"
                     );
                     cov.held[w_idx] += 1;
                 }
@@ -189,126 +263,160 @@ fn check(w: &Workload) -> Coverage {
             return cov;
         }
     }
-    panic!("{} did not halt within {MAX_CYCLES} cycles", w.name);
+    panic!("{name} did not halt within {MAX_CYCLES} cycles");
 }
 
 /// Checks every program of a corpus and returns the summed coverage.
-fn check_corpus<'a>(corpus: impl IntoIterator<Item = &'a Workload>) -> Coverage {
+fn check_corpus<'a, C: Probe>(corpus: impl IntoIterator<Item = &'a Workload>) -> Coverage {
     let mut cov = Coverage::new();
     for w in corpus {
-        cov.add(&check(w));
+        cov.add(&check::<C>(w));
     }
     cov
 }
 
-/// The four corpora, each checked once however many tests ask.
-fn suite() -> &'static Coverage {
-    static COV: OnceLock<Coverage> = OnceLock::new();
-    COV.get_or_init(|| check_corpus(Workload::all()))
+/// The 12 hand-written kernels.
+fn suite<C: Probe>() -> &'static Coverage {
+    C::corpora().suite.get_or_init(|| check_corpus::<C>(Workload::all()))
 }
 
-fn compiled() -> &'static Coverage {
-    static COV: OnceLock<Coverage> = OnceLock::new();
-    COV.get_or_init(|| check_corpus(lc::all()))
+/// The 8 compiled LC kernels.
+fn compiled<C: Probe>() -> &'static Coverage {
+    C::corpora().compiled.get_or_init(|| check_corpus::<C>(lc::all()))
 }
 
-fn fuzzed() -> &'static Coverage {
-    static COV: OnceLock<Coverage> = OnceLock::new();
-    COV.get_or_init(|| check_corpus((0..40).map(|i| fuzz::generated(42, i))))
+/// 40 generated programs of fuzz seed 42.
+fn fuzzed<C: Probe>() -> &'static Coverage {
+    C::corpora().fuzzed.get_or_init(|| check_corpus::<C>((0..40).map(|i| fuzz::generated(42, i))))
 }
 
-fn trapping() -> &'static Coverage {
-    static COV: OnceLock<Coverage> = OnceLock::new();
-    COV.get_or_init(|| check(Workload::find("trapex").expect("trap exerciser registered")))
+/// The trap exerciser.
+fn trapping<C: Probe>() -> &'static Coverage {
+    C::corpora()
+        .trapping
+        .get_or_init(|| check::<C>(Workload::find("trapex").expect("trap exerciser registered")))
 }
 
-fn counting() -> &'static Coverage {
-    static COV: OnceLock<Coverage> = OnceLock::new();
-    COV.get_or_init(|| check(Workload::find("ctrex").expect("counter exerciser registered")))
+/// The counter exerciser.
+fn counting<C: Probe>() -> &'static Coverage {
+    C::corpora()
+        .counting
+        .get_or_init(|| check::<C>(Workload::find("ctrex").expect("counter exerciser registered")))
 }
 
 /// Every corpus's coverage, summed.
-fn all_corpora() -> Coverage {
+fn all_corpora<C: Probe>() -> Coverage {
     let mut cov = Coverage::new();
-    for corpus in [suite(), compiled(), fuzzed(), trapping(), counting()] {
+    for corpus in [suite::<C>(), compiled::<C>(), fuzzed::<C>(), trapping::<C>(), counting::<C>()] {
         cov.add(corpus);
     }
     cov
 }
 
-/// The word bits `first..first + n`.
-fn word_range(first: u8, n: usize) -> std::ops::Range<usize> {
-    usize::from(first)..usize::from(first) + n
+/// The words a coverage count missed.
+fn missing<C: CoreModel>(counts: &[u64; 64]) -> Vec<usize> {
+    (0..slots::<C>().len()).filter(|&w| counts[w] == 0).collect()
 }
 
-/// The words a coverage count missed.
-fn missing(counts: &[u64; 64]) -> Vec<usize> {
-    (0..slots().len()).filter(|&w| counts[w] == 0).collect()
+/// The six writable CSR words, `csr_status` to `csr_scratch1`.
+fn csr_words<C: CoreModel>() -> std::ops::Range<usize> {
+    let first = word::<C>("csr_status");
+    assert_eq!(word::<C>("csr_scratch1"), first + 5, "the six CSRs are consecutive");
+    first..first + 6
+}
+
+/// `ctrex` reads both counters and `hartid` with `csrr`, so each is in
+/// `park_reads` on some cycle; between reads the counters advance and a
+/// perturbed one keeps its offset from golden's.
+fn counters_and_hartid_are_read_and_held<C: Probe>() {
+    let cov = counting::<C>();
+    for name in ["cycle", "instret", "hartid"] {
+        let w = word::<C>(name);
+        assert!(cov.read[w] > 0 && cov.held[w] > 0, "{} {name} not exercised", C::NAME);
+    }
+    for name in ["cycle", "instret"] {
+        assert!(cov.changed[word::<C>(name)] > 0, "{} {name} never advanced", C::NAME);
+    }
+}
+
+/// The advancing words are `cycle` and `instret`: `cycle` advances on
+/// every cycle up to the halting one, and `instret` on every retirement.
+fn advancing_words_are_the_counters<C: Probe>() {
+    let (cycle, instret) = (word::<C>("cycle"), word::<C>("instret"));
+    assert_eq!(C::park_advancing(), 1 << cycle | 1 << instret);
+    let cov = counting::<C>();
+    assert_eq!(cov.changed[cycle], cov.cycles);
+    assert_eq!(cov.changed[instret], cov.retired);
+}
+
+/// Nothing writes the counters or `hartid`, so they cannot be erased;
+/// the counters advance instead, and all three are held. Every other
+/// word is written, erased and held somewhere in the corpora.
+fn every_word_is_written_erased_and_held<C: Probe>() {
+    let cov = all_corpora::<C>();
+    let hartid = word::<C>("hartid");
+    let never_written = C::park_advancing() | 1 << hartid;
+    let missing_written = |counts: &[u64; 64]| -> Vec<usize> {
+        missing::<C>(counts).into_iter().filter(|&w| never_written >> w & 1 == 0).collect()
+    };
+    assert_eq!(missing_written(&cov.changed)[..], [], "words never written");
+    assert_eq!(missing_written(&cov.erased)[..], [], "words never erased by a write");
+    assert_eq!(missing::<C>(&cov.held)[..], [], "words never held");
+    assert_eq!(cov.changed[hartid], 0, "hartid changed");
 }
 
 #[test]
 fn oracles_hold_on_the_suite_kernels() {
     // The suite never calls or traps, but every register is held.
-    assert_eq!(missing(&suite().held)[..], [], "suite kernels");
+    assert_eq!(missing::<Cpu>(&suite::<Cpu>().held)[..], [], "suite kernels");
 }
 
 #[test]
 fn oracles_hold_on_the_compiled_lc_corpus() {
     // Recursion wraps the 8-entry RAS: every entry is pushed over while
     // live (erased) and kept across cycles (held).
-    let cov = compiled();
-    for w in usize::from(RAS_WORD)..usize::from(CSR_WORD) {
+    let cov = compiled::<Cpu>();
+    for w in words_of::<Cpu>("ras") {
         assert!(cov.erased[w] > 0 && cov.held[w] > 0, "RAS word {w} not exercised");
     }
 }
 
 #[test]
 fn oracles_hold_on_fuzz_programs() {
-    assert_eq!(missing(&fuzzed().held)[..], [], "fuzz programs");
+    assert_eq!(missing::<Cpu>(&fuzzed::<Cpu>().held)[..], [], "fuzz programs");
 }
 
 #[test]
 fn oracles_hold_on_the_trap_program() {
     // Every CSR word is written (a trap writes `cause` and `epc`) and
     // held.
-    let cov = trapping();
-    for w in word_range(CSR_WORD, 6) {
+    let cov = trapping::<Cpu>();
+    for w in csr_words::<Cpu>() {
         assert!(cov.erased[w] > 0 && cov.held[w] > 0, "CSR word {w} not exercised");
     }
 }
 
 #[test]
 fn oracles_hold_on_the_counter_program() {
-    // `ctrex` reads both counters and `hartid` with `csrr`, so each is
-    // in `park_reads` on some cycle; between reads the counters advance
-    // and a perturbed one keeps its offset from golden's.
-    let cov = counting();
-    for w in word_range(CYCLE_WORD, 3) {
-        assert!(cov.read[w] > 0 && cov.held[w] > 0, "counter or hartid word {w} not exercised");
-    }
-    for w in word_range(CYCLE_WORD, 2) {
-        assert!(cov.changed[w] > 0, "counter word {w} never advanced");
-    }
+    counters_and_hartid_are_read_and_held::<Cpu>();
 }
 
 #[test]
 fn advancing_words_are_exactly_the_counters() {
-    assert_eq!(park_advancing(), 0b11 << CYCLE_WORD);
-    // `cycle` advances on every cycle up to the halting one, and
-    // `instret` on every retirement.
-    let w = Workload::find("ctrex").expect("counter exerciser registered");
-    let run = w.golden_run(0xC0FFEE, MAX_CYCLES);
-    assert_eq!(counting().changed[usize::from(CYCLE_WORD)], run.cycles);
-    assert_eq!(counting().changed[usize::from(CYCLE_WORD) + 1], run.instructions);
+    advancing_words_are_the_counters::<Cpu>();
 }
 
 #[test]
 fn dmc_and_mdv_latches_are_written_erased_and_held() {
-    let cov = all_corpora();
-    for w in word_range(DMC_WORD, 5).chain(word_range(MDV_WORD, 7)) {
+    let cov = all_corpora::<Cpu>();
+    let latches = ["dmc_addr", "dmc_wdata", "dmc_mask", "dmc_rdata", "wb_lane"]
+        .into_iter()
+        .chain(["mdv_op", "mdv_cnt", "mdv_a", "mdv_b", "mdv_acc_lo", "mdv_acc_hi", "mdv_neg"]);
+    for name in latches {
+        let w = word::<Cpu>(name);
         assert!(
             cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
-            "DMC/MDV word {w} not exercised: {} changed, {} erased, {} held",
+            "{name} not exercised: {} changed, {} erased, {} held",
             cov.changed[w],
             cov.erased[w],
             cov.held[w]
@@ -318,15 +426,102 @@ fn dmc_and_mdv_latches_are_written_erased_and_held() {
 
 #[test]
 fn every_word_is_written_erased_and_held_across_the_corpora() {
-    // Nothing writes the counters or `hartid`, so they cannot be erased;
-    // the counters advance instead, and all three are held.
-    let cov = all_corpora();
-    let never_written = park_advancing() | 1 << HARTID_WORD;
-    let missing_written = |counts: &[u64; 64]| -> Vec<usize> {
-        missing(counts).into_iter().filter(|&w| never_written >> w & 1 == 0).collect()
-    };
-    assert_eq!(missing_written(&cov.changed)[..], [], "words never written");
-    assert_eq!(missing_written(&cov.erased)[..], [], "words never erased by a write");
-    assert_eq!(missing(&cov.held)[..], [], "words never held");
-    assert_eq!(cov.changed[usize::from(HARTID_WORD)], 0, "hartid changed");
+    every_word_is_written_erased_and_held::<Cpu>();
+}
+
+/// The same properties on the out-of-order LR7.
+mod lr7 {
+    use lockstep_cpu::{Lr7, Lr7State};
+    use lockstep_isa::{Format, Instr};
+
+    use super::*;
+
+    impl Probe for Lr7 {
+        fn corpora() -> &'static Corpora {
+            static CORPORA: Corpora = Corpora::new();
+            &CORPORA
+        }
+
+        fn event_words(_pre: &Lr7State, golden: &PortSet) -> u64 {
+            let trap = golden.get(Sc::ExcCtl) & 1 != 0;
+            let retired = golden.get(Sc::RetInstrLo) | golden.get(Sc::RetInstrHi) << 16;
+            let control_retire = golden.get(Sc::RetCtl) & 1 != 0
+                && Instr::decode(retired).is_ok_and(|i| {
+                    matches!(i.op.format(), Format::B | Format::J) || i.op == Opcode::Jalr
+                });
+            let btb_hit = golden.get(Sc::BranchCtl) & 1 != 0;
+            let id = golden.get(Sc::IdCtl);
+            let csr_dispatch = id & 1 != 0
+                && matches!(Opcode::from_bits((id >> 1) & 0x3F), Some(Opcode::Csrr | Opcode::Csrw));
+            let csr_commit = golden.get(Sc::CsrCtl) != 0;
+            let rf = golden.get(Sc::RfWpCtl);
+            if trap || control_retire || btb_hit || csr_dispatch || csr_commit {
+                u64::MAX
+            } else if rf & 1 != 0 {
+                1 << (word::<Lr7>("regs") + ((rf >> 1) & 0x1F) as usize - 1)
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn oracles_hold_on_the_suite_kernels() {
+        // Every register is held, and the kernels' loops train and hit
+        // BTB targets.
+        let cov = suite::<Lr7>();
+        assert_eq!(missing::<Lr7>(&cov.held)[..], [], "suite kernels");
+        assert!(words_of::<Lr7>("btb_tgt").any(|w| cov.read[w] > 0 && cov.erased[w] > 0));
+    }
+
+    #[test]
+    fn oracles_hold_on_the_compiled_lc_corpus() {
+        assert_eq!(missing::<Lr7>(&compiled::<Lr7>().held)[..], [], "compiled LC kernels");
+    }
+
+    #[test]
+    fn oracles_hold_on_fuzz_programs() {
+        assert_eq!(missing::<Lr7>(&fuzzed::<Lr7>().held)[..], [], "fuzz programs");
+    }
+
+    #[test]
+    fn oracles_hold_on_the_trap_program() {
+        // Every CSR word is written (a trap writes `cause` and `epc`) and
+        // held, and every trap reads `tvec`.
+        let cov = trapping::<Lr7>();
+        for w in csr_words::<Lr7>() {
+            assert!(cov.erased[w] > 0 && cov.held[w] > 0, "CSR word {w} not exercised");
+        }
+        assert!(cov.read[word::<Lr7>("csr_tvec")] > 0, "no trap read tvec");
+    }
+
+    #[test]
+    fn oracles_hold_on_the_counter_program() {
+        counters_and_hartid_are_read_and_held::<Lr7>();
+    }
+
+    #[test]
+    fn advancing_words_are_exactly_the_counters() {
+        advancing_words_are_the_counters::<Lr7>();
+    }
+
+    #[test]
+    fn btb_targets_are_read_written_erased_and_held() {
+        let cov = all_corpora::<Lr7>();
+        for w in words_of::<Lr7>("btb_tgt") {
+            assert!(
+                cov.read[w] > 0 && cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
+                "BTB target word {w} not exercised: {} read, {} changed, {} erased, {} held",
+                cov.read[w],
+                cov.changed[w],
+                cov.erased[w],
+                cov.held[w]
+            );
+        }
+    }
+
+    #[test]
+    fn every_word_is_written_erased_and_held_across_the_corpora() {
+        every_word_is_written_erased_and_held::<Lr7>();
+    }
 }

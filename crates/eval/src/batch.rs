@@ -31,23 +31,23 @@
 //!    cycle. The moment the dirty set is seen empty the fault is
 //!    provably masked for the rest of the run (the machine is closed:
 //!    see DESIGN.md §10) and the lane is retired instead of simulating
-//!    to the end of the trace. On a core that supplies word-parking
-//!    oracles ([`CoreBatch::park_words`], LR5 today) a lane whose
-//!    residue is *confined to parkable words*
-//!    ([`lockstep_cpu::dirty::park_confined_in`]: LR5's registers,
-//!    return-address-stack entries, CSRs, `cycle`/`instret` counters,
-//!    `hartid`, and DMCU and MDV latches) goes one step further: it
+//!    to the end of the trace. Both cores supply word-parking oracles
+//!    ([`CoreModel::park_words`]), so a lane whose residue is *confined
+//!    to parkable words* ([`lockstep_cpu::dirty::park_confined_in`]:
+//!    the registers, CSRs, `cycle`/`instret` counters and `hartid` of
+//!    either core, plus LR5's return-address-stack entries and DMCU and
+//!    MDV latches, and LR7's BTB targets) goes one step further: it
 //!    parks at zero simulation cost. A cycle that reads none of its
 //!    dirty words is golden's cycle on the faulty machine too, so the
 //!    words such a cycle reads and writes follow from golden's
-//!    pre-cycle state and recorded ports ([`CoreBatch::park_reads`],
-//!    [`CoreBatch::park_writes`]). Golden's writes clean the dirty words
+//!    pre-cycle state and recorded ports ([`CoreModel::park_reads`],
+//!    [`CoreModel::park_writes`]). Golden's writes clean the dirty words
 //!    they hit, a parked counter counts exactly golden's increments
-//!    ([`CoreBatch::park_advancing`]), and the entry wakes only the
+//!    ([`CoreModel::park_advancing`]), and the entry wakes only the
 //!    cycle a dirty word lands in the read set. Dead-word residue, the
 //!    dominant fate of masked transients, parks to the end of the trace
-//!    without a single simulated cycle. On other cores that residue
-//!    stays a live lane until it converges.
+//!    without a single simulated cycle. On a core without the oracles
+//!    that residue stays a live lane until it converges.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
@@ -75,7 +75,7 @@
 use lockstep_core::Dsr;
 use lockstep_cpu::dirty::{converged_in, park_confined_in, DirtyWitness, LaneWatch};
 use lockstep_cpu::flops::{self, FlopId, FlopReg};
-use lockstep_cpu::{exec, CoreModel, Cpu, Lr7, PortSet, PortTrace};
+use lockstep_cpu::{CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_iss::Retired;
 use lockstep_mem::{Memory, TrialLog, TrialView};
@@ -209,18 +209,20 @@ struct WatchGroup {
 }
 
 /// Most advancing words a core may declare
-/// ([`CoreBatch::park_advancing`]); LR5 has two, `cycle` and `instret`.
+/// ([`CoreModel::park_advancing`]); each core has two, `cycle` and
+/// `instret`.
 const MAX_ADVANCING: usize = 2;
 
 /// A fault parked because its entire divergence from golden is confined
-/// to parkable words (LR5: registers, RAS entries, CSRs, counters,
-/// `hartid`, DMCU and MDV latches; see [`CoreBatch::park_words`]). Costs
-/// zero simulation per cycle: a cycle that reads none of the dirty words
-/// is golden's cycle on the faulty machine too, so golden's writes clean
-/// the words they write (both machines write the identical value), an
-/// advancing word counts exactly golden's increments, and the read
-/// oracle tells us the exact cycle a dirty word might be observed, which
-/// is when the entry wakes into a scalar [`Lane`].
+/// to parkable words (registers, CSRs, counters and `hartid`, plus LR5's
+/// RAS entries and DMCU and MDV latches and LR7's BTB targets; see
+/// [`CoreModel::park_words`]). Costs zero simulation per cycle: a cycle
+/// that reads none of the dirty words is golden's cycle on the faulty
+/// machine too, so golden's writes clean the words they write (both
+/// machines write the identical value), an advancing word counts exactly
+/// golden's increments, and the read oracle tells us the exact cycle a
+/// dirty word might be observed, which is when the entry wakes into a
+/// scalar [`Lane`].
 struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
@@ -251,7 +253,7 @@ struct WordLot<S: 'static> {
     words: &'static [(u16, u8)],
     /// Registry slot `(entry, lane)` of every word, indexed by word.
     slots: [(u16, u16); 64],
-    /// The advancing words ([`CoreBatch::park_advancing`]).
+    /// The advancing words ([`CoreModel::park_advancing`]).
     advancing: u64,
     entries: Vec<WordParked>,
     /// Set whenever `entries` changes; [`WordLot::refresh`] clears it.
@@ -455,19 +457,14 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
     group.parked.push(Parked { fault, outs, reparks });
 }
 
-/// Per-core capabilities of the batched engine, and its entry point.
+/// The batched engine's entry point per core.
 ///
-/// Fan-out, the dirty-set early-out and identity parking in watches need
-/// nothing beyond the [`CoreModel`] contract: a closed machine whose
-/// next state is a pure function of its state and memory, and a flop
-/// registry to compare and watch through. So every core runs every
-/// layer, and LR5's engine is this one monomorphized for [`Cpu`].
-///
-/// Word parking is the one layer that needs knowledge of the pipeline:
-/// which flop words a cycle reads and writes. It is an optional
-/// capability, dispatched statically through the `park_*` functions
-/// below. [`Cpu`] supplies it; [`Lr7`] does not, so LR7 residue stays a
-/// live lane until it converges.
+/// The engine needs nothing beyond the [`CoreModel`] contract: a closed
+/// machine whose next state is a pure function of its state and memory,
+/// a flop registry to compare and watch through, and the word-parking
+/// oracles ([`CoreModel::park_words`] and the rest, dispatched
+/// statically), which both cores supply. So every core runs every layer,
+/// and each core's engine is [`run_batch_group`] monomorphized for it.
 pub trait CoreBatch: CoreModel {
     /// The identity: every core runs the layers it is asked for. Kept
     /// only until the benchmark harness drops its call; archives that
@@ -489,65 +486,14 @@ pub trait CoreBatch: CoreModel {
     ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
         run_batch_group::<Self>(checkpoints, trace, None, faults, window, layers)
     }
-
-    /// The *parkable words* of this core: `(registry entry, first bit)`
-    /// pairs, lane `l` of entry `r` being word `first + l` of the masks
-    /// the two oracles below return, at most 64 words in all. Empty (the
-    /// default) when the core supplies no access oracles.
-    fn park_words() -> &'static [(u16, u8)] {
-        &[]
-    }
-
-    /// A superset of the words the cycle from pre-cycle state `pre`
-    /// reads, given `golden`, the ports golden drives that cycle.
-    /// Consulted only when [`CoreBatch::park_words`] is not empty.
-    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u64 {
-        0
-    }
-
-    /// Exactly the words the cycle from pre-cycle state `pre` writes,
-    /// given `golden`, the ports golden drives that cycle. Consulted only
-    /// when [`CoreBatch::park_words`] is not empty.
-    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u64 {
-        0
-    }
-
-    /// The [`CoreBatch::park_words`] that *advance* rather than hold, as
-    /// a word mask (empty by default): counters that no cycle writes
-    /// (never in [`CoreBatch::park_writes`]) and whose one unlisted read
-    /// is their own increment by one, on exactly the cycles golden's copy
-    /// increments. A parked copy counts in step with golden's (a stuck-at
-    /// forcing a bit of it after each count), so it wakes from its value
-    /// at park and golden's delta since, with no per-cycle work.
-    fn park_advancing() -> u64 {
-        0
-    }
 }
 
-/// LR5 supplies the word-parking oracles over its registers, RAS
-/// entries, CSRs, counters, `hartid` and DMCU and MDV latches
-/// ([`exec::park_words`], [`exec::park_reads`], [`exec::park_writes`],
-/// [`exec::park_advancing`]).
-impl CoreBatch for Cpu {
-    fn park_words() -> &'static [(u16, u8)] {
-        exec::park_words()
-    }
+/// LR5, with word parking over its registers, RAS entries, CSRs,
+/// counters, `hartid` and DMCU and MDV latches.
+impl CoreBatch for Cpu {}
 
-    fn park_reads(pre: &Self::State, golden: &PortSet) -> u64 {
-        exec::park_reads(pre, golden)
-    }
-
-    fn park_writes(pre: &Self::State, golden: &PortSet) -> u64 {
-        exec::park_writes(pre, golden)
-    }
-
-    fn park_advancing() -> u64 {
-        exec::park_advancing()
-    }
-}
-
-/// LR7 runs every layer but word parking: its rename and reorder
-/// machinery has no access oracle written for it (DESIGN.md §12).
+/// LR7, with word parking over its registers, CSRs, counters, `hartid`
+/// and BTB targets.
 impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
@@ -1014,14 +960,20 @@ mod tests {
     /// A counter fault parked in the word lot at its strike and woken
     /// `span` cycles later wakes as the machine stepped live with the
     /// overlay over those cycles: every bit of `cycle` and `instret`,
-    /// transient and stuck-at-0/1. `rspeed` never reads a counter, so the
-    /// live machine differs from golden in the counter alone.
+    /// transient and stuck-at-0/1, on both cores. `rspeed` never reads a
+    /// counter, so the live machine differs from golden in the counter
+    /// alone.
     #[test]
     fn counter_wakes_match_a_live_machine_with_the_overlay() {
+        counter_wakes_match::<Cpu>();
+        counter_wakes_match::<Lr7>();
+    }
+
+    fn counter_wakes_match<C: CoreBatch>() {
         let (strike, span) = (300u64, 1500u64);
         let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
         let mut mem = w.memory(7);
-        let mut golden = Cpu::new(0);
+        let mut golden = C::new(0);
         let mut ports = PortSet::new();
         for _ in 0..=strike {
             golden.step(&mut mem, &mut ports);
@@ -1030,29 +982,28 @@ mod tests {
         for _ in 0..span {
             golden.step(&mut mem, &mut ports);
         }
-        let regs = Cpu::registry();
-        let mut lot = WordLot::new(regs, Cpu::park_words(), Cpu::park_advancing());
+        let regs = C::registry();
+        let mut lot = WordLot::new(regs, C::park_words(), C::park_advancing());
         for name in ["cycle", "instret"] {
             let reg = regs.iter().position(|r| r.name == name).expect("counter") as u16;
             let w = lot.word_of(FlopId { reg, lane: 0, bit: 0 }).expect("a parkable word");
             for bit in 0..regs[reg as usize].width {
                 for kind in [FaultKind::Transient, FaultKind::StuckAt0, FaultKind::StuckAt1] {
                     let f = Fault::new(FlopId { reg, lane: 0, bit }, kind, strike);
-                    let mut live = Cpu::from_state(at_strike.clone());
-                    f.overlay_for::<Cpu>(live.state_mut(), strike);
-                    let (g, fv) = (lot.read(&at_strike, w), lot.read(live.state(), w));
+                    let mut struck = at_strike.clone();
+                    f.overlay_for::<C>(&mut struck, strike);
+                    let (g, fv) = (lot.read(&at_strike, w), lot.read(&struck, w));
+                    let mut live = C::from_state(struck);
                     let mut vals = [0; 64];
                     vals[w] = fv;
                     let dirty = if fv == g { 0 } else { 1 << w };
                     lot.park(f, vec![0], 0, dirty, vals, &at_strike, strike);
                     let mut m = mem_at_strike.clone();
                     for at in strike + 1..=strike + span {
-                        live.step_with_overlay(&mut m, &mut ports, |st| {
-                            f.overlay_for::<Cpu>(st, at)
-                        });
+                        live.step_with_overlay(&mut m, &mut ports, |st| f.overlay_for::<C>(st, at));
                     }
                     let (_, woken) = lot.unpark(0, golden.state());
-                    assert_eq!(&woken, live.state(), "{name} bit {bit} {kind:?}");
+                    assert_eq!(&woken, live.state(), "{} {name} bit {bit} {kind:?}", C::NAME);
                 }
             }
         }

@@ -160,7 +160,7 @@ pub struct CampaignConfig {
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
     /// pipeline). [`CoreKind::Lr7`] runs the out-of-order core behind
     /// the same [`CoreModel`] contracts, on the same batched engine and
-    /// layers (only word parking is LR5's; see [`CoreBatch`]).
+    /// layers, word parking included (see [`CoreBatch`]).
     pub core: CoreKind,
     /// Comparator under test (default [`RedundancyMode::Fixed`], the
     /// paper's per-cycle port compare of a permanently paired DMR).

@@ -144,6 +144,10 @@ pub enum SpecError {
     UnknownRedundancy(String),
     /// The requested shard count is zero (job-level, service only).
     ZeroShards,
+    /// `faults_per_workload` exceeds the bound a service job may ask
+    /// for, carried here (job-level, service only): every shard draws
+    /// its workload's whole fault plan in memory.
+    FaultsPastJobBound(u64),
 }
 
 impl SpecError {
@@ -161,6 +165,7 @@ impl SpecError {
             SpecError::UnknownCore(_) => "unknown_core",
             SpecError::UnknownRedundancy(_) => "unknown_redundancy",
             SpecError::ZeroShards => "zero_shards",
+            SpecError::FaultsPastJobBound(_) => "too_many_faults",
         }
     }
 }
@@ -190,6 +195,9 @@ impl std::fmt::Display for SpecError {
                 write!(f, "unknown redundancy mode `{r}` (expected fixed or dme)")
             }
             SpecError::ZeroShards => write!(f, "shards must be at least 1"),
+            SpecError::FaultsPastJobBound(bound) => {
+                write!(f, "faults_per_workload exceeds a service job's bound of {bound}")
+            }
         }
     }
 }

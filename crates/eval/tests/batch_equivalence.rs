@@ -228,30 +228,33 @@ fn archives_byte_identical_across_batch_layers_and_intervals() {
     }
 }
 
-/// The archive contract on the workloads whose golden runs push and pop
-/// the return-address stack, take traps and read the counters: there a
-/// parked word is read or written through the RAS and CSR oracles, and
-/// a parked counter wakes on a `csrr`, not only through the register
-/// file's oracles.
+/// The archive contract on the workloads whose golden runs call and
+/// return, take traps and read the counters, on both cores: there a
+/// parked word is read or written through the RAS (LR5), BTB-target
+/// (LR7) and CSR oracles, and a parked counter wakes on a `csrr`, not
+/// only through the register file's oracles.
 #[test]
 fn archives_byte_identical_on_call_and_trap_workloads() {
-    for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
-        let mut cfg = base_config();
-        cfg.workloads = ["lc_quicksort", "trapex", "ctrex"]
-            .iter()
-            .map(|name| Workload::find(name).unwrap())
-            .collect();
-        cfg.faults_per_workload = 150;
-        cfg.redundancy = redundancy;
-        let scalar = run_campaign(&cfg);
-        cfg.batch = Some(BatchConfig::FULL);
-        let batched = run_campaign(&cfg);
-        assert_eq!(
-            archive_bytes(&scalar),
-            archive_bytes(&batched),
-            "word parking changed the {redundancy:?} archive"
-        );
-        assert!(batched.stats.parked_masked + batched.stats.masked_early_out > 0);
+    for core in CoreKind::ALL {
+        for redundancy in [RedundancyMode::Fixed, RedundancyMode::Dme] {
+            let mut cfg = base_config();
+            cfg.workloads = ["lc_quicksort", "trapex", "ctrex"]
+                .iter()
+                .map(|name| Workload::find(name).unwrap())
+                .collect();
+            cfg.faults_per_workload = 150;
+            cfg.core = core;
+            cfg.redundancy = redundancy;
+            let scalar = run_campaign(&cfg);
+            cfg.batch = Some(BatchConfig::FULL);
+            let batched = run_campaign(&cfg);
+            assert_eq!(
+                archive_bytes(&scalar),
+                archive_bytes(&batched),
+                "word parking changed the {core} {redundancy:?} archive"
+            );
+            assert!(batched.stats.parked_masked + batched.stats.masked_early_out > 0);
+        }
     }
 }
 

@@ -49,6 +49,12 @@ impl Deserialize for JobSpec {
     }
 }
 
+/// The most faults per workload a job may ask for: 2^22, a 64 MiB fault
+/// plan. Every shard draws its workload's whole plan before it cuts its
+/// slice, so a larger plan could fail to allocate, and that aborts the
+/// server rather than the job.
+pub const MAX_JOB_FAULTS_PER_WORKLOAD: u64 = 1 << 22;
+
 impl JobSpec {
     /// Total fault queue length of this job (after workload
     /// expansion), `0` when the spec does not validate.
@@ -74,11 +80,16 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns the same typed errors as [`JobSpec::validate`].
+    /// Returns the same typed errors as [`JobSpec::validate`], among them
+    /// [`SpecError::FaultsPastJobBound`] past
+    /// [`MAX_JOB_FAULTS_PER_WORKLOAD`].
     pub fn campaign_config(&self) -> Result<CampaignConfig, SpecError> {
         let config = self.campaign.campaign_config(1)?;
         if self.shards == 0 {
             return Err(SpecError::ZeroShards);
+        }
+        if self.campaign.faults_per_workload > MAX_JOB_FAULTS_PER_WORKLOAD {
+            return Err(SpecError::FaultsPastJobBound(MAX_JOB_FAULTS_PER_WORKLOAD));
         }
         Ok(config)
     }
@@ -584,6 +595,18 @@ mod tests {
         assert_eq!(config.threads, 1, "shards run single-threaded");
         assert!(config.batch.is_none());
         assert_eq!(config.core, CoreKind::Lr7);
+    }
+
+    #[test]
+    fn faults_per_workload_is_bounded_at_the_plan_size() {
+        let mut spec = job_spec();
+        spec.campaign.faults_per_workload = MAX_JOB_FAULTS_PER_WORKLOAD;
+        assert_eq!(spec.campaign_config().unwrap().faults_per_workload, 1 << 22);
+        spec.campaign.faults_per_workload += 1;
+        let err = spec.campaign_config().unwrap_err();
+        assert_eq!(err, SpecError::FaultsPastJobBound(MAX_JOB_FAULTS_PER_WORKLOAD));
+        assert_eq!(err.code(), "too_many_faults");
+        assert_eq!(spec.validate(), Err(err));
     }
 
     #[test]

@@ -331,7 +331,8 @@ fn job_persisted_with_retired_labels_resumes_and_merges() {
 /// Submit lines that once took the server down are typed refusals: a
 /// shard plan too large to allocate is refused before it is planned,
 /// and a fault total past `u64::MAX` is an error, not a wrapped count.
-/// The server answers the next request.
+/// The server answers the next request. (The shard-count line asks for
+/// the most faults a job may, so that it reaches the queue check.)
 #[test]
 fn oversized_submits_are_refused_and_the_server_keeps_answering() {
     let dir = temp_dir("oversized");
@@ -347,7 +348,7 @@ fn oversized_submits_are_refused_and_the_server_keeps_answering() {
 
     for (line, code) in [
         (
-            r#"{"cmd":"submit","workloads":["rspeed"],"faults_per_workload":1000000000000000000,"shards":1000000000000000000}"#,
+            r#"{"cmd":"submit","workloads":["rspeed"],"faults_per_workload":4194304,"shards":1000000000000000000}"#,
             "queue_full",
         ),
         (
@@ -361,6 +362,28 @@ fn oversized_submits_are_refused_and_the_server_keeps_answering() {
         assert!(!value.field("ok").unwrap().as_bool().unwrap(), "`{line}` must be refused");
         assert_eq!(value.field("code").unwrap().as_str().unwrap(), code, "for `{line}`");
     }
+    let pong = Value::parse(&send(&handle, r#"{"cmd":"ping"}"#)).expect("the server still answers");
+    assert!(pong.field("ok").unwrap().as_bool().unwrap());
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job whose fault plan could not be allocated is refused at submit.
+/// Once accepted, every shard's worker would draw the workload's whole
+/// plan (16 bytes a fault, 16 TB here), and a failed allocation aborts
+/// the whole process, not only the worker. So this server runs a worker,
+/// and the refusal must come before the job is queued.
+#[test]
+fn job_past_the_fault_bound_is_refused_and_the_server_keeps_answering() {
+    let dir = temp_dir("fault-bound");
+    let handle = serve("127.0.0.1:0", &dir, ServiceConfig::default()).expect("server starts");
+    let line =
+        r#"{"cmd":"submit","workloads":["rspeed"],"faults_per_workload":1000000000000,"shards":4}"#;
+    let value = Value::parse(&send(&handle, line)).expect("a response line");
+    assert!(!value.field("ok").unwrap().as_bool().unwrap(), "the job must be refused");
+    assert_eq!(value.field("code").unwrap().as_str().unwrap(), "too_many_faults");
     let pong = Value::parse(&send(&handle, r#"{"cmd":"ping"}"#)).expect("the server still answers");
     assert!(pong.field("ok").unwrap().as_bool().unwrap());
 
@@ -392,8 +415,11 @@ fn client_one_shot_commands_exit_2_on_a_refusal() {
             .expect("client runs")
     };
 
-    let huge = "1000000000000000000";
-    let refused = client(&["submit", "--workloads", "rspeed", "--faults", huge, "--shards", huge]);
+    // The most faults a job may ask for passes the client's own check;
+    // the shard count is refused by the server.
+    let (faults, shards) = ("4194304", "1000000000000000000");
+    let refused =
+        client(&["submit", "--workloads", "rspeed", "--faults", faults, "--shards", shards]);
     let line = String::from_utf8_lossy(&refused.stdout);
     assert_eq!(refused.status.code(), Some(2), "a refused submit exits 2: {line}");
     let value = Value::parse(line.trim_end()).expect("the client prints the server's line");
