@@ -9,12 +9,17 @@
 //! core model: it is generic over [`CoreBatch`] and monomorphized per
 //! core, so LR5 and LR7 run the same layers.
 //!
-//! 1. **Fan-out from checkpoint** — the fault list is sorted by strike
-//!    cycle and grouped by the checkpoint span it restores from. One
-//!    fault-free *walker* core replays each span once; every fault forks
-//!    a faulty machine (a *lane*) off the walker's committed state at
-//!    its strike cycle, so the group shares a single restore and a
-//!    single pre-fault fast-forward instead of one per injection.
+//! 1. **Fan-out from one walker** — the fault list is taken in strike
+//!    order. One fault-free *walker* core restores the checkpoint
+//!    nearest the first strike and walks the golden execution forward
+//!    once, jumping ahead through a later checkpoint whenever nothing is
+//!    live or parked; every fault forks a faulty machine (a *lane*) off
+//!    the walker's committed state at its strike cycle, so the list
+//!    shares one walk instead of paying a restore and a pre-fault
+//!    fast-forward per injection. The campaign queue hands each kernel's
+//!    faults over as one list, or as a few strike-ordered runs cut at
+//!    checkpoint boundaries when there are more threads than kernels, so
+//!    a walker steps each golden cycle at most once per run.
 //!    Lanes are *memoryless*: while a lane's port activity still
 //!    matches golden its memory image is provably identical to the
 //!    walker's, so it executes against the walker's image through a
@@ -149,6 +154,9 @@ impl BatchConfig {
 pub struct BatchCost {
     /// CPU-cycles actually simulated (walker + lanes + continuations).
     pub replayed_cycles: u64,
+    /// The walker's share of `replayed_cycles`: golden cycles stepped by
+    /// the fault-free walker. At most the golden run's length per call.
+    pub walker_cycles: u64,
     /// Cycles skipped by checkpoint restores/jumps and by faults whose
     /// strike lies past the end of the golden run.
     pub skipped_cycles: u64,
@@ -169,6 +177,7 @@ pub struct BatchCost {
 impl BatchCost {
     fn absorb(&mut self, other: BatchCost) {
         self.replayed_cycles += other.replayed_cycles;
+        self.walker_cycles += other.walker_cycles;
         self.skipped_cycles += other.skipped_cycles;
         self.masked_early_out += other.masked_early_out;
         self.early_out_cycles_saved += other.early_out_cycles_saved;
@@ -245,9 +254,18 @@ struct WordParked {
     park_cycle: u64,
 }
 
-/// The word parking lot of one batched group, with the core's word
-/// layout and cached aggregate wake filters. It stays empty on a core
-/// without parkable words, so every phase that touches it is skipped.
+impl WordParked {
+    /// A stuck-at on a flop outside the words: golden's bit must agree
+    /// with the stuck value every cycle it stays parked.
+    fn stuck_outside(&self) -> bool {
+        self.fault.kind != FaultKind::Transient && self.target == 0
+    }
+}
+
+/// The word parking lot of one batched run, with the core's word layout
+/// and an index from each word to the entries holding it. It stays empty
+/// on a core without parkable words, so every phase that touches it is
+/// skipped.
 struct WordLot<S: 'static> {
     regs: &'static [FlopReg<S>],
     words: &'static [(u16, u8)],
@@ -255,16 +273,20 @@ struct WordLot<S: 'static> {
     slots: [(u16, u16); 64],
     /// The advancing words ([`CoreModel::park_advancing`]).
     advancing: u64,
-    entries: Vec<WordParked>,
-    /// Set whenever `entries` changes; [`WordLot::refresh`] clears it.
-    stale: bool,
-    /// Union of all entries' dirty words.
-    dirty_union: u64,
-    /// Union of all entries' stuck-at target words, whose dirtiness
-    /// golden's writes can *re*-introduce.
-    targets: u64,
-    /// How many entries are stuck-ats on a flop outside the words, and
-    /// so need a per-cycle agreement check against golden.
+    /// The parked entries. A removed entry leaves its place empty until
+    /// the next park, so an entry's index never changes.
+    entries: Vec<Option<WordParked>>,
+    /// The empty places in `entries`.
+    free: Vec<usize>,
+    /// For each word, the indices of the entries that *hold* it: whose
+    /// `dirty | target` has it. A cycle's reads and writes visit only
+    /// the holders of the words they touch, so a lot of thousands of
+    /// entries costs what its few touched entries cost.
+    holders: [Vec<usize>; 64],
+    /// The words with at least one holder.
+    held: u64,
+    /// How many entries are stuck-ats outside the words
+    /// ([`WordParked::stuck_outside`]).
     other_stuck: usize,
 }
 
@@ -283,11 +305,16 @@ impl<S: Clone> WordLot<S> {
             slots,
             advancing,
             entries: Vec::new(),
-            stale: false,
-            dirty_union: 0,
-            targets: 0,
+            free: Vec::new(),
+            holders: std::array::from_fn(|_| Vec::new()),
+            held: 0,
             other_stuck: 0,
         }
+    }
+
+    /// Whether no fault is parked.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.entries.len()
     }
 
     /// The word `flop` lies in, if it lies in one.
@@ -302,22 +329,6 @@ impl<S: Clone> WordLot<S> {
     fn read(&self, state: &S, w: usize) -> u64 {
         let (r, lane) = self.slots[w];
         self.regs[r as usize].read(state, usize::from(lane))
-    }
-
-    /// Recomputes the aggregate wake filters if the lot changed.
-    fn refresh(&mut self) {
-        if !self.stale {
-            return;
-        }
-        (self.dirty_union, self.targets, self.other_stuck) = (0, 0, 0);
-        for e in &self.entries {
-            self.dirty_union |= e.dirty;
-            self.targets |= e.target;
-            if e.fault.kind != FaultKind::Transient && e.target == 0 {
-                self.other_stuck += 1;
-            }
-        }
-        self.stale = false;
     }
 
     /// The `dirty` words of `state`, indexed by word (clean ones zero).
@@ -362,25 +373,43 @@ impl<S: Clone> WordLot<S> {
         for w in bits(dirty & self.advancing) {
             anchor[self.rank(w)] = self.read(golden, w);
         }
-        self.entries.push(WordParked {
-            fault,
-            outs,
-            reparks,
-            dirty,
-            target,
-            vals,
-            anchor,
-            park_cycle: at,
-        });
-        self.stale = true;
+        let entry =
+            WordParked { fault, outs, reparks, dirty, target, vals, anchor, park_cycle: at };
+        self.other_stuck += usize::from(entry.stuck_outside());
+        let i = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.entries.push(None);
+                self.entries.len() - 1
+            }
+        };
+        self.entries[i] = Some(entry);
+        for w in bits(dirty | target) {
+            self.holders[w].push(i);
+        }
+        self.held |= dirty | target;
+    }
+
+    /// Removes entry `i` from the lot and from the holders of its words.
+    fn remove(&mut self, i: usize) -> WordParked {
+        let entry = self.entries[i].take().expect("a parked entry");
+        for w in bits(entry.dirty | entry.target) {
+            let list = &mut self.holders[w];
+            list.swap_remove(list.iter().position(|&h| h == i).expect("entry holds its word"));
+            if list.is_empty() {
+                self.held &= !(1 << w);
+            }
+        }
+        self.other_stuck -= usize::from(entry.stuck_outside());
+        self.free.push(i);
+        entry
     }
 
     /// Removes entry `i` and returns its faulty machine: `base` (golden)
     /// with the entry's dirty words substituted in. An advancing word
     /// wakes as its value at park advanced by golden's count since.
     fn unpark(&mut self, i: usize, base: &S) -> (WordParked, S) {
-        let entry = self.entries.swap_remove(i);
-        self.stale = true;
+        let entry = self.remove(i);
         let mut st = base.clone();
         for w in bits(entry.dirty) {
             let (r, lane) = self.slots[w];
@@ -498,8 +527,8 @@ impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
 /// injected into the golden execution described by `checkpoints` +
-/// `trace`, sharing a single fault-free walker replay of the group's
-/// span. Returns one outcome per fault, aligned with the input order:
+/// `trace`, sharing a single fault-free walker. Returns one outcome per
+/// fault, aligned with the input order:
 /// `Some((detect cycle, DSR))` for a manifested error, `None` for a
 /// masked fault — bit-identical to running each fault through the
 /// scalar engine, whatever the layer set.
@@ -512,11 +541,14 @@ impl CoreBatch for Lr7 {}
 /// live to [`run_injection`], so the outcome equals the scalar replay's
 /// against that reference (DESIGN.md §13).
 ///
-/// The walker restores the checkpoint nearest the earliest in-range
-/// fault; callers typically pre-group faults so one call covers one
-/// checkpoint span, but any fault list works (the walker jumps forward
-/// over idle stretches via later checkpoints). Batched groups do not
-/// report per-fault checkpoint hit distances — the restore is shared.
+/// Any fault list works. The walker restores the checkpoint nearest the
+/// earliest in-range strike, admits each fault into the same lanes,
+/// watches and word lot at its strike cycle, and jumps forward over idle
+/// stretches via later checkpoints, so it steps each golden cycle at
+/// most once per call ([`BatchCost::walker_cycles`]). The campaign queue
+/// passes a kernel's whole strike-ordered slice, or one of a few runs of
+/// it cut at checkpoint boundaries. Batched groups do not report
+/// per-fault checkpoint hit distances — the restore is shared.
 pub fn run_batch_group<C: CoreBatch>(
     checkpoints: &GoldenCheckpoints<C::State>,
     trace: &PortTrace,
@@ -562,9 +594,10 @@ pub fn run_batch_group<C: CoreBatch>(
     let mut mem_pool: Vec<Memory> = Vec::new();
     let mut lports = PortSet::new();
     let mut log = TrialLog::new();
+    let mut strikes: Vec<(Fault, Vec<usize>)> = Vec::new();
 
     while cycle < trace_len {
-        if lanes.is_empty() && watches.is_empty() && lot.entries.is_empty() {
+        if lanes.is_empty() && watches.is_empty() && lot.is_empty() {
             // Idle: nothing to simulate until the next strike. Jump the
             // walker forward over any checkpoint between here and there.
             let Some(&i) = pending.peek() else {
@@ -590,25 +623,23 @@ pub fn run_batch_group<C: CoreBatch>(
         // (0) Word parking lot, checked against the walker's *pre*-cycle
         // state and golden's ports of this cycle, which every parked
         // machine shares with golden until it reads a dirty word
-        // (DESIGN.md §10). Two mask tests filter the common
-        // nothing-to-do case. An entry with a dirty word in the read
-        // set wakes into a scalar lane (materialized from pre-state, so
-        // it steps through `at` with the other lanes); the words the
-        // cycle writes are applied after the walker's step, from its
-        // committed values.
+        // (DESIGN.md §10). Only the holders of the words the cycle reads
+        // are visited. An entry with a dirty word in the read set wakes
+        // into a scalar lane (materialized from pre-state, so it steps
+        // through `at` with the other lanes); the words the cycle writes
+        // are applied after the walker's step, from its committed values.
         let mut lot_writes = 0u64;
-        if !lot.entries.is_empty() {
-            lot.refresh();
+        if lot.held != 0 {
             let pre = wcpu.state();
-            let reads = if lot.dirty_union != 0 { C::park_reads(pre, gp) } else { 0 };
-            if reads & lot.dirty_union != 0 {
-                let mut pi = 0;
-                while pi < lot.entries.len() {
-                    if reads & lot.entries[pi].dirty == 0 {
-                        pi += 1;
+            for w in bits(C::park_reads(pre, gp) & lot.held) {
+                let mut j = 0;
+                while let Some(&i) = lot.holders[w].get(j) {
+                    let e = lot.entries[i].as_ref().expect("holders are parked");
+                    if e.dirty >> w & 1 == 0 {
+                        j += 1;
                         continue;
                     }
-                    let (entry, st) = lot.unpark(pi, pre);
+                    let (entry, st) = lot.unpark(i, pre);
                     lanes.push(Lane {
                         cpu: C::from_state(st),
                         fault: entry.fault,
@@ -619,7 +650,7 @@ pub fn run_batch_group<C: CoreBatch>(
                     cost.lane_activations += 1;
                 }
             }
-            lot_writes = C::park_writes(pre, gp) & (lot.dirty_union | lot.targets);
+            lot_writes = C::park_writes(pre, gp) & lot.held;
         }
 
         // (1) Step every live lane through cycle `at` *before* the
@@ -672,42 +703,39 @@ pub fn run_batch_group<C: CoreBatch>(
         );
         cycle += 1;
         cost.replayed_cycles += 1;
+        cost.walker_cycles += 1;
         let committed = wcpu.state();
 
         // (2b) Golden's writes of cycle `at` clean the dirty words they
         // hit (both machines wrote the identical value), or, for a word
         // stuck-at's target, re-force it from golden's committed value.
         // A transient whose last dirty word is overwritten is golden
-        // again: masked for the rest of the run.
-        if lot_writes != 0 {
-            let mut pi = 0;
-            while pi < lot.entries.len() {
-                let e = &mut lot.entries[pi];
-                let hit = lot_writes & (e.dirty | e.target);
-                if hit == 0 {
-                    pi += 1;
-                    continue;
-                }
-                lot.stale = true;
-                e.dirty &= !hit;
-                if hit & e.target != 0 {
-                    let w = e.target.trailing_zeros() as usize;
-                    let (r, lane) = lot.slots[w];
-                    let g = regs[r as usize].read(committed, usize::from(lane));
+        // again: masked for the rest of the run. Only the holders of the
+        // written words are visited.
+        for w in bits(lot_writes) {
+            let g = lot.read(committed, w);
+            let mut j = 0;
+            while let Some(&i) = lot.holders[w].get(j) {
+                let e = lot.entries[i].as_mut().expect("holders are parked");
+                e.dirty &= !(1 << w);
+                if e.target >> w & 1 != 0 {
                     let fv = forced(g, e.fault.flop.bit, e.fault.kind == FaultKind::StuckAt1);
                     e.vals[w] = fv;
-                    if fv != g {
-                        e.dirty |= e.target;
-                    }
+                    e.dirty |= u64::from(fv != g) << w;
+                    j += 1;
+                    continue;
                 }
+                // Golden's value again: the entry no longer holds the word.
+                lot.holders[w].swap_remove(j);
                 if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
                     let n = e.outs.len() as u64;
                     cost.masked_early_out += n;
                     cost.early_out_cycles_saved += (trace_len - e.park_cycle) * n;
-                    lot.entries.swap_remove(pi);
-                    continue;
+                    lot.remove(i);
                 }
-                pi += 1;
+            }
+            if lot.holders[w].is_empty() {
+                lot.held &= !(1 << w);
             }
         }
 
@@ -821,23 +849,18 @@ pub fn run_batch_group<C: CoreBatch>(
         // stuck value (the watch condition); the cycle it first
         // disagrees the overlay would smear a fresh diff, so the entry
         // wakes into a scalar lane off the committed state, dirty words
-        // substituted in — exactly like a watch wake, plus residue. (An
-        // entry parked by phase (3) this very cycle was verified
-        // agreeing against this same committed state, so the possibly
-        // stale `other_stuck` guard cannot miss a wake.)
-        if lot.other_stuck > 0 && !lot.entries.is_empty() {
-            let mut pi = 0;
-            while pi < lot.entries.len() {
-                let e = &lot.entries[pi];
+        // substituted in — exactly like a watch wake, plus residue.
+        if lot.other_stuck > 0 {
+            for i in 0..lot.entries.len() {
+                let Some(e) = &lot.entries[i] else {
+                    continue;
+                };
                 let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                if e.fault.kind == FaultKind::Transient
-                    || e.target != 0
-                    || flops::get_bit_in(regs, committed, e.fault.flop) == stuck1
+                if !e.stuck_outside() || flops::get_bit_in(regs, committed, e.fault.flop) == stuck1
                 {
-                    pi += 1;
                     continue;
                 }
-                let (entry, mut st) = lot.unpark(pi, committed);
+                let (entry, mut st) = lot.unpark(i, committed);
                 entry.fault.overlay_for::<C>(&mut st, at);
                 lanes.push(Lane {
                     cpu: C::from_state(st),
@@ -853,24 +876,17 @@ pub fn run_batch_group<C: CoreBatch>(
         // (5) Admit faults striking at `at`: the overlay lands in the
         // committed state of this cycle (ports are computed pre-overlay,
         // so the strike cycle itself can never diverge — the scalar
-        // engines' compare there is identically zero).
-        while pending.peek().is_some_and(|&i| faults[i].cycle == at) {
-            let i = pending.next().expect("peeked");
-            let f = faults[i];
-            if let Some(lane) = lanes.iter_mut().find(|l| l.fault == f) {
-                lane.outs.push(i);
-                continue;
+        // engines' compare there is identically zero). Exact duplicates
+        // in the plan share one machine, and since a `Fault` includes
+        // its strike cycle only faults striking this same cycle can be
+        // duplicates: they collapse here, before admission.
+        while let Some(i) = pending.next_if(|&i| faults[i].cycle == at) {
+            match strikes.iter_mut().find(|(f, _)| *f == faults[i]) {
+                Some((_, outs)) => outs.push(i),
+                None => strikes.push((faults[i], vec![i])),
             }
-            if let Some(entry) =
-                watches.iter_mut().flat_map(|g| g.parked.iter_mut()).find(|e| e.fault == f)
-            {
-                entry.outs.push(i);
-                continue;
-            }
-            if let Some(entry) = lot.entries.iter_mut().find(|e| e.fault == f) {
-                entry.outs.push(i);
-                continue;
-            }
+        }
+        for (f, outs) in strikes.drain(..) {
             let stuck1 = f.kind == FaultKind::StuckAt1;
             // Faults striking a parkable word park instantly: the strike
             // *is* a word-confined divergence by construction, so no
@@ -888,13 +904,13 @@ pub fn run_batch_group<C: CoreBatch>(
                 let mut vals = [0; 64];
                 vals[w] = fv;
                 let dirty = if fv == g { 0 } else { 1 << w };
-                lot.park(f, vec![i], 0, dirty, vals, committed, cycle);
+                lot.park(f, outs, 0, dirty, vals, committed, cycle);
                 continue;
             }
             let agrees = f.kind != FaultKind::Transient
                 && flops::get_bit_in(regs, committed, f.flop) == stuck1;
             if agrees && layers.parked_lanes {
-                park(&mut watches, f, vec![i], 0);
+                park(&mut watches, f, outs, 0);
                 continue;
             }
             let mut st = committed.clone();
@@ -902,7 +918,7 @@ pub fn run_batch_group<C: CoreBatch>(
             lanes.push(Lane {
                 cpu: C::from_state(st),
                 fault: f,
-                outs: vec![i],
+                outs,
                 witness: DirtyWitness::new(),
                 reparks: 0,
             });
@@ -918,7 +934,7 @@ pub fn run_batch_group<C: CoreBatch>(
             cost.parked_masked += entry.outs.len() as u64;
         }
     }
-    for entry in &lot.entries {
+    for entry in lot.entries.iter().flatten() {
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
             cost.masked_early_out += n;
@@ -1009,12 +1025,55 @@ mod tests {
         }
     }
 
+    /// Exact duplicates share one machine. Doubling a fault list, so that
+    /// each copy strikes among other faults of its own cycle, gives every
+    /// copy its original's outcome at the original's simulation cost, on
+    /// both cores.
+    #[test]
+    fn duplicate_faults_share_one_machine() {
+        duplicates_share::<Cpu>();
+        duplicates_share::<Lr7>();
+    }
+
+    fn duplicates_share<C: CoreBatch>() {
+        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        let cap = w.golden_capture_for::<C>(7, 400_000, 1024);
+        let cycles = cap.run.cycles;
+        let plan = lockstep_fault::CampaignPlan::sampled_for::<C>(
+            lockstep_fault::PlanConfig::new(cycles, 7),
+            60,
+        );
+        // Four strike cycles, fifteen plan faults striking at each.
+        let once: Vec<Fault> = (plan.faults().iter().enumerate())
+            .map(|(i, f)| Fault::new(f.flop, f.kind, cycles * (i as u64 % 4) / 4 + 1))
+            .collect();
+        let twice = [once.as_slice(), &once].concat();
+        let run = |faults: &[Fault]| {
+            run_batch_group::<C>(&cap.checkpoints, &cap.trace, None, faults, 16, BatchConfig::FULL)
+        };
+        let ((one, a), (two, b)) = (run(&once), run(&twice));
+        assert_eq!(two, [one.as_slice(), &one].concat(), "{}: a copy's outcome differs", C::NAME);
+        assert!(one.iter().any(Option::is_some), "{}: nothing manifested", C::NAME);
+        assert_eq!(
+            (b.replayed_cycles, b.walker_cycles, b.lane_activations),
+            (a.replayed_cycles, a.walker_cycles, a.lane_activations),
+            "{}: duplicates cost machines of their own",
+            C::NAME
+        );
+    }
+
     #[test]
     fn total_cost_sums_fields() {
         let a = BatchCost { replayed_cycles: 5, masked_early_out: 2, ..BatchCost::default() };
-        let b = BatchCost { replayed_cycles: 7, parked_masked: 1, ..BatchCost::default() };
+        let b = BatchCost {
+            replayed_cycles: 7,
+            walker_cycles: 3,
+            parked_masked: 1,
+            ..BatchCost::default()
+        };
         let t = total_cost([a, b]);
         assert_eq!(t.replayed_cycles, 12);
+        assert_eq!(t.walker_cycles, 3);
         assert_eq!(t.masked_early_out, 2);
         assert_eq!(t.parked_masked, 1);
     }

@@ -53,8 +53,8 @@
 //!
 //! Orthogonally to the reference, [`CampaignConfig::batch`] swaps the
 //! per-fault scalar replay for the batched engine of [`crate::batch`]:
-//! every fault restoring from the same checkpoint shares one fault-free
-//! walker replay, transients retire the moment their dirty set empties,
+//! a workload's faults share one fault-free walker replay in strike
+//! order, transients retire the moment their dirty set empties,
 //! and agreeing stuck-ats wait in bit-parallel watch masks at zero
 //! simulation cost. Outcomes are bit-identical to the scalar engine
 //! (`tests/batch_equivalence.rs` asserts byte-identical archives), so
@@ -79,10 +79,11 @@
 //! positions through one runner (golden captures, plan slicing,
 //! injection, record order, [`CampaignStats`]). Its injection phase is
 //! a single worker loop over items of `(workload, [(plan position,
-//! fault)])` — checkpoint groups for the batched engine, single faults
-//! otherwise — and records are ordered by (strike, detection, unit,
-//! DSR) with plan position breaking ties, so neither threads nor shard
-//! cuts reach the archive.
+//! fault)])` — for the batched engine one strike-ordered run per
+//! workload (a few, cut between checkpoint groups, when threads
+//! outnumber workloads), single faults otherwise — and records are
+//! ordered by (strike, detection, unit, DSR) with plan position
+//! breaking ties, so neither threads nor shard cuts reach the archive.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -221,9 +222,12 @@ pub struct WorkloadStats {
     pub masked: u64,
     /// Golden runtime in cycles (the per-injection cost ceiling).
     pub golden_cycles: u64,
-    /// Cycles actually simulated across all injections.
+    /// Cycles actually simulated across all injections. Under the
+    /// batched engine this depends on how the queue cut the workload
+    /// into runs, and so on the thread count (see [`CampaignStats`]).
     pub replayed_cycles: u64,
-    /// Cycles skipped by resuming from checkpoints instead of reset.
+    /// Cycles skipped by resuming from checkpoints instead of reset;
+    /// cut-dependent like `replayed_cycles`.
     pub skipped_cycles: u64,
     /// Snapshots captured for this workload.
     pub checkpoint_count: u64,
@@ -251,6 +255,13 @@ impl WorkloadStats {
 }
 
 /// Whole-campaign throughput instrumentation.
+///
+/// Records never depend on the thread count, but some costs do. The
+/// batched engine gives each workload one walker per run, and a workload
+/// is cut into `ceil(threads / workloads)` runs. With more threads than
+/// workloads the per-workload `replayed_cycles` and `skipped_cycles` and
+/// the campaign's `lane_activations` therefore vary with the thread
+/// count, as the wall times always have.
 ///
 /// `Deserialize` is written by hand so that fields added after archives
 /// of this struct already existed are optional on read: the batch-mode
@@ -298,7 +309,9 @@ pub struct CampaignStats {
     /// the golden run — masked at zero simulation cost.
     pub parked_masked: u64,
     /// Scalar fault lanes the batched engine materialized (strike
-    /// admissions plus watch wakes).
+    /// admissions plus watch wakes). Stuck-ats of one run that force
+    /// the same bit and wake in the same cycle share a lane, so the
+    /// count depends on the cut.
     pub lane_activations: u64,
     /// Per-workload breakdown, in campaign order.
     pub per_workload: Vec<WorkloadStats>,
@@ -512,8 +525,9 @@ struct WorkCounters {
 }
 
 /// One phase-2 work item: the index of a covered workload and the
-/// `(plan position, fault)` pairs the item runs — one checkpoint group
-/// for the batched engine, a single fault for the scalar one.
+/// `(plan position, fault)` pairs the item runs — for the batched engine
+/// one strike-ordered run of whole checkpoint groups, served by one
+/// walker; for the scalar engine a single fault.
 type WorkItem = (usize, Vec<(usize, Fault)>);
 
 /// One manifested error as a worker produced it.
@@ -591,28 +605,14 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
     let stim_seeds: Vec<u64> = covered.clone().map(|wi| config.seed ^ (wi as u64) << 32).collect();
     let (captures, golden_nanos) = run_golden_phase::<C>(config, workloads, &stim_seeds);
 
-    // Each covered workload's full fault plan, re-derived from its
-    // global seed and cut to the queue positions the slice owns.
-    let fpw = config.faults_per_workload as u64;
+    let slices = queue_slices::<C>(config, covered, &queue, &captures);
     let mut injected_per_unit = vec![[0u64; 2]; 13];
-    let mut slices: Vec<Vec<(usize, Fault)>> = Vec::with_capacity(captures.len());
-    for (wi, cap) in covered.zip(&captures) {
-        let plan = CampaignPlan::sampled_for::<C>(
-            PlanConfig::new(cap.run.cycles, config.seed.wrapping_add(wi as u64)),
-            config.faults_per_workload,
-        );
-        let base = wi as u64 * fpw;
-        let lo = (queue.start.max(base) - base) as usize;
-        let hi = (queue.end.min(base + fpw) - base) as usize;
-        let slice: Vec<(usize, Fault)> = (lo..hi).map(|pos| (pos, plan.faults()[pos])).collect();
-        for (_, f) in &slice {
-            let k = usize::from(f.kind.error_kind() == ErrorKind::Hard);
-            injected_per_unit[f.unit_for::<C>().index()][k] += 1;
-        }
-        slices.push(slice);
+    for (_, f) in slices.iter().flatten() {
+        let k = usize::from(f.kind.error_kind() == ErrorKind::Hard);
+        injected_per_unit[f.unit_for::<C>().index()][k] += 1;
     }
     let fault_counts: Vec<u64> = slices.iter().map(|s| s.len() as u64).collect();
-    let items = work_items(&captures, slices, batch.is_some());
+    let items = work_items(&captures, slices, batch.is_some(), config.threads);
 
     let injection_start = Instant::now();
     let counters: Vec<WorkCounters> = workloads.iter().map(|_| WorkCounters::default()).collect();
@@ -767,16 +767,54 @@ fn run_golden_phase<C: CoreModel>(
     (captures, golden_nanos)
 }
 
+/// Each covered workload's `(plan position, fault)` pairs in the queue
+/// range `queue`: its full fault plan, re-derived from its global seed
+/// and cut to the positions the range owns, in plan order.
+fn queue_slices<C: CoreModel>(
+    config: &CampaignConfig,
+    covered: Range<usize>,
+    queue: &Range<u64>,
+    captures: &[GoldenCapture<C::State>],
+) -> Vec<Vec<(usize, Fault)>> {
+    let fpw = config.faults_per_workload as u64;
+    covered
+        .zip(captures)
+        .map(|(wi, cap)| {
+            let plan = CampaignPlan::sampled_for::<C>(
+                PlanConfig::new(cap.run.cycles, config.seed.wrapping_add(wi as u64)),
+                config.faults_per_workload,
+            );
+            let base = wi as u64 * fpw;
+            let lo = (queue.start.max(base) - base) as usize;
+            let hi = (queue.end.min(base + fpw) - base) as usize;
+            (lo..hi).map(|pos| (pos, plan.faults()[pos])).collect()
+        })
+        .collect()
+}
+
 /// Cuts each covered workload's share of the queue into phase-2 work
-/// items. For the batched engine a workload's faults go in strike order
-/// (stable, so ties keep plan order) and split wherever the restoring
-/// checkpoint changes, so one walker replay serves each group; for the
-/// scalar engine every fault is its own item, in plan order.
+/// items. For the scalar engine every fault is its own item, in plan
+/// order. For the batched engine a workload's faults go in strike order
+/// (stable, so ties keep plan order), and each item is one *run*: one
+/// walker serves all of it. A workload makes `ceil(threads / workloads)`
+/// runs, so one run on one thread or whenever the workloads alone keep
+/// every thread busy.
+///
+/// The cuts fall between checkpoint groups (faults restoring the same
+/// checkpoint), and the runs weigh about the same. A fault weighs the
+/// golden cycles left after its strike, the most its lane or parked
+/// entry can cost and the walk its run's walker owes it, and a group
+/// joins the run its middle weight falls in. Equal fault counts would
+/// not balance: early strikes live longest, so the first run of a
+/// workload cut in two by count carried nearly three times the work of
+/// the second.
 fn work_items<S>(
     captures: &[GoldenCapture<S>],
     slices: Vec<Vec<(usize, Fault)>>,
     batched: bool,
+    threads: usize,
 ) -> Vec<WorkItem> {
+    let runs = threads.max(1).div_ceil(captures.len().max(1));
     let mut items = Vec::new();
     for (li, (cap, mut slice)) in captures.iter().zip(slices).enumerate() {
         if !batched {
@@ -790,8 +828,21 @@ fn work_items<S>(
                 .cycle
         };
         slice.sort_by_key(|(_, f)| f.cycle);
+        let weight = |f: &Fault| cap.run.cycles.saturating_sub(f.cycle).max(1);
+        let total: u64 = slice.iter().map(|(_, f)| weight(f)).sum();
+        let mut cuts = vec![0];
+        let (mut pos, mut before) = (0, 0);
+        for group in slice.chunk_by(|(_, a), (_, b)| restores(a) == restores(b)) {
+            let w: u64 = group.iter().map(|(_, f)| weight(f)).sum();
+            if pos > 0 && (2 * before + w) * runs as u64 / (2 * total) >= cuts.len() as u64 {
+                cuts.push(pos);
+            }
+            pos += group.len();
+            before += w;
+        }
+        cuts.push(slice.len());
         items.extend(
-            slice.chunk_by(|(_, a), (_, b)| restores(a) == restores(b)).map(|g| (li, g.to_vec())),
+            cuts.windows(2).filter(|c| c[0] < c[1]).map(|c| (li, slice[c[0]..c[1]].to_vec())),
         );
     }
     items
@@ -799,18 +850,18 @@ fn work_items<S>(
 
 /// Phase 2: the one work queue. Worker threads pull [`WorkItem`]s off a
 /// shared cursor and run each through the batched engine
-/// ([`run_batch_group`], one shared walker per group) or fault by fault
+/// ([`run_batch_group`], one shared walker per run) or fault by fault
 /// through [`run_injection`], against the reference the configuration
 /// selects. This loop is the only place that updates the per-workload
 /// counters, emits the per-fault events and builds [`ErrorRecord`]s.
 /// Outcomes are a pure per-fault function, so neither the thread count
 /// nor the item order reaches the records.
 ///
-/// Under DME each batched group gets its workload's retire stream: the
+/// Under DME each batched run gets its workload's retire stream: the
 /// engine port-compares every fault and hands each port-divergent lane,
 /// live, to the retire comparator, which decides it in the same pass.
 ///
-/// Batched groups share their restore, so a batched phase reports no
+/// Batched runs share their restore, so a batched phase reports no
 /// per-fault checkpoint hits and leaves the hit-distance stats at zero.
 fn run_injection_phase<C: CoreBatch>(
     config: &CampaignConfig,
@@ -1854,6 +1905,101 @@ mod tests {
         traced.faults_per_workload = 10;
         traced.trace_window = Some(32);
         assert!(downgrades(&mut traced, None).is_empty(), "no event without a batch request");
+    }
+
+    /// The batched queue cuts each workload's strike-ordered faults into
+    /// `ceil(threads / workloads)` runs of whole checkpoint groups that
+    /// weigh about the same, a fault weighing the golden cycles left
+    /// after its strike; the scalar queue keeps one fault per item, in
+    /// plan order.
+    #[test]
+    fn work_items_cut_strike_ordered_runs_at_checkpoint_groups() {
+        let mut cfg = tiny_config();
+        cfg.faults_per_workload = 200;
+        cfg.checkpoint_interval = Some(512);
+        let seeds = [cfg.seed, cfg.seed ^ 1 << 32];
+        let (captures, _) = run_golden_phase::<Cpu>(&cfg, &cfg.workloads, &seeds);
+        let slices = queue_slices::<Cpu>(&cfg, 0..2, &(0..400), &captures);
+        let restores =
+            |li: usize, f: Fault| captures[li].checkpoints.nearest_at(f.cycle).unwrap().cycle;
+        for (threads, runs) in [(1, 1), (2, 1), (3, 2), (5, 3), (8, 4)] {
+            let items = work_items(&captures, slices.clone(), true, threads);
+            for (li, slice) in slices.iter().enumerate() {
+                let mine: Vec<&[(usize, Fault)]> =
+                    items.iter().filter(|(l, _)| *l == li).map(|(_, run)| run.as_slice()).collect();
+                assert_eq!(mine.len(), runs, "workload {li} at {threads} threads");
+                let cycles = captures[li].run.cycles;
+                let weight = |run: &[(usize, Fault)]| -> u64 {
+                    run.iter().map(|(_, f)| cycles.saturating_sub(f.cycle).max(1)).sum()
+                };
+                let heaviest_group = mine
+                    .iter()
+                    .flat_map(|run| run.chunk_by(|a, b| restores(li, a.1) == restores(li, b.1)))
+                    .map(weight)
+                    .max()
+                    .unwrap();
+                for run in &mine {
+                    let share = weight(slice) / runs as u64;
+                    assert!(weight(run).abs_diff(share) <= heaviest_group, "unbalanced runs");
+                }
+                for pair in mine.windows(2) {
+                    let (last, first) = (pair[0].last().unwrap().1, pair[1][0].1);
+                    assert!(restores(li, last) < restores(li, first), "a cut split a group");
+                }
+                let flat: Vec<(usize, Fault)> = mine.concat();
+                assert!(
+                    flat.windows(2).all(|w| (w[0].1.cycle, w[0].0) < (w[1].1.cycle, w[1].0)),
+                    "runs leave strike order, ties in plan order"
+                );
+                let mut sorted = flat.clone();
+                sorted.sort_by_key(|&(pos, _)| pos);
+                assert_eq!(&sorted, slice, "every fault exactly once");
+            }
+        }
+        let scalar = work_items(&captures, slices.clone(), false, 4);
+        let one_each: Vec<WorkItem> =
+            (0..2).flat_map(|li| slices[li].iter().map(move |&fault| (li, vec![fault]))).collect();
+        assert_eq!(scalar, one_each, "the scalar engine runs one fault per item");
+    }
+
+    /// On one thread each workload is one run, so its walker steps each
+    /// golden cycle at most once, even with faults parked to the end of
+    /// the trace — on LR5 under both comparators and on LR7.
+    #[test]
+    fn walkers_step_at_most_the_golden_cycles() {
+        fn walked<C: CoreBatch>(name: &str, redundancy: RedundancyMode) -> (u64, u64) {
+            let cfg = CampaignConfig {
+                workloads: vec![Workload::find(name).unwrap()],
+                threads: 1,
+                batch: Some(BatchConfig::FULL),
+                redundancy,
+                ..CampaignConfig::new(100, 2024)
+            };
+            let seeds = [cfg.seed];
+            let (captures, _) = run_golden_phase::<C>(&cfg, &cfg.workloads, &seeds);
+            let slices = queue_slices::<C>(&cfg, 0..1, &(0..100), &captures);
+            let items = work_items(&captures, slices, true, cfg.threads);
+            let counters = [WorkCounters::default()];
+            let (_, cost) = run_injection_phase::<C>(
+                &cfg,
+                &cfg.workloads,
+                &captures,
+                &seeds,
+                &items,
+                &counters,
+            );
+            (cost.walker_cycles, captures[0].run.cycles)
+        }
+        for name in ["canrdr", "pntrch"] {
+            for (label, (walker, golden)) in [
+                ("lr5 fixed", walked::<Cpu>(name, RedundancyMode::Fixed)),
+                ("lr5 dme", walked::<Cpu>(name, RedundancyMode::Dme)),
+                ("lr7 fixed", walked::<Lr7>(name, RedundancyMode::Fixed)),
+            ] {
+                assert!(walker > 0, "{label} {name}: the walker never stepped");
+                assert!(walker <= golden, "{label} {name}: walker stepped {walker} of {golden}");
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   campaign's shape is its core, its comparator (`--redundancy
 //!   fixed|dme`) and the engine switch (`--batch-mode off|full`).
 //! * [`batch`] — the batched fault-simulation engine: one fault-free
-//!   walker replay shared by every fault in a checkpoint span, dirty-set
-//!   early-out for masked transients, and bit-parallel watch masks for
-//!   parked stuck-ats; a lane that diverges is handed, live, to the
-//!   scalar engine's comparator. Bit-identical outcomes to
+//!   walker replay shared by a workload's faults in strike order,
+//!   dirty-set early-out for masked transients, and bit-parallel watch
+//!   masks for parked stuck-ats; a lane that diverges is handed, live,
+//!   to the scalar engine's comparator. Bit-identical outcomes to
 //!   [`campaign`]'s scalar replay at a fraction of the simulated cycles
 //!   (`--batch-mode`).
 //! * [`dme`] — diverse-memory-execution support: the retired-effect

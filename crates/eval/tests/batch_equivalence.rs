@@ -258,8 +258,9 @@ fn archives_byte_identical_on_call_and_trap_workloads() {
     }
 }
 
-/// Thread-count independence: batched groups drain from a shared queue
-/// in arbitrary order, but the record stream is re-sorted into campaign
+/// Thread-count independence: batched runs drain from a shared queue in
+/// arbitrary order, and past two threads each of the two workloads is
+/// cut into more runs, but the record stream is re-sorted into campaign
 /// order, so worker count must not leak into the archive.
 #[test]
 fn batched_archives_byte_identical_across_thread_counts() {
@@ -267,7 +268,7 @@ fn batched_archives_byte_identical_across_thread_counts() {
     cfg.faults_per_workload = 25;
     cfg.batch = Some(BatchConfig::FULL);
     let mut reference: Option<String> = None;
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let mut c = cfg.clone();
         c.threads = threads;
         let bytes = archive_bytes(&run_campaign(&c));
