@@ -134,7 +134,7 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
 
     /// The *parkable words* of this core: `(registry entry, first bit)`
     /// pairs, lane `l` of entry `r` being word `first + l` of the masks
-    /// the oracles below return, at most 64 words in all. A parkable word
+    /// the oracles below return, at most 128 words in all. A parkable word
     /// is one whose every read and write a cycle makes follows from the
     /// pre-cycle state and golden's ports, so the batch engine can park a
     /// fault whose residue lies in such words at zero simulation cost
@@ -147,15 +147,28 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
     /// A superset of the [`CoreModel::park_words`] the cycle from
     /// pre-cycle state `pre` reads, given `golden`, the ports that cycle
     /// drives on a machine whose parked words all go unread (every such
-    /// machine drives golden's ports).
-    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u64 {
+    /// machine drives golden's ports). Reads named by
+    /// [`CoreModel::park_compares`] need not be here.
+    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u128 {
         0
+    }
+
+    /// The *compare-only* reads of the cycle from pre-cycle state `pre`,
+    /// given `golden`: `(word, key)` pairs, one for each use of a word
+    /// whose value the cycle consumes only through `word == key`. A word
+    /// the cycle uses otherwise belongs in [`CoreModel::park_reads`]. A
+    /// machine whose dirty copy of such a word differs from `key`, as
+    /// golden's does, takes the compare's golden outcome, so a parked
+    /// fault wakes on it only when its value or golden's equals `key`.
+    /// Empty by default.
+    fn park_compares(_pre: &Self::State, _golden: &PortSet) -> impl Iterator<Item = (usize, u64)> {
+        std::iter::empty()
     }
 
     /// Exactly the [`CoreModel::park_words`] the cycle from pre-cycle
     /// state `pre` writes, given `golden`, the ports that cycle drives.
     /// Such a cycle is golden's, so a written word is clean afterwards.
-    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u64 {
+    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u128 {
         0
     }
 
@@ -166,7 +179,7 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
     /// increments. A parked copy counts in step with golden's (a stuck-at
     /// forcing a bit of it after each count), so it wakes from its value
     /// at park and golden's delta since, with no per-cycle work.
-    fn park_advancing() -> u64 {
+    fn park_advancing() -> u128 {
         0
     }
 }
@@ -248,16 +261,16 @@ impl CoreModel for Cpu {
         crate::exec::park_words()
     }
 
-    fn park_reads(pre: &CpuState, golden: &PortSet) -> u64 {
-        crate::exec::park_reads(pre, golden)
+    fn park_reads(pre: &CpuState, golden: &PortSet) -> u128 {
+        crate::exec::park_reads(pre, golden).into()
     }
 
-    fn park_writes(pre: &CpuState, golden: &PortSet) -> u64 {
-        crate::exec::park_writes(pre, golden)
+    fn park_writes(pre: &CpuState, golden: &PortSet) -> u128 {
+        crate::exec::park_writes(pre, golden).into()
     }
 
-    fn park_advancing() -> u64 {
-        crate::exec::park_advancing()
+    fn park_advancing() -> u128 {
+        crate::exec::park_advancing().into()
     }
 }
 

@@ -90,15 +90,16 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
 /// Whether the entire difference between `a` and `b` is confined to the
 /// *parkable words* `words` of the core whose registry is `regs`:
 /// `(registry entry, first bit)` pairs, lane `l` of an entry being word
-/// `first + l` of the returned mask (at most 64 words in all). Returns
+/// `first + l` of the returned mask (at most 128 words in all). Returns
 /// the dirty-word mask — `Some(0)` means the states are bit-identical —
 /// or `None` when any other state differs.
 ///
 /// This is the admission test for word parking: on both cores every
 /// access to these words is visible from the pre-cycle state and
 /// golden's ports ([`crate::CoreModel::park_reads`] and
-/// [`crate::CoreModel::park_writes`]; a counter's own increment is
-/// golden's, [`crate::CoreModel::park_advancing`]), so a word-confined
+/// [`crate::CoreModel::park_writes`]; a compare-only read wakes only on a
+/// match, [`crate::CoreModel::park_compares`]; a counter's own increment
+/// is golden's, [`crate::CoreModel::park_advancing`]), so a word-confined
 /// lane evolves in provable lockstep with golden at zero simulation cost
 /// until a dirty word may be read.
 ///
@@ -114,7 +115,7 @@ pub fn park_confined_in<S: PartialEq + Clone>(
     a: &S,
     b: &S,
     witness: &mut DirtyWitness,
-) -> Option<u64> {
+) -> Option<u128> {
     let first_bit = |r: u16| words.iter().find(|&&(w, _)| w == r).map(|&(_, bit)| u32::from(bit));
     if let Some((r, l)) = witness.pair {
         if first_bit(r).is_none() {
@@ -124,7 +125,7 @@ pub fn park_confined_in<S: PartialEq + Clone>(
             }
         }
     }
-    let mut dirty = 0u64;
+    let mut dirty = 0u128;
     let mut last = None;
     for (r, reg) in regs.iter().enumerate() {
         for lane in 0..reg.lanes as usize {
@@ -165,7 +166,7 @@ pub fn park_confined_in<S: PartialEq + Clone>(
 ///
 /// # Panics
 ///
-/// Panics when `regs` has no entry of a name, or past 64 words.
+/// Panics when `regs` has no entry of a name, or past 128 words.
 pub(crate) fn word_layout<S>(regs: &[FlopReg<S>], names: &[&str]) -> Vec<(u16, u8)> {
     let mut first = 0u32;
     names
@@ -177,7 +178,7 @@ pub(crate) fn word_layout<S>(regs: &[FlopReg<S>], names: &[&str]) -> Vec<(u16, u
                 .unwrap_or_else(|| panic!("flop registry has no `{name}` entry"));
             let pair = (r as u16, first as u8);
             first += u32::from(regs[r].lanes);
-            assert!(first <= 64, "more than 64 parkable words");
+            assert!(first <= 128, "more than 128 parkable words");
             pair
         })
         .collect()
@@ -351,8 +352,8 @@ mod tests {
         b.set_reg(17, 1);
         b.ras[5] = 0x40;
         b.csr_epc = 0x1234;
-        let ras5 = 1u64 << (crate::exec::RAS_WORD + 5);
-        let epc = 1u64 << (crate::exec::CSR_WORD + 2);
+        let ras5 = 1u128 << (crate::exec::RAS_WORD + 5);
+        let epc = 1u128 << (crate::exec::CSR_WORD + 2);
         assert_eq!(
             park_confined_in(registry(), words, &a, &b, &mut w),
             Some((1 << 2) | (1 << 16) | ras5 | epc)
@@ -507,8 +508,10 @@ mod tests {
         }
 
         #[test]
-        fn park_words_name_the_registers_csrs_counters_hartid_and_btb_targets() {
-            use crate::lr7::exec::{BTB_WORD, CSR_WORD, CYCLE_WORD};
+        fn park_words_name_the_registers_csrs_counters_btb_words_and_latches() {
+            use crate::lr7::exec::{
+                BTB_TAG_WORD, BTB_WORD, CSR_WORD, CYCLE_WORD, DEC_WORD, FLUSHES_WORD, IMC_WORD,
+            };
             let words = Lr7::park_words();
             let named: Vec<(&str, u8)> =
                 words.iter().map(|&(r, bit)| (regs()[r as usize].name, bit)).collect();
@@ -526,56 +529,75 @@ mod tests {
                     ("instret", 38),
                     ("hartid", 39),
                     ("btb_tgt", BTB_WORD),
+                    ("btb_tag", BTB_TAG_WORD),
+                    ("flushes", FLUSHES_WORD),
+                    ("imc_valid", IMC_WORD),
+                    ("imc_addr", 74),
+                    ("imc_rdata", 75),
+                    ("imc_err", 76),
+                    ("dec_valid", DEC_WORD),
+                    ("dec_op", 78),
                 ]
             );
-            assert_eq!(Lr7::park_advancing(), 0b11 << CYCLE_WORD, "the two counters");
+            assert_eq!(
+                Lr7::park_advancing(),
+                0b11 << CYCLE_WORD | 1 << FLUSHES_WORD,
+                "the three counters"
+            );
             // Lane r-1 of the bank holds architectural register r, lane i
-            // of `btb_tgt` BTB target i, and the words tile the mask
-            // without overlap.
+            // of `btb_tgt` and `btb_tag` BTB entry i, and the words tile
+            // the mask without overlap.
             let mut s = Lr7State::reset(0);
             s.set_reg(5, 0x1234_5678);
             s.btb_tgt[9] = 0x40;
+            s.btb_tag[12] = 0x1030;
             assert_eq!(regs()[words[0].0 as usize].read(&s, 4), 0x1234_5678);
             assert_eq!(regs()[words[10].0 as usize].read(&s, 9), 0x40);
-            let mut seen = 0u64;
+            assert_eq!(regs()[words[11].0 as usize].read(&s, 12), 0x1030);
+            let mut seen = 0u128;
             for &(r, bit) in words {
                 for lane in 0..u32::from(regs()[r as usize].lanes) {
-                    let word = 1u64 << (u32::from(bit) + lane);
+                    let word = 1u128 << (u32::from(bit) + lane);
                     assert_eq!(seen & word, 0, "word bit reused");
                     seen |= word;
                 }
             }
-            assert_eq!(seen, (1 << 56) - 1);
+            assert_eq!(seen, (1 << 79) - 1);
         }
 
         #[test]
         fn park_confined_classifies_word_and_other_diffs() {
-            use crate::lr7::exec::{BTB_WORD, CSR_WORD};
+            use crate::lr7::exec::{BTB_TAG_WORD, BTB_WORD, CSR_WORD, FLUSHES_WORD};
             let words = Lr7::park_words();
             let a = Lr7State::reset(0);
             let mut w = DirtyWitness::new();
             assert_eq!(park_confined_in(regs(), words, &a, &a.clone(), &mut w), Some(0));
 
-            // Diffs in register 3, `epc` and BTB target 9 only: the mask
-            // has exactly those words.
+            // Diffs in register 3, `epc`, BTB target 9, BTB tag 14 (a
+            // word past the 64th) and the flush counter only: the mask has
+            // exactly those words.
             let mut b = a.clone();
             b.set_reg(3, 0xDEAD_BEEF);
             b.csr_epc = 0x1234;
             b.btb_tgt[9] = 0x40;
-            let epc = 1u64 << (CSR_WORD + 2);
-            let tgt9 = 1u64 << (BTB_WORD + 9);
+            b.btb_tag[14] = 0x1038;
+            b.flushes = 7;
+            let epc = 1u128 << (CSR_WORD + 2);
+            let tgt9 = 1u128 << (BTB_WORD + 9);
+            let tag14 = 1u128 << (BTB_TAG_WORD + 14);
+            let flushes = 1u128 << FLUSHES_WORD;
             assert_eq!(
                 park_confined_in(regs(), words, &a, &b, &mut w),
-                Some((1 << 2) | epc | tgt9)
+                Some((1 << 2) | epc | tgt9 | tag14 | flushes)
             );
 
-            // A BTB tag, a reservation station, the MISR or the flush
-            // counter on top disqualifies the lane.
+            // A BTB counter, a reservation station, the MISR or a BTB
+            // valid bit on top disqualifies the lane.
             let poisons: [fn(&mut Lr7State); 4] = [
-                |s| s.btb_tag[9] ^= 1,
+                |s| s.btb_ctr[9] ^= 1,
                 |s| s.rs_v1[2] ^= 1,
                 |s| s.csr_misr ^= 1,
-                |s| s.flushes ^= 1,
+                |s| s.btb_valid ^= 1 << 14,
             ];
             for poison in poisons {
                 let mut c = b.clone();

@@ -299,18 +299,33 @@ pub(crate) const CYCLE_WORD: u8 = CSR_WORD + 6;
 /// Word-mask bit of BTB target 0 (target `i` is bit `BTB_WORD + i`).
 pub(crate) const BTB_WORD: u8 = CSR_WORD + 9;
 
-/// The flop words of LR7 whose every access [`park_reads`] and
-/// [`park_writes`] can see from the pre-cycle state and golden's ports:
-/// `(registry entry, first word bit)` pairs, lane `l` of an entry being
-/// word `first + l`. 56 words in all: the 31 registers, the six writable
-/// CSRs, the `cycle` and `instret` counters (the [`park_advancing`]
-/// words), `hartid` and the 16 BTB targets.
+/// Word-mask bit of BTB tag 0 (tag `i` is bit `BTB_TAG_WORD + i`).
+pub(crate) const BTB_TAG_WORD: u8 = BTB_WORD + 16;
+
+/// Word-mask bit of the `flushes` counter.
+pub(crate) const FLUSHES_WORD: u8 = BTB_TAG_WORD + 16;
+
+/// Word-mask bit of `imc_valid`; `imc_addr`, `imc_rdata` and `imc_err`
+/// follow.
+pub(crate) const IMC_WORD: u8 = FLUSHES_WORD + 1;
+
+/// Word-mask bit of `dec_valid`; `dec_op`, the last word, follows.
+pub(crate) const DEC_WORD: u8 = IMC_WORD + 4;
+
+/// The flop words of LR7 whose every access [`park_reads`],
+/// [`park_compares`] and [`park_writes`] can see from the pre-cycle
+/// state and golden's ports: `(registry entry, first word bit)` pairs,
+/// lane `l` of an entry being word `first + l`. 79 words in all: the 31
+/// registers, the six writable CSRs, the `cycle` and `instret` counters,
+/// `hartid`, the 16 BTB targets, the 16 BTB tags, the `flushes` counter
+/// (the counters are the [`park_advancing`] words) and the fetch-side
+/// bus latch (`imc_*`) and dispatch latch (`dec_*`), which nothing reads.
 ///
 /// `csr_misr` stays out because a `csrw misr` folds its old value into
-/// the new one, so a write does not clean it. The BTB tags and counters
-/// stay out because a valid entry's tag is compared on every fetch at
-/// its index, and the rename and queue structures (RAT, RS, ROB, LSQ)
-/// because the oracles decode from them.
+/// the new one, so a write does not clean it. The BTB valid bits stay
+/// out, as do the rename and queue structures (RAT, RS, ROB, LSQ),
+/// because the oracles decode from them, and the BTB counters because
+/// every hit decision at their index reads them.
 pub(crate) fn park_words() -> &'static [(u16, u8)] {
     static WORDS: OnceLock<Vec<(u16, u8)>> = OnceLock::new();
     WORDS.get_or_init(|| {
@@ -328,22 +343,33 @@ pub(crate) fn park_words() -> &'static [(u16, u8)] {
                 "instret",
                 "hartid",
                 "btb_tgt",
+                "btb_tag",
+                "flushes",
+                "imc_valid",
+                "imc_addr",
+                "imc_rdata",
+                "imc_err",
+                "dec_valid",
+                "dec_op",
             ],
         )
     })
 }
 
 /// The [`park_words`] that *advance* instead of holding: `cycle`, which
-/// every cycle that is not halted increments, and `instret`, which every
-/// retirement increments, each from its own value and on the cycles it
-/// does so on golden (see LR5's [`crate::exec::park_advancing`]).
-pub(crate) fn park_advancing() -> u64 {
-    0b11 << CYCLE_WORD
+/// every cycle that is not halted increments, `instret`, which every
+/// retirement increments, and `flushes`, which every mispredict or trap
+/// flush at commit (golden's `FlushCtl` bit 0) increments, each from its
+/// own value and on the cycles it does so on golden (see LR5's
+/// [`crate::exec::park_advancing`]).
+pub(crate) fn park_advancing() -> u128 {
+    0b11 << CYCLE_WORD | 1 << FLUSHES_WORD
 }
 
 /// A superset of the [`park_words`] the cycle from pre-cycle state `s`
 /// reads, given `golden`, the ports that cycle drives on a machine whose
-/// parked words all go unread (DESIGN.md §10).
+/// parked words all go unread (DESIGN.md §10). The BTB tags are read
+/// only through compares, which [`park_compares`] names.
 ///
 /// * **Registers:** dispatch reads the sources of the fetch-buffer
 ///   instruction that the RAT does not map, and `csrw` its `rs1`. It runs
@@ -356,8 +382,8 @@ pub(crate) fn park_advancing() -> u64 {
 ///   reads the target its fetch address indexes. The index comes from
 ///   golden's fetch port, because a redirect at commit moves the fetch
 ///   PC within the cycle.
-pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u64 {
-    let mut words = 0u64;
+pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u128 {
+    let mut words = 0u128;
     if s.halted & 1 == 0 && s.fb_valid & 1 == 1 && s.fb_err & 1 == 0 {
         if let Ok(i) = Instr::decode(s.fb_raw) {
             let (src1, src2) = source_regs(i.op.format(), &i);
@@ -366,17 +392,40 @@ pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u64 {
                 words |= 1 << (r - 1);
             }
             if i.op == Opcode::Csrr {
-                words |= csr_word(CSR_WORD, i.imm as u32);
+                words |= u128::from(csr_word(CSR_WORD, i.imm as u32));
             }
         }
     }
     if golden.get(Sc::ExcCtl) & 1 != 0 {
-        words |= csr_word(CSR_WORD, Csr::Tvec.bits());
+        words |= u128::from(csr_word(CSR_WORD, Csr::Tvec.bits()));
     }
     if golden.get(Sc::BranchCtl) & 1 != 0 {
         words |= 1 << (u32::from(BTB_WORD) + ((golden.get(Sc::IfAddrLo) >> 2) & 15));
     }
     words
+}
+
+/// The BTB tag compares of the cycle from pre-cycle state `s`, given
+/// `golden`, the ports that cycle drives on a machine whose parked words
+/// all go unread: `(word, key)` pairs. A tag is read nowhere but in
+/// `tag == pc`, so a machine whose tag differs from `pc`, as golden's
+/// does, makes golden's hit decision.
+///
+/// * **Commit training:** a retiring control instruction (golden's
+///   `RetCtl` bit 0, `F_CTL` at the ROB head) compares the tag its PC
+///   `rob_pc[h]` indexes with that PC.
+/// * **Fetch:** a fetch (golden's `IfReq` bit 0) compares the tag `pc`
+///   indexes with `pc`. A fetch happens only on a cycle whose commit did
+///   not flush, and only a flush moves `pc` before the fetch, so the key
+///   is the pre-cycle `pc`. When the same cycle's training replaced that
+///   tag, both machines compare the trained value: the pair is then a
+///   superset.
+pub(crate) fn park_compares(s: &Lr7State, golden: &PortSet) -> impl Iterator<Item = (usize, u64)> {
+    let tag = |pc: u32| (usize::from(BTB_TAG_WORD) + ((pc >> 2) & 15) as usize, u64::from(pc));
+    let h = usize::from(s.rob_head & 15);
+    let train = golden.get(Sc::RetCtl) & 1 != 0 && s.rob_flags[h] & F_CTL != 0;
+    let fetch = golden.get(Sc::IfReq) & 1 != 0;
+    train.then(|| tag(s.rob_pc[h])).into_iter().chain(fetch.then(|| tag(s.pc)))
 }
 
 /// Exactly the [`park_words`] the cycle from pre-cycle state `s` writes,
@@ -390,10 +439,16 @@ pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u64 {
 ///   `(CsrCtl >> 2) & 0xF` selects when it is one of the six, and a trap
 ///   writes `csr_cause` and `csr_epc`. Nothing writes the counters or
 ///   `hartid`.
-/// * **BTB targets:** a retiring control instruction that was taken
-///   trains the target its PC indexes, hit or miss.
-pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u64 {
-    let mut words = 0u64;
+/// * **BTB targets and tags:** a retiring control instruction that was
+///   taken trains the target its PC indexes, hit or miss, and replaces
+///   the tag there when golden's entry missed (a parked machine makes
+///   golden's hit decision: [`park_compares`]).
+/// * **Latches:** a fetch (golden's `IfReq` bit 0) writes the four
+///   `imc_*` words, and a dispatch (golden's `IdCtl` bit 0) that
+///   allocates no exception, because the fetch buffer holds no fetch
+///   error and decodes, writes `dec_valid` and `dec_op`.
+pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u128 {
+    let mut words = 0u128;
     let rf = golden.get(Sc::RfWpCtl);
     let rd = (rf >> 1) & 0x1F;
     if rf & 1 != 0 && rd != 0 {
@@ -401,17 +456,28 @@ pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u64 {
     }
     let csr = golden.get(Sc::CsrCtl);
     if csr & 2 != 0 && (2..=7).contains(&((csr >> 2) & 0xF)) {
-        words |= csr_word(CSR_WORD, csr >> 2);
+        words |= u128::from(csr_word(CSR_WORD, csr >> 2));
     }
     if golden.get(Sc::ExcCtl) & 1 != 0 {
-        words |= csr_word(CSR_WORD, Csr::Cause.bits()) | csr_word(CSR_WORD, Csr::Epc.bits());
+        words |=
+            u128::from(csr_word(CSR_WORD, Csr::Cause.bits()) | csr_word(CSR_WORD, Csr::Epc.bits()));
     }
     if golden.get(Sc::RetCtl) & 1 != 0 {
         let h = usize::from(s.rob_head & 15);
         let pc = s.rob_pc[h];
         if s.rob_flags[h] & F_CTL != 0 && s.rob_npc[h] != pc.wrapping_add(4) {
-            words |= 1 << (u32::from(BTB_WORD) + ((pc >> 2) & 15));
+            let idx = (pc >> 2) & 15;
+            words |= 1 << (u32::from(BTB_WORD) + idx);
+            if (s.btb_valid >> idx) & 1 == 0 || s.btb_tag[idx as usize] != pc {
+                words |= 1 << (u32::from(BTB_TAG_WORD) + idx);
+            }
         }
+    }
+    if golden.get(Sc::IfReq) & 1 != 0 {
+        words |= 0b1111 << IMC_WORD;
+    }
+    if golden.get(Sc::IdCtl) & 1 != 0 && s.fb_err & 1 == 0 && Instr::decode(s.fb_raw).is_ok() {
+        words |= 0b11 << DEC_WORD;
     }
     words
 }

@@ -137,15 +137,19 @@ impl CoreModel for Lr7 {
         exec::park_words()
     }
 
-    fn park_reads(pre: &Lr7State, golden: &PortSet) -> u64 {
+    fn park_reads(pre: &Lr7State, golden: &PortSet) -> u128 {
         exec::park_reads(pre, golden)
     }
 
-    fn park_writes(pre: &Lr7State, golden: &PortSet) -> u64 {
+    fn park_compares(pre: &Lr7State, golden: &PortSet) -> impl Iterator<Item = (usize, u64)> {
+        exec::park_compares(pre, golden)
+    }
+
+    fn park_writes(pre: &Lr7State, golden: &PortSet) -> u128 {
         exec::park_writes(pre, golden)
     }
 
-    fn park_advancing() -> u64 {
+    fn park_advancing() -> u128 {
         exec::park_advancing()
     }
 }

@@ -1,10 +1,10 @@
 //! Word-parking oracles: `park_writes` must name every parkable word a
-//! cycle writes, and `park_reads` must bound the words whose value can
-//! influence a cycle. Together they are the soundness foundation of
-//! word parking in the batched fault engine: a parked lane is stepped
-//! *zero* cycles while golden's pre-cycle state and ports prove its
-//! dirty words unread, so any hole in either oracle silently corrupts
-//! campaign results.
+//! cycle writes, and `park_reads` with `park_compares` must bound the
+//! words whose value can influence a cycle. Together they are the
+//! soundness foundation of word parking in the batched fault engine: a
+//! parked lane is stepped *zero* cycles while golden's pre-cycle state
+//! and ports prove its dirty words unread, so any hole in an oracle
+//! silently corrupts campaign results.
 //!
 //! Both cores are checked, LR5 at the top level and LR7 in `mod lr7`.
 //! Every cycle of every program below is checked twice over:
@@ -14,11 +14,16 @@
 //!    counters): those are never in `park_writes` and change only by
 //!    golden's own +1;
 //! 2. on a sample of cycles, every word outside `park_reads` is
-//!    perturbed in a copy of golden's pre-cycle state. Stepping the copy
-//!    must drive golden's ports bit for bit, and the perturbation must
-//!    be held (the word was not written) or erased (it was), with no
-//!    other state touched. A perturbed advancing word must keep its
-//!    offset from golden's.
+//!    perturbed in a copy of golden's pre-cycle state, unless
+//!    `park_compares` tests it against a key that golden's value or the
+//!    perturbed one equals. Stepping the copy must drive golden's ports
+//!    bit for bit, and the perturbation must be held (the word was not
+//!    written) or erased (it was), with no other state touched. A
+//!    perturbed advancing word must keep its offset from golden's. A
+//!    word is also perturbed to each compare key that golden's ports
+//!    name for it (on LR7, the fetch PC and a retiring control
+//!    instruction's PC, at the BTB tag they index): a perturbation that
+//!    then changes the cycle must be one `park_compares` names.
 //!
 //! The sample is every seventh cycle plus every cycle on which golden
 //! does something that reaches a parkable word other than a register —
@@ -27,7 +32,8 @@
 //! instruction in the ID/EX latch; on LR7 a trap, a control
 //! instruction's retirement, a BTB hit, or a CSR instruction's dispatch
 //! or commit. On LR7 every other cycle that commits a register write
-//! (golden's `RfWpCtl`) perturbs that register alone.
+//! (golden's `RfWpCtl`) perturbs that register, and every other fetch
+//! the BTB tag it indexes.
 
 use std::sync::OnceLock;
 
@@ -35,10 +41,12 @@ use lockstep_cpu::{
     park_confined_in, CoreModel, Cpu, CpuState, DirtyWitness, FlopReg, PortSet, Sc,
 };
 use lockstep_isa::Opcode;
-use lockstep_mem::{TrialLog, TrialView};
+use lockstep_mem::{Memory, TrialLog, TrialView};
 use lockstep_workloads::{fuzz, lc, Workload};
 
 const MAX_CYCLES: u64 = 60_000;
+/// The width of the oracles' word masks.
+const WORDS: usize = 128;
 /// Odd, so that it flips the two-bit words too, and wider than 32 bits,
 /// so that it reaches the counters' high bits.
 const PERTURB: u64 = 0x5A5A_5A5A_1235;
@@ -46,40 +54,51 @@ const PERTURB: u64 = 0x5A5A_5A5A_1235;
 /// Per-word probe outcomes, summed over a corpus.
 struct Coverage {
     /// Cycles on which the word changed (advanced, for a counter).
-    changed: [u64; 64],
+    changed: [u64; WORDS],
     /// Cycles on which the word was in `park_reads`.
-    read: [u64; 64],
+    read: [u64; WORDS],
     /// Perturbations the cycle left in place.
-    held: [u64; 64],
+    held: [u64; WORDS],
     /// Perturbations the cycle overwrote with golden's value.
-    erased: [u64; 64],
+    erased: [u64; WORDS],
+    /// Perturbations to a compare key from golden's ports that changed
+    /// the cycle, by the key's kind ([`Probe::compare_keys`]).
+    keyed: [u64; 2],
     /// Cycles stepped, the halting one included.
     cycles: u64,
     /// Instructions retired.
     retired: u64,
+    /// Cycles on which golden's `FlushCtl` bit 0 was set.
+    flushed: u64,
 }
 
 impl Coverage {
     fn new() -> Coverage {
         Coverage {
-            changed: [0; 64],
-            read: [0; 64],
-            held: [0; 64],
-            erased: [0; 64],
+            changed: [0; WORDS],
+            read: [0; WORDS],
+            held: [0; WORDS],
+            erased: [0; WORDS],
+            keyed: [0; 2],
             cycles: 0,
             retired: 0,
+            flushed: 0,
         }
     }
 
     fn add(&mut self, other: &Coverage) {
-        for w in 0..64 {
+        for w in 0..WORDS {
             self.changed[w] += other.changed[w];
             self.read[w] += other.read[w];
             self.held[w] += other.held[w];
             self.erased[w] += other.erased[w];
         }
+        for k in 0..2 {
+            self.keyed[k] += other.keyed[k];
+        }
         self.cycles += other.cycles;
         self.retired += other.retired;
+        self.flushed += other.flushed;
     }
 }
 
@@ -112,7 +131,13 @@ trait Probe: CoreModel {
 
     /// The words to perturb on golden's cycle from `pre` besides the
     /// every-seventh-cycle sample: all of them on an event cycle.
-    fn event_words(pre: &Self::State, golden: &PortSet) -> u64;
+    fn event_words(pre: &Self::State, golden: &PortSet) -> u128;
+
+    /// The `(word, key)` compares golden's ports name for its cycle from
+    /// `pre`, by kind (index into [`Coverage::keyed`]). None by default.
+    fn compare_keys(_pre: &Self::State, _golden: &PortSet) -> [Option<(usize, u64)>; 2] {
+        [None; 2]
+    }
 }
 
 impl Probe for Cpu {
@@ -121,12 +146,12 @@ impl Probe for Cpu {
         &CORPORA
     }
 
-    fn event_words(pre: &CpuState, golden: &PortSet) -> u64 {
+    fn event_words(pre: &CpuState, golden: &PortSet) -> u128 {
         let csr_op = pre.id_valid & 1 == 1
             && matches!(Opcode::from_bits(u32::from(pre.id_op)), Some(Opcode::Csrr | Opcode::Csrw));
         let event = csr_op || golden.get(Sc::RasCtl) != 0 || golden.get(Sc::ExcCtl) != 0;
         if event {
-            u64::MAX
+            u128::MAX
         } else {
             0
         }
@@ -135,7 +160,7 @@ impl Probe for Cpu {
 
 /// Registry slot `(entry, lane)` of every parkable word, by word.
 fn slots<C: CoreModel>() -> Vec<(usize, usize)> {
-    let mut slots = vec![(usize::MAX, 0); 64];
+    let mut slots = vec![(usize::MAX, 0); WORDS];
     for &(r, first) in C::park_words() {
         for lane in 0..usize::from(C::registry()[r as usize].lanes) {
             slots[usize::from(first) + lane] = (r as usize, lane);
@@ -169,11 +194,71 @@ fn offset<S>(regs: &[FlopReg<S>], slot: (usize, usize), a: u64, b: u64) -> u64 {
     b.wrapping_sub(a) & (u64::MAX >> (64 - u32::from(regs[slot.0].width)))
 }
 
+/// What a perturbation of one word did to golden's cycle.
+enum Fate {
+    /// Left in place, or for an advancing word its offset from golden's
+    /// kept.
+    Held,
+    /// Overwritten with golden's value.
+    Erased,
+    /// Seen by the cycle: in its ports or in state besides the word.
+    Leaked(&'static str),
+}
+
+/// Steps `pre` with word `w` (registry slot `slot`) set to `v` and
+/// classifies the result against golden's ports `gports` and committed
+/// state `post`.
+#[allow(clippy::too_many_arguments)]
+fn perturb<C: CoreModel>(
+    pre: &C::State,
+    post: &C::State,
+    gports: &PortSet,
+    mem: &Memory,
+    (w, slot): (usize, (usize, usize)),
+    v: u64,
+    written: bool,
+    scratch: (&mut PortSet, &mut TrialLog),
+) -> Fate {
+    let regs = C::registry();
+    let (pports, plog) = scratch;
+    let mut perturbed = pre.clone();
+    regs[slot.0].write(&mut perturbed, slot.1, v);
+    let v = read(regs, slot, &perturbed);
+    let mut lane = C::from_state(perturbed);
+    plog.clear();
+    lane.step(&mut TrialView::new(mem, plog), pports);
+    if pports.diff_mask(gports) != 0 {
+        return Fate::Leaked("leaked into the ports");
+    }
+    let Some(dirty) =
+        park_confined_in(regs, C::park_words(), post, lane.state(), &mut DirtyWitness::new())
+    else {
+        return Fate::Leaked("spread");
+    };
+    if C::park_advancing() >> w & 1 == 1 {
+        let before = offset(regs, slot, read(regs, slot, pre), v);
+        let after = offset(regs, slot, read(regs, slot, post), read(regs, slot, lane.state()));
+        if (dirty, after) != (1 << w, before) {
+            return Fate::Leaked("lost its offset from golden");
+        }
+        Fate::Held
+    } else if written {
+        if dirty != 0 {
+            return Fate::Leaked("was written but kept");
+        }
+        Fate::Erased
+    } else {
+        if (dirty, read(regs, slot, lane.state())) != (1 << w, v) {
+            return Fate::Leaked("was not written but not held");
+        }
+        Fate::Held
+    }
+}
+
 /// Runs `w`'s golden execution on core `C` and checks both oracle
 /// properties.
 fn check<C: Probe>(w: &Workload) -> Coverage {
     let regs = C::registry();
-    let words = C::park_words();
     let advancing = C::park_advancing();
     let slots = slots::<C>();
     let mut cov = Coverage::new();
@@ -188,12 +273,14 @@ fn check<C: Probe>(w: &Workload) -> Coverage {
         let info = cpu.step(&mut TrialView::new(&mem, &mut log), &mut gports);
         cov.cycles += 1;
         cov.retired += u64::from(info.retired);
+        cov.flushed += u64::from(gports.get(Sc::FlushCtl) & 1);
         let post = cpu.state();
         let reads = C::park_reads(&pre, &gports);
+        let compares: Vec<(usize, u64)> = C::park_compares(&pre, &gports).collect();
         let writes = C::park_writes(&pre, &gports);
         assert_eq!(writes & advancing, 0, "{name} cycle {cycle}: a counter in park_writes");
         for (w_idx, &slot) in slots.iter().enumerate() {
-            cov.read[w_idx] += reads >> w_idx & 1;
+            cov.read[w_idx] += (reads >> w_idx & 1) as u64;
             let (before, after) = (read(regs, slot, &pre), read(regs, slot, post));
             if after == before {
                 continue;
@@ -212,49 +299,44 @@ fn check<C: Probe>(w: &Workload) -> Coverage {
                 );
             }
         }
-        let sample = if cycle % 7 == 0 { u64::MAX } else { C::event_words(&pre, &gports) };
-        if sample != 0 {
-            for (w_idx, &slot) in slots.iter().enumerate() {
-                if sample >> w_idx & 1 == 0 || reads >> w_idx & 1 == 1 {
+        let sample = if cycle % 7 == 0 { u128::MAX } else { C::event_words(&pre, &gports) };
+        let keys = C::compare_keys(&pre, &gports);
+        for (w_idx, &slot) in slots.iter().enumerate() {
+            if sample >> w_idx & 1 == 0 || reads >> w_idx & 1 == 1 {
+                continue;
+            }
+            let g = read(regs, slot, &pre);
+            let keyed = keys.iter().enumerate().filter_map(|(kind, key)| match *key {
+                Some((kw, k)) if kw == w_idx => Some((k, Some(kind))),
+                _ => None,
+            });
+            let perturbed = (g ^ PERTURB) & u64::MAX >> (64 - u32::from(regs[slot.0].width));
+            for (v, kind) in [(perturbed, None)].into_iter().chain(keyed) {
+                if v == g {
                     continue;
                 }
-                let mut perturbed = pre.clone();
-                let v = read(regs, slot, &pre) ^ PERTURB;
-                regs[slot.0].write(&mut perturbed, slot.1, v);
-                let v = read(regs, slot, &perturbed);
-                let mut lane = C::from_state(perturbed);
-                plog.clear();
-                lane.step(&mut TrialView::new(&mem, &mut plog), &mut pports);
-                assert_eq!(
-                    pports.diff_mask(&gports),
-                    0,
-                    "{name} cycle {cycle}: unread word {w_idx} leaked into the ports"
+                let named = compares.iter().any(|&(cw, k)| cw == w_idx && (k == v || k == g));
+                if named && kind.is_none() {
+                    continue;
+                }
+                let fate = perturb::<C>(
+                    &pre,
+                    post,
+                    &gports,
+                    &mem,
+                    (w_idx, slot),
+                    v,
+                    writes >> w_idx & 1 == 1,
+                    (&mut pports, &mut plog),
                 );
-                let dirty =
-                    park_confined_in(regs, words, post, lane.state(), &mut DirtyWitness::new())
-                        .unwrap_or_else(|| {
-                            panic!("{name} cycle {cycle}: unread word {w_idx} spread")
-                        });
-                if advancing >> w_idx & 1 == 1 {
-                    let before = offset(regs, slot, read(regs, slot, &pre), v);
-                    let after =
-                        offset(regs, slot, read(regs, slot, post), read(regs, slot, lane.state()));
-                    assert_eq!(
-                        (dirty, after),
-                        (1 << w_idx, before),
-                        "{name} cycle {cycle}: counter word {w_idx} lost its offset from golden"
-                    );
-                    cov.held[w_idx] += 1;
-                } else if writes >> w_idx & 1 == 1 {
-                    assert_eq!(dirty, 0, "{name} cycle {cycle}: written word {w_idx} kept");
-                    cov.erased[w_idx] += 1;
-                } else {
-                    assert_eq!(
-                        (dirty, read(regs, slot, lane.state())),
-                        (1 << w_idx, v),
-                        "{name} cycle {cycle}: unwritten word {w_idx} not held"
-                    );
-                    cov.held[w_idx] += 1;
+                match (fate, kind) {
+                    (Fate::Leaked(_), Some(kind)) if named => cov.keyed[kind] += 1,
+                    (Fate::Leaked(what), _) => {
+                        panic!("{name} cycle {cycle}: word {w_idx} set to {v:#x} {what}")
+                    }
+                    (_, Some(_)) if named => {}
+                    (Fate::Held, _) => cov.held[w_idx] += 1,
+                    (Fate::Erased, _) => cov.erased[w_idx] += 1,
                 }
             }
         }
@@ -314,7 +396,7 @@ fn all_corpora<C: Probe>() -> Coverage {
 }
 
 /// The words a coverage count missed.
-fn missing<C: CoreModel>(counts: &[u64; 64]) -> Vec<usize> {
+fn missing<C: CoreModel>(counts: &[u64; WORDS]) -> Vec<usize> {
     (0..slots::<C>().len()).filter(|&w| counts[w] == 0).collect()
 }
 
@@ -339,11 +421,12 @@ fn counters_and_hartid_are_read_and_held<C: Probe>() {
     }
 }
 
-/// The advancing words are `cycle` and `instret`: `cycle` advances on
-/// every cycle up to the halting one, and `instret` on every retirement.
-fn advancing_words_are_the_counters<C: Probe>() {
+/// The advancing words are `cycle`, `instret` and `others`: `cycle`
+/// advances on every cycle up to the halting one, and `instret` on every
+/// retirement.
+fn advancing_words_are_the_counters<C: Probe>(others: u128) {
     let (cycle, instret) = (word::<C>("cycle"), word::<C>("instret"));
-    assert_eq!(C::park_advancing(), 1 << cycle | 1 << instret);
+    assert_eq!(C::park_advancing(), 1 << cycle | 1 << instret | others);
     let cov = counting::<C>();
     assert_eq!(cov.changed[cycle], cov.cycles);
     assert_eq!(cov.changed[instret], cov.retired);
@@ -351,16 +434,17 @@ fn advancing_words_are_the_counters<C: Probe>() {
 
 /// Nothing writes the counters or `hartid`, so they cannot be erased;
 /// the counters advance instead, and all three are held. Every other
-/// word is written, erased and held somewhere in the corpora.
-fn every_word_is_written_erased_and_held<C: Probe>() {
+/// word is written, erased and held somewhere in the corpora, and changed
+/// by a write unless it is one of `unchanged`.
+fn every_word_is_written_erased_and_held<C: Probe>(unchanged: u128) {
     let cov = all_corpora::<C>();
     let hartid = word::<C>("hartid");
     let never_written = C::park_advancing() | 1 << hartid;
-    let missing_written = |counts: &[u64; 64]| -> Vec<usize> {
-        missing::<C>(counts).into_iter().filter(|&w| never_written >> w & 1 == 0).collect()
+    let missing_in = |counts: &[u64; WORDS], exempt: u128| -> Vec<usize> {
+        missing::<C>(counts).into_iter().filter(|&w| exempt >> w & 1 == 0).collect()
     };
-    assert_eq!(missing_written(&cov.changed)[..], [], "words never written");
-    assert_eq!(missing_written(&cov.erased)[..], [], "words never erased by a write");
+    assert_eq!(missing_in(&cov.changed, never_written | unchanged)[..], [], "words never changed");
+    assert_eq!(missing_in(&cov.erased, never_written)[..], [], "words never erased by a write");
     assert_eq!(missing::<C>(&cov.held)[..], [], "words never held");
     assert_eq!(cov.changed[hartid], 0, "hartid changed");
 }
@@ -403,7 +487,7 @@ fn oracles_hold_on_the_counter_program() {
 
 #[test]
 fn advancing_words_are_exactly_the_counters() {
-    advancing_words_are_the_counters::<Cpu>();
+    advancing_words_are_the_counters::<Cpu>(0);
 }
 
 #[test]
@@ -426,7 +510,7 @@ fn dmc_and_mdv_latches_are_written_erased_and_held() {
 
 #[test]
 fn every_word_is_written_erased_and_held_across_the_corpora() {
-    every_word_is_written_erased_and_held::<Cpu>();
+    every_word_is_written_erased_and_held::<Cpu>(0);
 }
 
 /// The same properties on the out-of-order LR7.
@@ -442,27 +526,55 @@ mod lr7 {
             &CORPORA
         }
 
-        fn event_words(_pre: &Lr7State, golden: &PortSet) -> u64 {
+        fn event_words(_pre: &Lr7State, golden: &PortSet) -> u128 {
             let trap = golden.get(Sc::ExcCtl) & 1 != 0;
-            let retired = golden.get(Sc::RetInstrLo) | golden.get(Sc::RetInstrHi) << 16;
-            let control_retire = golden.get(Sc::RetCtl) & 1 != 0
-                && Instr::decode(retired).is_ok_and(|i| {
-                    matches!(i.op.format(), Format::B | Format::J) || i.op == Opcode::Jalr
-                });
             let btb_hit = golden.get(Sc::BranchCtl) & 1 != 0;
             let id = golden.get(Sc::IdCtl);
             let csr_dispatch = id & 1 != 0
                 && matches!(Opcode::from_bits((id >> 1) & 0x3F), Some(Opcode::Csrr | Opcode::Csrw));
             let csr_commit = golden.get(Sc::CsrCtl) != 0;
-            let rf = golden.get(Sc::RfWpCtl);
-            if trap || control_retire || btb_hit || csr_dispatch || csr_commit {
-                u64::MAX
-            } else if rf & 1 != 0 {
-                1 << (word::<Lr7>("regs") + ((rf >> 1) & 0x1F) as usize - 1)
-            } else {
-                0
+            if trap || control_retire(golden).is_some() || btb_hit || csr_dispatch || csr_commit {
+                return u128::MAX;
             }
+            let rf = golden.get(Sc::RfWpCtl);
+            let mut words = 0;
+            if rf & 1 != 0 {
+                words |= 1 << (word::<Lr7>("regs") + ((rf >> 1) & 0x1F) as usize - 1);
+            }
+            if let Some(pc) = fetch(golden) {
+                words |= 1 << tag_word(pc);
+            }
+            words
         }
+
+        fn compare_keys(_pre: &Lr7State, golden: &PortSet) -> [Option<(usize, u64)>; 2] {
+            let key = |pc: u32| (tag_word(pc), u64::from(pc));
+            [fetch(golden).map(key), control_retire(golden).map(key)]
+        }
+    }
+
+    /// A 32-bit value golden's ports carry on two 16-bit SCs.
+    fn bus(golden: &PortSet, lo: Sc, hi: Sc) -> u32 {
+        golden.get(lo) | golden.get(hi) << 16
+    }
+
+    /// The address golden fetches from, if it fetches.
+    fn fetch(golden: &PortSet) -> Option<u32> {
+        (golden.get(Sc::IfReq) & 1 != 0).then(|| bus(golden, Sc::IfAddrLo, Sc::IfAddrHi))
+    }
+
+    /// The PC of the control instruction golden retires, if it retires
+    /// one.
+    fn control_retire(golden: &PortSet) -> Option<u32> {
+        let retired = bus(golden, Sc::RetInstrLo, Sc::RetInstrHi);
+        let control = Instr::decode(retired)
+            .is_ok_and(|i| matches!(i.op.format(), Format::B | Format::J) || i.op == Opcode::Jalr);
+        (golden.get(Sc::RetCtl) & 1 != 0 && control).then(|| bus(golden, Sc::RetPcLo, Sc::RetPcHi))
+    }
+
+    /// The word of the BTB tag `pc` indexes.
+    fn tag_word(pc: u32) -> usize {
+        words_of::<Lr7>("btb_tag").start + ((pc >> 2) & 15) as usize
     }
 
     #[test]
@@ -500,9 +612,15 @@ mod lr7 {
         counters_and_hartid_are_read_and_held::<Lr7>();
     }
 
+    /// `flushes` advances too, on exactly golden's `FlushCtl` cycles (a
+    /// mispredict or a trap at commit).
     #[test]
     fn advancing_words_are_exactly_the_counters() {
-        advancing_words_are_the_counters::<Lr7>();
+        let flushes = word::<Lr7>("flushes");
+        advancing_words_are_the_counters::<Lr7>(1 << flushes);
+        let cov = all_corpora::<Lr7>();
+        assert!(cov.flushed > 0, "no flush in the corpora");
+        assert_eq!(cov.changed[flushes], cov.flushed);
     }
 
     #[test]
@@ -520,8 +638,28 @@ mod lr7 {
         }
     }
 
+    /// The fetch compare and the training compare each decide a cycle
+    /// somewhere in the corpora: a tag set to the key changes the hit.
+    #[test]
+    fn btb_tags_are_compared_written_erased_and_held() {
+        let cov = all_corpora::<Lr7>();
+        assert!(cov.keyed[0] > 0, "no fetch compare decided a cycle");
+        assert!(cov.keyed[1] > 0, "no training compare decided a cycle");
+        for w in words_of::<Lr7>("btb_tag") {
+            assert!(
+                cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
+                "BTB tag word {w} not exercised: {} changed, {} erased, {} held",
+                cov.changed[w],
+                cov.erased[w],
+                cov.held[w]
+            );
+        }
+    }
+
     #[test]
     fn every_word_is_written_erased_and_held_across_the_corpora() {
-        every_word_is_written_erased_and_held::<Lr7>();
+        // No program here takes a fetch bus error, so every fetch writes
+        // `imc_err` with the 0 it already holds: erased, never changed.
+        every_word_is_written_erased_and_held::<Lr7>(1 << word::<Lr7>("imc_err"));
     }
 }

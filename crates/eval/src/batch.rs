@@ -41,15 +41,18 @@
 //!    to parkable words* ([`lockstep_cpu::dirty::park_confined_in`]:
 //!    the registers, CSRs, `cycle`/`instret` counters and `hartid` of
 //!    either core, plus LR5's return-address-stack entries and DMCU and
-//!    MDV latches, and LR7's BTB targets) goes one step further: it
-//!    parks at zero simulation cost. A cycle that reads none of its
-//!    dirty words is golden's cycle on the faulty machine too, so the
-//!    words such a cycle reads and writes follow from golden's
+//!    MDV latches, and LR7's BTB targets and tags and `flushes` counter;
+//!    up to 128 words, one bit each in a `u128` mask) goes one step
+//!    further: it parks at zero simulation cost. A cycle that reads none
+//!    of its dirty words is golden's cycle on the faulty machine too, so
+//!    the words such a cycle reads and writes follow from golden's
 //!    pre-cycle state and recorded ports ([`CoreModel::park_reads`],
 //!    [`CoreModel::park_writes`]). Golden's writes clean the dirty words
 //!    they hit, a parked counter counts exactly golden's increments
 //!    ([`CoreModel::park_advancing`]), and the entry wakes only the
-//!    cycle a dirty word lands in the read set. Dead-word residue, the
+//!    cycle a dirty word lands in the read set, or in a compare-only
+//!    read ([`CoreModel::park_compares`], LR7's BTB tag matches) whose
+//!    key the entry's value or golden's equals. Dead-word residue, the
 //!    dominant fate of masked transients, parks to the end of the trace
 //!    without a single simulated cycle. On a core without the oracles
 //!    that residue stays a live lane until it converges.
@@ -218,34 +221,39 @@ struct WatchGroup {
 }
 
 /// Most advancing words a core may declare
-/// ([`CoreModel::park_advancing`]); each core has two, `cycle` and
-/// `instret`.
-const MAX_ADVANCING: usize = 2;
+/// ([`CoreModel::park_advancing`]): `cycle` and `instret` on each core,
+/// and LR7's `flushes`.
+const MAX_ADVANCING: usize = 3;
+
+/// Most parkable words a core may declare ([`CoreModel::park_words`]),
+/// the width of the word masks.
+const MAX_WORDS: usize = 128;
 
 /// A fault parked because its entire divergence from golden is confined
 /// to parkable words (registers, CSRs, counters and `hartid`, plus LR5's
-/// RAS entries and DMCU and MDV latches and LR7's BTB targets; see
-/// [`CoreModel::park_words`]). Costs zero simulation per cycle: a cycle
-/// that reads none of the dirty words is golden's cycle on the faulty
-/// machine too, so golden's writes clean the words they write (both
-/// machines write the identical value), an advancing word counts exactly
-/// golden's increments, and the read oracle tells us the exact cycle a
-/// dirty word might be observed, which is when the entry wakes into a
-/// scalar [`Lane`].
+/// RAS entries and DMCU and MDV latches and LR7's BTB targets and tags;
+/// see [`CoreModel::park_words`]). Costs zero simulation per cycle: a
+/// cycle that reads none of the dirty words is golden's cycle on the
+/// faulty machine too, so golden's writes clean the words they write
+/// (both machines write the identical value), an advancing word counts
+/// exactly golden's increments, and the read oracles tell us the exact
+/// cycle a dirty word might be observed, which is when the entry wakes
+/// into a scalar [`Lane`].
 struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
     reparks: u32,
     /// Bit `w` set: the faulty machine's word `w` currently differs from
     /// golden's.
-    dirty: u64,
+    dirty: u128,
     /// The word a stuck-at forces (one bit), or 0 for a transient or a
     /// stuck-at outside the parkable words. Golden's writes re-force it.
-    target: u64,
-    /// The faulty machine's dirty word values, indexed by word. Clean
-    /// words are never read: they equal golden's live value by
-    /// definition. An advancing word holds its value at park.
-    vals: [u64; 64],
+    target: u128,
+    /// The faulty machine's values of the words in `dirty | target`, in
+    /// word order ([`WordParked::slot`]). A clean target's value is never
+    /// read: clean words equal golden's live value by definition. An
+    /// advancing word holds its value at park.
+    vals: Vec<u64>,
     /// Golden's value of each dirty advancing word at park, by the word's
     /// rank among the advancing words: the faulty copy has counted
     /// exactly golden's increments since.
@@ -260,6 +268,11 @@ impl WordParked {
     fn stuck_outside(&self) -> bool {
         self.fault.kind != FaultKind::Transient && self.target == 0
     }
+
+    /// Index in `vals` of word `w`.
+    fn slot(&self, w: usize) -> usize {
+        rank(self.dirty | self.target, w)
+    }
 }
 
 /// The word parking lot of one batched run, with the core's word layout
@@ -270,9 +283,9 @@ struct WordLot<S: 'static> {
     regs: &'static [FlopReg<S>],
     words: &'static [(u16, u8)],
     /// Registry slot `(entry, lane)` of every word, indexed by word.
-    slots: [(u16, u16); 64],
+    slots: [(u16, u16); MAX_WORDS],
     /// The advancing words ([`CoreModel::park_advancing`]).
-    advancing: u64,
+    advancing: u128,
     /// The parked entries. A removed entry leaves its place empty until
     /// the next park, so an entry's index never changes.
     entries: Vec<Option<WordParked>>,
@@ -282,18 +295,18 @@ struct WordLot<S: 'static> {
     /// `dirty | target` has it. A cycle's reads and writes visit only
     /// the holders of the words they touch, so a lot of thousands of
     /// entries costs what its few touched entries cost.
-    holders: [Vec<usize>; 64],
+    holders: [Vec<usize>; MAX_WORDS],
     /// The words with at least one holder.
-    held: u64,
+    held: u128,
     /// How many entries are stuck-ats outside the words
     /// ([`WordParked::stuck_outside`]).
     other_stuck: usize,
 }
 
 impl<S: Clone> WordLot<S> {
-    fn new(regs: &'static [FlopReg<S>], words: &'static [(u16, u8)], advancing: u64) -> Self {
+    fn new(regs: &'static [FlopReg<S>], words: &'static [(u16, u8)], advancing: u128) -> Self {
         assert!(advancing.count_ones() as usize <= MAX_ADVANCING, "too many advancing words");
-        let mut slots = [(0, 0); 64];
+        let mut slots = [(0, 0); MAX_WORDS];
         for &(r, first) in words {
             for lane in 0..regs[r as usize].lanes {
                 slots[usize::from(first) + usize::from(lane)] = (r, lane);
@@ -331,47 +344,41 @@ impl<S: Clone> WordLot<S> {
         self.regs[r as usize].read(state, usize::from(lane))
     }
 
-    /// The `dirty` words of `state`, indexed by word (clean ones zero).
-    fn values(&self, state: &S, dirty: u64) -> [u64; 64] {
-        let mut vals = [0; 64];
-        for w in bits(dirty) {
-            vals[w] = self.read(state, w);
-        }
-        vals
-    }
-
-    /// Index of advancing word `w` in an entry's `anchor`.
-    fn rank(&self, w: usize) -> usize {
-        (self.advancing & ((1 << w) - 1)).count_ones() as usize
+    /// The `dirty` words of `state`, in word order.
+    fn values(&self, state: &S, dirty: u128) -> Vec<u64> {
+        bits(dirty).map(|w| self.read(state, w)).collect()
     }
 
     /// Parks a fault whose machine differs from `golden`, golden's state
     /// at the same cycle, in the `dirty` words alone, holding `vals`
-    /// there. A stuck-at on an advancing word is dirty from here on
-    /// whatever its value: golden's counter moves on, and no golden write
-    /// ever re-forces the word.
+    /// there (in word order). A stuck-at on an advancing word is dirty
+    /// from here on whatever its value: golden's counter moves on, and no
+    /// golden write ever re-forces the word.
     #[allow(clippy::too_many_arguments)]
     fn park(
         &mut self,
         fault: Fault,
         outs: Vec<usize>,
         reparks: u32,
-        dirty: u64,
-        mut vals: [u64; 64],
+        dirty: u128,
+        mut vals: Vec<u64>,
         golden: &S,
         at: u64,
     ) {
+        debug_assert_eq!(vals.len(), dirty.count_ones() as usize);
         let target = match fault.kind {
             FaultKind::Transient => 0,
             _ => self.word_of(fault.flop).map_or(0, |w| 1 << w),
         };
-        for w in bits(target & self.advancing & !dirty) {
-            vals[w] = self.read(golden, w);
+        // A clean target's place holds golden's value, which a counter
+        // needs as its value at park.
+        for w in bits(target & !dirty) {
+            vals.insert(rank(dirty, w), self.read(golden, w));
         }
         let dirty = dirty | (target & self.advancing);
         let mut anchor = [0; MAX_ADVANCING];
         for w in bits(dirty & self.advancing) {
-            anchor[self.rank(w)] = self.read(golden, w);
+            anchor[rank(self.advancing, w)] = self.read(golden, w);
         }
         let entry =
             WordParked { fault, outs, reparks, dirty, target, vals, anchor, park_cycle: at };
@@ -414,11 +421,12 @@ impl<S: Clone> WordLot<S> {
         for w in bits(entry.dirty) {
             let (r, lane) = self.slots[w];
             let reg = &self.regs[r as usize];
-            let mut v = entry.vals[w];
+            let mut v = entry.vals[entry.slot(w)];
             if self.advancing >> w & 1 != 0 {
                 let mask = u64::MAX >> (64 - u32::from(reg.width));
-                let golden_delta =
-                    reg.read(base, usize::from(lane)).wrapping_sub(entry.anchor[self.rank(w)]);
+                let golden_delta = reg
+                    .read(base, usize::from(lane))
+                    .wrapping_sub(entry.anchor[rank(self.advancing, w)]);
                 if entry.target >> w & 1 == 0 {
                     v = v.wrapping_add(golden_delta);
                 } else {
@@ -438,7 +446,7 @@ impl<S: Clone> WordLot<S> {
 }
 
 /// Iterates the set bits of a word mask.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let w = mask.trailing_zeros() as usize;
@@ -446,6 +454,11 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
             w
         })
     })
+}
+
+/// How many words of `mask` lie below word `w`.
+fn rank(mask: u128, w: usize) -> usize {
+    (mask & ((1 << w) - 1)).count_ones() as usize
 }
 
 /// A word value with a stuck-at bit forced.
@@ -522,7 +535,7 @@ pub trait CoreBatch: CoreModel {
 impl CoreBatch for Cpu {}
 
 /// LR7, with word parking over its registers, CSRs, counters, `hartid`
-/// and BTB targets.
+/// and BTB targets and tags.
 impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
@@ -626,16 +639,25 @@ pub fn run_batch_group<C: CoreBatch>(
         // (DESIGN.md §10). Only the holders of the words the cycle reads
         // are visited. An entry with a dirty word in the read set wakes
         // into a scalar lane (materialized from pre-state, so it steps
-        // through `at` with the other lanes); the words the cycle writes
-        // are applied after the walker's step, from its committed values.
-        let mut lot_writes = 0u64;
+        // through `at` with the other lanes), and so does one with a
+        // dirty word a compare-only read tests against a key that its
+        // value or golden's equals; the words the cycle writes are
+        // applied after the walker's step, from its committed values.
+        let mut lot_writes = 0u128;
         if lot.held != 0 {
             let pre = wcpu.state();
-            for w in bits(C::park_reads(pre, gp) & lot.held) {
+            let (held, reads) = (lot.held, C::park_reads(pre, gp) & lot.held);
+            let compares = C::park_compares(pre, gp)
+                .filter(|&(w, _)| (held & !reads) >> w & 1 != 0)
+                .map(|(w, key)| (w, Some(key)));
+            for (w, key) in bits(reads).map(|w| (w, None)).chain(compares) {
+                let golden_equal = key.is_some_and(|k| lot.read(pre, w) == k);
                 let mut j = 0;
                 while let Some(&i) = lot.holders[w].get(j) {
                     let e = lot.entries[i].as_ref().expect("holders are parked");
-                    if e.dirty >> w & 1 == 0 {
+                    let observed = e.dirty >> w & 1 != 0
+                        && key.is_none_or(|k| golden_equal || e.vals[e.slot(w)] == k);
+                    if !observed {
                         j += 1;
                         continue;
                     }
@@ -717,15 +739,17 @@ pub fn run_batch_group<C: CoreBatch>(
             let mut j = 0;
             while let Some(&i) = lot.holders[w].get(j) {
                 let e = lot.entries[i].as_mut().expect("holders are parked");
-                e.dirty &= !(1 << w);
+                let slot = e.slot(w);
                 if e.target >> w & 1 != 0 {
                     let fv = forced(g, e.fault.flop.bit, e.fault.kind == FaultKind::StuckAt1);
-                    e.vals[w] = fv;
-                    e.dirty |= u64::from(fv != g) << w;
+                    e.vals[slot] = fv;
+                    e.dirty = e.dirty & !(1 << w) | u128::from(fv != g) << w;
                     j += 1;
                     continue;
                 }
                 // Golden's value again: the entry no longer holds the word.
+                e.vals.remove(slot);
+                e.dirty &= !(1 << w);
                 lot.holders[w].swap_remove(j);
                 if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
                     let n = e.outs.len() as u64;
@@ -901,9 +925,7 @@ pub fn run_batch_group<C: CoreBatch>(
                     FaultKind::Transient => g ^ 1 << f.flop.bit,
                     _ => forced(g, f.flop.bit, stuck1),
                 };
-                let mut vals = [0; 64];
-                vals[w] = fv;
-                let dirty = if fv == g { 0 } else { 1 << w };
+                let (dirty, vals) = if fv == g { (0, Vec::new()) } else { (1 << w, vec![fv]) };
                 lot.park(f, outs, 0, dirty, vals, committed, cycle);
                 continue;
             }
@@ -975,34 +997,55 @@ mod tests {
 
     /// A counter fault parked in the word lot at its strike and woken
     /// `span` cycles later wakes as the machine stepped live with the
-    /// overlay over those cycles: every bit of `cycle` and `instret`,
-    /// transient and stuck-at-0/1, on both cores. `rspeed` never reads a
-    /// counter, so the live machine differs from golden in the counter
-    /// alone.
+    /// overlay over those cycles: every bit of `cycle` and `instret` on
+    /// both cores and of LR7's `flushes`, transient and stuck-at-0/1.
+    /// `flushes` is 16 bits wide, so golden's copy starts at `0xFFF0` and
+    /// the parked span, in which LR7 flushes about 40 times on `canrdr`,
+    /// crosses its wrap. No suite kernel reads a counter, so the live
+    /// machine differs from golden in the counter alone.
     #[test]
     fn counter_wakes_match_a_live_machine_with_the_overlay() {
-        counter_wakes_match::<Cpu>();
-        counter_wakes_match::<Lr7>();
+        counter_wakes_match::<Cpu>(&[("cycle", None), ("instret", None)]);
+        counter_wakes_match::<Lr7>(&[
+            ("cycle", None),
+            ("instret", None),
+            ("flushes", Some(0xFFF0)),
+        ]);
     }
 
-    fn counter_wakes_match<C: CoreBatch>() {
+    /// `counters` names each counter and, optionally, the value golden's
+    /// copy is set to at the strike.
+    fn counter_wakes_match<C: CoreBatch>(counters: &[(&str, Option<u64>)]) {
         let (strike, span) = (300u64, 1500u64);
-        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        let w = lockstep_workloads::Workload::find("canrdr").expect("suite kernel");
+        let regs = C::registry();
+        let reg_of = |name: &str| regs.iter().position(|r| r.name == name).expect("counter");
         let mut mem = w.memory(7);
         let mut golden = C::new(0);
         let mut ports = PortSet::new();
         for _ in 0..=strike {
             golden.step(&mut mem, &mut ports);
         }
-        let (at_strike, mem_at_strike) = (golden.snapshot(), mem.clone());
+        let mut at_strike = golden.snapshot();
+        for &(name, start) in counters {
+            if let Some(v) = start {
+                regs[reg_of(name)].write(&mut at_strike, 0, v);
+            }
+        }
+        golden.restore(&at_strike);
+        let mem_at_strike = mem.clone();
         for _ in 0..span {
             golden.step(&mut mem, &mut ports);
         }
-        let regs = C::registry();
         let mut lot = WordLot::new(regs, C::park_words(), C::park_advancing());
-        for name in ["cycle", "instret"] {
-            let reg = regs.iter().position(|r| r.name == name).expect("counter") as u16;
+        for &(name, start) in counters {
+            let reg = reg_of(name) as u16;
+            if let Some(v) = start {
+                let now = regs[reg as usize].read(golden.state(), 0);
+                assert!(now < v, "{} {name}: golden's copy did not wrap in the span", C::NAME);
+            }
             let w = lot.word_of(FlopId { reg, lane: 0, bit: 0 }).expect("a parkable word");
+            assert!(lot.advancing >> w & 1 != 0, "{} {name} is not an advancing word", C::NAME);
             for bit in 0..regs[reg as usize].width {
                 for kind in [FaultKind::Transient, FaultKind::StuckAt0, FaultKind::StuckAt1] {
                     let f = Fault::new(FlopId { reg, lane: 0, bit }, kind, strike);
@@ -1010,9 +1053,7 @@ mod tests {
                     f.overlay_for::<C>(&mut struck, strike);
                     let (g, fv) = (lot.read(&at_strike, w), lot.read(&struck, w));
                     let mut live = C::from_state(struck);
-                    let mut vals = [0; 64];
-                    vals[w] = fv;
-                    let dirty = if fv == g { 0 } else { 1 << w };
+                    let (dirty, vals) = if fv == g { (0, Vec::new()) } else { (1 << w, vec![fv]) };
                     lot.park(f, vec![0], 0, dirty, vals, &at_strike, strike);
                     let mut m = mem_at_strike.clone();
                     for at in strike + 1..=strike + span {
