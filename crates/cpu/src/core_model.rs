@@ -25,7 +25,7 @@ use lockstep_mem::MemoryPort;
 
 use crate::cpu::Cpu;
 use crate::exec::StepInfo;
-use crate::flops::FlopReg;
+use crate::flops::{FlopReg, FlopState};
 use crate::ports::PortSet;
 use crate::state::CpuState;
 
@@ -77,7 +77,7 @@ impl ArchCsrs {
 pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
     /// The complete sequential state: every bit is a flip-flop reachable
     /// through [`CoreModel::registry`].
-    type State: Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static;
+    type State: FlopState + Clone + std::fmt::Debug + PartialEq + Send + Sync + 'static;
 
     /// Stable lowercase name (`"lr5"`, `"lr7"`), as archives record it.
     const NAME: &'static str;
@@ -117,8 +117,11 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
         overlay: impl FnOnce(&mut Self::State),
     ) -> StepInfo;
 
-    /// The core's flip-flop registry (built once, `'static`).
-    fn registry() -> &'static [FlopReg<Self::State>];
+    /// The core's flip-flop registry (`'static`), its state's
+    /// [`FlopState::registry`].
+    fn registry() -> &'static [FlopReg<Self::State>] {
+        Self::State::registry()
+    }
 
     /// Reads architectural register `idx` (0 reads as zero).
     fn arch_reg(state: &Self::State, idx: usize) -> u32;
@@ -227,10 +230,6 @@ impl CoreModel for Cpu {
         overlay: impl FnOnce(&mut CpuState),
     ) -> StepInfo {
         Cpu::step_with_overlay(self, mem, ports, overlay)
-    }
-
-    fn registry() -> &'static [FlopReg<CpuState>] {
-        crate::flops::registry()
     }
 
     fn arch_reg(state: &CpuState, idx: usize) -> u32 {

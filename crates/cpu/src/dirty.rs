@@ -11,8 +11,9 @@
 //!   re-converged with golden?" question of the batched fault-simulation
 //!   engine. A lane that is going to stay divergent usually differs in
 //!   the *same* (register, lane) pair cycle after cycle — the witness —
-//!   so the common case is a single `u64` compare instead of a full
-//!   state scan.
+//!   so the common case is a single `u64` compare. On a miss, the
+//!   state's registry diff ([`FlopState::registry_diff`], generated
+//!   with the registry) answers exactly in one pass over the state.
 //! * [`LaneWatch`] packs every parked stuck-at fault targeting one
 //!   (register, lane) pair into two `u64` masks. A parked stuck-at
 //!   (golden's bit currently equals the stuck value) costs *zero*
@@ -25,7 +26,7 @@
 //! [`registry`] or [`CoreModel::registry`](crate::CoreModel::registry)
 //! of any other core), and the un-suffixed forms are the LR5 shorthand.
 
-use crate::flops::{registry, FlopReg};
+use crate::flops::{registry, FlopReg, FlopState};
 use crate::state::CpuState;
 
 /// Cached location of the last known state difference: an index into
@@ -49,37 +50,17 @@ impl DirtyWitness {
 /// registry is `regs`, updating `witness` with the location of a
 /// difference when they are not.
 ///
-/// Fast paths, in order:
-///
-/// 1. the witnessed (register, lane) pair still differs — one masked
-///    `u64` compare;
-/// 2. a full registry scan finds a (new) differing pair — recorded as
-///    the next witness;
-/// 3. the registry is clean: fall back to the whole-struct equality,
-///    which is authoritative (it also covers bits above a register's
-///    declared width, which the masked registry reads cannot see).
-pub fn converged_in<S: PartialEq>(
+/// The witnessed (register, lane) pair is checked first, one masked
+/// `u64` compare; on a miss the state's exact registry diff
+/// ([`FlopState::registry_diff`]) decides, and names the next witness.
+/// This is [`park_confined_in`] with no parkable words.
+pub fn converged_in<S: FlopState>(
     regs: &[FlopReg<S>],
     a: &S,
     b: &S,
     witness: &mut DirtyWitness,
 ) -> bool {
-    if let Some((r, l)) = witness.pair {
-        let reg = &regs[r as usize];
-        if reg.read(a, l as usize) != reg.read(b, l as usize) {
-            return false;
-        }
-    }
-    for (r, reg) in regs.iter().enumerate() {
-        for lane in 0..reg.lanes as usize {
-            if reg.read(a, lane) != reg.read(b, lane) {
-                witness.pair = Some((r as u16, lane as u16));
-                return false;
-            }
-        }
-    }
-    witness.pair = None;
-    a == b
+    park_confined_in(regs, &[], a, b, witness).is_some()
 }
 
 /// [`converged_in`] over the LR5 registry.
@@ -105,59 +86,45 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
 ///
 /// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
 /// pair is outside the words and still differs, the answer is `None` in
-/// one masked `u64` compare. The `Some` path is authoritative — it
-/// verifies by substitution (copy `b`'s dirty words into a clone of `a`
-/// and require whole-struct equality) so bits invisible to the masked
-/// registry reads cannot slip through.
-pub fn park_confined_in<S: PartialEq + Clone>(
+/// one masked `u64` compare. Otherwise the state's registry diff
+/// ([`FlopState::registry_diff`]) decides. It is exact over every field,
+/// bits above a register's declared width included, so the answer is
+/// authoritative: `None` on any difference outside the words' in-width
+/// bits, else the differing lanes of the word entries.
+pub fn park_confined_in<S: FlopState>(
     regs: &[FlopReg<S>],
     words: &[(u16, u8)],
     a: &S,
     b: &S,
     witness: &mut DirtyWitness,
 ) -> Option<u128> {
-    let first_bit = |r: u16| words.iter().find(|&&(w, _)| w == r).map(|&(_, bit)| u32::from(bit));
     if let Some((r, l)) = witness.pair {
-        if first_bit(r).is_none() {
-            let reg = &regs[r as usize];
-            if reg.read(a, l as usize) != reg.read(b, l as usize) {
-                return None;
-            }
+        let reg = &regs[r as usize];
+        if reg.read(a, l as usize) != reg.read(b, l as usize) && words.iter().all(|&(w, _)| w != r)
+        {
+            return None;
         }
+    }
+    let word_entries = words.iter().fold(0u128, |m, &(r, _)| m | 1 << r);
+    let diff = S::registry_diff(a, b);
+    let others = diff.entries & !word_entries;
+    if others != 0 {
+        let r = others.trailing_zeros() as usize;
+        let lane = regs[r].lane_diff(a, b).trailing_zeros();
+        witness.pair = Some((r as u16, lane as u16));
+        return None;
+    }
+    witness.pair = None;
+    if diff.above_width {
+        return None;
     }
     let mut dirty = 0u128;
-    let mut last = None;
-    for (r, reg) in regs.iter().enumerate() {
-        for lane in 0..reg.lanes as usize {
-            if reg.read(a, lane) != reg.read(b, lane) {
-                let pair = (r as u16, lane as u16);
-                match first_bit(pair.0) {
-                    Some(bit) => {
-                        dirty |= 1 << (bit + lane as u32);
-                        last = Some(pair);
-                    }
-                    None => {
-                        witness.pair = Some(pair);
-                        return None;
-                    }
-                }
-            }
+    for &(r, first) in words {
+        if diff.entries >> r & 1 != 0 {
+            dirty |= u128::from(regs[r as usize].lane_diff(a, b)) << first;
         }
     }
-    if dirty == 0 {
-        return if a == b { Some(0) } else { None };
-    }
-    witness.pair = last;
-    let mut patched = a.clone();
-    for &(r, bit) in words {
-        let reg = &regs[r as usize];
-        for lane in 0..reg.lanes as usize {
-            if dirty >> (u32::from(bit) + lane as u32) & 1 != 0 {
-                (reg.set)(&mut patched, lane, reg.read(b, lane));
-            }
-        }
-    }
-    (patched == *b).then_some(dirty)
+    Some(dirty)
 }
 
 /// Lays out a core's parkable words: the registry entries `names`, in

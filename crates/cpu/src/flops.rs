@@ -8,12 +8,13 @@
 //! [`FlopId`] addresses one bit of one (lane of one) register.
 //!
 //! The registry is generic over the sequential-state type: LR5's
-//! [`CpuState`] and LR7's `Lr7State` each publish their own
-//! `&'static [FlopReg<S>]` (via [`crate::CoreModel::registry`]), and the
-//! `*_in` helpers below operate on any such slice. The un-suffixed free
-//! functions remain the LR5 shorthand they always were.
-
-use std::sync::OnceLock;
+//! [`CpuState`] and LR7's `Lr7State` each declare theirs with one
+//! `flop_registry!` invocation, which implements [`FlopState`]: the
+//! `&'static [FlopReg<S>]` (also reached through
+//! [`crate::CoreModel::registry`]) and an exact whole-state diff by
+//! registry entry ([`FlopState::registry_diff`]). The `*_in` helpers
+//! below operate on any such slice; the un-suffixed free functions
+//! remain the LR5 shorthand they always were.
 
 use crate::state::CpuState;
 use crate::units::UnitId;
@@ -25,14 +26,16 @@ use crate::units::UnitId;
 pub struct FlopReg<S = CpuState> {
     /// Field name in the RTL-level state (e.g. `"pc"`, `"regs"`).
     pub name: &'static str,
-    /// The logical unit the register belongss to.
+    /// The logical unit the register belongs to.
     pub unit: UnitId,
     /// Bit width of each lane (1–64).
     pub width: u8,
-    /// Number of lanes (1 for scalars, 31 for the register bank).
+    /// Number of lanes (1 for scalars, 31 for the register bank; at most
+    /// 64).
     pub lanes: u16,
     pub(crate) get: fn(&S, usize) -> u64,
     pub(crate) set: fn(&mut S, usize, u64),
+    pub(crate) diff: fn(&S, &S) -> u64,
 }
 
 impl<S> std::fmt::Debug for FlopReg<S> {
@@ -61,16 +64,127 @@ impl<S> FlopReg<S> {
     pub fn write(&self, state: &mut S, lane: usize, value: u64) {
         (self.set)(state, lane, value & mask(self.width));
     }
+
+    /// The lanes whose width-masked values differ between `a` and `b`:
+    /// bit `l` set for lane `l`.
+    pub fn lane_diff(&self, a: &S, b: &S) -> u64 {
+        (self.diff)(a, b)
+    }
 }
 
+/// The low `width` bits.
 #[inline]
-fn mask(width: u8) -> u64 {
+pub(crate) const fn mask(width: u8) -> u64 {
     if width >= 64 {
         u64::MAX
     } else {
         (1u64 << width) - 1
     }
 }
+
+/// Where two states of one core differ, by registry entry
+/// ([`FlopState::registry_diff`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryDiff {
+    /// Bit `r` set: entry `r` of the registry differs in the
+    /// width-masked value of at least one lane.
+    pub entries: u128,
+    /// Some field differs in a bit above its entry's declared width,
+    /// which no registry read sees.
+    pub above_width: bool,
+}
+
+/// A core's sequential state whose every field is an entry of its flop
+/// registry, as declared by one `flop_registry!` invocation.
+pub trait FlopState: Sized + 'static {
+    /// The flop registry, in entry order (at most 128 entries).
+    fn registry() -> &'static [FlopReg<Self>];
+
+    /// The registry entries whose width-masked values differ between `a`
+    /// and `b`, and whether any field differs above its declared width.
+    /// Exact: the diff is `RegistryDiff::default()` if and only if
+    /// `a == b`.
+    fn registry_diff(a: &Self, b: &Self) -> RegistryDiff;
+}
+
+/// Declares a core state's flop registry: implements [`FlopState`] for
+/// the state struct from one list of `Unit: field[width]` (a scalar) or
+/// `Unit: field[width; lanes]` (an array of `lanes` elements) entries,
+/// in registry order.
+///
+/// [`FlopState::registry_diff`] destructures the struct without `..`,
+/// so a field without an entry, or an array entry whose lane count is
+/// not the array's length, fails to compile.
+macro_rules! flop_registry {
+    ($state:ident {
+        $( $unit:ident : $field:ident [$width:literal $(; $lanes:literal)?] ),+ $(,)?
+    }) => {
+        const _: () = {
+            assert!(
+                [$(stringify!($field)),+].len() <= 128,
+                "a registry diff names at most 128 entries"
+            );
+            $($(assert!($lanes <= 64, "a lane diff names at most 64 lanes");)?)+
+        };
+
+        impl $crate::flops::FlopState for $state {
+            fn registry() -> &'static [$crate::flops::FlopReg<$state>] {
+                static REGISTRY: &[$crate::flops::FlopReg<$state>] = &[$(
+                    $crate::flops::FlopReg {
+                        name: stringify!($field),
+                        unit: $crate::units::UnitId::$unit,
+                        width: $width,
+                        lanes: $crate::flops::flop_registry!(@lanes $($lanes)?),
+                        get: $crate::flops::flop_registry!(@get $field $($lanes)?),
+                        set: $crate::flops::flop_registry!(@set $field $($lanes)?),
+                        diff: $crate::flops::flop_registry!(@diff $field $width $($lanes)?),
+                    }
+                ),+];
+                REGISTRY
+            }
+
+            fn registry_diff(a: &$state, b: &$state) -> $crate::flops::RegistryDiff {
+                let $state { $( $field: _ ),+ } = a;
+                // Straight-line: `r` is a constant at every entry.
+                let (mut entries, mut above, mut r) = (0u128, 0u64, 0u32);
+                $(
+                    let x = $crate::flops::flop_registry!(@xor a b $field $($lanes)?);
+                    entries |= u128::from(x & $crate::flops::mask($width) != 0) << r;
+                    above |= x & !$crate::flops::mask($width);
+                    r += 1;
+                )+
+                debug_assert_eq!(r as usize, Self::registry().len());
+                $crate::flops::RegistryDiff { entries, above_width: above != 0 }
+            }
+        }
+    };
+    (@lanes) => { 1 };
+    (@lanes $lanes:literal) => { $lanes };
+    (@get $field:ident) => { |s, _| s.$field as u64 };
+    (@get $field:ident $lanes:literal) => { |s, lane| s.$field[lane] as u64 };
+    (@set $field:ident) => { |s, _, v| s.$field = v as _ };
+    (@set $field:ident $lanes:literal) => { |s, lane, v| s.$field[lane] = v as _ };
+    (@diff $field:ident $width:literal) => {
+        |a, b| u64::from((a.$field ^ b.$field) as u64 & $crate::flops::mask($width) != 0)
+    };
+    (@diff $field:ident $width:literal $lanes:literal) => {
+        |a, b| {
+            let mut lanes = 0;
+            for l in 0..$lanes {
+                let x = (a.$field[l] ^ b.$field[l]) as u64;
+                lanes |= u64::from(x & $crate::flops::mask($width) != 0) << l;
+            }
+            lanes
+        }
+    };
+    // The XOR of every lane, ORed: one value per entry.
+    (@xor $a:ident $b:ident $field:ident) => { ($a.$field ^ $b.$field) as u64 };
+    (@xor $a:ident $b:ident $field:ident $lanes:literal) => {{
+        let (a, b): (&[_; $lanes], &[_; $lanes]) = (&$a.$field, &$b.$field);
+        a.iter().zip(b).fold(0, |x, (p, q)| x | (p ^ q) as u64)
+    }};
+}
+pub(crate) use flop_registry;
 
 /// Address of a single flip-flop: a register, a lane within it, and a bit.
 ///
@@ -182,8 +296,7 @@ pub fn unit_flip_deltas_in<S>(regs: &[FlopReg<S>], prev: &S, cur: &S) -> [u16; U
 
 /// The full flip-flop registry of the LR5 CPU, built once.
 pub fn registry() -> &'static [FlopReg] {
-    static REGISTRY: OnceLock<Vec<FlopReg>> = OnceLock::new();
-    REGISTRY.get_or_init(crate::state::build_registry)
+    CpuState::registry()
 }
 
 /// Total number of flip-flops in the LR5 CPU.
@@ -352,6 +465,136 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for reg in registry() {
             assert!(seen.insert(reg.name), "duplicate register name {}", reg.name);
+        }
+    }
+
+    /// The generated registry diffs of both cores, against the per-lane
+    /// registry scan they replaced.
+    mod registry_diff {
+        use super::super::*;
+        use crate::{CoreModel, Cpu, Lr7, PortSet};
+        use proptest::prelude::*;
+
+        /// A state 500 cycles into `rspeed`, so most entries hold values
+        /// other than their reset ones.
+        fn mid_run<C: CoreModel>() -> C::State {
+            let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+            let mut mem = w.memory(7);
+            let mut core = C::new(0);
+            let mut ports = PortSet::new();
+            for _ in 0..500 {
+                core.step(&mut mem, &mut ports);
+            }
+            core.snapshot()
+        }
+
+        /// The reference: every lane of every entry read through the
+        /// registry's raw accessors, one at a time.
+        fn scan<S>(regs: &[FlopReg<S>], a: &S, b: &S) -> (RegistryDiff, Vec<u64>) {
+            let mut diff = RegistryDiff::default();
+            let mut lanes = vec![0u64; regs.len()];
+            for (r, reg) in regs.iter().enumerate() {
+                for lane in 0..reg.lanes as usize {
+                    let x = (reg.get)(a, lane) ^ (reg.get)(b, lane);
+                    if x & mask(reg.width) != 0 {
+                        diff.entries |= 1 << r;
+                        lanes[r] |= 1 << lane;
+                    }
+                    diff.above_width |= x & !mask(reg.width) != 0;
+                }
+            }
+            (diff, lanes)
+        }
+
+        /// One in-width bit of each entry and lane names exactly that
+        /// entry, and that lane in the entry's lane diff; a bit above the
+        /// width, wherever the field's type holds one, raises only the
+        /// above-width flag.
+        #[test]
+        fn every_entry_lane_and_above_width_bit_is_named_exactly() {
+            fn check<C: CoreModel>() {
+                let regs = C::registry();
+                let a = mid_run::<C>();
+                assert_eq!(C::State::registry_diff(&a, &a), RegistryDiff::default());
+                let mut above = 0;
+                for (r, reg) in regs.iter().enumerate() {
+                    for lane in 0..reg.lanes {
+                        let bit = ((r + 7 * usize::from(lane)) % usize::from(reg.width)) as u8;
+                        let id = FlopId { reg: r as u16, lane, bit };
+                        let mut b = a.clone();
+                        flip_bit_in(regs, &mut b, id);
+                        let label = format!("{} {}", C::NAME, label_of_in(regs, id));
+                        let named = RegistryDiff { entries: 1 << r, above_width: false };
+                        assert_eq!(C::State::registry_diff(&a, &b), named, "{label}");
+                        assert_eq!(C::State::registry_diff(&b, &a), named, "{label}");
+                        assert_eq!(reg.lane_diff(&a, &b), 1 << lane, "{label}");
+                        if reg.width == 64 {
+                            continue;
+                        }
+                        let lane = usize::from(lane);
+                        let mut c = a.clone();
+                        (reg.set)(&mut c, lane, (reg.get)(&a, lane) ^ 1 << reg.width);
+                        if c == a {
+                            // The field's type is exactly the entry's width.
+                            continue;
+                        }
+                        above += 1;
+                        let flagged = RegistryDiff { entries: 0, above_width: true };
+                        assert_eq!(C::State::registry_diff(&a, &c), flagged, "{label} above");
+                        assert_eq!(reg.lane_diff(&a, &c), 0, "{label} above");
+                    }
+                }
+                assert!(above > 0, "{}: no field is wider than its entry", C::NAME);
+            }
+            check::<Cpu>();
+            check::<Lr7>();
+        }
+
+        /// Applies `edits` to `s` through the raw setters: `(entry, lane,
+        /// pattern)`, XORing one bit of the pattern, or all of it, into the
+        /// lane, above-width bits included wherever the field holds them.
+        fn edit<S>(regs: &[FlopReg<S>], s: &mut S, edits: &[(u16, u16, u64)]) {
+            for &(r, lane, pattern) in edits {
+                let reg = &regs[usize::from(r) % regs.len()];
+                let lane = usize::from(lane % reg.lanes);
+                let x = if pattern & 1 == 0 { 1 << ((pattern >> 1) % 64) } else { pattern >> 1 };
+                (reg.set)(s, lane, (reg.get)(s, lane) ^ x);
+            }
+        }
+
+        fn agrees_with_scan<C: CoreModel>(
+            base: &C::State,
+            edits_a: &[(u16, u16, u64)],
+            edits_b: &[(u16, u16, u64)],
+        ) -> Result<(), TestCaseError> {
+            let regs = C::registry();
+            let (mut a, mut b) = (base.clone(), base.clone());
+            edit(regs, &mut a, edits_a);
+            edit(regs, &mut b, edits_b);
+            let (reference, lanes) = scan(regs, &a, &b);
+            let diff = C::State::registry_diff(&a, &b);
+            prop_assert_eq!(diff, reference);
+            prop_assert_eq!(diff == RegistryDiff::default(), a == b);
+            for (r, reg) in regs.iter().enumerate() {
+                prop_assert_eq!(reg.lane_diff(&a, &b), lanes[r]);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn diff_matches_the_per_lane_scan(
+                edits_a in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u64>()), 0..4),
+                edits_b in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<u64>()), 0..6),
+            ) {
+                use std::sync::OnceLock;
+                static LR5: OnceLock<crate::CpuState> = OnceLock::new();
+                static LR7: OnceLock<crate::Lr7State> = OnceLock::new();
+                agrees_with_scan::<Cpu>(LR5.get_or_init(mid_run::<Cpu>), &edits_a, &edits_b)?;
+                agrees_with_scan::<Lr7>(LR7.get_or_init(mid_run::<Lr7>), &edits_a, &edits_b)?;
+            }
         }
     }
 }

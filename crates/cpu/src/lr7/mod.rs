@@ -21,13 +21,10 @@
 pub(crate) mod exec;
 pub(crate) mod state;
 
-use std::sync::OnceLock;
-
 use lockstep_mem::MemoryPort;
 
 use crate::core_model::{ArchCsrs, CoreModel};
 use crate::exec::StepInfo;
-use crate::flops::FlopReg;
 use crate::ports::PortSet;
 
 pub use state::Lr7State;
@@ -104,11 +101,6 @@ impl CoreModel for Lr7 {
         info
     }
 
-    fn registry() -> &'static [FlopReg<Lr7State>] {
-        static REGISTRY: OnceLock<Vec<FlopReg<Lr7State>>> = OnceLock::new();
-        REGISTRY.get_or_init(state::build_registry)
-    }
-
     fn arch_reg(state: &Lr7State, idx: usize) -> u32 {
         state.reg(idx)
     }
@@ -160,7 +152,7 @@ mod tests {
     use lockstep_mem::Memory;
 
     use super::*;
-    use crate::flops;
+    use crate::flops::{self, FlopReg};
     use crate::units::UnitId;
 
     const RAM_BYTES: usize = 64 * 1024;

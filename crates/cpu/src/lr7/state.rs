@@ -3,8 +3,8 @@
 //! Exactly like LR5's [`crate::state::CpuState`], every field is a
 //! hardware register and nothing else exists: the pipeline logic in
 //! [`super::exec`] computes a full next-state each cycle, fault models
-//! overlay committed bits, and `build_registry` exposes every field
-//! (and every lane of the arrays) to the flip-flop registry.
+//! overlay committed bits, and one `flop_registry!` invocation exposes
+//! every field (and every lane of the arrays) to the flip-flop registry.
 //!
 //! Structure sizes: 16-entry ROB, 8-entry reservation-station pool,
 //! 8-entry load/store queue, 16-entry branch target buffer, 32-entry
@@ -12,8 +12,7 @@
 
 use lockstep_isa::RESET_PC;
 
-use crate::flops::FlopReg;
-use crate::units::UnitId;
+use crate::flops::flop_registry;
 
 /// Number of reorder-buffer entries.
 pub const ROB_ENTRIES: usize = 16;
@@ -255,73 +254,35 @@ impl Lr7State {
     }
 }
 
-macro_rules! scalar_regs {
-    ($v:ident; $( $unit:ident : $field:ident [$width:expr] ),+ $(,)?) => {
-        $(
-            $v.push(FlopReg {
-                name: stringify!($field),
-                unit: UnitId::$unit,
-                width: $width,
-                lanes: 1,
-                get: |s, _| s.$field as u64,
-                set: |s, _, v| s.$field = v as _,
-            });
-        )+
-    };
-}
-
-macro_rules! array_regs {
-    ($v:ident; $( $unit:ident : $field:ident [$width:expr; $lanes:expr] ),+ $(,)?) => {
-        $(
-            $v.push(FlopReg {
-                name: stringify!($field),
-                unit: UnitId::$unit,
-                width: $width,
-                lanes: $lanes,
-                get: |s, lane| s.$field[lane] as u64,
-                set: |s, lane, v| s.$field[lane] = v as _,
-            });
-        )+
-    };
-}
-
-/// Builds the LR7 flip-flop registry (called once through
-/// [`crate::lr7::Lr7::registry`]).
-#[allow(clippy::vec_init_then_push)] // the macros emit one push per register
-pub(crate) fn build_registry() -> Vec<FlopReg<Lr7State>> {
-    let mut v: Vec<FlopReg<Lr7State>> = Vec::new();
-    scalar_regs!(v;
-        Pfu: pc[32], Pfu: fb_valid[1], Pfu: fb_pc[32], Pfu: fb_raw[32], Pfu: fb_err[1],
-        Pfu: fb_pred[32], Pfu: btb_valid[16],
-        Imcu: imc_valid[1], Imcu: imc_addr[32], Imcu: imc_rdata[32], Imcu: imc_err[1],
-        Dec: rat_busy[32], Dec: dec_valid[1], Dec: dec_op[6],
-        Iss: rs_valid[8], Iss: rs_r1[8], Iss: rs_r2[8],
-        Alu: alu_valid[1], Alu: alu_rob[4], Alu: alu_val[32],
-        Shf: shf_valid[1], Shf: shf_rob[4], Shf: shf_val[32],
-        Mdv: mdv_busy[1], Mdv: mdv_rob[4], Mdv: mdv_op[6], Mdv: mdv_cnt[6], Mdv: mdv_val[32],
-        Fwd: rob_head[4], Fwd: rob_tail[4], Fwd: rob_count[5], Fwd: rob_done[16],
-        Lsu: lsq_head[3], Lsu: lsq_tail[3], Lsu: lsq_count[4], Lsu: lsq_ready[8],
-        Lsu: lsu_valid[1], Lsu: lsu_rob[4], Lsu: lsu_val[32],
-        Dmcu: dmc_valid[1], Dmcu: dmc_addr[32], Dmcu: dmc_wdata[32], Dmcu: dmc_strb[4],
-        Dmcu: dmc_rdata[32], Dmcu: dmc_err[1],
-        Biu: biu_addr[32], Biu: biu_data[32], Biu: biu_ctl[4],
-        Scu: csr_status[32], Scu: csr_cause[32], Scu: csr_epc[32], Scu: csr_tvec[32],
-        Scu: csr_scratch0[32], Scu: csr_scratch1[32], Scu: csr_misr[32],
-        Scu: flushes[16], Scu: cycle[48], Scu: instret[48], Scu: halted[1], Scu: hartid[2],
-    );
-    array_regs!(v;
-        Pfu: btb_tag[32; 16], Pfu: btb_tgt[32; 16], Pfu: btb_ctr[2; 16],
-        Dec: rat_tag[4; 32],
-        Iss: rs_rob[4; 8], Iss: rs_op[6; 8], Iss: rs_t1[4; 8], Iss: rs_t2[4; 8],
-        Iss: rs_pc[32; 8], Iss: rs_imm[32; 8], Iss: rs_v1[32; 8], Iss: rs_v2[32; 8],
-        Rf: regs[32; 31],
-        Fwd: rob_pc[32; 16], Fwd: rob_raw[32; 16], Fwd: rob_op[6; 16], Fwd: rob_rd[5; 16],
-        Fwd: rob_flags[6; 16], Fwd: rob_exc[3; 16], Fwd: rob_val[32; 16],
-        Fwd: rob_npc[32; 16], Fwd: rob_ppc[32; 16],
-        Lsu: lsq_rob[4; 8], Lsu: lsq_addr[32; 8], Lsu: lsq_data[32; 8],
-    );
-    v
-}
+flop_registry!(Lr7State {
+    Pfu: pc[32], Pfu: fb_valid[1], Pfu: fb_pc[32], Pfu: fb_raw[32], Pfu: fb_err[1],
+    Pfu: fb_pred[32], Pfu: btb_valid[16],
+    Imcu: imc_valid[1], Imcu: imc_addr[32], Imcu: imc_rdata[32], Imcu: imc_err[1],
+    Dec: rat_busy[32], Dec: dec_valid[1], Dec: dec_op[6],
+    Iss: rs_valid[8], Iss: rs_r1[8], Iss: rs_r2[8],
+    Alu: alu_valid[1], Alu: alu_rob[4], Alu: alu_val[32],
+    Shf: shf_valid[1], Shf: shf_rob[4], Shf: shf_val[32],
+    Mdv: mdv_busy[1], Mdv: mdv_rob[4], Mdv: mdv_op[6], Mdv: mdv_cnt[6], Mdv: mdv_val[32],
+    Fwd: rob_head[4], Fwd: rob_tail[4], Fwd: rob_count[5], Fwd: rob_done[16],
+    Lsu: lsq_head[3], Lsu: lsq_tail[3], Lsu: lsq_count[4], Lsu: lsq_ready[8],
+    Lsu: lsu_valid[1], Lsu: lsu_rob[4], Lsu: lsu_val[32],
+    Dmcu: dmc_valid[1], Dmcu: dmc_addr[32], Dmcu: dmc_wdata[32], Dmcu: dmc_strb[4],
+    Dmcu: dmc_rdata[32], Dmcu: dmc_err[1],
+    Biu: biu_addr[32], Biu: biu_data[32], Biu: biu_ctl[4],
+    Scu: csr_status[32], Scu: csr_cause[32], Scu: csr_epc[32], Scu: csr_tvec[32],
+    Scu: csr_scratch0[32], Scu: csr_scratch1[32], Scu: csr_misr[32],
+    Scu: flushes[16], Scu: cycle[48], Scu: instret[48], Scu: halted[1], Scu: hartid[2],
+    // The arrays, one lane per element.
+    Pfu: btb_tag[32; 16], Pfu: btb_tgt[32; 16], Pfu: btb_ctr[2; 16],
+    Dec: rat_tag[4; 32],
+    Iss: rs_rob[4; 8], Iss: rs_op[6; 8], Iss: rs_t1[4; 8], Iss: rs_t2[4; 8],
+    Iss: rs_pc[32; 8], Iss: rs_imm[32; 8], Iss: rs_v1[32; 8], Iss: rs_v2[32; 8],
+    Rf: regs[32; 31],
+    Fwd: rob_pc[32; 16], Fwd: rob_raw[32; 16], Fwd: rob_op[6; 16], Fwd: rob_rd[5; 16],
+    Fwd: rob_flags[6; 16], Fwd: rob_exc[3; 16], Fwd: rob_val[32; 16],
+    Fwd: rob_npc[32; 16], Fwd: rob_ppc[32; 16],
+    Lsu: lsq_rob[4; 8], Lsu: lsq_addr[32; 8], Lsu: lsq_data[32; 8],
+});
 
 #[cfg(test)]
 mod tests {

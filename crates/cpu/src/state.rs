@@ -3,14 +3,13 @@
 //! Every field of [`CpuState`] is a hardware register; there is no hidden
 //! simulator state. The pipeline logic in [`crate::exec`] computes a full
 //! next-state each cycle, and fault models overlay committed state bits.
-//! The crate-private `build_registry` function exposes every field (and
-//! every lane of the register bank) to the flip-flop registry in
+//! One `flop_registry!` invocation exposes every field
+//! (and every lane of the arrays) to the flip-flop registry in
 //! [`crate::flops`].
 
 use lockstep_isa::RESET_PC;
 
-use crate::flops::FlopReg;
-use crate::units::UnitId;
+use crate::flops::flop_registry;
 
 /// All architectural and microarchitectural registers of one LR5 CPU.
 ///
@@ -227,69 +226,31 @@ impl CpuState {
     }
 }
 
-macro_rules! scalar_regs {
-    ($v:ident; $( $unit:ident : $field:ident [$width:expr] ),+ $(,)?) => {
-        $(
-            $v.push(FlopReg {
-                name: stringify!($field),
-                unit: UnitId::$unit,
-                width: $width,
-                lanes: 1,
-                get: |s, _| s.$field as u64,
-                set: |s, _, v| s.$field = v as _,
-            });
-        )+
-    };
-}
-
-/// Builds the flip-flop registry (called once through
-/// [`crate::flops::registry`]).
-#[allow(clippy::vec_init_then_push)] // the macro emits one push per register
-pub(crate) fn build_registry() -> Vec<FlopReg> {
-    let mut v: Vec<FlopReg> = Vec::new();
-    scalar_regs!(v;
-        Pfu: pc[32], Pfu: if_valid[1], Pfu: if_pc[32], Pfu: if_instr[32], Pfu: if_err[1],
-        Pfu: ras_sp[3],
-        Imcu: imc_valid[1], Imcu: imc_addr[32], Imcu: imc_rdata[32], Imcu: imc_err[1],
-        Dec: id_valid[1], Dec: id_pc[32], Dec: id_op[6], Dec: id_rd[5], Dec: id_rs1[5],
-        Dec: id_rs2[5], Dec: id_imm[32], Dec: id_exc[2], Dec: id_raw[32],
-        Iss: iss_rv1[32], Iss: iss_rv2[32],
-        Alu: ex_valid[1], Alu: ex_pc[32], Alu: ex_op[6], Alu: ex_rd[5], Alu: ex_result[32],
-        Alu: ex_flags[4], Alu: ex_raw[32], Alu: ex_uses_shf[1], Alu: ex_csr[4],
-        Shf: shf_result[32], Shf: shf_active[1],
-        Mdv: mdv_busy[1], Mdv: mdv_op[3], Mdv: mdv_cnt[6], Mdv: mdv_a[32], Mdv: mdv_b[32],
-        Mdv: mdv_acc_lo[32], Mdv: mdv_acc_hi[32], Mdv: mdv_neg[2],
-        Fwd: wb_valid[1], Fwd: wb_pc[32], Fwd: wb_op[6], Fwd: wb_rd[5], Fwd: wb_value[32],
-        Fwd: wb_raw[32], Fwd: wb_lane[2], Fwd: wb_mmio[1], Fwd: wb_csr[4],
-        Lsu: ex_addr[32], Lsu: ex_store[32], Lsu: ex_mem_ctl[5], Lsu: mem_wait[1],
-        Dmcu: dmc_pending[1], Dmcu: dmc_addr[32], Dmcu: dmc_wdata[32], Dmcu: dmc_mask[4],
-        Dmcu: dmc_rdata[32], Dmcu: dmc_err[1],
-        Biu: biu_addr[32], Biu: biu_wdata[32], Biu: biu_rdata[32], Biu: biu_ctl[4],
-        Biu: biu_mask[4],
-        Scu: csr_status[32], Scu: csr_cause[32], Scu: csr_epc[32], Scu: csr_tvec[32],
-        Scu: csr_scratch0[32], Scu: csr_scratch1[32], Scu: csr_misr[32],
-        Scu: cycle[48], Scu: instret[48], Scu: halted[1], Scu: hartid[2],
-    );
-    // The return-address stack: 8 lanes of 32 bits (PFU).
-    v.push(FlopReg {
-        name: "ras",
-        unit: UnitId::Pfu,
-        width: 32,
-        lanes: 8,
-        get: |s, lane| u64::from(s.ras[lane]),
-        set: |s, lane, v| s.ras[lane] = v as u32,
-    });
-    // The register bank: 31 lanes of 32 bits.
-    v.push(FlopReg {
-        name: "regs",
-        unit: UnitId::Rf,
-        width: 32,
-        lanes: 31,
-        get: |s, lane| u64::from(s.regs[lane]),
-        set: |s, lane, v| s.regs[lane] = v as u32,
-    });
-    v
-}
+flop_registry!(CpuState {
+    Pfu: pc[32], Pfu: if_valid[1], Pfu: if_pc[32], Pfu: if_instr[32], Pfu: if_err[1],
+    Pfu: ras_sp[3],
+    Imcu: imc_valid[1], Imcu: imc_addr[32], Imcu: imc_rdata[32], Imcu: imc_err[1],
+    Dec: id_valid[1], Dec: id_pc[32], Dec: id_op[6], Dec: id_rd[5], Dec: id_rs1[5],
+    Dec: id_rs2[5], Dec: id_imm[32], Dec: id_exc[2], Dec: id_raw[32],
+    Iss: iss_rv1[32], Iss: iss_rv2[32],
+    Alu: ex_valid[1], Alu: ex_pc[32], Alu: ex_op[6], Alu: ex_rd[5], Alu: ex_result[32],
+    Alu: ex_flags[4], Alu: ex_raw[32], Alu: ex_uses_shf[1], Alu: ex_csr[4],
+    Shf: shf_result[32], Shf: shf_active[1],
+    Mdv: mdv_busy[1], Mdv: mdv_op[3], Mdv: mdv_cnt[6], Mdv: mdv_a[32], Mdv: mdv_b[32],
+    Mdv: mdv_acc_lo[32], Mdv: mdv_acc_hi[32], Mdv: mdv_neg[2],
+    Fwd: wb_valid[1], Fwd: wb_pc[32], Fwd: wb_op[6], Fwd: wb_rd[5], Fwd: wb_value[32],
+    Fwd: wb_raw[32], Fwd: wb_lane[2], Fwd: wb_mmio[1], Fwd: wb_csr[4],
+    Lsu: ex_addr[32], Lsu: ex_store[32], Lsu: ex_mem_ctl[5], Lsu: mem_wait[1],
+    Dmcu: dmc_pending[1], Dmcu: dmc_addr[32], Dmcu: dmc_wdata[32], Dmcu: dmc_mask[4],
+    Dmcu: dmc_rdata[32], Dmcu: dmc_err[1],
+    Biu: biu_addr[32], Biu: biu_wdata[32], Biu: biu_rdata[32], Biu: biu_ctl[4],
+    Biu: biu_mask[4],
+    Scu: csr_status[32], Scu: csr_cause[32], Scu: csr_epc[32], Scu: csr_tvec[32],
+    Scu: csr_scratch0[32], Scu: csr_scratch1[32], Scu: csr_misr[32],
+    Scu: cycle[48], Scu: instret[48], Scu: halted[1], Scu: hartid[2],
+    // The return-address stack and the register bank.
+    Pfu: ras[32; 8], Rf: regs[32; 31],
+});
 
 #[cfg(test)]
 mod tests {

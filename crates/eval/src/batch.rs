@@ -31,9 +31,11 @@
 //!    its DSR capture window, or under DME the retire stream, which
 //!    runs it on until a retirement differs or the trace ends.
 //! 2. **Dirty-set early-out** — after a transient strikes, its lane is
-//!    compared against the walker's state with a witnessed scan of the
-//!    core's registry ([`lockstep_cpu::dirty::converged_in`]) every
-//!    cycle. The moment the dirty set is seen empty the fault is
+//!    compared against the walker's state every cycle: a witnessed
+//!    (register, lane) compare, then on a miss the core's exact registry
+//!    diff, generated with its registry
+//!    ([`lockstep_cpu::flops::FlopState::registry_diff`]). The moment
+//!    the dirty set is seen empty the fault is
 //!    provably masked for the rest of the run (the machine is closed:
 //!    see DESIGN.md §10) and the lane is retired instead of simulating
 //!    to the end of the trace. Both cores supply word-parking oracles
@@ -63,7 +65,7 @@
 //!    masks checked against the walker's committed state with two ALU
 //!    ops per cycle. The cycle golden's bit first disagrees, the fault
 //!    wakes into a scalar lane (the fallback rule); a woken lane that
-//!    re-converges with golden is re-parked, up to a small cap. This
+//!    re-converges with golden is re-parked, every time it does. This
 //!    identity argument holds on any core. With word-parking oracles,
 //!    stuck-ats *on parkable words* use the word parking of layer 2
 //!    instead of a watch: even while golden's bit disagrees with the
@@ -81,7 +83,7 @@
 //! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
 
 use lockstep_core::Dsr;
-use lockstep_cpu::dirty::{converged_in, park_confined_in, DirtyWitness, LaneWatch};
+use lockstep_cpu::dirty::{park_confined_in, DirtyWitness, LaneWatch};
 use lockstep_cpu::flops::{self, FlopId, FlopReg};
 use lockstep_cpu::{CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
@@ -90,11 +92,6 @@ use lockstep_mem::{Memory, TrialLog, TrialView};
 use lockstep_workloads::GoldenCheckpoints;
 
 use crate::campaign::{run_injection, Reference, ReplayStart};
-
-/// How many times one stuck-at fault may be re-parked after waking. A
-/// fault that keeps oscillating between parked and live costs a watch
-/// rebuild per transition; past the cap it simply stays a scalar lane.
-const REPARK_CAP: u32 = 4;
 
 /// Which layers of the batched engine are enabled. Fan-out from a
 /// shared walker is the substrate and is always on; the two accelerator
@@ -172,8 +169,9 @@ pub struct BatchCost {
     /// Stuck-ats that sat parked in a watch to the end of the trace and
     /// were scored masked without simulating a single cycle.
     pub parked_masked: u64,
-    /// Scalar lanes materialized (strike admissions, watch wakes, and
-    /// re-activations).
+    /// Scalar lanes materialized: strike admissions, and every wake
+    /// from a watch or the word lot. A fault that wakes, re-converges
+    /// and re-parks again and again counts each round trip.
     pub lane_activations: u64,
 }
 
@@ -202,7 +200,6 @@ struct Lane<C> {
     fault: Fault,
     outs: Vec<usize>,
     witness: DirtyWitness,
-    reparks: u32,
 }
 
 /// A stuck-at waiting in a watch: zero simulation until golden's bit
@@ -210,7 +207,6 @@ struct Lane<C> {
 struct Parked {
     fault: Fault,
     outs: Vec<usize>,
-    reparks: u32,
 }
 
 /// All parked faults of one (register, lane) pair, with their packed
@@ -242,7 +238,6 @@ const MAX_WORDS: usize = 128;
 struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
-    reparks: u32,
     /// Bit `w` set: the faulty machine's word `w` currently differs from
     /// golden's.
     dirty: u128,
@@ -359,7 +354,6 @@ impl<S: Clone> WordLot<S> {
         &mut self,
         fault: Fault,
         outs: Vec<usize>,
-        reparks: u32,
         dirty: u128,
         mut vals: Vec<u64>,
         golden: &S,
@@ -380,8 +374,7 @@ impl<S: Clone> WordLot<S> {
         for w in bits(dirty & self.advancing) {
             anchor[rank(self.advancing, w)] = self.read(golden, w);
         }
-        let entry =
-            WordParked { fault, outs, reparks, dirty, target, vals, anchor, park_cycle: at };
+        let entry = WordParked { fault, outs, dirty, target, vals, anchor, park_cycle: at };
         self.other_stuck += usize::from(entry.stuck_outside());
         let i = match self.free.pop() {
             Some(i) => i,
@@ -443,6 +436,35 @@ impl<S: Clone> WordLot<S> {
         }
         (entry, st)
     }
+
+    /// Removes every parked stuck-at on a flop outside the words whose
+    /// bit golden's `committed` state of cycle `at` no longer agrees with,
+    /// and returns each with its faulty machine: `committed` with the
+    /// entry's dirty words substituted in and the stuck bit forced.
+    fn wake_outside<C: CoreModel<State = S>>(
+        &mut self,
+        committed: &S,
+        at: u64,
+    ) -> Vec<(WordParked, S)> {
+        let mut woken = Vec::new();
+        if self.other_stuck == 0 {
+            return woken;
+        }
+        for i in 0..self.entries.len() {
+            let Some(e) = &self.entries[i] else {
+                continue;
+            };
+            let stuck1 = e.fault.kind == FaultKind::StuckAt1;
+            if !e.stuck_outside() || flops::get_bit_in(self.regs, committed, e.fault.flop) == stuck1
+            {
+                continue;
+            }
+            let (entry, mut st) = self.unpark(i, committed);
+            entry.fault.overlay_for::<C>(&mut st, at);
+            woken.push((entry, st));
+        }
+        woken
+    }
 }
 
 /// Iterates the set bits of a word mask.
@@ -482,7 +504,7 @@ fn fork_mem(mem_pool: &mut Vec<Memory>, wmem: &Memory) -> Memory {
     }
 }
 
-fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: u32) {
+fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>) {
     let (reg, lane) = (fault.flop.reg, fault.flop.lane);
     let group = match watches.iter_mut().position(|g| g.watch.reg == reg && g.watch.lane == lane) {
         Some(i) => &mut watches[i],
@@ -496,7 +518,7 @@ fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>, reparks: 
     } else {
         group.watch.stuck0 |= 1 << fault.flop.bit;
     }
-    group.parked.push(Parked { fault, outs, reparks });
+    group.parked.push(Parked { fault, outs });
 }
 
 /// The batched engine's entry point per core.
@@ -667,7 +689,6 @@ pub fn run_batch_group<C: CoreBatch>(
                         fault: entry.fault,
                         outs: entry.outs,
                         witness: DirtyWitness::new(),
-                        reparks: entry.reparks,
                     });
                     cost.lane_activations += 1;
                 }
@@ -770,28 +791,22 @@ pub fn run_batch_group<C: CoreBatch>(
         // confined to parkable words parks in the zero-cost word lot
         // (cores with the oracles only); a woken stuck-at whose forced
         // bit agrees with golden again goes back into a zero-cost
-        // watch. The witness check comes first in both scans, so a lane
-        // that stays divergent costs one compare.
+        // watch, however often it has woken before. The witness check
+        // comes first, so a lane that stays divergent costs one compare,
+        // and a miss costs one registry diff.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
             let checked = match lane.fault.kind {
                 FaultKind::Transient => layers.early_out,
-                _ => layers.parked_lanes && lane.reparks < REPARK_CAP,
+                _ => layers.parked_lanes,
             };
             if !checked {
                 li += 1;
                 continue;
             }
-            // Past the re-park cap a transient only gets the cheap
-            // full-convergence check; rescanning for a word-confined
-            // residue it is no longer allowed to park on would cost a
-            // registry walk every cycle.
-            let verdict = if !lot.words.is_empty() && lane.reparks < REPARK_CAP {
-                park_confined_in(regs, lot.words, lane.cpu.state(), committed, &mut lane.witness)
-            } else {
-                converged_in(regs, lane.cpu.state(), committed, &mut lane.witness).then_some(0)
-            };
+            let verdict =
+                park_confined_in(regs, lot.words, lane.cpu.state(), committed, &mut lane.witness);
             let Some(dirty) = verdict else {
                 li += 1;
                 continue;
@@ -802,13 +817,13 @@ pub fn run_batch_group<C: CoreBatch>(
                 cost.masked_early_out += n;
                 cost.early_out_cycles_saved += (trace_len - cycle) * n;
             } else if dirty == 0 && lot.word_of(lane.fault.flop).is_none() {
-                park(&mut watches, lane.fault, lane.outs, lane.reparks + 1);
+                park(&mut watches, lane.fault, lane.outs);
             } else {
                 // Word residue, or a word stuck-at even when clean:
                 // golden's next write to its target may re-dirty it,
                 // which phase (2b) tracks exactly.
                 let vals = lot.values(lane.cpu.state(), dirty);
-                lot.park(lane.fault, lane.outs, lane.reparks + 1, dirty, vals, committed, cycle);
+                lot.park(lane.fault, lane.outs, dirty, vals, committed, cycle);
             }
         }
 
@@ -846,7 +861,6 @@ pub fn run_batch_group<C: CoreBatch>(
                     fault: entry.fault,
                     outs: entry.outs,
                     witness: DirtyWitness::new(),
-                    reparks: entry.reparks,
                 });
                 cost.lane_activations += 1;
             }
@@ -874,27 +888,14 @@ pub fn run_batch_group<C: CoreBatch>(
         // disagrees the overlay would smear a fresh diff, so the entry
         // wakes into a scalar lane off the committed state, dirty words
         // substituted in — exactly like a watch wake, plus residue.
-        if lot.other_stuck > 0 {
-            for i in 0..lot.entries.len() {
-                let Some(e) = &lot.entries[i] else {
-                    continue;
-                };
-                let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-                if !e.stuck_outside() || flops::get_bit_in(regs, committed, e.fault.flop) == stuck1
-                {
-                    continue;
-                }
-                let (entry, mut st) = lot.unpark(i, committed);
-                entry.fault.overlay_for::<C>(&mut st, at);
-                lanes.push(Lane {
-                    cpu: C::from_state(st),
-                    fault: entry.fault,
-                    outs: entry.outs,
-                    witness: DirtyWitness::new(),
-                    reparks: entry.reparks,
-                });
-                cost.lane_activations += 1;
-            }
+        for (entry, st) in lot.wake_outside::<C>(committed, at) {
+            lanes.push(Lane {
+                cpu: C::from_state(st),
+                fault: entry.fault,
+                outs: entry.outs,
+                witness: DirtyWitness::new(),
+            });
+            cost.lane_activations += 1;
         }
 
         // (5) Admit faults striking at `at`: the overlay lands in the
@@ -926,13 +927,13 @@ pub fn run_batch_group<C: CoreBatch>(
                     _ => forced(g, f.flop.bit, stuck1),
                 };
                 let (dirty, vals) = if fv == g { (0, Vec::new()) } else { (1 << w, vec![fv]) };
-                lot.park(f, outs, 0, dirty, vals, committed, cycle);
+                lot.park(f, outs, dirty, vals, committed, cycle);
                 continue;
             }
             let agrees = f.kind != FaultKind::Transient
                 && flops::get_bit_in(regs, committed, f.flop) == stuck1;
             if agrees && layers.parked_lanes {
-                park(&mut watches, f, outs, 0);
+                park(&mut watches, f, outs);
                 continue;
             }
             let mut st = committed.clone();
@@ -942,7 +943,6 @@ pub fn run_batch_group<C: CoreBatch>(
                 fault: f,
                 outs,
                 witness: DirtyWitness::new(),
-                reparks: 0,
             });
             cost.lane_activations += 1;
         }
@@ -1054,7 +1054,7 @@ mod tests {
                     let (g, fv) = (lot.read(&at_strike, w), lot.read(&struck, w));
                     let mut live = C::from_state(struck);
                     let (dirty, vals) = if fv == g { (0, Vec::new()) } else { (1 << w, vec![fv]) };
-                    lot.park(f, vec![0], 0, dirty, vals, &at_strike, strike);
+                    lot.park(f, vec![0], dirty, vals, &at_strike, strike);
                     let mut m = mem_at_strike.clone();
                     for at in strike + 1..=strike + span {
                         live.step_with_overlay(&mut m, &mut ports, |st| f.overlay_for::<C>(st, at));
@@ -1064,6 +1064,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A woken stuck-at re-parks every time its residue settles back
+    /// into parkable words, however often it has woken before. `t0` (x5)
+    /// is written and read on every iteration of `rspeed`'s loop, and
+    /// golden's value never has bit 20 set: each write re-dirties the
+    /// forced bit, each read wakes the fault, and its residue settles
+    /// back into the register a few cycles later. The fault wakes more
+    /// than the five times a re-park cap of four allowed, and its lane
+    /// steps a small share of the cycles left after the strike instead of
+    /// all of them, on both cores; its outcome is the scalar engine's.
+    #[test]
+    fn a_stuck_at_re_parks_every_time_it_converges() {
+        re_parks::<Cpu>();
+        re_parks::<Lr7>();
+    }
+
+    fn re_parks<C: CoreBatch>() {
+        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        let cap = w.golden_capture_for::<C>(7, 400_000, 1024);
+        let regs = C::registry();
+        let rf = regs.iter().position(|r| r.name == "regs").expect("register bank") as u16;
+        let strike = 150;
+        let f = Fault::new(FlopId { reg: rf, lane: 4, bit: 20 }, FaultKind::StuckAt1, strike);
+        let (out, cost) =
+            run_batch_group::<C>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        assert!(cost.lane_activations > 5, "{}: woke {} times", C::NAME, cost.lane_activations);
+        let lane_cycles = cost.replayed_cycles - cost.walker_cycles;
+        assert!(
+            lane_cycles < (cap.run.cycles - strike) / 4,
+            "{}: the lane stepped {lane_cycles} of {} cycles",
+            C::NAME,
+            cap.run.cycles - strike
+        );
+        let scalar = run_injection::<C>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            Reference::Recorded(&cap.trace),
+            f,
+            16,
+            None,
+        );
+        assert_eq!(out[0], scalar.outcome, "{}: the batched outcome differs", C::NAME);
+    }
+
+    /// Phase (4b): a stuck-at on a flop outside the parkable words parks
+    /// in the word lot once its residue is word-confined, and wakes the
+    /// cycle golden's bit leaves the stuck value. On `a2time`, LR5's
+    /// `iss_rv1` bit 8 stuck at 0 from cycle 1866 leaves residue in
+    /// parkable words; from there no cycle touches those words before
+    /// golden's operand latch next holds a 1 in bit 8. A machine stepped
+    /// live with the overlay all along must equal the one (4b) wakes at
+    /// that cycle, and the batched outcome must equal the scalar one.
+    #[test]
+    fn a_stuck_at_outside_the_words_wakes_from_the_lot() {
+        let w = lockstep_workloads::Workload::find("a2time").expect("suite kernel");
+        let cap = w.golden_capture_for::<Cpu>(7, 400_000, 1024);
+        let regs = Cpu::registry();
+        let rv1 = regs.iter().position(|r| r.name == "iss_rv1").expect("operand latch") as u16;
+        let strike = 1866;
+        let f = Fault::new(FlopId { reg: rv1, lane: 0, bit: 8 }, FaultKind::StuckAt0, strike);
+
+        let cp = cap.checkpoints.nearest_at(strike).expect("cycle-0 checkpoint");
+        let (mut golden, mut mem) = (Cpu::from_state(cp.cpu.clone()), cp.mem.clone());
+        let mut ports = PortSet::new();
+        for _ in cp.cycle..strike {
+            golden.step(&mut mem, &mut ports);
+        }
+        let (mut live, mut live_mem) = (golden.clone(), mem.clone());
+        let mut lports = PortSet::new();
+        let mut lot = WordLot::new(regs, Cpu::park_words(), Cpu::park_advancing());
+        let mut parked = None;
+        for at in strike..cap.run.cycles {
+            let pre = golden.state().clone();
+            golden.step(&mut mem, &mut ports);
+            live.step_with_overlay(&mut live_mem, &mut lports, |st| f.overlay_for::<Cpu>(st, at));
+            assert_eq!(lports.diff_mask(&ports), 0, "the fault reached the ports at {at}");
+            if let Some(dirty) = parked {
+                assert_eq!(
+                    (Cpu::park_reads(&pre, &ports) | Cpu::park_writes(&pre, &ports)) & dirty,
+                    0,
+                    "cycle {at} touches a dirty word"
+                );
+                let woken = lot.wake_outside::<Cpu>(golden.state(), at);
+                if let [(entry, st)] = woken.as_slice() {
+                    assert_eq!(entry.fault, f);
+                    assert_eq!(st, live.state(), "(4b) woke another machine at {at}");
+                    break;
+                }
+                assert!(woken.is_empty());
+                continue;
+            }
+            let confined = park_confined_in(
+                regs,
+                lot.words,
+                live.state(),
+                golden.state(),
+                &mut DirtyWitness::new(),
+            );
+            if let Some(dirty) = confined.filter(|&d| d != 0) {
+                let vals = lot.values(live.state(), dirty);
+                lot.park(f, vec![0], dirty, vals, golden.state(), at + 1);
+                assert!(lot.entries[0].as_ref().is_some_and(WordParked::stuck_outside));
+                parked = Some(dirty);
+            }
+        }
+        assert!(parked.is_some() && lot.is_empty(), "the fault never went through (4b)");
+
+        let (out, _) =
+            run_batch_group::<Cpu>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        let scalar = run_injection::<Cpu>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            Reference::Recorded(&cap.trace),
+            f,
+            16,
+            None,
+        );
+        assert_eq!(out[0], scalar.outcome);
     }
 
     /// Exact duplicates share one machine. Doubling a fault list, so that
