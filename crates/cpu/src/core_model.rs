@@ -141,20 +141,15 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
     /// is one whose every read and write a cycle makes follows from the
     /// pre-cycle state and golden's ports, so the batch engine can park a
     /// fault whose residue lies in such words at zero simulation cost
-    /// (DESIGN.md §10). Empty (the default) when the core supplies no
-    /// access oracles.
-    fn park_words() -> &'static [(u16, u8)] {
-        &[]
-    }
+    /// (DESIGN.md §10).
+    fn park_words() -> &'static [(u16, u8)];
 
     /// A superset of the [`CoreModel::park_words`] the cycle from
     /// pre-cycle state `pre` reads, given `golden`, the ports that cycle
     /// drives on a machine whose parked words all go unread (every such
     /// machine drives golden's ports). Reads named by
     /// [`CoreModel::park_compares`] need not be here.
-    fn park_reads(_pre: &Self::State, _golden: &PortSet) -> u128 {
-        0
-    }
+    fn park_reads(pre: &Self::State, golden: &PortSet) -> u128;
 
     /// The *compare-only* reads of the cycle from pre-cycle state `pre`,
     /// given `golden`: `(word, key)` pairs, one for each use of a word
@@ -171,20 +166,16 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
     /// Exactly the [`CoreModel::park_words`] the cycle from pre-cycle
     /// state `pre` writes, given `golden`, the ports that cycle drives.
     /// Such a cycle is golden's, so a written word is clean afterwards.
-    fn park_writes(_pre: &Self::State, _golden: &PortSet) -> u128 {
-        0
-    }
+    fn park_writes(pre: &Self::State, golden: &PortSet) -> u128;
 
     /// The [`CoreModel::park_words`] that *advance* rather than hold, as
-    /// a word mask (empty by default): counters that no cycle writes
-    /// (never in [`CoreModel::park_writes`]) and whose one unlisted read
-    /// is their own increment by one, on exactly the cycles golden's copy
+    /// a word mask: counters that no cycle writes (never in
+    /// [`CoreModel::park_writes`]) and whose one unlisted read is their
+    /// own increment by one, on exactly the cycles golden's copy
     /// increments. A parked copy counts in step with golden's (a stuck-at
     /// forcing a bit of it after each count), so it wakes from its value
     /// at park and golden's delta since, with no per-cycle work.
-    fn park_advancing() -> u128 {
-        0
-    }
+    fn park_advancing() -> u128;
 }
 
 impl CoreModel for Cpu {

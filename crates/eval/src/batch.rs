@@ -38,8 +38,8 @@
 //!    the dirty set is seen empty the fault is
 //!    provably masked for the rest of the run (the machine is closed:
 //!    see DESIGN.md §10) and the lane is retired instead of simulating
-//!    to the end of the trace. Both cores supply word-parking oracles
-//!    ([`CoreModel::park_words`]), so a lane whose residue is *confined
+//!    to the end of the trace. Each core's word-parking oracles
+//!    ([`CoreModel::park_words`]) let a lane whose residue is *confined
 //!    to parkable words* ([`lockstep_cpu::dirty::park_confined_in`]:
 //!    the registers, CSRs, `cycle`/`instret` counters and `hartid` of
 //!    either core, plus LR5's return-address-stack entries and DMCU and
@@ -56,22 +56,22 @@
 //!    read ([`CoreModel::park_compares`], LR7's BTB tag matches) whose
 //!    key the entry's value or golden's equals. Dead-word residue, the
 //!    dominant fate of masked transients, parks to the end of the trace
-//!    without a single simulated cycle. On a core without the oracles
-//!    that residue stays a live lane until it converges.
+//!    without a single simulated cycle.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
-//!    *parked* in a [`LaneWatch`], which packs up to 64 stuck-at-0 and
-//!    64 stuck-at-1 faults per (register, lane) pair into two `u64`
-//!    masks checked against the walker's committed state with two ALU
-//!    ops per cycle. The cycle golden's bit first disagrees, the fault
-//!    wakes into a scalar lane (the fallback rule); a woken lane that
+//!    *parked* in the same word lot, which indexes its entries on flops
+//!    outside the words by (register, lane) pair under a [`LaneWatch`]
+//!    that packs up to 64 stuck-at-0 and 64 stuck-at-1 faults into two
+//!    `u64` masks, checked against the walker's committed state with two
+//!    ALU ops per cycle. The cycle golden's bit first disagrees, the
+//!    fault wakes into a scalar lane (the fallback rule), any word
+//!    residue it parked with substituted in; a woken lane that
 //!    re-converges with golden is re-parked, every time it does. This
-//!    identity argument holds on any core. With word-parking oracles,
-//!    stuck-ats *on parkable words* use the word parking of layer 2
-//!    instead of a watch: even while golden's bit disagrees with the
-//!    stuck value the whole divergence is one known word value, so the
-//!    fault stays parked until that word is read rather than waking on
-//!    every bit flip.
+//!    identity argument holds on any core. Stuck-ats *on parkable words*
+//!    need no watch: even while golden's bit disagrees with the stuck
+//!    value the whole divergence is one known word value, so the fault
+//!    stays parked until that word is read rather than waking on every
+//!    bit flip.
 //!
 //! The walker doubles as the live golden twin: in shadow replay terms
 //! it re-produces the recorded [`PortTrace`] (debug-asserted every
@@ -166,12 +166,12 @@ pub struct BatchCost {
     /// Simulated cycles the early-out avoided (trace cycles remaining
     /// at retirement, summed over early-out faults).
     pub early_out_cycles_saved: u64,
-    /// Stuck-ats that sat parked in a watch to the end of the trace and
+    /// Stuck-ats that sat parked in the lot to the end of the trace and
     /// were scored masked without simulating a single cycle.
     pub parked_masked: u64,
     /// Scalar lanes materialized: strike admissions, and every wake
-    /// from a watch or the word lot. A fault that wakes, re-converges
-    /// and re-parks again and again counts each round trip.
+    /// from the lot. A fault that wakes, re-converges and re-parks again
+    /// and again counts each round trip.
     pub lane_activations: u64,
 }
 
@@ -202,18 +202,10 @@ struct Lane<C> {
     witness: DirtyWitness,
 }
 
-/// A stuck-at waiting in a watch: zero simulation until golden's bit
-/// disagrees with the stuck value.
-struct Parked {
-    fault: Fault,
-    outs: Vec<usize>,
-}
-
-/// All parked faults of one (register, lane) pair, with their packed
-/// trigger masks.
-struct WatchGroup {
-    watch: LaneWatch,
-    parked: Vec<Parked>,
+impl<C: CoreModel> Lane<C> {
+    fn new(state: C::State, fault: Fault, outs: Vec<usize>) -> Self {
+        Lane { cpu: C::from_state(state), fault, outs, witness: DirtyWitness::new() }
+    }
 }
 
 /// Most advancing words a core may declare
@@ -225,16 +217,18 @@ const MAX_ADVANCING: usize = 3;
 /// the width of the word masks.
 const MAX_WORDS: usize = 128;
 
-/// A fault parked because its entire divergence from golden is confined
-/// to parkable words (registers, CSRs, counters and `hartid`, plus LR5's
+/// A parked fault, whose entire divergence from golden is confined to
+/// parkable words (registers, CSRs, counters and `hartid`, plus LR5's
 /// RAS entries and DMCU and MDV latches and LR7's BTB targets and tags;
-/// see [`CoreModel::park_words`]). Costs zero simulation per cycle: a
-/// cycle that reads none of the dirty words is golden's cycle on the
-/// faulty machine too, so golden's writes clean the words they write
-/// (both machines write the identical value), an advancing word counts
-/// exactly golden's increments, and the read oracles tell us the exact
-/// cycle a dirty word might be observed, which is when the entry wakes
-/// into a scalar [`Lane`].
+/// see [`CoreModel::park_words`]), or is nothing at all. Costs zero
+/// simulation per cycle: a cycle that reads none of the dirty words is
+/// golden's cycle on the faulty machine too, so golden's writes clean
+/// the words they write (both machines write the identical value), an
+/// advancing word counts exactly golden's increments, and the read
+/// oracles tell us the exact cycle a dirty word might be observed,
+/// which is when the entry wakes into a scalar [`Lane`]. A stuck-at on
+/// a flop outside the words also wakes the cycle golden's bit leaves
+/// the stuck value ([`WordParked::watched`]).
 struct WordParked {
     fault: Fault,
     outs: Vec<usize>,
@@ -258,9 +252,10 @@ struct WordParked {
 }
 
 impl WordParked {
-    /// A stuck-at on a flop outside the words: golden's bit must agree
-    /// with the stuck value every cycle it stays parked.
-    fn stuck_outside(&self) -> bool {
+    /// A stuck-at on a flop outside the words, which the lot's watch
+    /// index holds: golden's bit must agree with the stuck value every
+    /// cycle it stays parked.
+    fn watched(&self) -> bool {
         self.fault.kind != FaultKind::Transient && self.target == 0
     }
 
@@ -270,10 +265,10 @@ impl WordParked {
     }
 }
 
-/// The word parking lot of one batched run, with the core's word layout
-/// and an index from each word to the entries holding it. It stays empty
-/// on a core without parkable words, so every phase that touches it is
-/// skipped.
+/// The parking lot of one batched run, with the core's word layout and
+/// two indexes into its entries: from each word to the entries holding
+/// it, and from each (register, lane) pair outside the words to the
+/// stuck-ats watching a bit of it.
 struct WordLot<S: 'static> {
     regs: &'static [FlopReg<S>],
     words: &'static [(u16, u8)],
@@ -293,9 +288,11 @@ struct WordLot<S: 'static> {
     holders: [Vec<usize>; MAX_WORDS],
     /// The words with at least one holder.
     held: u128,
-    /// How many entries are stuck-ats outside the words
-    /// ([`WordParked::stuck_outside`]).
-    other_stuck: usize,
+    /// The watch index: for each (register, lane) pair with a
+    /// [watched](WordParked::watched) entry on it, a [`LaneWatch`] whose
+    /// masks are the OR of its entries' stuck bits, and those entries'
+    /// indices. No group is empty.
+    watches: Vec<(LaneWatch, Vec<usize>)>,
 }
 
 impl<S: Clone> WordLot<S> {
@@ -316,7 +313,7 @@ impl<S: Clone> WordLot<S> {
             free: Vec::new(),
             holders: std::array::from_fn(|_| Vec::new()),
             held: 0,
-            other_stuck: 0,
+            watches: Vec::new(),
         }
     }
 
@@ -348,7 +345,8 @@ impl<S: Clone> WordLot<S> {
     /// at the same cycle, in the `dirty` words alone, holding `vals`
     /// there (in word order). A stuck-at on an advancing word is dirty
     /// from here on whatever its value: golden's counter moves on, and no
-    /// golden write ever re-forces the word.
+    /// golden write ever re-forces the word. A stuck-at outside the words
+    /// must force the bit golden holds.
     #[allow(clippy::too_many_arguments)]
     fn park(
         &mut self,
@@ -375,7 +373,6 @@ impl<S: Clone> WordLot<S> {
             anchor[rank(self.advancing, w)] = self.read(golden, w);
         }
         let entry = WordParked { fault, outs, dirty, target, vals, anchor, park_cycle: at };
-        self.other_stuck += usize::from(entry.stuck_outside());
         let i = match self.free.pop() {
             Some(i) => i,
             None => {
@@ -383,6 +380,16 @@ impl<S: Clone> WordLot<S> {
                 self.entries.len() - 1
             }
         };
+        if entry.watched() {
+            let flop = fault.flop;
+            let g = self.group_of(flop).unwrap_or_else(|| {
+                self.watches.push((LaneWatch::new(flop.reg, flop.lane), Vec::new()));
+                self.watches.len() - 1
+            });
+            let (watch, members) = &mut self.watches[g];
+            arm(watch, fault);
+            members.push(i);
+        }
         self.entries[i] = Some(entry);
         for w in bits(dirty | target) {
             self.holders[w].push(i);
@@ -390,7 +397,13 @@ impl<S: Clone> WordLot<S> {
         self.held |= dirty | target;
     }
 
-    /// Removes entry `i` from the lot and from the holders of its words.
+    /// The watch group of `flop`'s (register, lane) pair, if it has one.
+    fn group_of(&self, flop: FlopId) -> Option<usize> {
+        self.watches.iter().position(|(w, _)| w.reg == flop.reg && w.lane == flop.lane)
+    }
+
+    /// Removes entry `i` from the lot and from both indexes. A watch
+    /// group left empty goes, and the last group takes its place.
     fn remove(&mut self, i: usize) -> WordParked {
         let entry = self.entries[i].take().expect("a parked entry");
         for w in bits(entry.dirty | entry.target) {
@@ -400,7 +413,20 @@ impl<S: Clone> WordLot<S> {
                 self.held &= !(1 << w);
             }
         }
-        self.other_stuck -= usize::from(entry.stuck_outside());
+        if entry.watched() {
+            let g = self.group_of(entry.fault.flop).expect("a watched entry has a group");
+            let (watch, members) = &mut self.watches[g];
+            members.swap_remove(members.iter().position(|&m| m == i).expect("entry in its group"));
+            if members.is_empty() {
+                self.watches.swap_remove(g);
+            } else {
+                // Another entry may watch the bit this one did.
+                (watch.stuck0, watch.stuck1) = (0, 0);
+                for &m in members.iter() {
+                    arm(watch, self.entries[m].as_ref().expect("watched entries are parked").fault);
+                }
+            }
+        }
         self.free.push(i);
         entry
     }
@@ -437,33 +463,63 @@ impl<S: Clone> WordLot<S> {
         (entry, st)
     }
 
-    /// Removes every parked stuck-at on a flop outside the words whose
-    /// bit golden's `committed` state of cycle `at` no longer agrees with,
-    /// and returns each with its faulty machine: `committed` with the
-    /// entry's dirty words substituted in and the stuck bit forced.
-    fn wake_outside<C: CoreModel<State = S>>(
-        &mut self,
-        committed: &S,
-        at: u64,
-    ) -> Vec<(WordParked, S)> {
-        let mut woken = Vec::new();
-        if self.other_stuck == 0 {
-            return woken;
-        }
-        for i in 0..self.entries.len() {
-            let Some(e) = &self.entries[i] else {
-                continue;
-            };
-            let stuck1 = e.fault.kind == FaultKind::StuckAt1;
-            if !e.stuck_outside() || flops::get_bit_in(self.regs, committed, e.fault.flop) == stuck1
-            {
+    /// Whether golden's `committed` state fires a watch group: two `u64`
+    /// ops per group. The engine asks every cycle, and calls
+    /// [`WordLot::wake`] only when it does.
+    fn fired(&self, committed: &S) -> bool {
+        self.watches.iter().any(|(watch, _)| watch.triggered_in(self.regs, committed) != 0)
+    }
+
+    /// Removes every watched entry whose bit golden's `committed` state
+    /// of cycle `at` no longer agrees with, and returns each with its
+    /// faulty machine: `committed` with the entry's dirty words
+    /// substituted in and the stuck bit forced. Only a firing group pays
+    /// the per-entry scan. Clean entries forcing the same bit wake as one
+    /// machine, their futures being identical from here on: the first
+    /// woken takes the others' `outs`. Kept out of line: inlined into the
+    /// engine's loop, it made `run_batch_group` about 3% slower in an
+    /// engine-only timing of lr5-suite's shape.
+    #[inline(never)]
+    fn wake<C: CoreModel<State = S>>(&mut self, committed: &S, at: u64) -> Vec<(WordParked, S)> {
+        let mut woken: Vec<(WordParked, S)> = Vec::new();
+        let mut g = 0;
+        while g < self.watches.len() {
+            let (watch, members) = &self.watches[g];
+            if watch.triggered_in(self.regs, committed) == 0 {
+                g += 1;
                 continue;
             }
-            let (entry, mut st) = self.unpark(i, committed);
-            entry.fault.overlay_for::<C>(&mut st, at);
-            woken.push((entry, st));
+            let fired: Vec<usize> = (members.iter().copied())
+                .filter(|&i| {
+                    let f = self.entries[i].as_ref().expect("watched entries are parked").fault;
+                    flops::get_bit_in(self.regs, committed, f.flop)
+                        != (f.kind == FaultKind::StuckAt1)
+                })
+                .collect();
+            g += usize::from(fired.len() < members.len());
+            for i in fired {
+                let (entry, mut st) = self.unpark(i, committed);
+                let twin = woken.iter_mut().find(|(w, _)| {
+                    (w.dirty, w.fault.flop, w.fault.kind) == (0, entry.fault.flop, entry.fault.kind)
+                });
+                if let Some((twin, _)) = twin.filter(|_| entry.dirty == 0) {
+                    twin.outs.extend(entry.outs);
+                    continue;
+                }
+                entry.fault.overlay_for::<C>(&mut st, at);
+                woken.push((entry, st));
+            }
         }
         woken
+    }
+}
+
+/// Sets `f`'s stuck bit in `watch`'s mask for its stuck value.
+fn arm(watch: &mut LaneWatch, f: Fault) {
+    if f.kind == FaultKind::StuckAt1 {
+        watch.stuck1 |= 1 << f.flop.bit;
+    } else {
+        watch.stuck0 |= 1 << f.flop.bit;
     }
 }
 
@@ -502,23 +558,6 @@ fn fork_mem(mem_pool: &mut Vec<Memory>, wmem: &Memory) -> Memory {
         }
         None => wmem.clone(),
     }
-}
-
-fn park(watches: &mut Vec<WatchGroup>, fault: Fault, outs: Vec<usize>) {
-    let (reg, lane) = (fault.flop.reg, fault.flop.lane);
-    let group = match watches.iter_mut().position(|g| g.watch.reg == reg && g.watch.lane == lane) {
-        Some(i) => &mut watches[i],
-        None => {
-            watches.push(WatchGroup { watch: LaneWatch::new(reg, lane), parked: Vec::new() });
-            watches.last_mut().expect("just pushed")
-        }
-    };
-    if fault.kind == FaultKind::StuckAt1 {
-        group.watch.stuck1 |= 1 << fault.flop.bit;
-    } else {
-        group.watch.stuck0 |= 1 << fault.flop.bit;
-    }
-    group.parked.push(Parked { fault, outs });
 }
 
 /// The batched engine's entry point per core.
@@ -577,8 +616,8 @@ impl CoreBatch for Lr7 {}
 /// against that reference (DESIGN.md §13).
 ///
 /// Any fault list works. The walker restores the checkpoint nearest the
-/// earliest in-range strike, admits each fault into the same lanes,
-/// watches and word lot at its strike cycle, and jumps forward over idle
+/// earliest in-range strike, admits each fault into the same lanes and
+/// lot at its strike cycle, and jumps forward over idle
 /// stretches via later checkpoints, so it steps each golden cycle at
 /// most once per call ([`BatchCost::walker_cycles`]). The campaign queue
 /// passes a kernel's whole strike-ordered slice, or one of a few runs of
@@ -624,7 +663,6 @@ pub fn run_batch_group<C: CoreBatch>(
 
     let mut pending = in_range.into_iter().peekable();
     let mut lanes: Vec<Lane<C>> = Vec::new();
-    let mut watches: Vec<WatchGroup> = Vec::new();
     let mut lot = WordLot::new(regs, C::park_words(), C::park_advancing());
     let mut mem_pool: Vec<Memory> = Vec::new();
     let mut lports = PortSet::new();
@@ -632,7 +670,7 @@ pub fn run_batch_group<C: CoreBatch>(
     let mut strikes: Vec<(Fault, Vec<usize>)> = Vec::new();
 
     while cycle < trace_len {
-        if lanes.is_empty() && watches.is_empty() && lot.is_empty() {
+        if lanes.is_empty() && lot.is_empty() {
             // Idle: nothing to simulate until the next strike. Jump the
             // walker forward over any checkpoint between here and there.
             let Some(&i) = pending.peek() else {
@@ -684,12 +722,7 @@ pub fn run_batch_group<C: CoreBatch>(
                         continue;
                     }
                     let (entry, st) = lot.unpark(i, pre);
-                    lanes.push(Lane {
-                        cpu: C::from_state(st),
-                        fault: entry.fault,
-                        outs: entry.outs,
-                        witness: DirtyWitness::new(),
-                    });
+                    lanes.push(Lane::new(st, entry.fault, entry.outs));
                     cost.lane_activations += 1;
                 }
             }
@@ -787,13 +820,11 @@ pub fn run_batch_group<C: CoreBatch>(
         // (3) Convergence checks against the walker's committed state
         // (both machines are now post-`at`, so the comparison is exact):
         // a transient whose dirty set emptied is provably masked from
-        // here and retires; a lane whose remaining divergence is
-        // confined to parkable words parks in the zero-cost word lot
-        // (cores with the oracles only); a woken stuck-at whose forced
-        // bit agrees with golden again goes back into a zero-cost
-        // watch, however often it has woken before. The witness check
-        // comes first, so a lane that stays divergent costs one compare,
-        // and a miss costs one registry diff.
+        // here and retires; any other lane whose remaining divergence is
+        // confined to parkable words, or is nothing at all, parks in the
+        // zero-cost lot, however often it has woken before. The witness
+        // check comes first, so a lane that stays divergent costs one
+        // compare, and a miss costs one registry diff.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
@@ -816,86 +847,25 @@ pub fn run_batch_group<C: CoreBatch>(
                 let n = lane.outs.len() as u64;
                 cost.masked_early_out += n;
                 cost.early_out_cycles_saved += (trace_len - cycle) * n;
-            } else if dirty == 0 && lot.word_of(lane.fault.flop).is_none() {
-                park(&mut watches, lane.fault, lane.outs);
             } else {
-                // Word residue, or a word stuck-at even when clean:
+                // Word residue; a word stuck-at even when clean, since
                 // golden's next write to its target may re-dirty it,
-                // which phase (2b) tracks exactly.
+                // which phase (2b) tracks exactly; or a stuck-at outside
+                // the words, whose bit agrees with golden's again.
                 let vals = lot.values(lane.cpu.state(), dirty);
                 lot.park(lane.fault, lane.outs, dirty, vals, committed, cycle);
             }
         }
 
-        // (4) Wake parked stuck-ats whose bit golden's committed state
-        // now disagrees with. Two u64 ops filter each watch group; only
-        // a firing group pays the per-entry scan.
-        let first_new = lanes.len();
-        let mut wi = 0;
-        while wi < watches.len() {
-            if watches[wi].watch.triggered_in(regs, committed) == 0 {
-                wi += 1;
-                continue;
-            }
-            let parked = std::mem::take(&mut watches[wi].parked);
-            let mut kept = Vec::new();
-            for entry in parked {
-                let stuck1 = entry.fault.kind == FaultKind::StuckAt1;
-                if flops::get_bit_in(regs, committed, entry.fault.flop) == stuck1 {
-                    kept.push(entry);
-                    continue;
-                }
-                // Woken entries forcing the same bit share one machine:
-                // their futures are identical from this cycle on.
-                if let Some(lane) = lanes[first_new..]
-                    .iter_mut()
-                    .find(|l| l.fault.flop == entry.fault.flop && l.fault.kind == entry.fault.kind)
-                {
-                    lane.outs.extend(entry.outs);
-                    continue;
-                }
-                let mut st = committed.clone();
-                entry.fault.overlay_for::<C>(&mut st, at);
-                lanes.push(Lane {
-                    cpu: C::from_state(st),
-                    fault: entry.fault,
-                    outs: entry.outs,
-                    witness: DirtyWitness::new(),
-                });
+        // (4) Wake the parked stuck-ats outside the words whose bit
+        // golden's committed state now disagrees with: from this cycle
+        // on the overlay would smear a fresh diff. Each wakes off the
+        // committed state, its dirty words substituted in.
+        if lot.fired(committed) {
+            for (entry, st) in lot.wake::<C>(committed, at) {
+                lanes.push(Lane::new(st, entry.fault, entry.outs));
                 cost.lane_activations += 1;
             }
-            let group = &mut watches[wi];
-            group.parked = kept;
-            group.watch.stuck0 = 0;
-            group.watch.stuck1 = 0;
-            for entry in &group.parked {
-                if entry.fault.kind == FaultKind::StuckAt1 {
-                    group.watch.stuck1 |= 1 << entry.fault.flop.bit;
-                } else {
-                    group.watch.stuck0 |= 1 << entry.fault.flop.bit;
-                }
-            }
-            if group.parked.is_empty() {
-                watches.swap_remove(wi);
-            } else {
-                wi += 1;
-            }
-        }
-
-        // (4b) Word-parked stuck-ats on a flop *outside* the words stay
-        // in provable lockstep only while golden's bit agrees with the
-        // stuck value (the watch condition); the cycle it first
-        // disagrees the overlay would smear a fresh diff, so the entry
-        // wakes into a scalar lane off the committed state, dirty words
-        // substituted in — exactly like a watch wake, plus residue.
-        for (entry, st) in lot.wake_outside::<C>(committed, at) {
-            lanes.push(Lane {
-                cpu: C::from_state(st),
-                fault: entry.fault,
-                outs: entry.outs,
-                witness: DirtyWitness::new(),
-            });
-            cost.lane_activations += 1;
         }
 
         // (5) Admit faults striking at `at`: the overlay lands in the
@@ -933,17 +903,12 @@ pub fn run_batch_group<C: CoreBatch>(
             let agrees = f.kind != FaultKind::Transient
                 && flops::get_bit_in(regs, committed, f.flop) == stuck1;
             if agrees && layers.parked_lanes {
-                park(&mut watches, f, outs);
+                lot.park(f, outs, 0, Vec::new(), committed, cycle);
                 continue;
             }
             let mut st = committed.clone();
             f.overlay_for::<C>(&mut st, at);
-            lanes.push(Lane {
-                cpu: C::from_state(st),
-                fault: f,
-                outs,
-                witness: DirtyWitness::new(),
-            });
+            lanes.push(Lane::new(st, f, outs));
             cost.lane_activations += 1;
         }
     }
@@ -951,11 +916,6 @@ pub fn run_batch_group<C: CoreBatch>(
     // Faults still parked (or still live) at the end of the trace are
     // masked; `outcomes` already says so. Parked ones never cost a
     // simulated cycle — worth counting.
-    for group in &watches {
-        for entry in &group.parked {
-            cost.parked_masked += entry.outs.len() as u64;
-        }
-    }
     for entry in lot.entries.iter().flatten() {
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
@@ -1108,14 +1068,15 @@ mod tests {
         assert_eq!(out[0], scalar.outcome, "{}: the batched outcome differs", C::NAME);
     }
 
-    /// Phase (4b): a stuck-at on a flop outside the parkable words parks
-    /// in the word lot once its residue is word-confined, and wakes the
-    /// cycle golden's bit leaves the stuck value. On `a2time`, LR5's
-    /// `iss_rv1` bit 8 stuck at 0 from cycle 1866 leaves residue in
-    /// parkable words; from there no cycle touches those words before
-    /// golden's operand latch next holds a 1 in bit 8. A machine stepped
-    /// live with the overlay all along must equal the one (4b) wakes at
-    /// that cycle, and the batched outcome must equal the scalar one.
+    /// Phase (4): a stuck-at on a flop outside the parkable words parks
+    /// in the lot with its word residue once that residue is
+    /// word-confined, and wakes through the watch index the cycle
+    /// golden's bit leaves the stuck value. On `a2time`, LR5's `iss_rv1`
+    /// bit 8 stuck at 0 from cycle 1866 leaves residue in parkable words;
+    /// from there no cycle touches those words before golden's operand
+    /// latch next holds a 1 in bit 8. A machine stepped live with the
+    /// overlay all along must equal the one the wake returns at that
+    /// cycle, and the batched outcome must equal the scalar one.
     #[test]
     fn a_stuck_at_outside_the_words_wakes_from_the_lot() {
         let w = lockstep_workloads::Workload::find("a2time").expect("suite kernel");
@@ -1146,10 +1107,10 @@ mod tests {
                     0,
                     "cycle {at} touches a dirty word"
                 );
-                let woken = lot.wake_outside::<Cpu>(golden.state(), at);
+                let woken = lot.wake::<Cpu>(golden.state(), at);
                 if let [(entry, st)] = woken.as_slice() {
                     assert_eq!(entry.fault, f);
-                    assert_eq!(st, live.state(), "(4b) woke another machine at {at}");
+                    assert_eq!(st, live.state(), "(4) woke another machine at {at}");
                     break;
                 }
                 assert!(woken.is_empty());
@@ -1165,11 +1126,15 @@ mod tests {
             if let Some(dirty) = confined.filter(|&d| d != 0) {
                 let vals = lot.values(live.state(), dirty);
                 lot.park(f, vec![0], dirty, vals, golden.state(), at + 1);
-                assert!(lot.entries[0].as_ref().is_some_and(WordParked::stuck_outside));
+                assert!(lot.entries[0].as_ref().is_some_and(WordParked::watched));
+                assert_eq!(lot.watches.len(), 1, "the entry is not in the watch index");
                 parked = Some(dirty);
             }
         }
-        assert!(parked.is_some() && lot.is_empty(), "the fault never went through (4b)");
+        assert!(
+            parked.is_some() && lot.is_empty() && lot.watches.is_empty(),
+            "the fault never went through (4)"
+        );
 
         let (out, _) =
             run_batch_group::<Cpu>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
@@ -1181,6 +1146,123 @@ mod tests {
             None,
         );
         assert_eq!(out[0], scalar.outcome);
+    }
+
+    /// The watch index stays exact however its entries leave. A seeded
+    /// sequence of stuck-ats on flops outside the words parks, some clean
+    /// and some with word residue, and leaves again through `unpark` (a
+    /// read wake) and through the watch wake, on both cores. After every
+    /// step each group's `stuck0` and `stuck1` are the OR of its entries'
+    /// stuck bits and no group is empty, so a read wake of a residue
+    /// entry leaves no stale trigger bit. A wake takes every entry on the
+    /// fired flop, its clean ones as one machine.
+    #[test]
+    fn the_watch_index_tracks_its_entries() {
+        watch_index::<Cpu>();
+        watch_index::<Lr7>();
+    }
+
+    fn watch_index<C: CoreBatch>() {
+        let regs = C::registry();
+        let mut lot = WordLot::new(regs, C::park_words(), C::park_advancing());
+        let golden = C::new(0).state().clone();
+        // Four bits of both end lanes of three registers outside the
+        // words: few enough pairs and bits that entries share them.
+        let outside = (0..regs.len() as u16)
+            .filter(|&r| lot.words.iter().all(|&(w, _)| w != r) && regs[r as usize].width >= 4)
+            .take(3);
+        let flops: Vec<FlopId> = outside
+            .flat_map(|reg| {
+                let last = regs[reg as usize].lanes - 1;
+                [0, last]
+                    .into_iter()
+                    .flat_map(move |lane| (0..4).map(move |bit| FlopId { reg, lane, bit }))
+            })
+            .collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let n_words =
+            C::park_words().iter().map(|&(r, _)| usize::from(regs[r as usize].lanes)).sum();
+        let (mut parks, mut unparks, mut wakes) = (0, 0, 0);
+        for step in 0..400u64 {
+            let parked: Vec<usize> =
+                (0..lot.entries.len()).filter(|&i| lot.entries[i].is_some()).collect();
+            match next(4) {
+                0 | 1 => {
+                    let flop = flops[next(flops.len())];
+                    let kind = match flops::get_bit_in(regs, &golden, flop) {
+                        true => FaultKind::StuckAt1,
+                        false => FaultKind::StuckAt0,
+                    };
+                    let (dirty, vals) = match next(2) {
+                        0 => (0, Vec::new()),
+                        _ => {
+                            let w = next(n_words);
+                            (1 << w, vec![lot.read(&golden, w) ^ 1])
+                        }
+                    };
+                    lot.park(Fault::new(flop, kind, step), vec![parks], dirty, vals, &golden, step);
+                    parks += 1;
+                }
+                2 if !parked.is_empty() => {
+                    lot.unpark(parked[next(parked.len())], &golden);
+                    unparks += 1;
+                }
+                3 if !parked.is_empty() => {
+                    let e = lot.entries[parked[next(parked.len())]].as_ref().expect("parked");
+                    let (flop, kind) = (e.fault.flop, e.fault.kind);
+                    let on_flop = |lot: &WordLot<C::State>| {
+                        lot.entries.iter().flatten().filter(|e| e.fault.flop == flop).count()
+                    };
+                    let (before, total, clean) = (
+                        on_flop(&lot),
+                        parked.len(),
+                        lot.entries.iter().flatten().any(|e| e.fault.flop == flop && e.dirty == 0),
+                    );
+                    let mut fired = golden.clone();
+                    flops::flip_bit_in(regs, &mut fired, flop);
+                    let woken = lot.wake::<C>(&fired, step);
+                    assert_eq!(on_flop(&lot), 0, "{}: a fired entry stayed parked", C::NAME);
+                    let left = lot.entries.iter().flatten().count();
+                    assert_eq!(left, total - before, "{}: an agreeing entry woke", C::NAME);
+                    let outs: usize = woken.iter().map(|(e, _)| e.outs.len()).sum();
+                    assert_eq!(outs, before, "{}: the wake lost a fault", C::NAME);
+                    let machines = woken.iter().filter(|(e, _)| e.dirty == 0).count();
+                    assert_eq!(machines, usize::from(clean), "{}: clean twins woke apart", C::NAME);
+                    for (e, st) in &woken {
+                        assert_eq!((e.fault.flop, e.fault.kind), (flop, kind));
+                        let stuck1 = kind == FaultKind::StuckAt1;
+                        assert_eq!(flops::get_bit_in(regs, st, flop), stuck1, "{}", C::NAME);
+                    }
+                    wakes += 1;
+                }
+                _ => continue,
+            }
+            let mut members = 0;
+            for (g, (watch, entries)) in lot.watches.iter().enumerate() {
+                assert!(!entries.is_empty(), "{}: group {g} is empty at step {step}", C::NAME);
+                let mut exact = LaneWatch::new(watch.reg, watch.lane);
+                for &i in entries {
+                    let e = lot.entries[i].as_ref().expect("members are parked");
+                    assert!(e.watched());
+                    assert_eq!((e.fault.flop.reg, e.fault.flop.lane), (watch.reg, watch.lane));
+                    arm(&mut exact, e.fault);
+                }
+                assert_eq!(*watch, exact, "{}: group {g}'s masks at step {step}", C::NAME);
+                members += entries.len();
+            }
+            assert_eq!(members, lot.entries.iter().flatten().count(), "{}: step {step}", C::NAME);
+        }
+        assert!(
+            parks > 100 && unparks > 20 && wakes > 20,
+            "{}: {parks}/{unparks}/{wakes}",
+            C::NAME
+        );
     }
 
     /// Exact duplicates share one machine. Doubling a fault list, so that

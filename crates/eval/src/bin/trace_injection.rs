@@ -4,18 +4,23 @@
 //!
 //! In addition to the common flags, accepts `--record I` to pick which
 //! manifested error of the campaign to trace (default 0, the first).
-//! Tracing is forced on; `--trace-window` (default 64) controls how
-//! many pre-detection cycles are retained.
+//! Tracing is forced on; `--trace-window` (default 64, never 0)
+//! controls how many pre-detection cycles are retained. The common
+//! parser refuses it, default included, with `--checkpoint-interval 0`
+//! or `--redundancy dme`, which record no traces.
 
 use lockstep_eval::campaign::DEFAULT_TRACE_WINDOW;
 use lockstep_eval::cli::CommonArgs;
 
 fn main() {
     // Split off the flag this binary adds before the common parser
-    // (which rejects unknown flags) sees the argument list.
+    // (which rejects unknown flags) sees the argument list, and put the
+    // default window first, so that a later `--trace-window` overrides
+    // it and the parser checks it like any other.
     let mut record = 0usize;
-    let mut rest = Vec::new();
     let mut it = std::env::args();
+    let mut rest: Vec<String> = it.next().into_iter().collect();
+    rest.extend(["--trace-window".to_owned(), DEFAULT_TRACE_WINDOW.to_string()]);
     while let Some(arg) = it.next() {
         if arg == "--record" {
             let v = it.next().unwrap_or_else(|| die("--record requires a value"));
@@ -24,9 +29,9 @@ fn main() {
             rest.push(arg);
         }
     }
-    let mut args = CommonArgs::parse(rest);
+    let args = CommonArgs::parse(rest);
     if args.trace_window.is_none() {
-        args.trace_window = Some(DEFAULT_TRACE_WINDOW);
+        die("--trace-window must be above 0: this tool always traces");
     }
 
     eprintln!(

@@ -147,15 +147,16 @@ pub struct CampaignConfig {
     /// manifested error, the last `pre_window` pre-detection cycles plus
     /// the whole capture window ([`DivergenceTrace`]). `None` (the
     /// default) records nothing. Tracing requires the checkpointed
-    /// injection path (`checkpoint_interval` set); with checkpointing
-    /// off the option is ignored.
+    /// injection path (`checkpoint_interval` set) and the port
+    /// comparator; otherwise the option is ignored (see
+    /// [`CampaignConfig::records_traces`]).
     pub trace_window: Option<u32>,
     /// Batched fault simulation: `Some(layers)` runs the batched engine
     /// of [`crate::batch`] with the given layer combination instead of
     /// one scalar replay per fault, in every redundancy mode; `None`
     /// (the default) keeps the scalar engine, the reference the batched
     /// one is tested against. Outcomes are bit-identical either way.
-    /// Ignored when divergence tracing is on (see
+    /// Ignored when the campaign records traces (see
     /// [`CampaignConfig::effective_batch`]).
     pub batch: Option<BatchConfig>,
     /// Core model under test (default [`CoreKind::Lr5`], the in-order
@@ -192,16 +193,38 @@ impl CampaignConfig {
         }
     }
 
+    /// Whether the campaign records divergence traces: a trace window
+    /// is set, checkpointing is on, and the comparator is the per-cycle
+    /// port compare (the recorder replays each fault from its checkpoint
+    /// against the recorded ports).
+    pub fn records_traces(&self) -> bool {
+        CampaignConfig::traced(
+            self.trace_window.is_some(),
+            self.checkpoint_interval.is_some(),
+            self.redundancy,
+        )
+    }
+
+    /// [`CampaignConfig::records_traces`] from the three settings it
+    /// reads, which shard provenance records too.
+    pub(crate) fn traced(
+        trace_window: bool,
+        checkpointed: bool,
+        redundancy: RedundancyMode,
+    ) -> bool {
+        trace_window && checkpointed && redundancy == RedundancyMode::Fixed
+    }
+
     /// The batch layers the engine will actually use: the configured
-    /// ones on every core, except that divergence tracing forces the
-    /// scalar per-fault path (the trace recorder samples one dedicated
-    /// faulty CPU per injection, which is exactly what batching shares
-    /// away). The fallback is recorded honestly: stats and shard
-    /// provenance report the layers that really ran, `"off"` here, and
-    /// each campaign or shard that falls back announces it with an
-    /// [`Event::BatchModeDowngraded`].
+    /// ones on every core, except that a campaign that records traces
+    /// runs the scalar per-fault path (the trace recorder samples one
+    /// dedicated faulty CPU per injection, which is exactly what
+    /// batching shares away). The fallback is recorded honestly: stats
+    /// and shard provenance report the layers that really ran, `"off"`
+    /// here, and each campaign or shard that falls back announces it
+    /// with an [`Event::BatchModeDowngraded`].
     pub fn effective_batch(&self) -> Option<BatchConfig> {
-        if self.trace_window.is_some() {
+        if self.records_traces() {
             None
         } else {
             self.batch
@@ -305,13 +328,13 @@ pub struct CampaignStats {
     /// Simulated cycles the early-out avoided, summed over early-out
     /// faults.
     pub early_out_cycles_saved: u64,
-    /// Stuck-ats that sat parked in a bit-parallel watch to the end of
-    /// the golden run — masked at zero simulation cost.
+    /// Stuck-ats that sat parked in the batched engine's lot to the end
+    /// of the golden run — masked at zero simulation cost.
     pub parked_masked: u64,
     /// Scalar fault lanes the batched engine materialized (strike
-    /// admissions plus watch wakes). Stuck-ats of one run that force
-    /// the same bit and wake in the same cycle share a lane, so the
-    /// count depends on the cut.
+    /// admissions plus wakes from the lot). Clean stuck-ats of one run
+    /// that force the same bit and wake in the same cycle share a lane,
+    /// so the count depends on the cut.
     pub lane_activations: u64,
     /// Per-workload breakdown, in campaign order.
     pub per_workload: Vec<WorkloadStats>,
@@ -629,7 +652,7 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
     produced.sort_unstable_by_key(|p| (p.li, record_key(&p.record), p.position));
     let (records, mut traces): (Vec<ErrorRecord>, Vec<Option<DivergenceTrace>>) =
         produced.into_iter().map(|p| (p.record, p.trace)).unzip();
-    if config.trace_window.is_none() || config.checkpoint_interval.is_none() {
+    if !config.records_traces() {
         traces.clear();
     }
     for (i, trace) in traces.iter_mut().enumerate() {
@@ -876,9 +899,8 @@ fn run_injection_phase<C: CoreBatch>(
     let dme = config.redundancy == RedundancyMode::Dme;
     // Replays resume from the golden store only when checkpointing is
     // on; otherwise each rebuilds its image and replays from reset.
-    // Tracing rides the checkpointed port comparison only.
     let checkpointed = config.checkpoint_interval.is_some();
-    let trace_window = config.trace_window.filter(|_| checkpointed && !dme);
+    let trace_window = config.trace_window.filter(|_| config.records_traces());
     let retires: Vec<Vec<(u64, Retired)>> = if dme {
         captures.iter().map(|cap| retire_stream(&cap.trace)).collect()
     } else {
@@ -1780,6 +1802,18 @@ mod tests {
         let res = run_campaign(&cfg);
         assert_eq!(res.stats.batch_mode, "off");
         assert_eq!(res.traces.len(), res.records.len(), "tracing must still work");
+
+        // A window the campaign cannot record, under DME or without
+        // checkpoints, records no traces and keeps the batched engine.
+        for (redundancy, checkpoint_interval) in
+            [(RedundancyMode::Dme, cfg.checkpoint_interval), (RedundancyMode::Fixed, None)]
+        {
+            let moot = CampaignConfig { redundancy, checkpoint_interval, ..cfg.clone() };
+            assert!(!moot.records_traces(), "{redundancy:?}, {checkpoint_interval:?}");
+            let res = run_campaign(&moot);
+            assert_eq!(res.stats.batch_mode, "full", "{redundancy:?}, {checkpoint_interval:?}");
+            assert!(res.traces.is_empty(), "{redundancy:?}, {checkpoint_interval:?}");
+        }
     }
 
     #[test]

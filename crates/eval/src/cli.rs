@@ -19,7 +19,9 @@
 //!   JSON object per line) to `PATH` (default: no event log);
 //! * `--trace-window N` — record a divergence trace per manifested
 //!   error, keeping the last `N` pre-detection cycles (`0` disables;
-//!   default off);
+//!   default off). Traces need checkpointing and the port comparator,
+//!   so a non-zero window with `--checkpoint-interval 0` or
+//!   `--redundancy dme` is refused;
 //! * `--batch-mode {off,full}` — the batched fault-simulation engine
 //!   (default `full`; `off` replays every fault on its own scalar
 //!   engine). Both yield bit-identical campaign results; see
@@ -147,7 +149,7 @@ impl CommonArgs {
             }
         }
         let config = spec.campaign_config(threads).unwrap_or_else(|e| die(&e.to_string()));
-        CommonArgs {
+        let args = CommonArgs {
             faults: config.faults_per_workload,
             seed: config.seed,
             threads,
@@ -158,7 +160,11 @@ impl CommonArgs {
             batch: config.batch,
             core: config.core,
             redundancy: config.redundancy,
+        };
+        if args.trace_window.is_some() && !args.campaign_config().records_traces() {
+            die("--trace-window needs checkpointing (--checkpoint-interval above 0) and --redundancy fixed");
         }
+        args
     }
 
     /// Builds the campaign configuration these args describe: the

@@ -41,12 +41,13 @@ pub struct TraceReport {
 ///
 /// # Panics
 ///
-/// Panics if the campaign was run without `trace_window` (no traces) or
-/// `index` is out of range.
+/// Panics if the campaign recorded no traces (see
+/// [`CampaignConfig::records_traces`](crate::campaign::CampaignConfig::records_traces))
+/// or `index` is out of range.
 pub fn run_trace(result: &CampaignResult, index: usize) -> (TraceReport, String) {
     assert!(
         !result.traces.is_empty(),
-        "campaign ran without tracing; set CampaignConfig::trace_window (--trace-window)"
+        "campaign ran without tracing; see CampaignConfig::records_traces"
     );
     let record = &result.records[index];
     let trace =

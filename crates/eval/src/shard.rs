@@ -207,10 +207,12 @@ impl ShardRepr {
             && self.redundancy == other.redundancy
     }
 
-    /// `true` when tracing was active for this job (trace blobs ride in
-    /// the shard archives and must be merged).
+    /// `true` when the job recorded traces (trace blobs ride in the
+    /// shard archives and must be merged): its
+    /// [`CampaignConfig::records_traces`].
     fn tracing(&self) -> bool {
-        self.trace_window > 0 && self.checkpoint_interval > 0
+        let redundancy = RedundancyMode::from_flag(&self.redundancy).unwrap_or_default();
+        CampaignConfig::traced(self.trace_window > 0, self.checkpoint_interval > 0, redundancy)
     }
 }
 
