@@ -7,8 +7,9 @@
 //! file is organized as (register, lane) pairs of up to 64 bits each, so
 //! one `u64` load compares (or watches) up to 64 flip-flops at once.
 //!
-//! * [`DirtyWitness`] accelerates the per-cycle "has this faulty lane
-//!   re-converged with golden?" question of the batched fault-simulation
+//! * [`DirtyWitness`] accelerates [`park_confined_in`], the per-cycle
+//!   "has this faulty lane re-converged with golden, or does it differ
+//!   only in parkable words?" question of the batched fault-simulation
 //!   engine. A lane that is going to stay divergent usually differs in
 //!   the *same* (register, lane) pair cycle after cycle — the witness —
 //!   so the common case is a single `u64` compare. On a miss, the
@@ -22,18 +23,18 @@
 //!   machine first diverges from golden.
 //!
 //! Like [`flops`](crate::flops), every scan is generic over the core's
-//! state type: the `*_in` forms take a core's registry (LR5's
-//! [`registry`] or [`CoreModel::registry`](crate::CoreModel::registry)
-//! of any other core), and the un-suffixed forms are the LR5 shorthand.
+//! state type and takes the core's registry (LR5's
+//! [`registry`](crate::flops::registry) or
+//! [`CoreModel::registry`](crate::CoreModel::registry) of any other
+//! core).
 
-use crate::flops::{registry, FlopReg, FlopState};
-use crate::state::CpuState;
+use crate::flops::{FlopReg, FlopState};
 
 /// Cached location of the last known state difference: an index into
 /// the core's registry plus a lane within that register.
 ///
-/// Purely an accelerator — [`converged_in`] is correct for any witness
-/// value, including the default empty one.
+/// Purely an accelerator — [`park_confined_in`] is correct for any
+/// witness value, including the default empty one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirtyWitness {
     pair: Option<(u16, u16)>,
@@ -46,34 +47,14 @@ impl DirtyWitness {
     }
 }
 
-/// Whether `a` and `b` are bit-identical states of the core whose
-/// registry is `regs`, updating `witness` with the location of a
-/// difference when they are not.
-///
-/// The witnessed (register, lane) pair is checked first, one masked
-/// `u64` compare; on a miss the state's exact registry diff
-/// ([`FlopState::registry_diff`]) decides, and names the next witness.
-/// This is [`park_confined_in`] with no parkable words.
-pub fn converged_in<S: FlopState>(
-    regs: &[FlopReg<S>],
-    a: &S,
-    b: &S,
-    witness: &mut DirtyWitness,
-) -> bool {
-    park_confined_in(regs, &[], a, b, witness).is_some()
-}
-
-/// [`converged_in`] over the LR5 registry.
-pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool {
-    converged_in(registry(), a, b, witness)
-}
-
 /// Whether the entire difference between `a` and `b` is confined to the
 /// *parkable words* `words` of the core whose registry is `regs`:
 /// `(registry entry, first bit)` pairs, lane `l` of an entry being word
 /// `first + l` of the returned mask (at most 128 words in all). Returns
 /// the dirty-word mask — `Some(0)` means the states are bit-identical —
-/// or `None` when any other state differs.
+/// or `None` when any other state differs. With no words it is the
+/// convergence check: `Some(0)` exactly when `a` and `b` are
+/// bit-identical.
 ///
 /// This is the admission test for word parking: on both cores every
 /// access to these words is visible from the pre-cycle state and
@@ -84,9 +65,9 @@ pub fn converged(a: &CpuState, b: &CpuState, witness: &mut DirtyWitness) -> bool
 /// lane evolves in provable lockstep with golden at zero simulation cost
 /// until a dirty word may be read.
 ///
-/// Shares [`DirtyWitness`] with [`converged_in`]: when the witnessed
-/// pair is outside the words and still differs, the answer is `None` in
-/// one masked `u64` compare. Otherwise the state's registry diff
+/// The witnessed (register, lane) pair is checked first: when it is
+/// outside the words and still differs, the answer is `None` in one
+/// masked `u64` compare. Otherwise the state's registry diff
 /// ([`FlopState::registry_diff`]) decides. It is exact over every field,
 /// bits above a register's declared width included, so the answer is
 /// authoritative: `None` on any difference outside the words' in-width
@@ -179,11 +160,6 @@ impl LaneWatch {
         LaneWatch { reg, lane, stuck0: 0, stuck1: 0 }
     }
 
-    /// `true` when no fault is parked on this pair.
-    pub fn is_empty(&self) -> bool {
-        self.stuck0 == 0 && self.stuck1 == 0
-    }
-
     /// The watched bits whose stuck value disagrees with `state`'s
     /// committed value, read through the core's registry `regs`: bit
     /// `b` of the result is set when a stuck-at-0 fault watches a bit
@@ -193,28 +169,30 @@ impl LaneWatch {
         let v = regs[self.reg as usize].read(state, self.lane as usize);
         (v & self.stuck0) | (!v & self.stuck1)
     }
-
-    /// [`LaneWatch::triggered_in`] over the LR5 registry.
-    pub fn triggered(&self, state: &CpuState) -> u64 {
-        self.triggered_in(registry(), state)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flops::{all_flops, flip_bit, get_bit, label_of, set_bit, FlopId};
+    use crate::flops::{all_flops, flip_bit, get_bit, label_of, registry, set_bit, FlopId};
+    use crate::state::CpuState;
+
+    /// The convergence check the engine makes: no parkable words, so
+    /// `Some(0)` exactly when the states are bit-identical.
+    fn converged<S: FlopState>(regs: &[FlopReg<S>], a: &S, b: &S, w: &mut DirtyWitness) -> bool {
+        park_confined_in(regs, &[], a, b, w) == Some(0)
+    }
 
     #[test]
     fn identical_states_converge_with_any_witness() {
         let a = CpuState::reset(0);
         let b = a.clone();
         let mut w = DirtyWitness::new();
-        assert!(converged(&a, &b, &mut w));
+        assert!(converged(registry(), &a, &b, &mut w));
         assert_eq!(w, DirtyWitness::new());
         // A stale witness must not produce a false negative.
         let mut stale = DirtyWitness { pair: Some((0, 0)) };
-        assert!(converged(&a, &b, &mut stale));
+        assert!(converged(registry(), &a, &b, &mut stale));
     }
 
     #[test]
@@ -224,10 +202,10 @@ mod tests {
             let mut b = a.clone();
             flip_bit(&mut b, id);
             let mut w = DirtyWitness::new();
-            assert!(!converged(&a, &b, &mut w), "{} not seen", label_of(id));
+            assert!(!converged(registry(), &a, &b, &mut w), "{} not seen", label_of(id));
             assert_eq!(w.pair, Some((id.reg, id.lane)), "{} witness wrong", label_of(id));
             // Second query hits the witness fast path.
-            assert!(!converged(&a, &b, &mut w));
+            assert!(!converged(registry(), &a, &b, &mut w));
         }
     }
 
@@ -239,15 +217,15 @@ mod tests {
         let mut b = a.clone();
         flip_bit(&mut b, first);
         let mut w = DirtyWitness::new();
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         // Heal the first difference, introduce another elsewhere: the
         // stale witness misses, the rescan must find the new pair.
         flip_bit(&mut b, first);
         flip_bit(&mut b, last);
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         assert_eq!(w.pair, Some((last.reg, last.lane)));
         flip_bit(&mut b, last);
-        assert!(converged(&a, &b, &mut w));
+        assert!(converged(registry(), &a, &b, &mut w));
     }
 
     #[test]
@@ -255,7 +233,7 @@ mod tests {
         let state = CpuState::reset(0);
         let id = all_flops().nth(40).unwrap();
         let mut watch = LaneWatch::new(id.reg, id.lane);
-        assert!(watch.is_empty());
+        assert_eq!(watch.stuck0 | watch.stuck1, 0, "a new watch is empty");
 
         // Park a stuck-at matching the current bit value: no trigger.
         let v = get_bit(&state, id);
@@ -264,13 +242,13 @@ mod tests {
         } else {
             watch.stuck0 |= 1 << id.bit;
         }
-        assert!(!watch.is_empty());
-        assert_eq!(watch.triggered(&state), 0);
+        assert_ne!(watch.stuck0 | watch.stuck1, 0);
+        assert_eq!(watch.triggered_in(registry(), &state), 0);
 
         // Golden's bit flips away from the stuck value: trigger fires.
         let mut moved = state.clone();
         flip_bit(&mut moved, id);
-        assert_eq!(watch.triggered(&moved), 1 << id.bit);
+        assert_eq!(watch.triggered_in(registry(), &moved), 1 << id.bit);
     }
 
     #[test]
@@ -292,7 +270,7 @@ mod tests {
                 } else {
                     watch.stuck0 = 1 << id.bit;
                 }
-                let fired = watch.triggered(&state) & (1 << id.bit) != 0;
+                let fired = watch.triggered_in(registry(), &state) & (1 << id.bit) != 0;
                 assert_eq!(
                     fired,
                     get_bit(&state, id) != stuck1,
@@ -406,7 +384,7 @@ mod tests {
             .unwrap();
         flip_bit(&mut b, rf_high);
         let mut w = DirtyWitness::new();
-        assert!(!converged(&a, &b, &mut w));
+        assert!(!converged(registry(), &a, &b, &mut w));
         assert_eq!(w.pair, Some((rf_high.reg, rf_high.lane)));
         let _ = FlopId { reg: rf_high.reg, lane: rf_high.lane, bit: rf_high.bit };
     }
@@ -414,6 +392,7 @@ mod tests {
     /// The generic scans over another core's registry: the LR7's.
     mod lr7 {
         use super::super::*;
+        use super::converged;
         use crate::flops::{all_flops_in, flip_bit_in, get_bit_in, label_of_in};
         use crate::{CoreModel, Lr7, Lr7State};
 
@@ -425,16 +404,12 @@ mod tests {
         fn every_sampled_flip_is_found_witnessed_and_healed() {
             let a = Lr7State::reset(0);
             let mut w = DirtyWitness::new();
-            assert!(converged_in(regs(), &a, &a.clone(), &mut w));
+            assert!(converged(regs(), &a, &a.clone(), &mut w));
             for id in all_flops_in(regs()).step_by(37) {
                 let mut b = a.clone();
                 flip_bit_in(regs(), &mut b, id);
                 let mut w = DirtyWitness::new();
-                assert!(
-                    !converged_in(regs(), &a, &b, &mut w),
-                    "{} not seen",
-                    label_of_in(regs(), id)
-                );
+                assert!(!converged(regs(), &a, &b, &mut w), "{} not seen", label_of_in(regs(), id));
                 assert_eq!(
                     w.pair,
                     Some((id.reg, id.lane)),
@@ -442,10 +417,10 @@ mod tests {
                     label_of_in(regs(), id)
                 );
                 // Second query hits the witness fast path.
-                assert!(!converged_in(regs(), &a, &b, &mut w));
+                assert!(!converged(regs(), &a, &b, &mut w));
                 // Healing the flip converges, whatever the stale witness.
                 flip_bit_in(regs(), &mut b, id);
-                assert!(converged_in(regs(), &a, &b, &mut w));
+                assert!(converged(regs(), &a, &b, &mut w));
             }
         }
 
@@ -455,13 +430,13 @@ mod tests {
             let mut b = a.clone();
             b.rob_val[3] ^= 1 << 9;
             let mut w = DirtyWitness::new();
-            assert!(!converged_in(regs(), &a, &b, &mut w));
+            assert!(!converged(regs(), &a, &b, &mut w));
             let first = w.pair;
             // The value retires into a register: the stale witness
             // misses and the rescan must find the new pair.
             b.rob_val[3] = a.rob_val[3];
             b.set_reg(7, a.reg(7) ^ 1 << 9);
-            assert!(!converged_in(regs(), &a, &b, &mut w));
+            assert!(!converged(regs(), &a, &b, &mut w));
             assert_ne!(w.pair, first);
             let rf = regs().iter().position(|r| r.name == "regs").unwrap() as u16;
             assert_eq!(w.pair, Some((rf, 6)));
@@ -471,7 +446,7 @@ mod tests {
                 "the residue is register 7 alone"
             );
             b.set_reg(7, a.reg(7));
-            assert!(converged_in(regs(), &a, &b, &mut w));
+            assert!(converged(regs(), &a, &b, &mut w));
         }
 
         #[test]

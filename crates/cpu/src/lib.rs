@@ -40,7 +40,7 @@ pub mod units;
 
 pub use core_model::{ArchCsrs, CoreKind, CoreModel};
 pub use cpu::Cpu;
-pub use dirty::{converged, park_confined_in, DirtyWitness, LaneWatch};
+pub use dirty::{park_confined_in, DirtyWitness, LaneWatch};
 pub use exec::StepInfo;
 pub use flops::{FlopId, FlopReg};
 pub use lr7::{Lr7, Lr7State};

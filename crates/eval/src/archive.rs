@@ -149,6 +149,12 @@ pub enum ArchiveError {
         /// The number of entries it carries.
         len: usize,
     },
+    /// A golden entry names a workload this build does not know, so
+    /// [`CampaignArchive::into_result`] cannot resolve it.
+    UnknownWorkload {
+        /// The name the archive carries.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -167,6 +173,9 @@ impl std::fmt::Display for ArchiveError {
                 "injected_per_unit has {len} entries, but there are only {} units",
                 UnitId::ALL.len()
             ),
+            ArchiveError::UnknownWorkload { name } => {
+                write!(f, "archive references unknown workload `{name}`")
+            }
         }
     }
 }
@@ -253,19 +262,20 @@ impl CampaignArchive {
 
     /// Reconstructs a [`CampaignResult`] for the analysis code paths.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the archive references a workload name not present in
-    /// the bundled suite (archives are only loadable by builds that know
-    /// their workloads).
-    pub fn into_result(self) -> CampaignResult {
+    /// Returns [`ArchiveError::UnknownWorkload`] if a golden entry names
+    /// a workload this build cannot resolve (archives are only usable by
+    /// builds that know their workloads).
+    pub fn into_result(self) -> Result<CampaignResult, ArchiveError> {
         let golden = self
             .golden
             .into_iter()
             .map(|(name, g)| {
-                let w = lockstep_workloads::Workload::find(&name)
-                    .unwrap_or_else(|| panic!("archive references unknown workload `{name}`"));
-                (
+                let Some(w) = lockstep_workloads::Workload::find(&name) else {
+                    return Err(ArchiveError::UnknownWorkload { name });
+                };
+                Ok((
                     w.name,
                     lockstep_workloads::GoldenRun {
                         halted: true,
@@ -274,10 +284,10 @@ impl CampaignArchive {
                         outputs: 0,
                         instructions: g.instructions,
                     },
-                )
+                ))
             })
-            .collect();
-        CampaignResult {
+            .collect::<Result<_, _>>()?;
+        Ok(CampaignResult {
             records: self.records,
             injected: self.injected,
             injected_per_unit: self.injected_per_unit,
@@ -285,7 +295,7 @@ impl CampaignArchive {
             stats: self.stats,
             traces: self.traces,
             events: None,
-        }
+        })
     }
 
     /// The fuzz spec string (`fuzz:<seed>:<count>`) reproducing each
@@ -409,7 +419,7 @@ mod tests {
         let archive = CampaignArchive::from_result(&result);
         let json = serde_json::to_string(&archive).unwrap();
         let back: CampaignArchive = serde_json::from_str(&json).unwrap();
-        let restored = back.into_result();
+        let restored = back.into_result().unwrap();
         assert_eq!(restored.records, result.records);
         assert_eq!(restored.stats, result.stats);
         assert_eq!(restored.injected, result.injected);
@@ -452,7 +462,7 @@ mod tests {
         let json = serde_json::to_string(&archive).unwrap();
         let back: CampaignArchive = serde_json::from_str(&json).unwrap();
         assert_eq!(back.traces, result.traces);
-        let restored = back.into_result();
+        let restored = back.into_result().unwrap();
         assert_eq!(restored.traces.len(), restored.records.len());
         for (r, t) in restored.records.iter().zip(&restored.traces) {
             assert_eq!(t.as_ref().unwrap().final_dsr_bits(), r.dsr.bits());
@@ -495,7 +505,7 @@ mod tests {
         assert_eq!(loaded.version, 2);
         assert!(loaded.traces.is_empty(), "pre-v3 files default to no traces");
         assert_eq!(loaded.records, result.records);
-        let restored = loaded.into_result();
+        let restored = loaded.into_result().unwrap();
         assert_eq!(restored.restart_cycles("idctrn"), result.restart_cycles("idctrn"));
         std::fs::remove_file(&path).ok();
     }
@@ -1066,7 +1076,7 @@ mod tests {
         let json = serde_json::to_string(&archive).unwrap();
         let back: CampaignArchive = serde_json::from_str(&json).unwrap();
         assert_eq!(back.lc, archive.lc);
-        let restored = back.into_result();
+        let restored = back.into_result().unwrap();
         assert_eq!(restored.golden[0].0, "lc_canrdr");
 
         // Kernel-only campaigns stay provenance-free.
@@ -1100,7 +1110,7 @@ mod tests {
         let json = serde_json::to_string(&archive).unwrap();
         let back: CampaignArchive = serde_json::from_str(&json).unwrap();
         assert_eq!(back.fuzz, archive.fuzz);
-        let restored = back.into_result();
+        let restored = back.into_result().unwrap();
         assert_eq!(restored.golden.len(), 3);
         assert_eq!(restored.golden[0].0, "fuzz42_000");
 
@@ -1172,9 +1182,31 @@ mod tests {
         // A full-length table still loads and rates cleanly.
         archive.injected_per_unit.pop();
         archive.save(&path).unwrap();
-        let loaded = CampaignArchive::load(&path).unwrap().into_result();
+        let loaded = CampaignArchive::load(&path).unwrap().into_result().unwrap();
         let rates = loaded.manifestation_rates(lockstep_cpu::Granularity::Fine);
         assert_eq!(rates.len(), UnitId::ALL.len());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unknown_workload_is_a_typed_error() {
+        // `load` does not resolve workloads (the service and the
+        // benchmark load archives without analysing them), so a renamed
+        // kernel loads; `into_result` then refuses it instead of
+        // panicking.
+        let mut archive = CampaignArchive::from_result(&small_result());
+        archive.golden[0].0 = "warp9".to_owned();
+        let dir = std::env::temp_dir().join("lockstep_archive_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unknown_workload.json");
+        archive.save(&path).unwrap();
+        let loaded = CampaignArchive::load(&path).expect("load leaves workloads unresolved");
+        let err = loaded.into_result().map(|_| ()).expect_err("warp9 is no workload");
+        assert!(
+            matches!(&err, ArchiveError::UnknownWorkload { name } if name == "warp9"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "archive references unknown workload `warp9`");
         std::fs::remove_file(&path).ok();
     }
 

@@ -4,13 +4,14 @@
 //! ```text
 //! analyze_dataset campaign.json [--seed S]
 //! ```
+//!
+//! Prints the report `repro_all` prints after its throughput table
+//! ([`lockstep_eval::experiments::write_report`]); at the campaign's
+//! `--seed` the two are byte-identical.
 
 use std::path::Path;
 
-use lockstep_cpu::Granularity;
-use lockstep_eval::experiments as exp;
-use lockstep_eval::CampaignArchive;
-use lockstep_fault::ErrorKind;
+use lockstep_eval::{cli, experiments, CampaignArchive};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,21 +25,13 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(2018u64);
-    let archive = match CampaignArchive::load(Path::new(path)) {
-        Ok(a) => a,
+    let result = match CampaignArchive::load(Path::new(path)).and_then(|a| a.into_result()) {
+        Ok(result) => result,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
     };
-    eprintln!("loaded {} errors from {path}\n", archive.records.len());
-    let result = archive.into_result();
-
-    println!("{}", exp::tab1::run(&result).1);
-    println!("{}", exp::fig45::run_signatures(&result, Granularity::Coarse, ErrorKind::Hard).1);
-    println!("{}", exp::fig45::run_signatures(&result, Granularity::Coarse, ErrorKind::Soft).1);
-    println!("{}", exp::fig45::run_type_evidence(&result, Granularity::Coarse).1);
-    println!("{}", exp::fig11::run(&result, Granularity::Coarse, seed).1);
-    println!("{}", exp::tab3::run(&result, seed).1);
-    println!("{}", exp::fig11::run(&result, Granularity::Fine, seed).1);
+    eprintln!("loaded {} errors from {path}\n", result.records.len());
+    cli::write_stdout(|out| experiments::write_report(out, &result, seed));
 }

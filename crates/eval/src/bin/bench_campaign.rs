@@ -28,7 +28,7 @@ use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use lockstep_eval::batch::BatchConfig;
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::cli;
 use lockstep_eval::CampaignResult;
 use serde::json::Value;
 use serde::Serialize;
@@ -118,7 +118,7 @@ fn main() {
             rest.push(arg);
         }
     }
-    let args = CommonArgs::parse(rest);
+    let config = cli::parse(rest);
 
     let modes: [Option<BatchConfig>; 5] = [
         None,
@@ -130,10 +130,10 @@ fn main() {
 
     eprintln!(
         "bench: {} faults x {} workloads, seed {}, {} thread(s), 5 batch modes x {ROUNDS} rounds...",
-        args.faults,
-        args.workloads.len(),
-        args.seed,
-        args.threads
+        config.faults_per_workload,
+        config.workloads.len(),
+        config.seed,
+        config.threads
     );
 
     // runs[m][r]: mode `m` in round `r`; the modes interleave within a
@@ -142,7 +142,7 @@ fn main() {
     let mut reference: Option<(Vec<lockstep_core::ErrorRecord>, usize)> = None;
     for round in 0..ROUNDS {
         for (m, &mode) in modes.iter().enumerate() {
-            let mut cfg = args.campaign_config();
+            let mut cfg = config.clone();
             cfg.batch = mode;
             let label = mode.map_or("off", BatchConfig::label);
             let result = lockstep_eval::run_campaign(&cfg);
@@ -203,15 +203,15 @@ fn main() {
         commit: commit(),
         date: utc_date(SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs())),
         bench: "campaign_batch_modes",
-        faults_per_workload: args.faults,
-        workloads: args.workloads.iter().map(|w| w.name.to_owned()).collect(),
-        seed: args.seed,
-        threads: args.threads,
+        faults_per_workload: config.faults_per_workload,
+        workloads: config.workloads.iter().map(|w| w.name.to_owned()).collect(),
+        seed: config.seed,
+        threads: config.threads,
         rounds: ROUNDS,
         host: Host::detect(),
-        core: args.core.label(),
-        redundancy: args.redundancy.label(),
-        checkpoint_interval: args.checkpoint_interval.unwrap_or(0),
+        core: config.core.label(),
+        redundancy: config.redundancy.label(),
+        checkpoint_interval: config.checkpoint_interval.unwrap_or(0),
         injections: injected,
         manifested: records.len(),
         configs,

@@ -4,20 +4,19 @@
 //! the in-order LR5 and the out-of-order LR7; any `--core` flag is
 //! overridden since this experiment needs both.
 use lockstep_cpu::CoreKind;
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::cli;
 
 fn main() {
-    let args = CommonArgs::parse(std::env::args());
-    let mut config = args.campaign_config();
+    let mut config = cli::parse(std::env::args());
     let mut results = Vec::new();
     for core in CoreKind::ALL {
         config.core = core;
         eprintln!(
             "running {} campaign: {} faults x {} workloads, seed {} ...",
             core.label(),
-            args.faults,
-            args.workloads.len(),
-            args.seed
+            config.faults_per_workload,
+            config.workloads.len(),
+            config.seed
         );
         let result = lockstep_eval::run_campaign(&config);
         eprintln!(
@@ -29,6 +28,6 @@ fn main() {
         results.push(result);
     }
     let [lr5, lr7] = &results[..] else { unreachable!("two cores") };
-    let (_, report) = lockstep_eval::experiments::crosscore::run(lr5, lr7, args.seed);
-    println!("\n{report}");
+    let (_, report) = lockstep_eval::experiments::crosscore::run(lr5, lr7, config.seed);
+    cli::write_stdout(|out| writeln!(out, "\n{report}"));
 }

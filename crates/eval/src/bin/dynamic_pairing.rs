@@ -1,7 +1,7 @@
 //! Dynamic-pairing experiment: the recovery-cost delta of checkpoint
 //! re-sync (dynamic lockstep) versus full task restart (fixed DMR).
 //!
-//! Two parts, both over the same campaign knobs (`CommonArgs`):
+//! Two parts, both over the same campaign knobs (`cli::parse`):
 //!
 //! 1. **Harness demonstration** — a [`DynamicLockstep`] pair runs the
 //!    first selected workload with a planted transient, detects the
@@ -27,8 +27,8 @@ use std::sync::Arc;
 use lockstep_bist::{lert_for, LatencyModel, LertInputs, Model, RESYNC_RESTORE};
 use lockstep_core::{DynamicLockstep, ErrorRecord, LockstepEvent, Predictor, PredictorConfig};
 use lockstep_cpu::{flops, CoreKind, CoreModel, Cpu, Granularity, Lr7};
-use lockstep_eval::campaign::CampaignResult;
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::campaign::{CampaignConfig, CampaignResult};
+use lockstep_eval::cli;
 use lockstep_eval::Dataset;
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_obs::MemorySink;
@@ -41,31 +41,35 @@ use lockstep_workloads::Workload;
 const FALLBACK_INTERVAL: u64 = 4096;
 
 fn main() {
-    let args = CommonArgs::parse(std::env::args());
-    let interval = args.checkpoint_interval.unwrap_or(FALLBACK_INTERVAL);
+    let config = cli::parse(std::env::args());
+    let interval = config.checkpoint_interval.unwrap_or(FALLBACK_INTERVAL);
 
     println!("dynamic pairing: checkpoint re-sync vs full-restart recovery");
     println!("=============================================================\n");
 
-    match args.core {
-        CoreKind::Lr5 => resync_demo::<Cpu>(&args, interval),
-        CoreKind::Lr7 => resync_demo::<Lr7>(&args, interval),
+    match config.core {
+        CoreKind::Lr5 => resync_demo::<Cpu>(&config, interval),
+        CoreKind::Lr7 => resync_demo::<Lr7>(&config, interval),
     }
 
-    eprintln!("running campaign ({} faults x {} workloads)...", args.faults, args.workloads.len());
-    let result = lockstep_eval::run_campaign(&args.campaign_config());
+    eprintln!(
+        "running campaign ({} faults x {} workloads)...",
+        config.faults_per_workload,
+        config.workloads.len()
+    );
+    let result = lockstep_eval::run_campaign(&config);
     eprintln!("campaign done: {} errors\n", result.records.len());
 
     recovery_table(&result, interval);
-    lert_table(&result, &args, interval);
+    lert_table(&result, config.seed, interval);
 }
 
 /// Part 1: one end-to-end re-sync on real hardware state. Tries a
 /// handful of flops until the transient manifests (a masked transient
 /// needs no recovery at all).
-fn resync_demo<C: CoreModel>(args: &CommonArgs, interval: u64) {
-    let w: &Workload = args.workloads[0];
-    let cap = w.golden_capture_for::<C>(args.seed, 8_000_000, interval);
+fn resync_demo<C: CoreModel>(config: &CampaignConfig, interval: u64) {
+    let w: &Workload = config.workloads[0];
+    let cap = w.golden_capture_for::<C>(config.seed, 8_000_000, interval);
     let budget = cap.run.cycles * 4;
     // Mid-run: late enough that short kernels still reach it, and past
     // checkpoint 0 so the re-sync has a distance to replay.
@@ -81,7 +85,7 @@ fn resync_demo<C: CoreModel>(args: &CommonArgs, interval: u64) {
 
     for flop in candidates {
         let sink = Arc::new(MemorySink::new());
-        let mut sys = DynamicLockstep::<C>::new_for(w.memory(args.seed));
+        let mut sys = DynamicLockstep::<C>::new_for(w.memory(config.seed));
         sys.set_event_sink(Some(sink.clone()));
         sys.set_label(w.name);
         sys.inject(0, Fault::new(flop, FaultKind::Transient, inject));
@@ -115,7 +119,7 @@ fn resync_demo<C: CoreModel>(args: &CommonArgs, interval: u64) {
             .count();
         assert_eq!(resyncs, 1, "exactly one re-sync event must be logged");
 
-        println!("re-sync demo ({}, {}, checkpoint interval {interval}):", w.name, args.core);
+        println!("re-sync demo ({}, {}, checkpoint interval {interval}):", w.name, config.core);
         println!(
             "  transient on flop `{}` @ cycle {inject} -> detected @ cycle {detect}",
             flops::label_of(flop)
@@ -168,13 +172,12 @@ fn recovery_table(result: &CampaignResult, interval: u64) {
 /// Part 2: mean LERT per handling model under both recovery stories.
 /// Same folds, same predictor, same RNG seed — the recovery term is the
 /// only degree of freedom between the two columns.
-fn lert_table(result: &CampaignResult, args: &CommonArgs, interval: u64) {
+fn lert_table(result: &CampaignResult, seed: u64, interval: u64) {
     let granularity = Granularity::Coarse;
     let latency = LatencyModel::calibrated(granularity);
-    let fixed = mean_lerts(result, args.seed, granularity, |r| result.restart_cycles(&r.workload));
-    let dynamic = mean_lerts(result, args.seed, granularity, |r| {
-        latency.resync_cycles(r.detect_cycle % interval)
-    });
+    let fixed = mean_lerts(result, seed, granularity, |r| result.restart_cycles(&r.workload));
+    let dynamic =
+        mean_lerts(result, seed, granularity, |r| latency.resync_cycles(r.detect_cycle % interval));
 
     println!(
         "mean LERT per error (5-fold CV, coarse granularity, {} errors):",

@@ -8,8 +8,7 @@
 
 use std::path::PathBuf;
 
-use lockstep_eval::cli::CommonArgs;
-use lockstep_eval::CampaignArchive;
+use lockstep_eval::{cli, CampaignArchive};
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().collect();
@@ -19,14 +18,14 @@ fn main() {
     } else {
         PathBuf::from("campaign.json")
     };
-    let args = CommonArgs::parse(raw);
+    let config = cli::parse(raw);
     eprintln!(
         "campaign: {} faults x {} workloads, seed {}...",
-        args.faults,
-        args.workloads.len(),
-        args.seed
+        config.faults_per_workload,
+        config.workloads.len(),
+        config.seed
     );
-    let result = lockstep_eval::run_campaign(&args.campaign_config());
+    let result = lockstep_eval::run_campaign(&config);
     eprintln!("{} errors from {} injections", result.records.len(), result.injected);
     let archive = CampaignArchive::from_result(&result);
     if let Err(e) = archive.save(&path) {

@@ -5,26 +5,26 @@
 //! cargo run --release -p lockstep-eval --bin repro_all -- --faults 2500
 //! ```
 //!
-//! Sections appear in the paper's order: Table I/II, Figures 4/5,
-//! Section III-B, Figure 10, Figure 11, Table III, Section V-B,
-//! Figures 12/13, Figures 14/15/16, Table IV, plus the two ablations.
+//! Prints the campaign's throughput table, then the one report of
+//! [`lockstep_eval::experiments::write_report`]: Figures 3 and 8,
+//! Tables I/II, Figures 4/5, Section III-B, Figure 10, Figure 11,
+//! Table III, Section V-B, Figures 12/13, Figures 14/15/16, Table IV,
+//! plus the two ablations. `analyze_dataset` prints the same report for
+//! a saved archive.
 
-use lockstep_cpu::Granularity;
-use lockstep_eval::cli::CommonArgs;
-use lockstep_eval::experiments as exp;
-use lockstep_fault::ErrorKind;
+use lockstep_eval::{cli, experiments};
 
 fn main() {
-    let args = CommonArgs::parse(std::env::args());
+    let config = cli::parse(std::env::args());
     eprintln!(
         "campaign: {} faults x {} workloads, seed {}, {} thread(s)...",
-        args.faults,
-        args.workloads.len(),
-        args.seed,
-        args.threads
+        config.faults_per_workload,
+        config.workloads.len(),
+        config.seed,
+        config.threads
     );
     let start = std::time::Instant::now();
-    let result = lockstep_eval::run_campaign(&args.campaign_config());
+    let result = lockstep_eval::run_campaign(&config);
     eprintln!(
         "campaign done in {:.0?}: {} errors from {} injections ({:.0} injections/sec)\n",
         start.elapsed(),
@@ -33,29 +33,9 @@ fn main() {
         result.stats.injections_per_sec
     );
 
-    println!("{}", result.stats.render());
-    println!("{}", exp::tab1::run(&result).1);
-    println!("{}", exp::tab2::run(&result, Granularity::Coarse).1);
-    println!("{}", exp::fig45::run_signatures(&result, Granularity::Coarse, ErrorKind::Hard).1);
-    println!("{}", exp::fig45::run_signatures(&result, Granularity::Coarse, ErrorKind::Soft).1);
-    println!("{}", exp::fig45::run_type_evidence(&result, Granularity::Coarse).1);
-    println!("{}", exp::fig10::run(&result, Granularity::Coarse, 12).1);
-    println!("{}", exp::fig11::run(&result, Granularity::Coarse, args.seed).1);
-    println!("{}", exp::tab3::run(&result, args.seed).1);
-    println!("{}", exp::sec5b::run(&result, args.seed).1);
-
-    let coarse_points = exp::topk::sweep(&result, Granularity::Coarse, args.seed);
-    println!("{}", exp::topk::render_accuracy(&coarse_points, Granularity::Coarse));
-    println!("{}", exp::topk::render_lert(&coarse_points, Granularity::Coarse));
-
-    println!("{}", exp::fig11::run(&result, Granularity::Fine, args.seed).1);
-    let fine_points = exp::topk::sweep(&result, Granularity::Fine, args.seed);
-    println!("{}", exp::topk::render_accuracy(&fine_points, Granularity::Fine));
-    println!("{}", exp::topk::render_lert(&fine_points, Granularity::Fine));
-
-    println!("{}", exp::tab4::run(11).1);
-    println!("{}", exp::ablation::run_dynamic(&result, args.seed).1);
-    println!("{}", exp::ablation::run_lbist(&result, Granularity::Coarse, 64, args.seed).1);
-
+    cli::write_stdout(|out| {
+        writeln!(out, "{}", result.stats.render())?;
+        experiments::write_report(out, &result, config.seed)
+    });
     eprintln!("total wall time: {:.0?}", start.elapsed());
 }

@@ -10,7 +10,7 @@
 //! or `--redundancy dme`, which record no traces.
 
 use lockstep_eval::campaign::DEFAULT_TRACE_WINDOW;
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::cli;
 
 fn main() {
     // Split off the flag this binary adds before the common parser
@@ -29,20 +29,20 @@ fn main() {
             rest.push(arg);
         }
     }
-    let args = CommonArgs::parse(rest);
-    if args.trace_window.is_none() {
+    let config = cli::parse(rest);
+    if config.trace_window.is_none() {
         die("--trace-window must be above 0: this tool always traces");
     }
 
     eprintln!(
         "running traced campaign: {} faults x {} workloads, seed {}, \
          trace window {} ...",
-        args.faults,
-        args.workloads.len(),
-        args.seed,
-        args.trace_window.unwrap_or(0),
+        config.faults_per_workload,
+        config.workloads.len(),
+        config.seed,
+        config.trace_window.unwrap_or(0),
     );
-    let result = lockstep_eval::run_campaign(&args.campaign_config());
+    let result = lockstep_eval::run_campaign(&config);
     eprintln!(
         "campaign done: {} errors from {} injections\n",
         result.records.len(),
@@ -58,7 +58,7 @@ fn main() {
         ));
     }
     let (report, text) = lockstep_eval::experiments::trace::run_trace(&result, record);
-    println!("{text}");
+    cli::write_stdout(|out| writeln!(out, "{text}"));
     assert!(report.dsr_consistent, "trace DSR diverged from the campaign record");
 }
 

@@ -5,18 +5,17 @@
 //!
 //! `--workloads` selects the hand-written corpus (default: the full
 //! suite); the compiled corpus is always the whole `lc:all` registry.
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::cli;
 use lockstep_workloads::lc;
 
 fn main() {
-    let args = CommonArgs::parse(std::env::args());
-    let mut config = args.campaign_config();
+    let mut config = cli::parse(std::env::args());
 
     eprintln!(
         "running hand-written campaign: {} faults x {} workloads, seed {} ...",
-        args.faults,
+        config.faults_per_workload,
         config.workloads.len(),
-        args.seed
+        config.seed
     );
     let hand = lockstep_eval::run_campaign(&config);
     eprintln!("hand-written done: {} errors from {} injections", hand.records.len(), hand.injected);
@@ -24,7 +23,7 @@ fn main() {
     config.workloads = lc::all();
     eprintln!(
         "running compiled campaign: {} faults x {} lc workloads ...",
-        args.faults,
+        config.faults_per_workload,
         config.workloads.len()
     );
     let compiled = lockstep_eval::run_campaign(&config);
@@ -34,6 +33,6 @@ fn main() {
         compiled.injected
     );
 
-    let (_, report) = lockstep_eval::experiments::diversity::run(&hand, &compiled, args.seed);
-    println!("\n{report}");
+    let (_, report) = lockstep_eval::experiments::diversity::run(&hand, &compiled, config.seed);
+    cli::write_stdout(|out| writeln!(out, "\n{report}"));
 }

@@ -42,14 +42,14 @@ pub fn run_signatures(
                 "\n  {} distribution over its top diverged-SC sets:\n",
                 granularity.unit_name(u)
             ));
-            let mut probs: Vec<(String, f64)> = analysis.distributions[u]
-                .iter()
-                .map(|(dsr, p)| (format!("{:013b}", dsr.bits() & 0x1FFF), p))
-                .collect();
-            probs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-            for (label, p) in probs.iter().take(8) {
+            // The distribution is a hash map: order equal probabilities
+            // by the whole DSR, so the panel prints the same every run.
+            let mut probs: Vec<(u64, f64)> =
+                analysis.distributions[u].iter().map(|(dsr, p)| (dsr.bits(), p)).collect();
+            probs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for (bits, p) in probs.iter().take(8) {
                 let bar = "#".repeat((p * 60.0).round() as usize);
-                report.push_str(&format!("    set …{label} {bar} {:.3}\n", p));
+                report.push_str(&format!("    set …{:013b} {bar} {:.3}\n", bits & 0x1FFF, p));
             }
         }
     }

@@ -45,10 +45,13 @@
 //! * [`spec`] — the one serde description of a campaign
 //!   ([`spec::CampaignSpec`]), shared by the CLIs and the campaign
 //!   service, with typed validation errors.
-//! * [`render`] — ASCII tables and bar charts for experiment binaries.
-//! * [`experiments`] — one module per paper table/figure; the
-//!   `src/bin/*.rs` binaries are thin wrappers (see DESIGN.md for the
-//!   index).
+//! * [`render`] — ASCII tables and bar charts for the reports.
+//! * [`experiments`] — one module per paper table/figure, and the one
+//!   report of them all ([`experiments::write_report`]) that `repro_all`
+//!   prints after a campaign and `analyze_dataset` prints for a saved
+//!   archive (see DESIGN.md for the index).
+//! * [`cli`] — the campaign flags every binary shares, parsed into a
+//!   [`CampaignConfig`], and the one way the binaries print a report.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

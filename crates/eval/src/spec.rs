@@ -1,7 +1,7 @@
 //! The one serde description of a campaign: [`CampaignSpec`].
 //!
 //! Historically the campaign knobs were parsed in two places — the
-//! experiment CLIs ([`crate::cli::CommonArgs`]) and the `lockstep-serve`
+//! experiment CLIs ([`crate::cli::parse`]) and the `lockstep-serve`
 //! JSON protocol — each with its own field names, defaults, and
 //! validation. `CampaignSpec` unifies them: one serializable struct
 //! holding the portable knobs (workloads, faults, seed, batch engine,

@@ -1,12 +1,13 @@
 //! Every experiment module must run end-to-end on a small shared
 //! campaign and produce a structurally sound report — these tests guard
-//! the exact code paths the reproduction binaries use.
+//! the exact code paths the reproduction binaries use, and the one
+//! report `repro_all` and `analyze_dataset` print.
 
 use std::sync::OnceLock;
 
 use lockstep_cpu::Granularity;
 use lockstep_eval::experiments as exp;
-use lockstep_eval::{run_campaign, CampaignConfig, CampaignResult};
+use lockstep_eval::{run_campaign, CampaignArchive, CampaignConfig, CampaignResult};
 use lockstep_fault::ErrorKind;
 use lockstep_workloads::Workload;
 
@@ -148,4 +149,52 @@ fn inventory_reports_are_static() {
     let units = exp::inventory::unit_organization();
     assert!(units.contains("DPU"));
     assert!(units.contains("13 units"));
+}
+
+/// The report prints every section once, in order, and the same bytes
+/// every time: rendered twice, and again from a saved and reloaded
+/// archive (what `analyze_dataset` sees).
+#[test]
+fn report_is_stable_across_renders_and_an_archive_round_trip() {
+    let render = |result: &CampaignResult| {
+        let mut out = Vec::new();
+        exp::write_report(&mut out, result, 31415).expect("a Vec takes every write");
+        String::from_utf8(out).expect("the report is UTF-8")
+    };
+    let first = render(campaign());
+    assert_eq!(render(campaign()), first, "a second render differs");
+
+    let path = std::env::temp_dir().join(format!("lockstep-report-{}.json", std::process::id()));
+    CampaignArchive::from_result(campaign()).save(&path).unwrap();
+    let loaded = CampaignArchive::load(&path).unwrap().into_result().unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(render(&loaded), first, "the archive round trip changes the report");
+
+    let headings: Vec<&str> = first.lines().filter(|l| l.starts_with("== ")).collect();
+    let expected = [
+        "== Figure 3:",
+        "== Figure 8:",
+        "== Table I:",
+        "== Table II: model latencies (7 units)",
+        "== Table II: model latencies (13 units)",
+        "== Figure 4 ",
+        "== Figure 5 ",
+        "== Section III-B:",
+        "== Figure 10:",
+        "== Figure 11 ",
+        "== Table III:",
+        "== Section V-B:",
+        "== Figure 12 (",
+        "== Figure 13 (",
+        "== Figure 14 ",
+        "== Figure 15 (",
+        "== Figure 16 (",
+        "== Table IV:",
+        "== Ablation: static vs dynamic",
+        "== Ablation: LBIST",
+    ];
+    assert_eq!(headings.len(), expected.len(), "{headings:#?}");
+    for (heading, prefix) in headings.iter().zip(expected) {
+        assert!(heading.starts_with(prefix), "{heading:?} where {prefix:?} belongs");
+    }
 }

@@ -6,20 +6,18 @@
 
 use lockstep_eval::archive::{CampaignArchive, FuzzSpecRepr};
 use lockstep_eval::campaign::{run_campaign, CampaignConfig, CampaignResult, CampaignStats};
-use lockstep_eval::cli::CommonArgs;
+use lockstep_eval::cli;
 
 fn fuzz42_config(threads: usize) -> CampaignConfig {
     // Built through the CLI layer on purpose: this is the config a user
     // typing `--workloads fuzz:42:4` actually gets.
-    let args = CommonArgs::parse(
+    let cfg = cli::parse(
         ["prog", "--workloads", "fuzz:42:4", "--faults", "60", "--seed", "5", "--threads"]
             .iter()
             .map(|s| (*s).to_owned())
             .chain([threads.to_string()]),
     );
-    let mut cfg = args.campaign_config();
-    cfg.capture_window = 8;
-    cfg
+    CampaignConfig { capture_window: 8, ..cfg }
 }
 
 fn archive_bytes(result: &CampaignResult) -> String {
@@ -55,12 +53,12 @@ fn fuzz_campaign_archive_round_trips_with_seed() {
     assert_eq!(loaded.fuzz, vec![FuzzSpecRepr { seed: 42, count: 4 }]);
     assert_eq!(loaded.fuzz_spec_strings(), vec!["fuzz:42:4".to_owned()]);
     // The recorded spec string regenerates the identical workload set.
-    let replayed = CommonArgs::parse([
+    let replayed = cli::parse([
         "prog".to_owned(),
         "--workloads".to_owned(),
         loaded.fuzz_spec_strings().join(","),
     ]);
-    let restored = loaded.into_result();
+    let restored = loaded.into_result().unwrap();
     assert_eq!(replayed.workloads.len(), restored.golden.len());
     for (w, (name, _)) in replayed.workloads.iter().zip(&restored.golden) {
         assert_eq!(w.name, *name);

@@ -234,8 +234,8 @@ fn check(addr: &str, flags: &[String]) {
     }
     eprintln!("{} done: {} records; training offline reference ...", submitted.job, status.records);
 
-    // The offline path the paper's experiments use (repro_all /
-    // fig10_table_contents): same records, same training call.
+    // The offline path the paper's experiments use (repro_all's
+    // Figure 10): same records, same training call.
     config.threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let result = run_campaign(&config);
     let records: Vec<&ErrorRecord> = result.records.iter().collect();

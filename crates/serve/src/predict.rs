@@ -4,7 +4,7 @@
 //! `Predictor::train`) exactly, over the merged records of every
 //! completed job *of the requested core model* — so for a given record
 //! set the service returns the same ranked-unit order and type bit as
-//! the `repro_all` / `fig10_table_contents` binaries. Both are
+//! the Figure 10 section of the `repro_all` report. Both are
 //! deterministic, which is what the CI service-smoke job asserts end
 //! to end. Tables are kept per core because trained entries do not
 //! transfer between the LR5 and LR7 netlists (the cross-core matrix in
