@@ -13,10 +13,16 @@
 //! * [`MemoryModel::Replicated`] — board-level lockstepping
 //!   (Figure 1a): every CPU drives its own private copy of the memory
 //!   system, so a faulty CPU cannot contaminate the inputs of the
-//!   fault-free ones. This is the reference model the campaign's
-//!   full-lockstep replay mode simulates, and the model under which a
-//!   fault-free CPU's ports are a pure function of the workload — the
-//!   fact [`ShadowLockstep`](crate::ShadowLockstep) exploits.
+//!   fault-free ones. Under this model a fault-free CPU's ports are a
+//!   pure function of the workload, which is what lets the campaign
+//!   engine record them once and replay every injection against the
+//!   recording; `lockstep-eval`'s `replay_equivalence` suite holds that
+//!   replay to this harness.
+//!
+//! Recovery: [`LockstepSystem::reset_and_restart`] is fixed DMR's
+//! soft-error recovery, [`LockstepSystem::forward_recover`] TMR's, and
+//! [`LockstepSystem::resync_from`] dynamic lockstep's checkpoint
+//! re-sync (DESIGN.md §13).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -149,8 +155,8 @@ impl LockstepSystem {
     /// Creates an `n`-CPU board-level LR5 lockstep system (Figure 1a):
     /// each CPU gets its own clone of `mem`, so every CPU's inputs stay
     /// fault-free regardless of what the others do. This is the model
-    /// the campaign's full-lockstep replay simulates per injection.
-    /// Shorthand for [`LockstepSystem::new_replicated_for`].
+    /// the campaign's recorded replay stands in for. Shorthand for
+    /// [`LockstepSystem::new_replicated_for`].
     ///
     /// # Panics
     ///
@@ -214,9 +220,11 @@ impl<C: CoreModel> LockstepSystem<C> {
     }
 
     /// Installs an observability event sink: the harness announces every
-    /// checker detection as an [`Event::Detect`] (tagged with the
-    /// system's [`label`](LockstepSystem::set_label)). `None` (the
-    /// default) emits nothing and costs nothing.
+    /// armed fault as an [`Event::Inject`], every checker detection as
+    /// an [`Event::Detect`] and every checkpoint re-sync as an
+    /// [`Event::Resync`] (tagged with the system's
+    /// [`label`](LockstepSystem::set_label)). `None` (the default) emits
+    /// nothing and costs nothing.
     pub fn set_event_sink(&mut self, sink: Option<Arc<dyn EventSink>>) {
         self.events = sink;
     }
@@ -291,21 +299,29 @@ impl<C: CoreModel> LockstepSystem<C> {
 
     /// Advances all CPUs one cycle and runs the checker. On divergence,
     /// continues stepping for the rest of the capture window so the DSR
-    /// accumulates exactly as the hardware register would.
+    /// accumulates exactly as the hardware register would: per-SC
+    /// divergences keep OR-ing in for `window - 1` further cycles while
+    /// the CPUs are being stopped.
     pub fn step(&mut self) -> LockstepEvent {
         let first = self.step_once();
-        let merged = accumulate_capture_window(first, self.capture_window, || self.step_once());
-        if let LockstepEvent::ErrorDetected { dsr, cycle, .. } = &merged {
-            if let Some(sink) = &self.events {
-                sink.emit(&Event::Detect {
-                    workload: self.label.clone(),
-                    inject_cycle: self.faults.iter().map(|(_, f)| f.cycle).min().unwrap_or(0),
-                    detect_cycle: *cycle,
-                    dsr_bits: dsr.bits(),
-                });
+        let LockstepEvent::ErrorDetected { dsr, cycle, erring_cpu } = first else {
+            return first;
+        };
+        let mut bits = dsr.bits();
+        for _ in 1..self.capture_window {
+            if let LockstepEvent::ErrorDetected { dsr, .. } = self.step_once() {
+                bits |= dsr.bits();
             }
         }
-        merged
+        if let Some(sink) = &self.events {
+            sink.emit(&Event::Detect {
+                workload: self.label.clone(),
+                inject_cycle: self.faults.iter().map(|(_, f)| f.cycle).min().unwrap_or(0),
+                detect_cycle: cycle,
+                dsr_bits: bits,
+            });
+        }
+        LockstepEvent::ErrorDetected { dsr: Dsr::from_bits(bits), cycle, erring_cpu }
     }
 
     /// One raw cycle: step every CPU and compare ports.
@@ -422,27 +438,48 @@ impl<C: CoreModel> LockstepSystem<C> {
         let donor = self.cpus[healthy_cpu].snapshot();
         self.cpus[erring_cpu].restore(&donor);
     }
-}
 
-/// DSR capture-window accumulation, shared by every harness variant:
-/// after a first divergent cycle the hardware keeps OR-ing per-SC
-/// divergences into the DSR for `window - 1` further cycles while the
-/// CPUs are being stopped. Non-detecting first events pass through
-/// unchanged; follow-up cycles that do not diverge (or that end the
-/// replay) contribute nothing.
-pub(crate) fn accumulate_capture_window(
-    first: LockstepEvent,
-    window: u32,
-    mut step_once: impl FnMut() -> LockstepEvent,
-) -> LockstepEvent {
-    let LockstepEvent::ErrorDetected { dsr, cycle, erring_cpu } = first else {
-        return first;
-    };
-    let mut bits = dsr.bits();
-    for _ in 1..window {
-        if let LockstepEvent::ErrorDetected { dsr, .. } = step_once() {
-            bits |= dsr.bits();
+    /// Checkpoint re-sync, dynamic lockstep's soft-error recovery:
+    /// restores **every** CPU and **every** memory (the main one and the
+    /// replicas) from a golden `(state, memory)` checkpoint captured at
+    /// `checkpoint_cycle`, rewinds the cycle counter to it and announces
+    /// an [`Event::Resync`]. Returns the replay distance (cycles of work
+    /// to redo, current cycle minus checkpoint cycle) — the quantity that
+    /// replaces the full task restart in LERT accounting.
+    ///
+    /// Sound (DESIGN.md §13) because a golden checkpoint was captured on
+    /// the fault-free run: restoring every CPU and every memory from it
+    /// puts the system into a reachable fault-free configuration, and
+    /// execution from there is cycle-identical to the golden run —
+    /// provided the caller has cleared the transient faults first
+    /// ([`clear_faults`](LockstepSystem::clear_faults)). Re-syncing
+    /// under a hard fault just re-detects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoint_cycle` is ahead of the current cycle.
+    pub fn resync_from(&mut self, state: &C::State, mem: &Memory, checkpoint_cycle: u64) -> u64 {
+        assert!(
+            checkpoint_cycle <= self.cycle,
+            "checkpoint {checkpoint_cycle} is ahead of cycle {}",
+            self.cycle
+        );
+        let distance = self.cycle - checkpoint_cycle;
+        if let Some(sink) = &self.events {
+            sink.emit(&Event::Resync {
+                workload: self.label.clone(),
+                detect_cycle: self.cycle,
+                checkpoint_cycle,
+                resync_cycles: distance,
+            });
         }
+        for cpu in &mut self.cpus {
+            cpu.restore(state);
+        }
+        for m in std::iter::once(&mut self.mem).chain(&mut self.replicas) {
+            m.clone_from(mem);
+        }
+        self.cycle = checkpoint_cycle;
+        distance
     }
-    LockstepEvent::ErrorDetected { dsr: Dsr::from_bits(bits), cycle, erring_cpu }
 }

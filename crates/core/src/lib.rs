@@ -16,14 +16,12 @@
 //! * [`dynamic`] — the online-updating predictor variant discussed (and
 //!   argued unnecessary) in Section VII, for the static-vs-dynamic
 //!   ablation;
-//! * [`harness`] — a live lockstep system (redundant CPUs, shared-bus or
-//!   replicated memory, per-cycle checking, reset & restart recovery);
+//! * [`harness`] — the live lockstep system (redundant CPUs, shared-bus
+//!   or replicated memory, per-cycle checking with the DSR capture
+//!   window; reset & restart, TMR forward recovery and checkpoint
+//!   re-sync);
 //! * [`redundancy`] — the campaign comparator axis (fixed port compare
-//!   / DME retire stream) and the dynamic-pairing harness with
-//!   checkpoint re-sync recovery;
-//! * [`shadow`] — the shadow-golden harness: one live CPU checked
-//!   against a recorded golden port trace, the semantics behind the
-//!   campaign engine's replay;
+//!   / DME retire stream);
 //! * [`log`] — the lockstep error data logging of Figure 7.
 //!
 //! # Example
@@ -55,7 +53,6 @@ pub mod harness;
 pub mod log;
 pub mod predictor;
 pub mod redundancy;
-pub mod shadow;
 
 pub use checker::{Checker, MmrOutcome};
 pub use dsr::Dsr;
@@ -63,5 +60,4 @@ pub use dynamic::DynamicPredictor;
 pub use harness::{LockstepEvent, LockstepSystem, MemoryModel};
 pub use log::ErrorRecord;
 pub use predictor::{Prediction, Predictor, PredictorConfig, TrainRecord, TypeScoring};
-pub use redundancy::{DynamicLockstep, RedundancyMode};
-pub use shadow::ShadowLockstep;
+pub use redundancy::RedundancyMode;

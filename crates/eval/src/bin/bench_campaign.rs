@@ -162,41 +162,29 @@ fn main() {
         xs[xs.len() / 2]
     };
     let baseline_nanos = median(runs[0].iter().map(|r| r.stats.injection_nanos as f64).collect());
-    let mut configs = Vec::new();
-    println!(
-        "{:<10} {:>10} {:>12} {:>14} {:>12} {:>10}",
-        "mode", "wall ms", "inject ms", "faults/sec", "Mcyc simmed", "speedup"
-    );
-    for (mode, results) in modes.iter().zip(&runs) {
-        let label = mode.map_or("off", BatchConfig::label);
-        let wall_ms = median(results.iter().map(|r| r.stats.wall_nanos as f64 / 1e6).collect());
-        let injection_nanos =
-            median(results.iter().map(|r| r.stats.injection_nanos as f64).collect());
-        let faults_per_sec = median(results.iter().map(|r| r.stats.injections_per_sec).collect());
-        let stats = &results[0].stats;
-        let replayed: u64 = stats.per_workload.iter().map(|w| w.replayed_cycles).sum();
-        let speedup = baseline_nanos / injection_nanos.max(1.0);
-        println!(
-            "{:<10} {:>10.0} {:>12.0} {:>14.0} {:>12.1} {:>9.2}x",
-            label,
-            wall_ms,
-            injection_nanos / 1e6,
-            faults_per_sec,
-            replayed as f64 / 1e6,
-            speedup
-        );
-        configs.push(ConfigRow {
-            batch_mode: label,
-            wall_ms,
-            injection_ms: injection_nanos / 1e6,
-            faults_per_sec,
-            replayed_mcycles: replayed as f64 / 1e6,
-            masked_early_out: stats.masked_early_out,
-            parked_masked: stats.parked_masked,
-            lane_activations: stats.lane_activations,
-            speedup_vs_off: speedup,
-        });
-    }
+    let configs: Vec<ConfigRow> = modes
+        .iter()
+        .zip(&runs)
+        .map(|(mode, results)| {
+            let injection_nanos =
+                median(results.iter().map(|r| r.stats.injection_nanos as f64).collect());
+            let stats = &results[0].stats;
+            let replayed: u64 = stats.per_workload.iter().map(|w| w.replayed_cycles).sum();
+            ConfigRow {
+                batch_mode: mode.map_or("off", BatchConfig::label),
+                wall_ms: median(results.iter().map(|r| r.stats.wall_nanos as f64 / 1e6).collect()),
+                injection_ms: injection_nanos / 1e6,
+                faults_per_sec: median(
+                    results.iter().map(|r| r.stats.injections_per_sec).collect(),
+                ),
+                replayed_mcycles: replayed as f64 / 1e6,
+                masked_early_out: stats.masked_early_out,
+                parked_masked: stats.parked_masked,
+                lane_activations: stats.lane_activations,
+                speedup_vs_off: baseline_nanos / injection_nanos.max(1.0),
+            }
+        })
+        .collect();
 
     let (records, injected) = reference.expect("at least one run");
     let report = Report {
@@ -216,6 +204,8 @@ fn main() {
         manifested: records.len(),
         configs,
     };
+    // The row is the result; the table only shows it, so the row is
+    // appended first and a reader that has gone away cannot lose it.
     let row = serde_json::to_string(&report).expect("report serializes");
     let old = match std::fs::read_to_string(&out_path) {
         Ok(text) => Some(text),
@@ -227,6 +217,27 @@ fn main() {
     std::fs::write(&out_path, text)
         .unwrap_or_else(|e| fail(&format!("cannot write `{out_path}`: {e}")));
     eprintln!("appended a row to {out_path}");
+
+    cli::write_stdout(|out| {
+        writeln!(
+            out,
+            "{:<10} {:>10} {:>12} {:>14} {:>12} {:>10}",
+            "mode", "wall ms", "inject ms", "faults/sec", "Mcyc simmed", "speedup"
+        )?;
+        for c in &report.configs {
+            writeln!(
+                out,
+                "{:<10} {:>10.0} {:>12.0} {:>14.0} {:>12.1} {:>9.2}x",
+                c.batch_mode,
+                c.wall_ms,
+                c.injection_ms,
+                c.faults_per_sec,
+                c.replayed_mcycles,
+                c.speedup_vs_off
+            )?;
+        }
+        Ok(())
+    });
 }
 
 fn fail(msg: &str) -> ! {

@@ -3,13 +3,14 @@
 //!
 //! Two parts, both over the same campaign knobs (`cli::parse`):
 //!
-//! 1. **Harness demonstration** — a [`DynamicLockstep`] pair runs the
-//!    first selected workload with a planted transient, detects the
-//!    divergence, and recovers by re-syncing both sides from the
-//!    nearest golden checkpoint (PR 1's capture machinery) instead of
-//!    restarting from reset. The re-synced pair must run clean to halt
-//!    with the golden output checksum — the soundness argument of
-//!    DESIGN.md §13, executed.
+//! 1. **Harness demonstration** — a replicated-memory DMR
+//!    [`LockstepSystem`] runs the first selected workload with a planted
+//!    transient, detects the divergence, and recovers by re-syncing both
+//!    sides from the nearest golden checkpoint
+//!    ([`LockstepSystem::resync_from`]) instead of restarting from
+//!    reset. The re-synced pair must run clean to halt with the golden
+//!    output checksum — the soundness argument of DESIGN.md §13,
+//!    executed.
 //!
 //! 2. **LERT accounting** — the full injection campaign runs once
 //!    (dynamic pairing detects with the fixed port compare, so one
@@ -21,14 +22,18 @@
 //!    nearest checkpoint at or below the detection). The delta isolates
 //!    the recovery term, because everything else — records, folds,
 //!    predictor, random orders — is bit-identical between the columns.
+//!    A campaign that logged fewer errors than folds prints one line
+//!    saying the table was skipped.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use lockstep_bist::{lert_for, LatencyModel, LertInputs, Model, RESYNC_RESTORE};
-use lockstep_core::{DynamicLockstep, ErrorRecord, LockstepEvent, Predictor, PredictorConfig};
+use lockstep_core::{ErrorRecord, LockstepEvent, LockstepSystem, Predictor, PredictorConfig};
 use lockstep_cpu::{flops, CoreKind, CoreModel, Cpu, Granularity, Lr7};
 use lockstep_eval::campaign::{CampaignConfig, CampaignResult};
 use lockstep_eval::cli;
+use lockstep_eval::dataset::{skipped_for_folds, FOLDS};
 use lockstep_eval::Dataset;
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_obs::MemorySink;
@@ -44,13 +49,14 @@ fn main() {
     let config = cli::parse(std::env::args());
     let interval = config.checkpoint_interval.unwrap_or(FALLBACK_INTERVAL);
 
-    println!("dynamic pairing: checkpoint re-sync vs full-restart recovery");
-    println!("=============================================================\n");
-
-    match config.core {
-        CoreKind::Lr5 => resync_demo::<Cpu>(&config, interval),
-        CoreKind::Lr7 => resync_demo::<Lr7>(&config, interval),
-    }
+    cli::write_stdout(|out| {
+        writeln!(out, "dynamic pairing: checkpoint re-sync vs full-restart recovery")?;
+        writeln!(out, "=============================================================\n")?;
+        match config.core {
+            CoreKind::Lr5 => resync_demo::<Cpu>(out, &config, interval),
+            CoreKind::Lr7 => resync_demo::<Lr7>(out, &config, interval),
+        }
+    });
 
     eprintln!(
         "running campaign ({} faults x {} workloads)...",
@@ -60,14 +66,20 @@ fn main() {
     let result = lockstep_eval::run_campaign(&config);
     eprintln!("campaign done: {} errors\n", result.records.len());
 
-    recovery_table(&result, interval);
-    lert_table(&result, config.seed, interval);
+    cli::write_stdout(|out| {
+        recovery_table(out, &result, interval)?;
+        lert_table(out, &result, config.seed, interval)
+    });
 }
 
 /// Part 1: one end-to-end re-sync on real hardware state. Tries a
 /// handful of flops until the transient manifests (a masked transient
 /// needs no recovery at all).
-fn resync_demo<C: CoreModel>(config: &CampaignConfig, interval: u64) {
+fn resync_demo<C: CoreModel>(
+    out: &mut dyn Write,
+    config: &CampaignConfig,
+    interval: u64,
+) -> io::Result<()> {
     let w: &Workload = config.workloads[0];
     let cap = w.golden_capture_for::<C>(config.seed, 8_000_000, interval);
     let budget = cap.run.cycles * 4;
@@ -85,7 +97,7 @@ fn resync_demo<C: CoreModel>(config: &CampaignConfig, interval: u64) {
 
     for flop in candidates {
         let sink = Arc::new(MemorySink::new());
-        let mut sys = DynamicLockstep::<C>::new_for(w.memory(config.seed));
+        let mut sys = LockstepSystem::<C>::new_replicated_for(2, w.memory(config.seed));
         sys.set_event_sink(Some(sink.clone()));
         sys.set_label(w.name);
         sys.inject(0, Fault::new(flop, FaultKind::Transient, inject));
@@ -119,31 +131,40 @@ fn resync_demo<C: CoreModel>(config: &CampaignConfig, interval: u64) {
             .count();
         assert_eq!(resyncs, 1, "exactly one re-sync event must be logged");
 
-        println!("re-sync demo ({}, {}, checkpoint interval {interval}):", w.name, config.core);
-        println!(
+        writeln!(
+            out,
+            "re-sync demo ({}, {}, checkpoint interval {interval}):",
+            w.name, config.core
+        )?;
+        writeln!(
+            out,
             "  transient on flop `{}` @ cycle {inject} -> detected @ cycle {detect}",
             flops::label_of(flop)
-        );
-        println!("  nearest golden checkpoint @ cycle {}", ck.cycle);
-        println!(
+        )?;
+        writeln!(out, "  nearest golden checkpoint @ cycle {}", ck.cycle)?;
+        writeln!(
+            out,
             "  re-sync: restore {RESYNC_RESTORE} + replay {distance} = {resync} cycles; \
              full restart = {restart} cycles ({:.1}x more)",
             restart as f64 / resync as f64
+        )?;
+        return writeln!(
+            out,
+            "  re-synced pair ran clean to halt; output checksum matches golden\n"
         );
-        println!("  re-synced pair ran clean to halt; output checksum matches golden\n");
-        return;
     }
     panic!("no candidate transient manifested on {}", w.name);
 }
 
 /// The recovery term a soft error pays under each arrangement, averaged
 /// over the campaign's detections per workload.
-fn recovery_table(result: &CampaignResult, interval: u64) {
-    println!("soft-error recovery term per detection (checkpoint interval {interval}):");
-    println!(
+fn recovery_table(out: &mut dyn Write, result: &CampaignResult, interval: u64) -> io::Result<()> {
+    writeln!(out, "soft-error recovery term per detection (checkpoint interval {interval}):")?;
+    writeln!(
+        out,
         "  {:<12} {:>7} {:>15} {:>13} {:>9}",
         "workload", "errors", "restart(fixed)", "resync(dyn)", "ratio"
-    );
+    )?;
     let latency = LatencyModel::calibrated(Granularity::Coarse);
     let mut names: Vec<&str> = result.records.iter().map(|r| r.workload.as_str()).collect();
     names.sort_unstable();
@@ -157,39 +178,53 @@ fn recovery_table(result: &CampaignResult, interval: u64) {
             .map(|r| latency.resync_cycles(r.detect_cycle % interval) as f64)
             .sum::<f64>()
             / records.len().max(1) as f64;
-        println!(
+        writeln!(
+            out,
             "  {:<12} {:>7} {:>15} {:>13.0} {:>8.1}x",
             name,
             records.len(),
             restart,
             resync,
             restart as f64 / resync
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Part 2: mean LERT per handling model under both recovery stories.
 /// Same folds, same predictor, same RNG seed — the recovery term is the
 /// only degree of freedom between the two columns.
-fn lert_table(result: &CampaignResult, seed: u64, interval: u64) {
+fn lert_table(
+    out: &mut dyn Write,
+    result: &CampaignResult,
+    seed: u64,
+    interval: u64,
+) -> io::Result<()> {
+    let errors = result.records.len();
+    if errors < FOLDS {
+        return writeln!(out, "{}", skipped_for_folds("mean LERT per error", errors));
+    }
     let granularity = Granularity::Coarse;
     let latency = LatencyModel::calibrated(granularity);
     let fixed = mean_lerts(result, seed, granularity, |r| result.restart_cycles(&r.workload));
     let dynamic =
         mean_lerts(result, seed, granularity, |r| latency.resync_cycles(r.detect_cycle % interval));
 
-    println!(
-        "mean LERT per error (5-fold CV, coarse granularity, {} errors):",
-        result.records.len()
-    );
-    println!("  {:<20} {:>13} {:>13} {:>9}", "model", "fixed DMR", "dynamic", "delta");
+    writeln!(out, "mean LERT per error ({FOLDS}-fold CV, coarse granularity, {errors} errors):")?;
+    writeln!(out, "  {:<20} {:>13} {:>13} {:>9}", "model", "fixed DMR", "dynamic", "delta")?;
     for (i, model) in Model::ALL.iter().enumerate() {
         let delta = 100.0 * (1.0 - dynamic[i] / fixed[i]);
-        println!("  {:<20} {:>13.0} {:>13.0} {:>8.1}%", model.name(), fixed[i], dynamic[i], delta);
+        writeln!(
+            out,
+            "  {:<20} {:>13.0} {:>13.0} {:>8.1}%",
+            model.name(),
+            fixed[i],
+            dynamic[i],
+            delta
+        )?;
     }
-    println!("\n  (delta = LERT cycles saved by re-syncing from the nearest golden");
-    println!("   checkpoint instead of restarting the task after a soft verdict)");
+    writeln!(out, "\n  (delta = LERT cycles saved by re-syncing from the nearest golden")?;
+    writeln!(out, "   checkpoint instead of restarting the task after a soft verdict)")
 }
 
 /// Mean LERT per model (in [`Model::ALL`] order) with the soft-error
@@ -203,9 +238,7 @@ fn mean_lerts(
     granularity: Granularity,
     recovery: impl Fn(&ErrorRecord) -> u64,
 ) -> Vec<f64> {
-    const FOLDS: usize = 5;
     let dataset = Dataset::new(result.records.clone());
-    assert!(dataset.len() >= FOLDS, "only {} errors for {FOLDS} folds", dataset.len());
     let latency = LatencyModel::calibrated(granularity);
     let rates = result.manifestation_rates(granularity);
     let mut rng = Xoshiro256::seed_from(seed ^ 0x5E17);

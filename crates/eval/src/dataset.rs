@@ -5,6 +5,18 @@ use lockstep_core::{ErrorRecord, TrainRecord};
 use lockstep_cpu::Granularity;
 use lockstep_stats::KFold;
 
+/// Cross-validation folds: the paper splits its logged errors into
+/// training and test sets "using random sampling and 5-fold cross
+/// validation" (Figure 7).
+pub const FOLDS: usize = 5;
+
+/// The line a cross-validated report section prints in place of its
+/// numbers when it has `errors` errors to split, fewer than [`FOLDS`]:
+/// every fold needs at least one test error.
+pub fn skipped_for_folds(section: &str, errors: usize) -> String {
+    format!("{section}: skipped (errors: {errors}; {FOLDS}-fold cross-validation needs {FOLDS})")
+}
+
 /// A logged error dataset with fold-based splitting.
 #[derive(Debug, Clone)]
 pub struct Dataset {

@@ -13,7 +13,7 @@ use lockstep_cpu::Granularity;
 use lockstep_stats::Xoshiro256;
 
 use crate::campaign::CampaignResult;
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, FOLDS};
 use crate::render::{cycles, pct, Table};
 
 /// Static-vs-dynamic comparison over a chronological error stream.
@@ -102,7 +102,7 @@ pub fn run_lbist(
     seed: u64,
 ) -> (LbistAblation, String) {
     let dataset = Dataset::new(result.records.clone());
-    let folds = dataset.folds(5, seed);
+    let folds = dataset.folds(FOLDS, seed);
     let rates = result.manifestation_rates(granularity);
     let models: [(&str, LatencyModel); 2] = [
         ("lbist", LatencyModel::lbist(granularity, patterns)),

@@ -12,17 +12,16 @@
 //! Diagonal cells are honest held-out numbers (5-fold cross-validation
 //! within one core's dataset); off-diagonal cells train on *all* of one
 //! core's records and test on *all* of the other's — the two datasets
-//! are disjoint by construction, so no holdout is needed.
+//! are disjoint by construction, so no holdout is needed. A core with
+//! fewer errors than folds has no diagonal cell; the report says so in
+//! one line.
 
 use lockstep_core::{ErrorRecord, Predictor, PredictorConfig};
 use lockstep_cpu::Granularity;
 
 use crate::campaign::CampaignResult;
-use crate::dataset::Dataset;
+use crate::dataset::{skipped_for_folds, Dataset, FOLDS};
 use crate::render::{pct, Table};
-
-/// Folds used for the same-core (diagonal) cells.
-const FOLDS: usize = 5;
 
 /// One cell of the 2×2 cross-core matrix.
 #[derive(Debug, Clone)]
@@ -108,7 +107,8 @@ fn train_and_score(
 
 /// Builds the 2×2 matrix at one granularity. `lr5` and `lr7` are two
 /// completed campaigns (same workloads, faults, and seed; different
-/// `--core`).
+/// `--core`). The diagonal cell of a core whose campaign logged fewer
+/// errors than folds cannot be cross-validated and is left out.
 pub fn matrix(
     lr5: &CampaignResult,
     lr7: &CampaignResult,
@@ -118,21 +118,26 @@ pub fn matrix(
     let lr5_set = Dataset::new(lr5.records.clone());
     let lr7_set = Dataset::new(lr7.records.clone());
     let diagonal = |set: &Dataset, core: &str| {
-        average(
-            set.folds(FOLDS, seed)
-                .into_iter()
-                .map(|(train, test)| train_and_score(&train, &test, granularity, core, core))
-                .collect(),
-        )
+        (set.len() >= FOLDS).then(|| {
+            average(
+                set.folds(FOLDS, seed)
+                    .into_iter()
+                    .map(|(train, test)| train_and_score(&train, &test, granularity, core, core))
+                    .collect(),
+            )
+        })
     };
     let all5: Vec<&ErrorRecord> = lr5_set.records().iter().collect();
     let all7: Vec<&ErrorRecord> = lr7_set.records().iter().collect();
-    vec![
+    [
         diagonal(&lr5_set, "lr5"),
-        train_and_score(&all5, &all7, granularity, "lr5", "lr7"),
-        train_and_score(&all7, &all5, granularity, "lr7", "lr5"),
+        Some(train_and_score(&all5, &all7, granularity, "lr5", "lr7")),
+        Some(train_and_score(&all7, &all5, granularity, "lr7", "lr5")),
         diagonal(&lr7_set, "lr7"),
     ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Runs both granularities and renders the transfer report.
@@ -163,6 +168,14 @@ pub fn run(lr5: &CampaignResult, lr7: &CampaignResult, seed: u64) -> (Vec<CrossC
             ]);
         }
         report.push_str(&t.render());
+        for (result, core) in [(lr5, "lr5"), (lr7, "lr7")] {
+            if result.records.len() < FOLDS {
+                report.push_str(&format!(
+                    "{}\n",
+                    skipped_for_folds(&format!("{core} → {core}"), result.records.len())
+                ));
+            }
+        }
         all.extend(cells);
     }
     report.push_str(

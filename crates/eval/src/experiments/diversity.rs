@@ -16,17 +16,16 @@
 //! the diverged-SC-set count (table entries), the table size in bits,
 //! and held-out top-1 accuracy; plus the cross-corpus transfer cells
 //! (train on one corpus, test on the other) whose table-hit rate
-//! measures exactly how many error signatures are corpus-specific.
+//! measures exactly how many error signatures are corpus-specific. A
+//! corpus with fewer errors than folds has no held-out numbers; the
+//! report says so in one line.
 
 use lockstep_core::{ErrorRecord, Predictor, PredictorConfig};
 use lockstep_cpu::Granularity;
 
 use crate::campaign::CampaignResult;
-use crate::dataset::Dataset;
+use crate::dataset::{skipped_for_folds, Dataset, FOLDS};
 use crate::render::{pct, Table};
-
-/// Folds for the held-out (within-corpus) accuracy numbers.
-const FOLDS: usize = 5;
 
 /// Per-corpus table statistics at one granularity.
 #[derive(Debug, Clone)]
@@ -39,10 +38,12 @@ pub struct CorpusStats {
     pub sc_sets: usize,
     /// Table storage in bits (entries × (top-K unit ids + type bit)).
     pub table_bits: u64,
-    /// Held-out top-1 location accuracy (5-fold within the corpus).
-    pub top1_heldout: f64,
-    /// Held-out error-type accuracy (5-fold within the corpus).
-    pub type_heldout: f64,
+    /// Held-out top-1 location accuracy (5-fold within the corpus);
+    /// `None` when the corpus has fewer records than folds.
+    pub top1_heldout: Option<f64>,
+    /// Held-out error-type accuracy (5-fold within the corpus); `None`
+    /// when the corpus has fewer records than folds.
+    pub type_heldout: Option<f64>,
 }
 
 /// One cross-corpus transfer cell: table trained on one corpus scoring
@@ -84,19 +85,22 @@ impl DiversityReport {
     }
 
     /// Held-out top-1 change from folding the compiled corpus in
-    /// (combined vs hand-written).
-    pub fn top1_delta(&self) -> f64 {
-        self.corpora[2].top1_heldout - self.corpora[0].top1_heldout
+    /// (combined vs hand-written); `None` when either has no held-out
+    /// number.
+    pub fn top1_delta(&self) -> Option<f64> {
+        Some(self.corpora[2].top1_heldout? - self.corpora[0].top1_heldout?)
     }
 }
 
-fn heldout(set: &Dataset, granularity: Granularity, seed: u64) -> (f64, f64) {
-    let folds = set.folds(FOLDS, seed);
-    let (mut top1_sum, mut type_sum, mut n) = (0.0, 0.0, 0usize);
-    for (train, test) in folds {
-        if train.is_empty() || test.is_empty() {
-            continue;
-        }
+/// Mean held-out (top-1, type) accuracy over the folds; `None` when the
+/// set has fewer records than folds. With at least one record per fold,
+/// every fold has a test record and a training set.
+fn heldout(set: &Dataset, granularity: Granularity, seed: u64) -> Option<(f64, f64)> {
+    if set.len() < FOLDS {
+        return None;
+    }
+    let (mut top1_sum, mut type_sum) = (0.0, 0.0);
+    for (train, test) in set.folds(FOLDS, seed) {
         let predictor = Predictor::train(
             &Dataset::to_train_records(&train, granularity),
             PredictorConfig::new(granularity),
@@ -113,10 +117,8 @@ fn heldout(set: &Dataset, granularity: Granularity, seed: u64) -> (f64, f64) {
         }
         top1_sum += top1 as f64 / test.len() as f64;
         type_sum += kind_ok as f64 / test.len() as f64;
-        n += 1;
     }
-    let n = n.max(1) as f64;
-    (top1_sum / n, type_sum / n)
+    Some((top1_sum / FOLDS as f64, type_sum / FOLDS as f64))
 }
 
 fn corpus_stats(
@@ -131,14 +133,14 @@ fn corpus_stats(
         &Dataset::to_train_records(&all, granularity),
         PredictorConfig::new(granularity),
     );
-    let (top1_heldout, type_heldout) = heldout(&set, granularity, seed);
+    let heldout = heldout(&set, granularity, seed);
     CorpusStats {
         corpus: name.to_owned(),
         records: set.records().len(),
         sc_sets: predictor.entry_count(),
         table_bits: predictor.table_bits(),
-        top1_heldout,
-        type_heldout,
+        top1_heldout: heldout.map(|(top1, _)| top1),
+        type_heldout: heldout.map(|(_, kind)| kind),
     }
 }
 
@@ -225,23 +227,32 @@ pub fn run(
             "top-1 (held-out)",
             "type (held-out)",
         ]);
+        let heldout = |v: Option<f64>| v.map_or_else(|| "-".to_owned(), pct);
         for c in &r.corpora {
             t.row(vec![
                 c.corpus.clone(),
                 c.records.to_string(),
                 c.sc_sets.to_string(),
                 format!("{:.2}", c.table_bits as f64 / 8.0 / 1024.0),
-                pct(c.top1_heldout),
-                pct(c.type_heldout),
+                heldout(c.top1_heldout),
+                heldout(c.type_heldout),
             ]);
         }
         text.push_str(&t.render());
+        for c in r.corpora.iter().filter(|c| c.top1_heldout.is_none()) {
+            text.push_str(&format!(
+                "{}\n",
+                skipped_for_folds(&format!("held-out {}", c.corpus), c.records)
+            ));
+        }
+        let top1 = r.top1_delta().map_or_else(
+            || "no held-out top-1".to_owned(),
+            |d| format!("{:+.1} pp top-1", d * 100.0),
+        );
         text.push_str(&format!(
-            "\ndeltas (combined vs hand-written): +{} SC sets, {:+.2} KiB table, \
-             {:+.1} pp top-1\n\n",
+            "\ndeltas (combined vs hand-written): +{} SC sets, {:+.2} KiB table, {top1}\n\n",
             r.new_sc_sets(),
             r.table_bits_delta() as f64 / 8.0 / 1024.0,
-            r.top1_delta() * 100.0,
         ));
         let mut t = Table::new(vec!["train → test", "top-1", "table hit", "tested"]);
         for cell in &r.transfer {
@@ -309,7 +320,7 @@ mod tests {
             assert_eq!(r.new_sc_sets(), both.sc_sets - h.sc_sets);
             for corpus in &r.corpora {
                 assert!(corpus.table_bits > 0);
-                assert!((0.0..=1.0).contains(&corpus.top1_heldout));
+                assert!((0.0..=1.0).contains(&corpus.top1_heldout.expect("enough records")));
             }
             for cell in &r.transfer {
                 assert!((0.0..=1.0).contains(&cell.table_hit_rate));
@@ -324,6 +335,34 @@ mod tests {
         assert!(text.contains("Workload diversity"));
         assert!(text.contains("combined"));
         assert!(text.contains("deltas"));
+    }
+
+    #[test]
+    fn corpora_with_fewer_records_than_folds_skip_their_held_out_numbers() {
+        let mut hand = campaign(vec![Workload::find("rspeed").unwrap()]);
+        let compiled = campaign(vec![lc::compiled("crc32").unwrap()]);
+        assert!(hand.records.len() >= FOLDS && compiled.records.len() >= FOLDS);
+        hand.records.truncate(FOLDS - 1);
+        let (reports, text) = run(&hand, &compiled, 9);
+        for r in &reports {
+            assert_eq!((r.corpora[0].top1_heldout, r.corpora[0].type_heldout), (None, None));
+            assert!(r.corpora[1].top1_heldout.is_some() && r.corpora[2].top1_heldout.is_some());
+            assert_eq!(r.top1_delta(), None);
+            assert_eq!(r.transfer[1].tested, FOLDS - 1);
+        }
+        let line = "held-out hand-written: skipped (errors: 4; 5-fold cross-validation needs 5)";
+        assert_eq!(text.matches(line).count(), 2, "one line per granularity:\n{text}");
+        assert_eq!(text.matches("skipped").count(), 2, "{text}");
+
+        // No records at all: every held-out number is skipped, and the
+        // transfer cells still print.
+        hand.records.clear();
+        let (reports, text) = run(&hand, &hand, 9);
+        for r in &reports {
+            assert!(r.corpora.iter().all(|c| c.top1_heldout.is_none() && c.records == 0));
+            assert!(r.transfer.iter().all(|cell| cell.tested == 0));
+        }
+        assert_eq!(text.matches("skipped (errors: 0;").count(), 6, "{text}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use lockstep_fault::ErrorKind;
 use lockstep_stats::Xoshiro256;
 
 use crate::campaign::CampaignResult;
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, FOLDS};
 
 /// Evaluation parameters.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ impl EvalConfig {
     /// The paper's default: 5-fold CV, all units predicted, on-chip
     /// table.
     pub fn new(granularity: Granularity, seed: u64) -> EvalConfig {
-        EvalConfig { granularity, top_k: None, offchip_table: false, folds: 5, seed }
+        EvalConfig { granularity, top_k: None, offchip_table: false, folds: FOLDS, seed }
     }
 }
 

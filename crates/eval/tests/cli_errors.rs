@@ -5,7 +5,7 @@
 //! and so is a trace window the campaign could not record. A reader
 //! that closes standard output early ends a binary quietly, and an
 //! archive naming an unknown workload is an `error:` line with exit
-//! status 1.
+//! status 1. A campaign too small to cross-validate still reports.
 
 use std::process::{Command, Stdio};
 
@@ -47,11 +47,24 @@ fn untraceable_campaigns_exit_2_from_trace_injection() {
 
 /// `repro_all | head` and the like: the reader is gone before the
 /// report is written, which ends the binary with status 0, not a panic.
+/// `bench_campaign` appends its row to the `--out` trajectory before it
+/// prints the table, so the row survives.
 #[test]
 fn a_closed_stdout_ends_the_binary_quietly() {
-    for bin in [env!("CARGO_BIN_EXE_repro_all"), env!("CARGO_BIN_EXE_trace_injection")] {
+    let out_path =
+        std::env::temp_dir().join(format!("lockstep-closed-bench-{}.json", std::process::id()));
+    std::fs::remove_file(&out_path).ok();
+    let campaign = ["--faults", "30", "--workloads", "rspeed", "--threads", "1"];
+    let bench_out = ["--out", out_path.to_str().unwrap()];
+    for (bin, extra) in [
+        (env!("CARGO_BIN_EXE_repro_all"), &[][..]),
+        (env!("CARGO_BIN_EXE_trace_injection"), &[]),
+        (env!("CARGO_BIN_EXE_dynamic_pairing"), &[]),
+        (env!("CARGO_BIN_EXE_bench_campaign"), &bench_out),
+    ] {
         let mut child = Command::new(bin)
-            .args(["--faults", "30", "--workloads", "rspeed", "--threads", "1"])
+            .args(campaign)
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -61,6 +74,30 @@ fn a_closed_stdout_ends_the_binary_quietly() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
         assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    let rows = std::fs::read_to_string(&out_path).expect("bench_campaign wrote its trajectory");
+    std::fs::remove_file(&out_path).ok();
+    assert_eq!(rows.lines().filter(|l| l.starts_with('{')).count(), 1, "{rows}");
+}
+
+/// Campaigns that log fewer errors than the five cross-validation folds
+/// (none at all on the one LR5 fault; none on LR5 and one on LR7 at two
+/// faults) still print their reports, with the cross-validated parts
+/// skipped.
+#[test]
+fn campaigns_too_small_to_cross_validate_still_report() {
+    for (bin, faults) in
+        [(env!("CARGO_BIN_EXE_repro_all"), "1"), (env!("CARGO_BIN_EXE_crosscore_transfer"), "2")]
+    {
+        let out = Command::new(bin)
+            .args(["--faults", faults, "--workloads", "rspeed", "--threads", "1"])
+            .output()
+            .expect("the binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("5-fold cross-validation needs 5"), "{bin}: {stdout}");
     }
 }
 

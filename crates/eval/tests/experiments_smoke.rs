@@ -151,16 +151,50 @@ fn inventory_reports_are_static() {
     assert!(units.contains("13 units"));
 }
 
+/// The headings of the report's 20 sections, in order: a prefix each.
+const HEADINGS: [&str; 20] = [
+    "== Figure 3:",
+    "== Figure 8:",
+    "== Table I:",
+    "== Table II: model latencies (7 units)",
+    "== Table II: model latencies (13 units)",
+    "== Figure 4 ",
+    "== Figure 5 ",
+    "== Section III-B:",
+    "== Figure 10:",
+    "== Figure 11 ",
+    "== Table III:",
+    "== Section V-B:",
+    "== Figure 12 (",
+    "== Figure 13 (",
+    "== Figure 14 ",
+    "== Figure 15 (",
+    "== Figure 16 (",
+    "== Table IV:",
+    "== Ablation: static vs dynamic",
+    "== Ablation: LBIST",
+];
+
+fn render(result: &CampaignResult) -> String {
+    let mut out = Vec::new();
+    exp::write_report(&mut out, result, 31415).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the report is UTF-8")
+}
+
+/// Asserts that `report` carries every section heading once, in order.
+fn assert_every_section(report: &str) {
+    let headings: Vec<&str> = report.lines().filter(|l| l.starts_with("== ")).collect();
+    assert_eq!(headings.len(), HEADINGS.len(), "{headings:#?}");
+    for (heading, prefix) in headings.iter().zip(HEADINGS) {
+        assert!(heading.starts_with(prefix), "{heading:?} where {prefix:?} belongs");
+    }
+}
+
 /// The report prints every section once, in order, and the same bytes
 /// every time: rendered twice, and again from a saved and reloaded
 /// archive (what `analyze_dataset` sees).
 #[test]
 fn report_is_stable_across_renders_and_an_archive_round_trip() {
-    let render = |result: &CampaignResult| {
-        let mut out = Vec::new();
-        exp::write_report(&mut out, result, 31415).expect("a Vec takes every write");
-        String::from_utf8(out).expect("the report is UTF-8")
-    };
     let first = render(campaign());
     assert_eq!(render(campaign()), first, "a second render differs");
 
@@ -170,31 +204,32 @@ fn report_is_stable_across_renders_and_an_archive_round_trip() {
     std::fs::remove_file(&path).ok();
     assert_eq!(render(&loaded), first, "the archive round trip changes the report");
 
-    let headings: Vec<&str> = first.lines().filter(|l| l.starts_with("== ")).collect();
-    let expected = [
-        "== Figure 3:",
-        "== Figure 8:",
-        "== Table I:",
-        "== Table II: model latencies (7 units)",
-        "== Table II: model latencies (13 units)",
-        "== Figure 4 ",
-        "== Figure 5 ",
-        "== Section III-B:",
-        "== Figure 10:",
-        "== Figure 11 ",
-        "== Table III:",
-        "== Section V-B:",
-        "== Figure 12 (",
-        "== Figure 13 (",
-        "== Figure 14 ",
-        "== Figure 15 (",
-        "== Figure 16 (",
-        "== Table IV:",
-        "== Ablation: static vs dynamic",
-        "== Ablation: LBIST",
-    ];
-    assert_eq!(headings.len(), expected.len(), "{headings:#?}");
-    for (heading, prefix) in headings.iter().zip(expected) {
-        assert!(heading.starts_with(prefix), "{heading:?} where {prefix:?} belongs");
+    assert_every_section(&first);
+    assert!(!first.contains("skipped ("), "a full campaign cross-validates every section");
+}
+
+/// A campaign that logged fewer errors than cross-validation folds
+/// still gets every section: the nine cross-validated ones (Figures
+/// 11–16, Table III, Section V-B, the LBIST ablation) are one line each
+/// saying they were skipped, with the error count and the folds.
+#[test]
+fn a_report_over_fewer_errors_than_folds_skips_only_the_cross_validated_sections() {
+    let path = std::env::temp_dir().join(format!("lockstep-tiny-{}.json", std::process::id()));
+    CampaignArchive::from_result(campaign()).save(&path).unwrap();
+    let mut result = CampaignArchive::load(&path).unwrap().into_result().unwrap();
+    std::fs::remove_file(&path).ok();
+    for errors in [4, 1, 0] {
+        result.records.truncate(errors);
+        let report = render(&result);
+        assert_every_section(&report);
+        let skipped: Vec<&str> = report.lines().filter(|l| l.contains("skipped (")).collect();
+        assert_eq!(skipped.len(), 9, "{skipped:#?}");
+        for line in skipped {
+            assert!(line.starts_with("== ") && line.ends_with(" =="), "{line:?}");
+            assert!(
+                line.contains(&format!("errors: {errors}; 5-fold cross-validation needs 5")),
+                "{line:?}"
+            );
+        }
     }
 }
