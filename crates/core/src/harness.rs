@@ -52,7 +52,9 @@ pub enum MemoryModel {
 pub enum LockstepEvent {
     /// All CPUs agreed; execution continues.
     Running,
-    /// All CPUs agreed and the main CPU has halted (program complete).
+    /// All CPUs agreed and every CPU has halted (program complete). A
+    /// CPU that halts while another still runs is not a completion: the
+    /// checker sees its quiescent ports diverge on the next cycle.
     Halted,
     /// The checker detected divergence.
     ErrorDetected {
@@ -391,14 +393,14 @@ impl<C: CoreModel> LockstepSystem<C> {
                 erring_cpu: out.erring_cpu,
             };
         }
-        if self.cpus[0].is_halted() {
+        if self.cpus.iter().all(C::is_halted) {
             LockstepEvent::Halted
         } else {
             LockstepEvent::Running
         }
     }
 
-    /// Runs until an error is detected, the program halts, or
+    /// Runs until an error is detected, every CPU has halted, or
     /// `max_cycles` elapse. Returns the final event.
     pub fn run(&mut self, max_cycles: u64) -> LockstepEvent {
         for _ in 0..max_cycles {

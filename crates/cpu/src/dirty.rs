@@ -450,9 +450,10 @@ mod tests {
         }
 
         #[test]
-        fn park_words_name_the_registers_csrs_counters_btb_words_and_latches() {
+        fn park_words_name_the_registers_csrs_counters_btb_words_latches_and_queue_values() {
             use crate::lr7::exec::{
                 BTB_TAG_WORD, BTB_WORD, CSR_WORD, CYCLE_WORD, DEC_WORD, FLUSHES_WORD, IMC_WORD,
+                LSQ_WORD, RS_WORD,
             };
             let words = Lr7::park_words();
             let named: Vec<(&str, u8)> =
@@ -479,6 +480,12 @@ mod tests {
                     ("imc_err", 76),
                     ("dec_valid", DEC_WORD),
                     ("dec_op", 78),
+                    ("rs_pc", RS_WORD),
+                    ("rs_imm", 87),
+                    ("rs_v1", 95),
+                    ("rs_v2", 103),
+                    ("lsq_addr", LSQ_WORD),
+                    ("lsq_data", 119),
                 ]
             );
             assert_eq!(
@@ -487,15 +494,20 @@ mod tests {
                 "the three counters"
             );
             // Lane r-1 of the bank holds architectural register r, lane i
-            // of `btb_tgt` and `btb_tag` BTB entry i, and the words tile
-            // the mask without overlap.
+            // of `btb_tgt` and `btb_tag` BTB entry i, lane i of an RS or
+            // LSQ field station or slot i, and the words tile the mask
+            // without overlap, leaving its last bit free.
             let mut s = Lr7State::reset(0);
             s.set_reg(5, 0x1234_5678);
             s.btb_tgt[9] = 0x40;
             s.btb_tag[12] = 0x1030;
+            s.rs_v2[6] = 0xBEEF;
+            s.lsq_data[7] = 0xF00D;
             assert_eq!(regs()[words[0].0 as usize].read(&s, 4), 0x1234_5678);
             assert_eq!(regs()[words[10].0 as usize].read(&s, 9), 0x40);
             assert_eq!(regs()[words[11].0 as usize].read(&s, 12), 0x1030);
+            assert_eq!(regs()[words[22].0 as usize].read(&s, 6), 0xBEEF);
+            assert_eq!(regs()[words[24].0 as usize].read(&s, 7), 0xF00D);
             let mut seen = 0u128;
             for &(r, bit) in words {
                 for lane in 0..u32::from(regs()[r as usize].lanes) {
@@ -504,40 +516,49 @@ mod tests {
                     seen |= word;
                 }
             }
-            assert_eq!(seen, (1 << 79) - 1);
+            assert_eq!(seen, (1 << 127) - 1);
         }
 
         #[test]
         fn park_confined_classifies_word_and_other_diffs() {
-            use crate::lr7::exec::{BTB_TAG_WORD, BTB_WORD, CSR_WORD, FLUSHES_WORD};
+            use crate::lr7::exec::{
+                BTB_TAG_WORD, BTB_WORD, CSR_WORD, FLUSHES_WORD, LSQ_WORD, RS_WORD,
+            };
             let words = Lr7::park_words();
             let a = Lr7State::reset(0);
             let mut w = DirtyWitness::new();
             assert_eq!(park_confined_in(regs(), words, &a, &a.clone(), &mut w), Some(0));
 
             // Diffs in register 3, `epc`, BTB target 9, BTB tag 14 (a
-            // word past the 64th) and the flush counter only: the mask has
-            // exactly those words.
+            // word past the 64th), the flush counter, station 2's `rs_v1`
+            // and slot 5's `lsq_addr` only: the mask has exactly those
+            // words.
             let mut b = a.clone();
             b.set_reg(3, 0xDEAD_BEEF);
             b.csr_epc = 0x1234;
             b.btb_tgt[9] = 0x40;
             b.btb_tag[14] = 0x1038;
             b.flushes = 7;
+            b.rs_v1[2] = 0x77;
+            b.lsq_addr[5] = 0x4000;
             let epc = 1u128 << (CSR_WORD + 2);
             let tgt9 = 1u128 << (BTB_WORD + 9);
             let tag14 = 1u128 << (BTB_TAG_WORD + 14);
             let flushes = 1u128 << FLUSHES_WORD;
+            let v1_2 = 1u128 << (RS_WORD + 16 + 2);
+            let addr5 = 1u128 << (LSQ_WORD + 5);
             assert_eq!(
                 park_confined_in(regs(), words, &a, &b, &mut w),
-                Some((1 << 2) | epc | tgt9 | tag14 | flushes)
+                Some((1 << 2) | epc | tgt9 | tag14 | flushes | v1_2 | addr5)
             );
 
-            // A BTB counter, a reservation station, the MISR or a BTB
-            // valid bit on top disqualifies the lane.
-            let poisons: [fn(&mut Lr7State); 4] = [
+            // A BTB counter, a reservation station's or the LSQ's control
+            // field, the MISR or a BTB valid bit on top disqualifies the
+            // lane.
+            let poisons: [fn(&mut Lr7State); 5] = [
                 |s| s.btb_ctr[9] ^= 1,
-                |s| s.rs_v1[2] ^= 1,
+                |s| s.rs_t1[2] ^= 1,
+                |s| s.lsq_ready ^= 1 << 5,
                 |s| s.csr_misr ^= 1,
                 |s| s.btb_valid ^= 1 << 14,
             ];

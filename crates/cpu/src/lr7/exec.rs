@@ -233,19 +233,17 @@ pub(crate) fn compute_next(
             let t = usize::from(tag);
             n.rob_val[t] = value;
             n.rob_done |= 1u16 << t;
+            let (w1, w2) = waiting_on(n, tag);
             for i in 0..RS_ENTRIES {
-                if (n.rs_valid >> i) & 1 == 0 {
-                    continue;
-                }
-                if (n.rs_r1 >> i) & 1 == 0 && n.rs_t1[i] & 15 == tag {
+                if (w1 >> i) & 1 == 1 {
                     n.rs_v1[i] = value;
-                    n.rs_r1 |= 1 << i;
                 }
-                if (n.rs_r2 >> i) & 1 == 0 && n.rs_t2[i] & 15 == tag {
+                if (w2 >> i) & 1 == 1 {
                     n.rs_v2[i] = value;
-                    n.rs_r2 |= 1 << i;
                 }
             }
+            n.rs_r1 |= w1;
+            n.rs_r2 |= w2;
             match unit {
                 3 => n.mdv_busy = 0,
                 2 => n.lsu_valid = 0,
@@ -260,12 +258,12 @@ pub(crate) fn compute_next(
         }
 
         // ---- 3a. ISSUE: oldest ready non-memory entry executes ----
-        if let Some(i) = pick_ready(n, false) {
+        if let Some(i) = pick_ready(n, (n.rs_r1, n.rs_r2), n.rob_head, false) {
             issue_exec(n, ports, i);
             event |= EV_ISSUE;
         }
         // ---- 3b. AGU: oldest ready memory entry computes its address ----
-        if let Some(i) = pick_ready(n, true) {
+        if let Some(i) = pick_ready(n, (n.rs_r1, n.rs_r2), n.rob_head, true) {
             run_agu(n, ports, i);
             event |= EV_AGU;
         }
@@ -309,21 +307,47 @@ pub(crate) const FLUSHES_WORD: u8 = BTB_TAG_WORD + 16;
 /// follow.
 pub(crate) const IMC_WORD: u8 = FLUSHES_WORD + 1;
 
-/// Word-mask bit of `dec_valid`; `dec_op`, the last word, follows.
+/// Word-mask bit of `dec_valid`; `dec_op` follows.
 pub(crate) const DEC_WORD: u8 = IMC_WORD + 4;
+
+/// Word-mask bit of `rs_pc[0]`: the reservation stations' value fields
+/// `rs_pc`, `rs_imm`, `rs_v1` and `rs_v2` follow in that order, eight
+/// words each, entry `i` of a field at its first bit plus `i`.
+pub(crate) const RS_WORD: u8 = DEC_WORD + 2;
+
+/// Word-mask bit of `lsq_addr[0]`: `lsq_addr` and then `lsq_data`, the
+/// last words, eight each, slot `i` at the field's first bit plus `i`.
+pub(crate) const LSQ_WORD: u8 = RS_WORD + 32;
+
+/// The words of reservation station 0's `rs_pc`, `rs_imm`, `rs_v1` and
+/// `rs_v2` (station `i`'s: shifted left by `i`).
+const RS_PC: u128 = 1 << RS_WORD;
+const RS_IMM: u128 = RS_PC << 8;
+const RS_V1: u128 = RS_PC << 16;
+const RS_V2: u128 = RS_PC << 24;
+const RS_VALUES: u128 = RS_PC | RS_IMM | RS_V1 | RS_V2;
+
+/// The words of LSQ slot 0's `lsq_addr` and `lsq_data` (slot `i`'s:
+/// shifted left by `i`).
+const LSQ_ADDR: u128 = 1 << LSQ_WORD;
+const LSQ_DATA: u128 = LSQ_ADDR << 8;
 
 /// The flop words of LR7 whose every access [`park_reads`],
 /// [`park_compares`] and [`park_writes`] can see from the pre-cycle
 /// state and golden's ports: `(registry entry, first word bit)` pairs,
-/// lane `l` of an entry being word `first + l`. 79 words in all: the 31
+/// lane `l` of an entry being word `first + l`. 127 words in all: the 31
 /// registers, the six writable CSRs, the `cycle` and `instret` counters,
 /// `hartid`, the 16 BTB targets, the 16 BTB tags, the `flushes` counter
-/// (the counters are the [`park_advancing`] words) and the fetch-side
-/// bus latch (`imc_*`) and dispatch latch (`dec_*`), which nothing reads.
+/// (the counters are the [`park_advancing`] words), the fetch-side bus
+/// latch (`imc_*`) and dispatch latch (`dec_*`), which nothing reads,
+/// and the value fields of the reservation stations (`rs_pc`, `rs_imm`,
+/// `rs_v1`, `rs_v2`) and of the load/store queue (`lsq_addr`,
+/// `lsq_data`).
 ///
 /// `csr_misr` stays out because a `csrw misr` folds its old value into
 /// the new one, so a write does not clean it. The BTB valid bits stay
-/// out, as do the rename and queue structures (RAT, RS, ROB, LSQ),
+/// out, as do the rename and queue control fields (the RAT, the ROB, and
+/// the valid, ready, tag, opcode and pointer fields of the RS and LSQ),
 /// because the oracles decode from them, and the BTB counters because
 /// every hit decision at their index reads them.
 pub(crate) fn park_words() -> &'static [(u16, u8)] {
@@ -351,6 +375,12 @@ pub(crate) fn park_words() -> &'static [(u16, u8)] {
                 "imc_err",
                 "dec_valid",
                 "dec_op",
+                "rs_pc",
+                "rs_imm",
+                "rs_v1",
+                "rs_v2",
+                "lsq_addr",
+                "lsq_data",
             ],
         )
     })
@@ -382,6 +412,16 @@ pub(crate) fn park_advancing() -> u128 {
 ///   reads the target its fetch address indexes. The index comes from
 ///   golden's fetch port, because a redirect at commit moves the fetch
 ///   PC within the cycle.
+/// * **RS values:** an issue reads the four values of the station
+///   golden's `ExecCtl` names, and the AGU `rs_v1`, `rs_imm` and `rs_v2`
+///   of the station it takes ([`RsEvents`]). A value the same cycle's
+///   CDB broadcast fills first is named too, a superset.
+/// * **LSQ values:** a store at the ROB head that is done reads
+///   `lsq_addr` and `lsq_data` at the LSQ head when it commits, and the
+///   load stage reads `lsq_addr` at the head the commit leaves, the LSQ
+///   head or, after a pop, the slot behind it: each of the two that is
+///   live and ready before the cycle, since a slot the AGU readies in
+///   the cycle gets its address written first.
 pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u128 {
     let mut words = 0u128;
     if s.halted & 1 == 0 && s.fb_valid & 1 == 1 && s.fb_err & 1 == 0 {
@@ -402,7 +442,69 @@ pub(crate) fn park_reads(s: &Lr7State, golden: &PortSet) -> u128 {
     if golden.get(Sc::BranchCtl) & 1 != 0 {
         words |= 1 << (u32::from(BTB_WORD) + ((golden.get(Sc::IfAddrLo) >> 2) & 15));
     }
+    let rs = RsEvents::of(s, golden);
+    if let Some(i) = rs.issue {
+        words |= RS_VALUES << i;
+    }
+    if let Some(i) = rs.agu {
+        words |= (RS_V1 | RS_IMM | RS_V2) << i;
+    }
+    let h = usize::from(s.rob_head & 15);
+    if s.rob_count > 0 && (s.rob_done >> h) & 1 == 1 && s.rob_flags[h] & F_STORE != 0 {
+        words |= (LSQ_ADDR | LSQ_DATA) << (s.lsq_head & 7);
+    }
+    for k in 0..s.lsq_count.min(2) {
+        let li = s.lsq_head.wrapping_add(k) & 7;
+        if (s.lsq_ready >> li) & 1 == 1 {
+            words |= LSQ_ADDR << li;
+        }
+    }
     words
+}
+
+/// What golden's cycle does to the reservation stations between its
+/// commit and its dispatch, decoded from the pre-cycle state and
+/// golden's ports with the step's own selections ([`waiting_on`],
+/// [`pick_ready`]). A flush at commit skips all of it, and golden's
+/// ports then name none of it.
+struct RsEvents {
+    /// The stations whose first and second operands the CDB broadcast
+    /// fills (golden's `FwdCtl`), as masks.
+    woke: (u8, u8),
+    /// The value it broadcasts, from the result latch `FwdCtl` names.
+    value: u32,
+    /// The station the execute port issues (golden's `ExecCtl`).
+    issue: Option<usize>,
+    /// The station the AGU takes (golden's `EV_AGU`): the oldest ready
+    /// memory station on the ready bits the broadcast leaves, by age from
+    /// the ROB head the commit leaves.
+    agu: Option<usize>,
+}
+
+impl RsEvents {
+    fn of(s: &Lr7State, golden: &PortSet) -> RsEvents {
+        let fwd = golden.get(Sc::FwdCtl);
+        let (woke, value) = if fwd & 1 != 0 {
+            let value = match (fwd >> 5) & 3 {
+                3 => s.mdv_val,
+                2 => s.lsu_val,
+                1 => s.shf_val,
+                _ => s.alu_val,
+            };
+            (waiting_on(s, ((fwd >> 1) & 15) as u8), value)
+        } else {
+            ((0, 0), 0)
+        };
+        let exec = golden.get(Sc::ExecCtl);
+        let issue = (exec & 1 != 0).then_some(((exec >> 1) & 7) as usize);
+        let agu = if golden.get(Sc::EventBus) & EV_AGU != 0 {
+            let head = s.rob_head.wrapping_add((golden.get(Sc::RetCtl) & 1) as u8) & 15;
+            pick_ready(s, (s.rs_r1 | woke.0, s.rs_r2 | woke.1), head, true)
+        } else {
+            None
+        };
+        RsEvents { woke, value, issue, agu }
+    }
 }
 
 /// The BTB tag compares of the cycle from pre-cycle state `s`, given
@@ -447,6 +549,19 @@ pub(crate) fn park_compares(s: &Lr7State, golden: &PortSet) -> impl Iterator<Ite
 ///   `imc_*` words, and a dispatch (golden's `IdCtl` bit 0) that
 ///   allocates no exception, because the fetch buffer holds no fetch
 ///   error and decodes, writes `dec_valid` and `dec_op`.
+/// * **RS values:** the CDB broadcast writes `rs_v1` or `rs_v2` of each
+///   valid station waiting on its tag, and such a dispatch of a
+///   non-system instruction writes all four values of the lowest station
+///   still free after the cycle's issue and AGU ([`RsEvents`]).
+/// * **LSQ values:** such a dispatch of a load or store writes
+///   `lsq_addr` and `lsq_data` at `lsq_tail`, and an aligned AGU writes
+///   `lsq_addr`, and for a store `lsq_data`, at the live slot its ROB tag
+///   owns once the commit has popped what it pops. The alignment is
+///   decided from golden's values of the station's `rs_v1` (or the
+///   broadcast value, when the CDB fills it) and `rs_imm`: the cycle
+///   reads those ([`park_reads`]), so a machine dirty in them wakes
+///   before the cycle and every machine this mask is applied to holds
+///   golden's values there.
 pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u128 {
     let mut words = 0u128;
     let rf = golden.get(Sc::RfWpCtl);
@@ -476,10 +591,51 @@ pub(crate) fn park_writes(s: &Lr7State, golden: &PortSet) -> u128 {
     if golden.get(Sc::IfReq) & 1 != 0 {
         words |= 0b1111 << IMC_WORD;
     }
-    if golden.get(Sc::IdCtl) & 1 != 0 && s.fb_err & 1 == 0 && Instr::decode(s.fb_raw).is_ok() {
+    let rs = RsEvents::of(s, golden);
+    // Station mask times a field's first word: that field's words of
+    // every station in the mask.
+    words |= RS_V1 * u128::from(rs.woke.0);
+    words |= RS_V2 * u128::from(rs.woke.1);
+    let dispatched = golden.get(Sc::IdCtl) & 1 != 0 && s.fb_err & 1 == 0;
+    if let Some(i) = dispatched.then(|| Instr::decode(s.fb_raw).ok()).flatten() {
         words |= 0b11 << DEC_WORD;
+        if !matches!(i.op.format(), Format::Sys) {
+            let freed = [rs.issue, rs.agu].into_iter().flatten().fold(0u8, |m, k| m | 1 << k);
+            words |= RS_VALUES << (!(s.rs_valid & !freed)).trailing_zeros();
+        }
+        if i.op.is_load() || i.op.is_store() {
+            words |= (LSQ_ADDR | LSQ_DATA) << (s.lsq_tail & 7);
+        }
+    }
+    if let Some(k) = rs.agu {
+        let v1 = if (rs.woke.0 >> k) & 1 == 1 { rs.value } else { s.rs_v1[k] };
+        let (op, _, aligned) = agu_access(s.rs_op[k], v1, s.rs_imm[k]);
+        let (head, count) = lsq_after_commit(s, golden);
+        if let Some(li) = aligned.then(|| lsq_slot(s, head, count, s.rs_rob[k] & 15)).flatten() {
+            words |= LSQ_ADDR << li;
+            if op.is_store() {
+                words |= LSQ_DATA << li;
+            }
+        }
     }
     words
+}
+
+/// The LSQ head and count golden's commit leaves: it pops the head for a
+/// store that writes memory (golden's `EV_STORE`) and for a retiring
+/// load (golden's `RetCtl` bit 0) whose ROB tag owns the head slot.
+fn lsq_after_commit(s: &Lr7State, golden: &PortSet) -> (u8, u8) {
+    let h = usize::from(s.rob_head & 15);
+    let li = usize::from(s.lsq_head & 7);
+    let load = golden.get(Sc::RetCtl) & 1 != 0
+        && s.rob_flags[h] & F_LOAD != 0
+        && s.lsq_count > 0
+        && s.lsq_rob[li] & 15 == s.rob_head & 15;
+    if load || golden.get(Sc::EventBus) & EV_STORE != 0 {
+        (s.lsq_head.wrapping_add(1) & 7, s.lsq_count.saturating_sub(1))
+    } else {
+        (s.lsq_head, s.lsq_count)
+    }
 }
 
 /// Pops LSQ slot `li` (must be the head).
@@ -617,12 +773,34 @@ fn train_btb(n: &mut Lr7State, pc: u32, npc: u32) {
     }
 }
 
-/// Selects the oldest (in ROB age) ready reservation station; `mem`
-/// selects between the AGU port (loads/stores) and the execute port.
-fn pick_ready(n: &Lr7State, mem: bool) -> Option<usize> {
+/// The valid reservation stations waiting on ROB entry `tag` for their
+/// first and second operands, as masks: the stations a CDB broadcast of
+/// `tag` fills.
+fn waiting_on(n: &Lr7State, tag: u8) -> (u8, u8) {
+    let (mut w1, mut w2) = (0u8, 0u8);
+    for i in 0..RS_ENTRIES {
+        if (n.rs_valid >> i) & 1 == 0 {
+            continue;
+        }
+        if (n.rs_r1 >> i) & 1 == 0 && n.rs_t1[i] & 15 == tag {
+            w1 |= 1 << i;
+        }
+        if (n.rs_r2 >> i) & 1 == 0 && n.rs_t2[i] & 15 == tag {
+            w2 |= 1 << i;
+        }
+    }
+    (w1, w2)
+}
+
+/// Selects the oldest ready reservation station, by ROB age from `head`,
+/// with the operand-ready masks `(r1, r2)`; `mem` selects between the AGU
+/// port (loads/stores) and the execute port. The step passes `n`'s own
+/// ready bits and head; the oracles pass the ones golden's commit and
+/// CDB broadcast leave ([`RsEvents`]).
+fn pick_ready(n: &Lr7State, (r1, r2): (u8, u8), head: u8, mem: bool) -> Option<usize> {
     let mut best: Option<(u8, usize)> = None;
     for i in 0..RS_ENTRIES {
-        if (n.rs_valid >> i) & 1 == 0 || (n.rs_r1 >> i) & 1 == 0 || (n.rs_r2 >> i) & 1 == 0 {
+        if (n.rs_valid >> i) & 1 == 0 || (r1 >> i) & 1 == 0 || (r2 >> i) & 1 == 0 {
             continue;
         }
         let op = Opcode::from_bits(u32::from(n.rs_op[i]) & 0x3F).unwrap_or(Opcode::Add);
@@ -643,7 +821,7 @@ fn pick_ready(n: &Lr7State, mem: bool) -> Option<usize> {
                 continue;
             }
         }
-        let age = (n.rs_rob[i].wrapping_sub(n.rob_head)) & 15;
+        let age = (n.rs_rob[i].wrapping_sub(head)) & 15;
         if best.is_none_or(|(b, _)| age < b) {
             best = Some((age, i));
         }
@@ -758,26 +936,16 @@ fn exec_value(op: Opcode, a: u32, b: u32, imm: i32, pc: u32) -> (u32, Option<u32
 /// address lands in the LSQ, misalignment is detected here, and stores
 /// complete (their write waits for commit).
 fn run_agu(n: &mut Lr7State, ports: &mut PortSet, i: usize) {
-    let op = Opcode::from_bits(u32::from(n.rs_op[i]) & 0x3F).unwrap_or(Opcode::Lw);
+    let (op, addr, aligned) = agu_access(n.rs_op[i], n.rs_v1[i], n.rs_imm[i]);
     let tag = n.rs_rob[i] & 15;
     let t = usize::from(tag);
-    let addr = n.rs_v1[i].wrapping_add(n.rs_imm[i]);
-    let size = op.access_size().unwrap_or(4);
     ports.set(Sc::AguChk, parity8(addr));
-    if !addr.is_multiple_of(size) {
+    if !aligned {
         n.rob_exc[t] = TrapCause::MisalignedAccess.code() as u8;
         n.rob_done |= 1u16 << t;
     } else {
         // Find this op's LSQ slot (allocated at dispatch, program order).
-        let mut slot = None;
-        for k in 0..LSQ_ENTRIES {
-            let li = usize::from((n.lsq_head.wrapping_add(k as u8)) & 7);
-            if (k as u8) < n.lsq_count && n.lsq_rob[li] & 15 == tag {
-                slot = Some(li);
-                break;
-            }
-        }
-        if let Some(li) = slot {
+        if let Some(li) = lsq_slot(n, n.lsq_head, n.lsq_count, tag) {
             n.lsq_addr[li] = addr;
             if op.is_store() {
                 n.lsq_data[li] = n.rs_v2[i];
@@ -793,6 +961,24 @@ fn run_agu(n: &mut Lr7State, ports: &mut PortSet, i: usize) {
     n.rs_valid &= !(1u8 << i);
     n.rs_r1 &= !(1u8 << i);
     n.rs_r2 &= !(1u8 << i);
+}
+
+/// The AGU's view of a memory op with opcode bits `op`, base `v1` and
+/// offset `imm`: the opcode, the address, and whether the access is
+/// aligned to its size.
+fn agu_access(op: u8, v1: u32, imm: u32) -> (Opcode, u32, bool) {
+    let op = Opcode::from_bits(u32::from(op) & 0x3F).unwrap_or(Opcode::Lw);
+    let addr = v1.wrapping_add(imm);
+    (op, addr, addr.is_multiple_of(op.access_size().unwrap_or(4)))
+}
+
+/// The slot, among the `count` live LSQ slots from `head` in program
+/// order, that ROB entry `tag` owns.
+fn lsq_slot(n: &Lr7State, head: u8, count: u8, tag: u8) -> Option<usize> {
+    (0..LSQ_ENTRIES as u8)
+        .take_while(|&k| k < count)
+        .map(|k| usize::from(head.wrapping_add(k) & 7))
+        .find(|&li| n.lsq_rob[li] & 15 == tag)
 }
 
 /// Executes the load at the LSQ head (stage 4). RAM loads may run

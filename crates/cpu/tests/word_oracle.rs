@@ -33,7 +33,11 @@
 //! instruction's retirement, a BTB hit, or a CSR instruction's dispatch
 //! or commit. On LR7 every other cycle that commits a register write
 //! (golden's `RfWpCtl`) perturbs that register, and every other fetch
-//! the BTB tag it indexes.
+//! the BTB tag it indexes. An LR7 cycle that issues (`ExecCtl`),
+//! broadcasts on the CDB (`FwdCtl`), dispatches (`IdCtl`) or runs the
+//! AGU perturbs every reservation-station value word, and one that
+//! dispatches, runs the AGU, commits a store or executes a load
+//! (`EventBus`) every load/store-queue value word.
 
 use std::sync::OnceLock;
 
@@ -544,6 +548,15 @@ mod lr7 {
             if let Some(pc) = fetch(golden) {
                 words |= 1 << tag_word(pc);
             }
+            let events = golden.get(Sc::EventBus);
+            let dispatch = id & 1 != 0;
+            let issue_or_cdb = golden.get(Sc::ExecCtl) & 1 != 0 || golden.get(Sc::FwdCtl) & 1 != 0;
+            if issue_or_cdb || dispatch || events & EV_AGU != 0 {
+                words |= fields(&RS_VALUES);
+            }
+            if dispatch || events & (EV_AGU | EV_STORE | EV_LOAD) != 0 {
+                words |= fields(&LSQ_VALUES);
+            }
             words
         }
 
@@ -551,6 +564,21 @@ mod lr7 {
             let key = |pc: u32| (tag_word(pc), u64::from(pc));
             [fetch(golden).map(key), control_retire(golden).map(key)]
         }
+    }
+
+    /// Golden's `EventBus` bits for an AGU run, a load executed and a
+    /// store written to memory.
+    const EV_AGU: u32 = 1 << 3;
+    const EV_LOAD: u32 = 1 << 5;
+    const EV_STORE: u32 = 1 << 6;
+
+    /// The reservation stations' and the load/store queue's value fields.
+    const RS_VALUES: [&str; 4] = ["rs_pc", "rs_imm", "rs_v1", "rs_v2"];
+    const LSQ_VALUES: [&str; 2] = ["lsq_addr", "lsq_data"];
+
+    /// The words of every lane of the registry entries `names`.
+    fn fields(names: &[&str]) -> u128 {
+        names.iter().flat_map(|name| words_of::<Lr7>(name)).fold(0, |m, w| m | 1 << w)
     }
 
     /// A 32-bit value golden's ports carry on two 16-bit SCs.
@@ -623,18 +651,25 @@ mod lr7 {
         assert_eq!(cov.changed[flushes], cov.flushed);
     }
 
+    /// Every BTB target and every reservation-station and load/store-queue
+    /// value word is read (a BTB hit reads a target, an issue or the AGU
+    /// a station's values, a store commit and the load stage a slot's),
+    /// changed, erased (a taken control retire, a dispatch, a CDB
+    /// broadcast or the AGU writes it) and held.
     #[test]
-    fn btb_targets_are_read_written_erased_and_held() {
+    fn btb_targets_and_queue_values_are_read_written_erased_and_held() {
         let cov = all_corpora::<Lr7>();
-        for w in words_of::<Lr7>("btb_tgt") {
-            assert!(
-                cov.read[w] > 0 && cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
-                "BTB target word {w} not exercised: {} read, {} changed, {} erased, {} held",
-                cov.read[w],
-                cov.changed[w],
-                cov.erased[w],
-                cov.held[w]
-            );
+        for name in ["btb_tgt"].into_iter().chain(RS_VALUES).chain(LSQ_VALUES) {
+            for w in words_of::<Lr7>(name) {
+                assert!(
+                    cov.read[w] > 0 && cov.changed[w] > 0 && cov.erased[w] > 0 && cov.held[w] > 0,
+                    "{name} word {w} not exercised: {} read, {} changed, {} erased, {} held",
+                    cov.read[w],
+                    cov.changed[w],
+                    cov.erased[w],
+                    cov.held[w]
+                );
+            }
         }
     }
 
@@ -660,6 +695,8 @@ mod lr7 {
     fn every_word_is_written_erased_and_held_across_the_corpora() {
         // No program here takes a fetch bus error, so every fetch writes
         // `imc_err` with the 0 it already holds: erased, never changed.
+        // The 48 RS and LSQ value words are among the 127.
+        assert_eq!(slots::<Lr7>().len(), 127);
         every_word_is_written_erased_and_held::<Lr7>(1 << word::<Lr7>("imc_err"));
     }
 }

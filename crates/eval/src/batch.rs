@@ -43,8 +43,10 @@
 //!    to parkable words* ([`lockstep_cpu::dirty::park_confined_in`]:
 //!    the registers, CSRs, `cycle`/`instret` counters and `hartid` of
 //!    either core, plus LR5's return-address-stack entries and DMCU and
-//!    MDV latches, and LR7's BTB targets and tags and `flushes` counter;
-//!    up to 128 words, one bit each in a `u128` mask) goes one step
+//!    MDV latches, and LR7's BTB targets and tags, `flushes` counter,
+//!    fetch and dispatch latches, and the value fields of its
+//!    reservation stations and load/store queue; up to 128 words, one
+//!    bit each in a `u128` mask) goes one step
 //!    further: it parks at zero simulation cost. A cycle that reads none
 //!    of its dirty words is golden's cycle on the faulty machine too, so
 //!    the words such a cycle reads and writes follow from golden's
@@ -56,7 +58,9 @@
 //!    read ([`CoreModel::park_compares`], LR7's BTB tag matches) whose
 //!    key the entry's value or golden's equals. Dead-word residue, the
 //!    dominant fate of masked transients, parks to the end of the trace
-//!    without a single simulated cycle.
+//!    without a single simulated cycle; on LR7 that includes residue in
+//!    a reservation station or queue slot golden holds free, which parks
+//!    until a dispatch overwrites it.
 //! 3. **Bit-parallel parked lanes** — a stuck-at whose forced value
 //!    currently equals golden's bit is not simulated at all: it is
 //!    *parked* in the same word lot, which indexes its entries on flops
@@ -219,8 +223,9 @@ const MAX_WORDS: usize = 128;
 
 /// A parked fault, whose entire divergence from golden is confined to
 /// parkable words (registers, CSRs, counters and `hartid`, plus LR5's
-/// RAS entries and DMCU and MDV latches and LR7's BTB targets and tags;
-/// see [`CoreModel::park_words`]), or is nothing at all. Costs zero
+/// RAS entries and DMCU and MDV latches and LR7's BTB targets and tags
+/// and reservation-station and load/store-queue values; see
+/// [`CoreModel::park_words`]), or is nothing at all. Costs zero
 /// simulation per cycle: a cycle that reads none of the dirty words is
 /// golden's cycle on the faulty machine too, so golden's writes clean
 /// the words they write (both machines write the identical value), an
@@ -595,8 +600,9 @@ pub trait CoreBatch: CoreModel {
 /// counters, `hartid` and DMCU and MDV latches.
 impl CoreBatch for Cpu {}
 
-/// LR7, with word parking over its registers, CSRs, counters, `hartid`
-/// and BTB targets and tags.
+/// LR7, with word parking over its registers, CSRs, counters, `hartid`,
+/// BTB targets and tags, fetch and dispatch latches, and the value
+/// fields of its reservation stations and load/store queue.
 impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
@@ -939,6 +945,9 @@ pub fn total_cost(costs: impl IntoIterator<Item = BatchCost>) -> BatchCost {
 
 #[cfg(test)]
 mod tests {
+    use lockstep_cpu::{Lr7State, Sc};
+    use lockstep_workloads::GoldenCapture;
+
     use super::*;
 
     #[test]
@@ -1086,12 +1095,8 @@ mod tests {
         let strike = 1866;
         let f = Fault::new(FlopId { reg: rv1, lane: 0, bit: 8 }, FaultKind::StuckAt0, strike);
 
-        let cp = cap.checkpoints.nearest_at(strike).expect("cycle-0 checkpoint");
-        let (mut golden, mut mem) = (Cpu::from_state(cp.cpu.clone()), cp.mem.clone());
+        let (mut golden, mut mem) = golden_before::<Cpu>(&cap, strike);
         let mut ports = PortSet::new();
-        for _ in cp.cycle..strike {
-            golden.step(&mut mem, &mut ports);
-        }
         let (mut live, mut live_mem) = (golden.clone(), mem.clone());
         let mut lports = PortSet::new();
         let mut lot = WordLot::new(regs, Cpu::park_words(), Cpu::park_advancing());
@@ -1146,6 +1151,207 @@ mod tests {
             None,
         );
         assert_eq!(out[0], scalar.outcome);
+    }
+
+    /// Golden's fault-free LR7 run of `rspeed` (stimulus seed 7).
+    fn lr7_rspeed() -> GoldenCapture<Lr7State> {
+        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        w.golden_capture_for::<Lr7>(7, 400_000, 1024)
+    }
+
+    /// Golden's machine and memory of `cap` just before cycle `at`.
+    fn golden_before<C: CoreModel>(cap: &GoldenCapture<C::State>, at: u64) -> (C, Memory) {
+        let cp = cap.checkpoints.nearest_at(at).expect("cycle-0 checkpoint");
+        let (mut cpu, mut mem) = (C::from_state(cp.cpu.clone()), cp.mem.clone());
+        let mut ports = PortSet::new();
+        for _ in cp.cycle..at {
+            cpu.step(&mut mem, &mut ports);
+        }
+        (cpu, mem)
+    }
+
+    /// The registry entry of LR7's `name`.
+    fn lr7_reg(name: &str) -> u16 {
+        Lr7::registry().iter().position(|r| r.name == name).expect("registry entry") as u16
+    }
+
+    /// A transient in a reservation station golden holds invalid parks at
+    /// its strike and never becomes a lane: nothing reads the station's
+    /// values until a dispatch overwrites all four. On LR7 `rspeed`, a
+    /// flip of `rs_v1` in such a station leaves a machine, stepped live,
+    /// differing from golden in that word alone until the station's next
+    /// dispatch, and equal to golden from that cycle on; in a station that
+    /// is not dispatched again, in that word alone to the end of the
+    /// trace. Either way the batched engine scores it masked, as the
+    /// scalar engine does, without a lane activation or a lane step.
+    #[test]
+    fn a_dead_station_transient_parks_until_its_next_dispatch() {
+        let cap = lr7_rspeed();
+        let len = cap.trace.len();
+        let regs = Lr7::registry();
+        let (mut golden, mut mem) = golden_before::<Lr7>(&cap, 0);
+        let mut ports = PortSet::new();
+        let valid: Vec<u8> = (0..len)
+            .map(|_| {
+                golden.step(&mut mem, &mut ports);
+                golden.state().rs_valid
+            })
+            .collect();
+        let valid = valid.as_slice();
+        let idle_from =
+            move |k: usize, s: u64| (s..len).take_while(move |&c| valid[c as usize] >> k & 1 == 0);
+        // A station idle at a strike past the first checkpoint and
+        // dispatched later, and the highest one idle to the end.
+        let (k, strike) = (0..8)
+            .flat_map(|k| (1100..len).map(move |s| (k, s)))
+            .find(|&(k, s)| idle_from(k, s).count() > 10 && idle_from(k, s).last() < Some(len - 1))
+            .expect("a station idle for a while, then dispatched");
+        let dispatch = idle_from(k, strike).last().expect("idle at the strike") + 1;
+        let (k_end, strike_end) = (0..8)
+            .rev()
+            .find_map(|k| {
+                let s = (0..len).rev().take_while(|&c| valid[c as usize] >> k & 1 == 0).last()?;
+                (s + 10 < len).then_some((k, s.max(1100)))
+            })
+            .expect("a station idle to the end of the trace");
+
+        for (k, strike, cleaned) in [(k, strike, Some(dispatch)), (k_end, strike_end, None)] {
+            let f = Fault::new(
+                FlopId { reg: lr7_reg("rs_v1"), lane: k as u16, bit: 5 },
+                FaultKind::Transient,
+                strike,
+            );
+            let (mut live, mut live_mem) = golden_before::<Lr7>(&cap, strike);
+            let (mut golden, mut mem) = (live.clone(), live_mem.clone());
+            let (mut gports, mut lports) = (PortSet::new(), PortSet::new());
+            let word = Lr7::park_words().iter().find(|&&(r, _)| r == f.flop.reg).expect("a word").1;
+            for at in strike..len {
+                golden.step(&mut mem, &mut gports);
+                live.step_with_overlay(&mut live_mem, &mut lports, |st| {
+                    f.overlay_for::<Lr7>(st, at)
+                });
+                assert_eq!(
+                    lports.diff_mask(&gports),
+                    0,
+                    "station {k}: the flip reached the ports at {at}"
+                );
+                let dirty = park_confined_in(
+                    regs,
+                    Lr7::park_words(),
+                    live.state(),
+                    golden.state(),
+                    &mut DirtyWitness::new(),
+                );
+                let expected =
+                    if cleaned.is_some_and(|c| at >= c) { 0 } else { 1 << (word as usize + k) };
+                assert_eq!(dirty, Some(expected), "station {k}, cycle {at}");
+            }
+            let (out, cost) = run_batch_group::<Lr7>(
+                &cap.checkpoints,
+                &cap.trace,
+                None,
+                &[f],
+                16,
+                BatchConfig::FULL,
+            );
+            let scalar = run_injection::<Lr7>(
+                ReplayStart::Checkpoint(&cap.checkpoints),
+                Reference::Recorded(&cap.trace),
+                f,
+                16,
+                None,
+            );
+            assert_eq!((out[0], scalar.outcome), (None, None), "station {k}");
+            assert_eq!(
+                (cost.lane_activations, cost.replayed_cycles, cost.masked_early_out),
+                (0, cost.walker_cycles, 1),
+                "station {k}: the fault did not stay parked"
+            );
+        }
+    }
+
+    /// A stuck-at on a value bit of a busy reservation station parks at
+    /// its strike and wakes the cycle the station issues. On LR7 `rspeed`,
+    /// `rs_imm` of a non-memory station that waits a few cycles for its
+    /// operands, stuck at the opposite of golden's bit: no cycle reads or
+    /// writes the word before the issue, which reads it, and the machine
+    /// the lot wakes there equals one stepped live with the overlay. The
+    /// batched outcome is the scalar engine's.
+    #[test]
+    fn a_busy_station_stuck_at_wakes_at_its_issue() {
+        let cap = lr7_rspeed();
+        let len = cap.trace.len();
+        let regs = Lr7::registry();
+        let (mut golden, mut mem) = golden_before::<Lr7>(&cap, 0);
+        let mut ports = PortSet::new();
+        let cycles: Vec<(Lr7State, u32)> = (0..len)
+            .map(|_| {
+                golden.step(&mut mem, &mut ports);
+                (golden.state().clone(), ports.get(Sc::ExecCtl))
+            })
+            .collect();
+        let issues = |c: u64, k: usize| {
+            let exec = cycles[c as usize].1;
+            exec & 1 != 0 && (exec >> 1) & 7 == k as u32
+        };
+        let (k, strike, issue) = (1100..len - 1)
+            .flat_map(|s| (0..8).map(move |k| (k, s)))
+            .find_map(|(k, s)| {
+                let st = &cycles[s as usize].0;
+                let op = lockstep_isa::Opcode::from_bits(u32::from(st.rs_op[k]));
+                let alu = op.is_some_and(|op| !op.is_load() && !op.is_store());
+                let issue = (s + 1..len).find(|&c| issues(c, k))?;
+                (st.rs_valid >> k & 1 == 1 && alu && issue >= s + 4).then_some((k, s, issue))
+            })
+            .expect("a busy station that waits to issue");
+        let g = cycles[strike as usize].0.rs_imm[k];
+        let kind = if g >> 3 & 1 == 0 { FaultKind::StuckAt1 } else { FaultKind::StuckAt0 };
+        let f = Fault::new(FlopId { reg: lr7_reg("rs_imm"), lane: k as u16, bit: 3 }, kind, strike);
+
+        let (mut golden, mut mem) = golden_before::<Lr7>(&cap, strike);
+        let (mut live, mut live_mem) = (golden.clone(), mem.clone());
+        let (mut gports, mut lports) = (PortSet::new(), PortSet::new());
+        golden.step(&mut mem, &mut gports);
+        live.step_with_overlay(&mut live_mem, &mut lports, |st| f.overlay_for::<Lr7>(st, strike));
+        let mut lot = WordLot::new(regs, Lr7::park_words(), Lr7::park_advancing());
+        let w = lot.word_of(f.flop).expect("a parkable word");
+        let dirty = park_confined_in(
+            regs,
+            lot.words,
+            live.state(),
+            golden.state(),
+            &mut DirtyWitness::new(),
+        );
+        assert_eq!(dirty, Some(1 << w), "the strike is word-confined");
+        let vals = lot.values(live.state(), 1 << w);
+        lot.park(f, vec![0], 1 << w, vals, golden.state(), strike + 1);
+        let mut woke = None;
+        for at in strike + 1..len {
+            let pre = golden.state().clone();
+            golden.step(&mut mem, &mut gports);
+            if Lr7::park_reads(&pre, &gports) >> w & 1 != 0 {
+                let (_, st) = lot.unpark(0, &pre);
+                assert_eq!(&st, live.state(), "the lot woke another machine at {at}");
+                woke = Some(at);
+                break;
+            }
+            assert_eq!(Lr7::park_writes(&pre, &gports) >> w & 1, 0, "cycle {at} writes the word");
+            live.step_with_overlay(&mut live_mem, &mut lports, |st| f.overlay_for::<Lr7>(st, at));
+            assert_eq!(lports.diff_mask(&gports), 0, "the fault reached the ports at {at}");
+        }
+        assert_eq!(woke, Some(issue), "station {k} did not wake at its issue");
+
+        let (out, cost) =
+            run_batch_group::<Lr7>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        let scalar = run_injection::<Lr7>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            Reference::Recorded(&cap.trace),
+            f,
+            16,
+            None,
+        );
+        assert_eq!(out[0], scalar.outcome, "the batched outcome differs");
+        assert!(cost.lane_activations >= 1, "the fault never woke");
     }
 
     /// The watch index stays exact however its entries leave. A seeded

@@ -240,16 +240,45 @@ fn live_detection<C: CoreModel>(
     let mut live = LockstepSystem::<C>::new_replicated_for(cpus, mem.clone());
     live.set_capture_window(window);
     live.inject(faulty, fault);
-    while live.cycle() < horizon {
-        // The checker compares every cycle, so stepping goes on past a
-        // `Halted` report: a fault can halt the main CPU with its ports
-        // still golden's, and only the next cycle's quiescent ports
-        // diverge (as they do against the recording).
-        if let detected @ LockstepEvent::ErrorDetected { .. } = live.step() {
-            return Some(detected);
-        }
+    // The programs never halt, so the fault-free CPUs run to the horizon.
+    match live.run(horizon) {
+        detected @ LockstepEvent::ErrorDetected { .. } => Some(detected),
+        _ => None,
     }
-    None
+}
+
+/// A fault that halts the main CPU of a DMR pair is a detection, not a
+/// completed program: with LR5's `halted` flop stuck at 1 in CPU 0 from
+/// cycle 164 of a program that never halts, CPU 0 halts with golden's
+/// ports, and its quiescent ports diverge on the next cycle while CPU 1
+/// runs on. `run` must report the detection the recorded replay makes,
+/// on the same cycle and with the same DSR.
+#[test]
+fn a_halted_main_cpu_is_detected_not_completed() {
+    let program = "li gp, 0x4000\nloop: addi a0, a0, 1\nsw a0, 0(gp)\nlw a1, 0(gp)\nj loop\n";
+    let mem = memory(program, 7);
+    let (trace, checkpoints) = record::<Cpu>(&mem);
+    let halted = flops::all_flops()
+        .find(|&f| Cpu::registry()[f.reg as usize].name == "halted")
+        .expect("LR5 has a halted flop");
+    let fault = Fault::new(halted, FaultKind::StuckAt1, 164);
+    let (cycle, dsr) = run_injection::<Cpu>(
+        ReplayStart::Checkpoint(&checkpoints),
+        Reference::Recorded(&trace),
+        fault,
+        CAPTURE_WINDOW,
+        None,
+    )
+    .outcome
+    .expect("the recorded replay detects the halt");
+    assert_eq!(cycle, 165, "the halted CPU's ports diverge the cycle after the strike");
+    let mut live = LockstepSystem::<Cpu>::new_replicated_for(2, mem);
+    live.set_capture_window(CAPTURE_WINDOW);
+    live.inject(0, fault);
+    assert_eq!(
+        live.run(TRACE_CYCLES),
+        LockstepEvent::ErrorDetected { dsr, cycle, erring_cpu: None }
+    );
 }
 
 /// The property: the engine's recorded replay of `fault`, from the

@@ -102,13 +102,11 @@ impl Memory {
         }
     }
 
-    /// Loads a little-endian byte image at address zero.
+    /// Loads a little-endian byte image at address zero, a partial last
+    /// word zero-padded: what a full-strobe write of each word stores,
+    /// with each word encoded once and the ECC counters left alone.
     pub fn load_image(&mut self, image: &[u8]) {
-        for (i, chunk) in image.chunks(4).enumerate() {
-            let mut b = [0u8; 4];
-            b[..chunk.len()].copy_from_slice(chunk);
-            self.ram.write_word_masked(i as u32 * 4, u32::from_le_bytes(b), 0xF);
-        }
+        self.ram.load_image(image);
     }
 
     /// The underlying ECC RAM (e.g. for error injection in examples).
@@ -364,6 +362,35 @@ impl MemoryPort for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Loading an image stores what full-strobe writes of each word
+    /// store: a partial last word zero-padded, the words past the RAM's
+    /// end dropped, and the ECC counters left at zero.
+    #[test]
+    fn load_image_stores_what_full_strobe_writes_store() {
+        let image: Vec<u8> = (0..70u8).map(|b| b.wrapping_mul(37) ^ 0xA5).collect();
+        for ram_bytes in [16, 64, 72, 256] {
+            let mut loaded = Memory::new(ram_bytes, 3);
+            loaded.write(8, 0xDEAD_BEEF, 0xF).unwrap();
+            loaded.load_image(&image);
+            let mut written = Memory::new(ram_bytes, 3);
+            written.write(8, 0xDEAD_BEEF, 0xF).unwrap();
+            for (i, chunk) in image.chunks(4).enumerate() {
+                let mut b = [0u8; 4];
+                b[..chunk.len()].copy_from_slice(chunk);
+                written.ram_mut().write_word_masked(i as u32 * 4, u32::from_le_bytes(b), 0xF);
+            }
+            for addr in (0..ram_bytes as u32).step_by(4) {
+                assert_eq!(loaded.ram().peek_word(addr), written.ram().peek_word(addr), "{addr}");
+            }
+            let last = u32::from_le_bytes([image[68], image[69], 0, 0]);
+            assert_eq!(
+                loaded.ram().peek_word(68).map(|(w, _)| w),
+                (ram_bytes > 68).then_some(last)
+            );
+            assert_eq!(loaded.ecc_stats(), EccStats::default());
+        }
+    }
 
     #[test]
     fn ram_read_write_through_port() {

@@ -84,12 +84,27 @@ impl EccRam {
     /// Builds an ECC RAM from a little-endian byte image.
     pub fn from_bytes(image: &[u8]) -> EccRam {
         let mut ram = EccRam::new(image.len());
-        for (i, chunk) in image.chunks(4).enumerate() {
-            let mut b = [0u8; 4];
-            b[..chunk.len()].copy_from_slice(chunk);
-            ram.codewords[i] = SecDed::encode(u32::from_le_bytes(b));
-        }
+        ram.load_image(image);
         ram
+    }
+
+    /// Stores a little-endian byte image from address zero, a partial last
+    /// word zero-padded, as full-strobe writes of each word would: words
+    /// past the RAM's end are dropped and the ECC counters do not move.
+    /// Each word is encoded once, and the codeword it replaces is not
+    /// decoded, since a full-strobe write keeps none of it.
+    pub(crate) fn load_image(&mut self, image: &[u8]) {
+        let words = image.chunks_exact(4);
+        let tail = words.remainder();
+        let last = (!tail.is_empty()).then(|| {
+            let mut b = [0u8; 4];
+            b[..tail.len()].copy_from_slice(tail);
+            b
+        });
+        let words = words.map(|w| [w[0], w[1], w[2], w[3]]).chain(last);
+        for (slot, word) in self.codewords.iter_mut().zip(words) {
+            *slot = SecDed::encode(u32::from_le_bytes(word));
+        }
     }
 
     /// Capacity in bytes.
