@@ -117,6 +117,17 @@ pub trait CoreModel: Clone + std::fmt::Debug + Send + Sized + 'static {
         overlay: impl FnOnce(&mut Self::State),
     ) -> StepInfo;
 
+    /// [`CoreModel::step`], leaving the state the cycle started from in
+    /// `pre`: the copy a step makes anyway, kept for the caller. The
+    /// batched engine's walker keeps it for the word-parking oracles,
+    /// which read golden's pre-cycle state.
+    fn step_keeping_pre(
+        &mut self,
+        mem: &mut dyn MemoryPort,
+        ports: &mut PortSet,
+        pre: &mut Self::State,
+    ) -> StepInfo;
+
     /// The core's flip-flop registry (`'static`), its state's
     /// [`FlopState::registry`].
     fn registry() -> &'static [FlopReg<Self::State>] {
@@ -221,6 +232,15 @@ impl CoreModel for Cpu {
         overlay: impl FnOnce(&mut CpuState),
     ) -> StepInfo {
         Cpu::step_with_overlay(self, mem, ports, overlay)
+    }
+
+    fn step_keeping_pre(
+        &mut self,
+        mem: &mut dyn MemoryPort,
+        ports: &mut PortSet,
+        pre: &mut CpuState,
+    ) -> StepInfo {
+        Cpu::step_keeping_pre(self, mem, ports, pre)
     }
 
     fn arch_reg(state: &CpuState, idx: usize) -> u32 {

@@ -110,4 +110,16 @@ impl Cpu {
         overlay(&mut self.state);
         info
     }
+
+    /// Advances one cycle like [`Cpu::step`], leaving the state the
+    /// cycle started from in `pre` instead of discarding it.
+    pub fn step_keeping_pre(
+        &mut self,
+        mem: &mut dyn MemoryPort,
+        ports: &mut PortSet,
+        pre: &mut CpuState,
+    ) -> StepInfo {
+        pre.clone_from(&self.state);
+        compute_next(pre, &mut self.state, mem, ports)
+    }
 }

@@ -101,6 +101,16 @@ impl CoreModel for Lr7 {
         info
     }
 
+    fn step_keeping_pre(
+        &mut self,
+        mem: &mut dyn MemoryPort,
+        ports: &mut PortSet,
+        pre: &mut Lr7State,
+    ) -> StepInfo {
+        pre.clone_from(&self.state);
+        exec::compute_next(pre, &mut self.state, mem, ports)
+    }
+
     fn arch_reg(state: &Lr7State, idx: usize) -> u32 {
         state.reg(idx)
     }

@@ -27,9 +27,9 @@
 //!    the moment it first diverges. That fork is the *hand-over*: the
 //!    lane, live, goes to the scalar engine's [`run_injection`] as a
 //!    [`ReplayStart::Live`] start, against the group's comparator —
-//!    the recorded port trace, which detects it on the spot and runs
-//!    its DSR capture window, or under DME the retire stream, which
-//!    runs it on until a retirement differs or the trace ends.
+//!    golden's ports, which detect it on the spot and run its DSR
+//!    capture window, or under DME the retire stream, which runs it on
+//!    until a retirement differs or the golden run ends.
 //! 2. **Dirty-set early-out** — after a transient strikes, its lane is
 //!    compared against the walker's state every cycle: a witnessed
 //!    (register, lane) compare, then on a miss the core's exact registry
@@ -77,14 +77,20 @@
 //!    stays parked until that word is read rather than waking on every
 //!    bit flip.
 //!
-//! The walker doubles as the live golden twin: in shadow replay terms
-//! it re-produces the recorded [`PortTrace`] (debug-asserted every
-//! cycle), in lockstep terms it *is* the fault-free twin the lanes are
-//! compared against. Either way the per-cycle comparison values are
-//! identical — which is also why a handed-over lane's continuation
-//! compares against the recording — so the batched engine produces
-//! archives byte-identical to the scalar engine
-//! (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
+//! The walker is the golden reference: in lockstep terms it *is* the
+//! fault-free twin the lanes are compared against, and it steps first
+//! each cycle, so its ports are golden's ports of the cycle and no
+//! recorded [`PortTrace`] is read. Its port sets are the ones the golden
+//! pass would have recorded (`campaign.rs`'s
+//! `the_record_only_golden_pass_matches_the_full_capture`), so a
+//! fixed-mode hand-over is decided against the walker's own port sets of
+//! its capture window: it waits, its lane's machine and image set
+//! aside, until the walker has produced them or the golden run ends
+//! (DESIGN.md §13). The per-cycle comparison values are the scalar
+//! engine's, so the batched engine produces archives byte-identical to
+//! it (`tests/batch_equivalence.rs`, `tests/lr7_equivalence.rs`).
+
+use std::collections::VecDeque;
 
 use lockstep_core::Dsr;
 use lockstep_cpu::dirty::{park_confined_in, DirtyWitness, LaneWatch};
@@ -93,9 +99,9 @@ use lockstep_cpu::{CoreModel, Cpu, Lr7, PortSet, PortTrace};
 use lockstep_fault::{Fault, FaultKind};
 use lockstep_iss::Retired;
 use lockstep_mem::{Memory, TrialLog, TrialView};
-use lockstep_workloads::GoldenCheckpoints;
+use lockstep_workloads::{Checkpoint, GoldenCheckpoints};
 
-use crate::campaign::{run_injection, Reference, ReplayStart};
+use crate::campaign::{run_injection, Recording, Reference, ReplayStart};
 
 /// Which layers of the batched engine are enabled. Fan-out from a
 /// shared walker is the substrate and is always on; the two accelerator
@@ -565,6 +571,136 @@ fn fork_mem(mem_pool: &mut Vec<Memory>, wmem: &Memory) -> Memory {
     }
 }
 
+/// The fault-free walker: golden's machine and memory image, stepped
+/// through a [`TrialView`] of its own image. A step leaves the image as
+/// golden's at the start of the cycle, which the lanes step against,
+/// until [`Walker::commit`] applies the cycle's side effects. Its ports
+/// after a step are golden's ports of that cycle: the walker is the
+/// batched engine's golden reference.
+pub(crate) struct Walker<C: CoreModel> {
+    pub(crate) cpu: C,
+    pub(crate) mem: Memory,
+    pub(crate) ports: PortSet,
+    /// Golden's state before the cycle last stepped, which the lot's
+    /// oracles read.
+    pub(crate) pre: C::State,
+    log: TrialLog,
+}
+
+impl<C: CoreModel> Walker<C> {
+    /// A walker resumed from golden checkpoint `cp`.
+    pub(crate) fn resume(cp: &Checkpoint<C::State>) -> Walker<C> {
+        Walker {
+            cpu: C::from_state(cp.cpu.clone()),
+            mem: cp.mem.clone(),
+            ports: PortSet::new(),
+            pre: cp.cpu.clone(),
+            log: TrialLog::new(),
+        }
+    }
+
+    /// Steps golden's machine through one cycle: `ports` are golden's of
+    /// the cycle, `pre` its state before, and its side effects wait for
+    /// [`Walker::commit`].
+    pub(crate) fn step(&mut self) {
+        self.log.clear();
+        let mut view = TrialView::new(&self.mem, &mut self.log);
+        self.cpu.step_keeping_pre(&mut view, &mut self.ports, &mut self.pre);
+    }
+
+    /// Applies the side effects of the cycle last stepped to the image.
+    pub(crate) fn commit(&mut self) {
+        self.mem.apply_trial(&self.log);
+    }
+}
+
+/// A lane whose ports first diverged from golden's on cycle `at`, with
+/// its own memory image after that cycle: the live start of its
+/// hand-over ([`ReplayStart::Live`]).
+struct HandOver<C> {
+    lane: Lane<C>,
+    mem: Memory,
+    ports: PortSet,
+    at: u64,
+}
+
+impl<C: CoreModel> HandOver<C> {
+    /// Hands the lane over to [`run_injection`] against `reference`,
+    /// scores each of its faults with the outcome, and returns its image
+    /// to the pool.
+    fn decide(
+        mut self,
+        reference: Reference<'_>,
+        window: u32,
+        outcomes: &mut [Option<(u64, Dsr)>],
+        cost: &mut BatchCost,
+        mem_pool: &mut Vec<Memory>,
+    ) {
+        let start = ReplayStart::Live {
+            state: self.lane.cpu.state(),
+            mem: &mut self.mem,
+            ports: &self.ports,
+            at: self.at,
+        };
+        let handed = run_injection::<C>(start, reference, self.lane.fault, window, None);
+        cost.replayed_cycles += handed.cost.replayed_cycles;
+        for &o in &self.lane.outs {
+            outcomes[o] = handed.outcome;
+        }
+        mem_pool.push(self.mem);
+    }
+}
+
+/// The walker's latest port sets: the recording a waiting fixed-mode
+/// hand-over is decided against ([`Reference::Recorded`]). It holds
+/// golden's ports of the last `ring.len()` cycles recorded without a
+/// gap, of a golden run `cycles` long.
+#[derive(Debug)]
+struct PortWindow {
+    ring: Vec<PortSet>,
+    /// The first cycle of the gapless stretch the newest cycle ends.
+    from: u64,
+    /// One past the newest cycle recorded.
+    to: u64,
+    cycles: u64,
+}
+
+impl PortWindow {
+    /// A window of `window` cycles (at most the whole run) over a golden
+    /// run `cycles` long.
+    fn new(window: u32, cycles: u64) -> PortWindow {
+        let len = u64::from(window).min(cycles).max(1) as usize;
+        PortWindow { ring: vec![PortSet::new(); len], from: 0, to: 0, cycles }
+    }
+
+    /// Records golden's ports of `cycle`.
+    fn record(&mut self, cycle: u64, ports: &PortSet) {
+        if cycle != self.to {
+            self.from = cycle;
+        }
+        let len = self.ring.len() as u64;
+        self.ring[(cycle % len) as usize] = *ports;
+        self.to = cycle + 1;
+    }
+}
+
+impl Recording for PortWindow {
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    fn ports(&self, cycle: u64) -> &PortSet {
+        let len = self.ring.len() as u64;
+        assert!(
+            cycle >= self.from && cycle < self.to && self.to - cycle <= len,
+            "cycle {cycle} is not in the walker's window {}..{}",
+            self.from.max(self.to.saturating_sub(len)),
+            self.to
+        );
+        &self.ring[(cycle % len) as usize]
+    }
+}
+
 /// The batched engine's entry point per core.
 ///
 /// The engine needs nothing beyond the [`CoreModel`] contract: a closed
@@ -583,8 +719,9 @@ pub trait CoreBatch: CoreModel {
     }
 
     /// Runs one batched group on this core model under the port
-    /// comparator of fixed lockstep: [`run_batch_group`] with no retire
-    /// stream.
+    /// comparator of fixed lockstep: [`run_batch_group`] over the golden
+    /// run `trace` records, with no retire stream. Only the trace's
+    /// length is read.
     fn run_batch_group(
         checkpoints: &GoldenCheckpoints<Self::State>,
         trace: &PortTrace,
@@ -592,7 +729,7 @@ pub trait CoreBatch: CoreModel {
         window: u32,
         layers: BatchConfig,
     ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
-        run_batch_group::<Self>(checkpoints, trace, None, faults, window, layers)
+        run_batch_group::<Self>(checkpoints, trace.len(), None, faults, window, layers)
     }
 }
 
@@ -606,17 +743,19 @@ impl CoreBatch for Cpu {}
 impl CoreBatch for Lr7 {}
 
 /// Runs one batched group on core `C`: every fault in `faults` is
-/// injected into the golden execution described by `checkpoints` +
-/// `trace`, sharing a single fault-free walker. Returns one outcome per
-/// fault, aligned with the input order:
+/// injected into the golden execution described by `checkpoints`, a
+/// golden run `golden_cycles` long, sharing a single fault-free walker.
+/// Returns one outcome per fault, aligned with the input order:
 /// `Some((detect cycle, DSR))` for a manifested error, `None` for a
 /// masked fault — bit-identical to running each fault through the
 /// scalar engine, whatever the layer set.
 ///
-/// `retire_stream` picks the comparator that decides a lane once its
-/// ports first diverge from `trace`: `None` for the port comparator of
-/// fixed lockstep ([`Reference::Recorded`]), or golden's
-/// retire stream ([`crate::dme::retire_stream`] of `trace`) for DME's
+/// The walker is the golden reference: no trace is read. `retire_stream`
+/// picks the comparator that decides a lane once its ports first diverge
+/// from the walker's: `None` for the port comparator of fixed lockstep
+/// ([`Reference::Recorded`], over the walker's own port sets of the
+/// capture window), or golden's retire stream
+/// ([`crate::dme::retire_stream`]) for DME's
 /// ([`Reference::RetireStream`]). Either way the lane is handed over
 /// live to [`run_injection`], so the outcome equals the scalar replay's
 /// against that reference (DESIGN.md §13).
@@ -631,18 +770,13 @@ impl CoreBatch for Lr7 {}
 /// per-fault checkpoint hit distances — the restore is shared.
 pub fn run_batch_group<C: CoreBatch>(
     checkpoints: &GoldenCheckpoints<C::State>,
-    trace: &PortTrace,
+    golden_cycles: u64,
     retire_stream: Option<&[(u64, Retired)]>,
     faults: &[Fault],
     window: u32,
     layers: BatchConfig,
 ) -> (Vec<Option<(u64, Dsr)>>, BatchCost) {
     assert!(window >= 1, "capture window must be at least one cycle");
-    let trace_len = trace.len();
-    let reference = match retire_stream {
-        None => Reference::Recorded(trace),
-        Some(stream) => Reference::RetireStream { cycles: trace_len, stream },
-    };
     let mut outcomes: Vec<Option<(u64, Dsr)>> = vec![None; faults.len()];
     let mut cost = BatchCost::default();
 
@@ -651,8 +785,9 @@ pub fn run_batch_group<C: CoreBatch>(
     // by construction (the scalar engine skips them the same way).
     let mut order: Vec<usize> = (0..faults.len()).collect();
     order.sort_by_key(|&i| faults[i].cycle);
-    let in_range: Vec<usize> = order.into_iter().filter(|&i| faults[i].cycle < trace_len).collect();
-    cost.skipped_cycles += trace_len * (faults.len() - in_range.len()) as u64;
+    let in_range: Vec<usize> =
+        order.into_iter().filter(|&i| faults[i].cycle < golden_cycles).collect();
+    cost.skipped_cycles += golden_cycles * (faults.len() - in_range.len()) as u64;
     let Some(&first) = in_range.first() else {
         return (outcomes, cost);
     };
@@ -661,9 +796,7 @@ pub fn run_batch_group<C: CoreBatch>(
     let cp = checkpoints
         .nearest_at(faults[first].cycle)
         .expect("golden captures always include the cycle-0 checkpoint");
-    let mut wcpu = C::from_state(cp.cpu.clone());
-    let mut wmem = cp.mem.clone();
-    let mut wports = PortSet::new();
+    let mut walker = Walker::<C>::resume(cp);
     let mut cycle = cp.cycle;
     cost.skipped_cycles += cp.cycle;
 
@@ -674,11 +807,16 @@ pub fn run_batch_group<C: CoreBatch>(
     let mut lports = PortSet::new();
     let mut log = TrialLog::new();
     let mut strikes: Vec<(Fault, Vec<usize>)> = Vec::new();
+    let mut waiting: VecDeque<HandOver<C>> = VecDeque::new();
+    let mut recent = PortWindow::new(window, golden_cycles);
 
-    while cycle < trace_len {
-        if lanes.is_empty() && lot.is_empty() {
+    while cycle < golden_cycles {
+        if lanes.is_empty() && lot.is_empty() && waiting.is_empty() {
             // Idle: nothing to simulate until the next strike. Jump the
             // walker forward over any checkpoint between here and there.
+            // A waiting hand-over needs the walker's every port set up
+            // to the end of its window, so the walker never jumps or
+            // stops while one waits.
             let Some(&i) = pending.peek() else {
                 break;
             };
@@ -688,18 +826,26 @@ pub fn run_batch_group<C: CoreBatch>(
                     .nearest_at(target)
                     .expect("golden captures always include the cycle-0 checkpoint");
                 if cp.cycle > cycle {
-                    wcpu = C::from_state(cp.cpu.clone());
-                    wmem = cp.mem.clone();
+                    walker = Walker::resume(cp);
                     cost.skipped_cycles += cp.cycle - cycle;
                     cycle = cp.cycle;
                 }
             }
         }
 
+        // (0) Walk the fault-free golden machine through cycle `at`
+        // first: its ports are golden's ports of `at`, and it keeps its
+        // state from before the cycle for the lot's oracles. Its image
+        // stays golden's as of the start of `at` for the lanes until (2)
+        // commits the walker's side effects.
         let at = cycle;
-        let gp = trace.get(at).expect("walker within the golden trace");
+        walker.step();
+        cycle += 1;
+        cost.replayed_cycles += 1;
+        cost.walker_cycles += 1;
+        let (gp, pre) = (&walker.ports, &walker.pre);
 
-        // (0) Word parking lot, checked against the walker's *pre*-cycle
+        // (0b) Word parking lot, checked against the walker's *pre*-cycle
         // state and golden's ports of this cycle, which every parked
         // machine shares with golden until it reads a dirty word
         // (DESIGN.md §10). Only the holders of the words the cycle reads
@@ -708,10 +854,10 @@ pub fn run_batch_group<C: CoreBatch>(
         // through `at` with the other lanes), and so does one with a
         // dirty word a compare-only read tests against a key that its
         // value or golden's equals; the words the cycle writes are
-        // applied after the walker's step, from its committed values.
+        // applied after the walker's side effects, from its committed
+        // values.
         let mut lot_writes = 0u128;
         if lot.held != 0 {
-            let pre = wcpu.state();
             let (held, reads) = (lot.held, C::park_reads(pre, gp) & lot.held);
             let compares = C::park_compares(pre, gp)
                 .filter(|&(w, _)| (held & !reads) >> w & 1 != 0)
@@ -735,23 +881,25 @@ pub fn run_batch_group<C: CoreBatch>(
             lot_writes = C::park_writes(pre, gp) & lot.held;
         }
 
-        // (1) Step every live lane through cycle `at` *before* the
-        // walker, speculatively against the walker's image (which at
-        // this point holds golden memory as of the start of `at` —
-        // identical to the lane's own, see `Lane`). A lane whose ports
-        // still match golden discards its trial log: the walker is
-        // about to apply the very same side effects for it. A lane
-        // that diverges is materialized on the spot — fork the pre-`at`
-        // image and replay the divergent cycle's log onto it — and
-        // handed over, live, to the comparator, which decides it from
-        // cycle `at` on with real memory, clamped to the end of the
-        // golden run like the scalar engine.
+        // (1) Step every live lane through cycle `at`, speculatively
+        // against the walker's image (which still holds golden memory
+        // as of the start of `at` — identical to the lane's own, see
+        // `Lane`). A lane whose ports still match golden discards its
+        // trial log: the walker's log holds the very same side effects.
+        // A lane that diverges is materialized on the spot — fork the
+        // pre-`at` image and replay the divergent cycle's log onto it —
+        // and handed over, live, to the comparator, which decides it
+        // from cycle `at` on with real memory, clamped to the end of the
+        // golden run like the scalar engine. DME's retire comparator
+        // takes it at once; the port comparator needs golden's ports of
+        // the whole capture window, so the hand-over waits for the
+        // walker to produce them.
         let mut li = 0;
         while li < lanes.len() {
             let lane = &mut lanes[li];
             let f = lane.fault;
             log.clear();
-            let mut view = TrialView::new(&wmem, &mut log);
+            let mut view = TrialView::new(&walker.mem, &mut log);
             if f.kind == FaultKind::Transient {
                 // Past its strike a transient's overlay is the identity.
                 lane.cpu.step(&mut view, &mut lports);
@@ -764,29 +912,34 @@ pub fn run_batch_group<C: CoreBatch>(
                 continue;
             }
             let lane = lanes.swap_remove(li);
-            let mut mem = fork_mem(&mut mem_pool, &wmem);
+            let mut mem = fork_mem(&mut mem_pool, &walker.mem);
             mem.apply_trial(&log);
-            let start =
-                ReplayStart::Live { state: lane.cpu.state(), mem: &mut mem, ports: &lports, at };
-            let handed = run_injection::<C>(start, reference, f, window, None);
-            cost.replayed_cycles += handed.cost.replayed_cycles;
-            for &o in &lane.outs {
-                outcomes[o] = handed.outcome;
+            let handed = HandOver { lane, mem, ports: lports, at };
+            match retire_stream {
+                Some(stream) => {
+                    let reference = Reference::RetireStream { cycles: golden_cycles, stream };
+                    handed.decide(reference, window, &mut outcomes, &mut cost, &mut mem_pool);
+                }
+                None => waiting.push_back(handed),
             }
-            mem_pool.push(mem);
         }
 
-        // (2) Walk the fault-free golden machine through cycle `at`.
-        wcpu.step(&mut wmem, &mut wports);
-        debug_assert_eq!(
-            wports.diff_mask(gp),
-            0,
-            "fault-free walker diverged from the recorded golden trace at cycle {at}"
-        );
-        cycle += 1;
-        cost.replayed_cycles += 1;
-        cost.walker_cycles += 1;
-        let committed = wcpu.state();
+        // (1b) Waiting hand-overs: the walker's ports of `at` join the
+        // window, and each hand-over whose capture window the walker has
+        // now produced is decided against it. Hand-overs wait in
+        // divergence order, so those decided are a prefix.
+        if !waiting.is_empty() {
+            recent.record(at, gp);
+            while waiting.front().is_some_and(|h| h.at + u64::from(window) - 1 <= at) {
+                let handed = waiting.pop_front().expect("a waiting hand-over");
+                let reference = Reference::Recorded(&recent);
+                handed.decide(reference, window, &mut outcomes, &mut cost, &mut mem_pool);
+            }
+        }
+
+        // (2) The walker's side effects of cycle `at` land in its image.
+        walker.commit();
+        let committed = walker.cpu.state();
 
         // (2b) Golden's writes of cycle `at` clean the dirty words they
         // hit (both machines wrote the identical value), or, for a word
@@ -814,7 +967,7 @@ pub fn run_batch_group<C: CoreBatch>(
                 if e.dirty == 0 && e.fault.kind == FaultKind::Transient {
                     let n = e.outs.len() as u64;
                     cost.masked_early_out += n;
-                    cost.early_out_cycles_saved += (trace_len - e.park_cycle) * n;
+                    cost.early_out_cycles_saved += (golden_cycles - e.park_cycle) * n;
                     lot.remove(i);
                 }
             }
@@ -852,7 +1005,7 @@ pub fn run_batch_group<C: CoreBatch>(
             if dirty == 0 && lane.fault.kind == FaultKind::Transient {
                 let n = lane.outs.len() as u64;
                 cost.masked_early_out += n;
-                cost.early_out_cycles_saved += (trace_len - cycle) * n;
+                cost.early_out_cycles_saved += (golden_cycles - cycle) * n;
             } else {
                 // Word residue; a word stuck-at even when clean, since
                 // golden's next write to its target may re-dirty it,
@@ -919,6 +1072,14 @@ pub fn run_batch_group<C: CoreBatch>(
         }
     }
 
+    // Hand-overs still waiting when the golden run ends: the walker has
+    // produced their capture windows up to its end, where the scalar
+    // engine clamps them too.
+    for handed in waiting.drain(..) {
+        let reference = Reference::Recorded(&recent);
+        handed.decide(reference, window, &mut outcomes, &mut cost, &mut mem_pool);
+    }
+
     // Faults still parked (or still live) at the end of the trace are
     // masked; `outcomes` already says so. Parked ones never cost a
     // simulated cycle — worth counting.
@@ -926,7 +1087,7 @@ pub fn run_batch_group<C: CoreBatch>(
         let n = entry.outs.len() as u64;
         if entry.fault.kind == FaultKind::Transient {
             cost.masked_early_out += n;
-            cost.early_out_cycles_saved += (trace_len - entry.park_cycle) * n;
+            cost.early_out_cycles_saved += (golden_cycles - entry.park_cycle) * n;
         } else {
             cost.parked_masked += n;
         }
@@ -1057,8 +1218,14 @@ mod tests {
         let rf = regs.iter().position(|r| r.name == "regs").expect("register bank") as u16;
         let strike = 150;
         let f = Fault::new(FlopId { reg: rf, lane: 4, bit: 20 }, FaultKind::StuckAt1, strike);
-        let (out, cost) =
-            run_batch_group::<C>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        let (out, cost) = run_batch_group::<C>(
+            &cap.checkpoints,
+            cap.run.cycles,
+            None,
+            &[f],
+            16,
+            BatchConfig::FULL,
+        );
         assert!(cost.lane_activations > 5, "{}: woke {} times", C::NAME, cost.lane_activations);
         let lane_cycles = cost.replayed_cycles - cost.walker_cycles;
         assert!(
@@ -1141,8 +1308,14 @@ mod tests {
             "the fault never went through (4)"
         );
 
-        let (out, _) =
-            run_batch_group::<Cpu>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        let (out, _) = run_batch_group::<Cpu>(
+            &cap.checkpoints,
+            cap.run.cycles,
+            None,
+            &[f],
+            16,
+            BatchConfig::FULL,
+        );
         let scalar = run_injection::<Cpu>(
             ReplayStart::Checkpoint(&cap.checkpoints),
             Reference::Recorded(&cap.trace),
@@ -1248,7 +1421,7 @@ mod tests {
             }
             let (out, cost) = run_batch_group::<Lr7>(
                 &cap.checkpoints,
-                &cap.trace,
+                cap.run.cycles,
                 None,
                 &[f],
                 16,
@@ -1341,8 +1514,14 @@ mod tests {
         }
         assert_eq!(woke, Some(issue), "station {k} did not wake at its issue");
 
-        let (out, cost) =
-            run_batch_group::<Lr7>(&cap.checkpoints, &cap.trace, None, &[f], 16, BatchConfig::FULL);
+        let (out, cost) = run_batch_group::<Lr7>(
+            &cap.checkpoints,
+            cap.run.cycles,
+            None,
+            &[f],
+            16,
+            BatchConfig::FULL,
+        );
         let scalar = run_injection::<Lr7>(
             ReplayStart::Checkpoint(&cap.checkpoints),
             Reference::Recorded(&cap.trace),
@@ -1495,7 +1674,14 @@ mod tests {
             .collect();
         let twice = [once.as_slice(), &once].concat();
         let run = |faults: &[Fault]| {
-            run_batch_group::<C>(&cap.checkpoints, &cap.trace, None, faults, 16, BatchConfig::FULL)
+            run_batch_group::<C>(
+                &cap.checkpoints,
+                cap.run.cycles,
+                None,
+                faults,
+                16,
+                BatchConfig::FULL,
+            )
         };
         let ((one, a), (two, b)) = (run(&once), run(&twice));
         assert_eq!(two, [one.as_slice(), &one].concat(), "{}: a copy's outcome differs", C::NAME);
@@ -1505,6 +1691,161 @@ mod tests {
             (a.replayed_cycles, a.walker_cycles, a.lane_activations),
             "{}: duplicates cost machines of their own",
             C::NAME
+        );
+    }
+
+    /// The registry entry of `C`'s `name`.
+    fn reg_of<C: CoreModel>(name: &str) -> u16 {
+        C::registry().iter().position(|r| r.name == name).expect("registry entry") as u16
+    }
+
+    /// A fixed-mode hand-over waits for the walker to produce its capture
+    /// window, on both cores, and each outcome is the scalar engine's:
+    /// for a fault first diverging within a window of the golden halt,
+    /// where the window is clamped to the run's end, the walker runs on
+    /// to the end instead of stopping with nothing left to simulate; and
+    /// for a fault diverging with the lanes and lot otherwise empty and a
+    /// later strike past a checkpoint, the walker steps through the whole
+    /// window before it jumps to that checkpoint.
+    #[test]
+    fn waiting_hand_overs_match_the_scalar_engine() {
+        waiting_hand_overs::<Cpu>();
+        waiting_hand_overs::<Lr7>();
+    }
+
+    fn waiting_hand_overs<C: CoreBatch>() {
+        let w = lockstep_workloads::Workload::find("rspeed").expect("suite kernel");
+        let cap = w.golden_capture_for::<C>(7, 400_000, 256);
+        let (len, window) = (cap.run.cycles, 16u32);
+        let scalar = |f: Fault| {
+            let start = ReplayStart::Checkpoint(&cap.checkpoints);
+            run_injection::<C>(start, Reference::Recorded(&cap.trace), f, window, None).outcome
+        };
+        let batched = |faults: &[Fault]| {
+            run_batch_group::<C>(&cap.checkpoints, len, None, faults, window, BatchConfig::FULL)
+        };
+        let pc = |bit: u8, strike: u64| {
+            Fault::new(
+                FlopId { reg: reg_of::<C>("pc"), lane: 0, bit },
+                FaultKind::Transient,
+                strike,
+            )
+        };
+
+        let near_halt = (len - 3 * u64::from(window)..len)
+            .flat_map(|strike| (2..12).map(move |bit| pc(bit, strike)))
+            .find(|&f| scalar(f).is_some_and(|(d, _)| d + u64::from(window) > len))
+            .unwrap_or_else(|| panic!("{}: no detection within a window of the halt", C::NAME));
+        let (out, cost) = batched(&[near_halt]);
+        assert_eq!(out[0], scalar(near_halt), "{}: the clamped hand-over", C::NAME);
+        let from = cap.checkpoints.nearest_at(near_halt.cycle).expect("checkpoint").cycle;
+        assert_eq!(cost.walker_cycles, len - from, "{}: the walker stopped early", C::NAME);
+
+        let early = (1000..2000)
+            .map(|strike| pc(4, strike))
+            .find(|&f| scalar(f).is_some())
+            .unwrap_or_else(|| panic!("{}: no early detection", C::NAME));
+        let (detect, _) = scalar(early).expect("detected");
+        let later = pc(4, detect + 700);
+        let jump = cap.checkpoints.nearest_at(later.cycle).expect("checkpoint").cycle;
+        assert!(jump > detect + u64::from(window), "{}: no checkpoint to jump to", C::NAME);
+        let (out, cost) = batched(&[early, later]);
+        assert_eq!(out, [scalar(early), scalar(later)], "{}: the waiting hand-over", C::NAME);
+        assert!(cost.walker_cycles < len - early.cycle, "{}: the walker never jumped", C::NAME);
+    }
+
+    /// A transient in the first operand of an LR7 station waiting on a
+    /// tag parks at its strike, and that tag's CDB broadcast, which
+    /// overwrites the operand, masks it: no lane is ever activated, and
+    /// with nothing left the walker stops right after the broadcast. On
+    /// `ttsprk`, a flip of `rs_v1` bit 5 in a valid ALU station waiting a
+    /// few cycles for its first operand, and still waiting on its second
+    /// or behind an older station when the broadcast comes (so it does not
+    /// issue that cycle), leaves a machine, stepped live, differing from
+    /// golden in that word alone until the broadcast and equal to golden
+    /// from it on; the outcome is the scalar engine's. (On `rspeed` every
+    /// such station issues in its broadcast's cycle, which reads the
+    /// word.)
+    #[test]
+    fn a_cdb_broadcast_masks_a_parked_waiting_operand() {
+        let w = lockstep_workloads::Workload::find("ttsprk").expect("suite kernel");
+        let cap = w.golden_capture_for::<Lr7>(7, 400_000, 1024);
+        let len = cap.trace.len();
+        let regs = Lr7::registry();
+        let (mut golden, mut mem) = golden_before::<Lr7>(&cap, 0);
+        let mut ports = PortSet::new();
+        // Per cycle: the post-cycle station bookkeeping (valid, ready,
+        // first-operand tags, opcodes), and the cycle's broadcast and issue.
+        type Cycle = (u8, u8, [u8; 8], [u8; 8], u32, u32);
+        let cycles: Vec<Cycle> = (0..len)
+            .map(|_| {
+                golden.step(&mut mem, &mut ports);
+                let s = golden.state();
+                let (fwd, exec) = (ports.get(Sc::FwdCtl), ports.get(Sc::ExecCtl));
+                (s.rs_valid, s.rs_r1, s.rs_t1, s.rs_op, fwd, exec)
+            })
+            .collect();
+        let broadcasts = |c: u64, tag: u8| {
+            let fwd = cycles[c as usize].4;
+            fwd & 1 != 0 && (fwd >> 1) & 15 == u32::from(tag)
+        };
+        let issues = |c: u64, k: usize| {
+            let exec = cycles[c as usize].5;
+            exec & 1 != 0 && (exec >> 1) & 7 == k as u32
+        };
+        let (k, strike, cdb) = (1100..len - 1)
+            .flat_map(|s| (0..8).map(move |k| (k, s)))
+            .find_map(|(k, s)| {
+                let (valid, ready, tags, ops, _, _) = cycles[s as usize];
+                let op = lockstep_isa::Opcode::from_bits(u32::from(ops[k]));
+                let alu = op.is_some_and(|op| !op.is_load() && !op.is_store());
+                if valid >> k & 1 == 0 || ready >> k & 1 == 1 || !alu {
+                    return None;
+                }
+                let cdb = (s + 1..len).find(|&c| broadcasts(c, tags[k] & 15))?;
+                (cdb >= s + 3 && !issues(cdb, k)).then_some((k, s, cdb))
+            })
+            .expect("an ALU station waiting a few cycles for its first operand");
+        let f = Fault::new(
+            FlopId { reg: lr7_reg("rs_v1"), lane: k as u16, bit: 5 },
+            FaultKind::Transient,
+            strike,
+        );
+        let word = Lr7::park_words().iter().find(|&&(r, _)| r == f.flop.reg).expect("a word").1;
+
+        let (mut live, mut live_mem) = golden_before::<Lr7>(&cap, strike);
+        let (mut golden, mut mem) = (live.clone(), live_mem.clone());
+        let (mut gports, mut lports) = (PortSet::new(), PortSet::new());
+        for at in strike..=cdb {
+            golden.step(&mut mem, &mut gports);
+            live.step_with_overlay(&mut live_mem, &mut lports, |st| f.overlay_for::<Lr7>(st, at));
+            assert_eq!(lports.diff_mask(&gports), 0, "station {k}: the flip reached the ports");
+            let dirty = park_confined_in(
+                regs,
+                Lr7::park_words(),
+                live.state(),
+                golden.state(),
+                &mut DirtyWitness::new(),
+            );
+            let expected = if at < cdb { 1 << (word as usize + k) } else { 0 };
+            assert_eq!(dirty, Some(expected), "station {k}, cycle {at}");
+        }
+
+        let (out, cost) =
+            run_batch_group::<Lr7>(&cap.checkpoints, len, None, &[f], 16, BatchConfig::FULL);
+        let scalar = run_injection::<Lr7>(
+            ReplayStart::Checkpoint(&cap.checkpoints),
+            Reference::Recorded(&cap.trace),
+            f,
+            16,
+            None,
+        );
+        assert_eq!((out[0], scalar.outcome), (None, None), "station {k}");
+        let from = cap.checkpoints.nearest_at(strike).expect("checkpoint").cycle;
+        assert_eq!(
+            (cost.lane_activations, cost.masked_early_out, cost.walker_cycles),
+            (0, 1, cdb + 1 - from),
+            "station {k}: the broadcast at {cdb} did not mask the parked operand"
         );
     }
 

@@ -23,10 +23,11 @@
 //! [`run_injection`] is the one scalar entry point. What it compares
 //! the faulty copy against each replayed cycle is a [`Reference`]:
 //!
-//! * [`Reference::Recorded`] — the recorded golden [`PortTrace`] of the
-//!   single golden pass (shadow replay), the port comparator of every
-//!   [`RedundancyMode::Fixed`] campaign. One CPU and one memory clone
-//!   per injection.
+//! * [`Reference::Recorded`] — golden's recorded ports (shadow replay),
+//!   the port comparator of every [`RedundancyMode::Fixed`] campaign: the
+//!   [`PortTrace`] of the single golden pass, or, for a batched
+//!   hand-over, the window of the walker's latest port sets. One CPU and
+//!   one memory clone per injection.
 //! * [`Reference::Twins`] — live fault-free golden-twin CPUs, each with
 //!   its own clone of the checkpoint memory (board-level lockstep, the
 //!   paper's Figure 1a). N CPUs and N memory clones per injection. No
@@ -69,8 +70,12 @@
 //! [`ReplayStart::Live`] start against [`Reference::RetireStream`],
 //! which decides it exactly as a replay from its checkpoint would, in
 //! the same pass. Fixed lockstep takes the same hand-over against
-//! [`Reference::Recorded`], so both comparators share one divergence
-//! path.
+//! [`Reference::Recorded`], over the walker's own port sets of the
+//! capture window, so both comparators share one divergence path. The
+//! batched engine's walker is its golden reference, so a batched
+//! campaign's golden pass records no port trace: only the run, the
+//! checkpoints and, under DME, the retire stream. The scalar engine's
+//! port comparator is the one reader of a recorded trace.
 //!
 //! # One work queue
 //!
@@ -98,12 +103,12 @@ use lockstep_fault::{CampaignPlan, ErrorKind, Fault, FaultKind, PlanConfig};
 use lockstep_iss::{retired_of_ports, Retired};
 use lockstep_mem::Memory;
 use lockstep_obs::{DivergenceTrace, Event, EventSink, TraceRing, TraceSample};
-use lockstep_workloads::{GoldenCapture, GoldenCheckpoints, GoldenRun, Workload};
+use lockstep_workloads::{GoldenCheckpoints, GoldenRun, Workload};
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{run_batch_group, total_cost, BatchConfig, BatchCost, CoreBatch};
-use crate::dme::{retire_stream, retired_diff_mask, stream_skew_mask};
+use crate::dme::{retired_diff_mask, stream_skew_mask};
 
 /// Default DSR capture window (cycles from first divergence until the
 /// CPUs are architecturally stopped).
@@ -575,10 +580,11 @@ pub(crate) fn record_key(r: &ErrorRecord) -> (u64, u64, u8, Dsr) {
 }
 
 /// Runs a full campaign: one golden reference pass per workload
-/// (statistics, port trace, and checkpoints captured together), then a
-/// single flat queue of (workload, fault) injection experiments shared
-/// by all worker threads. Dispatches on [`CampaignConfig::core`] to the
-/// generic engine, monomorphized per core model.
+/// (statistics, checkpoints and what the comparator reads of golden's
+/// ports, captured together), then a single flat queue of (workload,
+/// fault) injection experiments shared by all worker threads.
+/// Dispatches on [`CampaignConfig::core`] to the generic engine,
+/// monomorphized per core model.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     match config.core {
         CoreKind::Lr5 => run_campaign_for::<Cpu>(config),
@@ -727,22 +733,71 @@ pub(crate) fn run_queue_slice<C: CoreBatch>(
     }
 }
 
-/// Phase 1: golden captures of `workloads`, parallel over workloads.
-/// One simulation per kernel yields the run stats, the golden trace,
-/// and the checkpoints. `stim_seeds[i]` seeds `workloads[i]`'s stimulus
-/// (the seed of its global campaign index, so a shard's captures are
-/// bit-identical to the full campaign's).
+/// One covered workload's golden pass, as the injection phase reads it:
+/// the run, the checkpoints, and what its comparator reads of golden's
+/// ports, recorded in the same pass.
+pub(crate) struct Golden<S> {
+    pub(crate) run: GoldenRun,
+    pub(crate) checkpoints: GoldenCheckpoints<S>,
+    /// The port trace, for the scalar engine's port comparator
+    /// ([`Reference::Recorded`]) alone: the batched engine's walker
+    /// re-produces every port set, and DME reads only the retire stream,
+    /// so their passes record no trace and this one stays empty.
+    pub(crate) trace: PortTrace,
+    /// Golden's retire stream under DME ([`Reference::RetireStream`]),
+    /// equal to [`crate::dme::retire_stream`] of the trace; empty
+    /// otherwise.
+    pub(crate) retires: Vec<(u64, Retired)>,
+}
+
+impl<S> Golden<S> {
+    /// Runs `workload`'s golden pass on core `C`, keeping the port trace
+    /// when `trace` asks for it and the retire stream when `retires`
+    /// does.
+    pub(crate) fn capture<C: CoreModel<State = S>>(
+        workload: &Workload,
+        stim_seed: u64,
+        checkpoint_interval: u64,
+        trace: bool,
+        retires: bool,
+    ) -> Golden<S> {
+        let (mut kept, mut stream) = (PortTrace::new(), Vec::new());
+        let (run, checkpoints) = workload.golden_record_for::<C>(
+            stim_seed,
+            400_000,
+            checkpoint_interval,
+            |cycle, ports| {
+                if trace {
+                    kept.push(*ports);
+                }
+                if let Some(r) = retires.then(|| retired_of_ports(ports)).flatten() {
+                    stream.push((cycle, r));
+                }
+            },
+        );
+        Golden { run, checkpoints, trace: kept, retires: stream }
+    }
+}
+
+/// Phase 1: golden passes of `workloads`, parallel over workloads. One
+/// simulation per kernel yields the run stats, the checkpoints and what
+/// the campaign's comparator reads of golden's ports ([`Golden`]).
+/// `stim_seeds[i]` seeds `workloads[i]`'s stimulus (the seed of its
+/// global campaign index, so a shard's passes are bit-identical to the
+/// full campaign's).
 ///
-/// Returns the captures plus the phase's wall time in nanoseconds.
+/// Returns the passes plus the phase's wall time in nanoseconds.
 fn run_golden_phase<C: CoreModel>(
     config: &CampaignConfig,
     workloads: &[&'static Workload],
     stim_seeds: &[u64],
-) -> (Vec<GoldenCapture<C::State>>, u64) {
+) -> (Vec<Golden<C::State>>, u64) {
     let phase_start = Instant::now();
     let capture_interval = config.checkpoint_interval.unwrap_or(u64::MAX);
-    let captures: Vec<GoldenCapture<C::State>> = {
-        let slots: Vec<Mutex<Option<GoldenCapture<C::State>>>> =
+    let dme = config.redundancy == RedundancyMode::Dme;
+    let trace = config.effective_batch().is_none() && !dme;
+    let captures: Vec<Golden<C::State>> = {
+        let slots: Vec<Mutex<Option<Golden<C::State>>>> =
             workloads.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -752,8 +807,13 @@ fn run_golden_phase<C: CoreModel>(
                     let Some(workload) = workloads.get(wi) else {
                         break;
                     };
-                    let cap =
-                        workload.golden_capture_for::<C>(stim_seeds[wi], 400_000, capture_interval);
+                    let cap = Golden::capture::<C>(
+                        workload,
+                        stim_seeds[wi],
+                        capture_interval,
+                        trace,
+                        dme,
+                    );
                     *slots[wi].lock().expect("no poisoned capture slot") = Some(cap);
                 });
             }
@@ -768,9 +828,6 @@ fn run_golden_phase<C: CoreModel>(
             })
             .collect()
     };
-    for (workload, cap) in workloads.iter().zip(&captures) {
-        assert!(cap.run.halted, "{} golden run did not halt", workload.name);
-    }
     let golden_nanos = elapsed_nanos(phase_start);
     if let Some(sink) = &config.events {
         for (workload, cap) in workloads.iter().zip(&captures) {
@@ -797,7 +854,7 @@ fn queue_slices<C: CoreModel>(
     config: &CampaignConfig,
     covered: Range<usize>,
     queue: &Range<u64>,
-    captures: &[GoldenCapture<C::State>],
+    captures: &[Golden<C::State>],
 ) -> Vec<Vec<(usize, Fault)>> {
     let fpw = config.faults_per_workload as u64;
     covered
@@ -832,7 +889,7 @@ fn queue_slices<C: CoreModel>(
 /// workload cut in two by count carried nearly three times the work of
 /// the second.
 fn work_items<S>(
-    captures: &[GoldenCapture<S>],
+    captures: &[Golden<S>],
     slices: Vec<Vec<(usize, Fault)>>,
     batched: bool,
     threads: usize,
@@ -881,15 +938,16 @@ fn work_items<S>(
 /// nor the item order reaches the records.
 ///
 /// Under DME each batched run gets its workload's retire stream: the
-/// engine port-compares every fault and hands each port-divergent lane,
-/// live, to the retire comparator, which decides it in the same pass.
+/// engine port-compares every fault against its walker and hands each
+/// port-divergent lane, live, to the retire comparator, which decides it
+/// in the same pass.
 ///
 /// Batched runs share their restore, so a batched phase reports no
 /// per-fault checkpoint hits and leaves the hit-distance stats at zero.
 fn run_injection_phase<C: CoreBatch>(
     config: &CampaignConfig,
     workloads: &[&'static Workload],
-    captures: &[GoldenCapture<C::State>],
+    captures: &[Golden<C::State>],
     stim_seeds: &[u64],
     items: &[WorkItem],
     counters: &[WorkCounters],
@@ -901,11 +959,6 @@ fn run_injection_phase<C: CoreBatch>(
     // on; otherwise each rebuilds its image and replays from reset.
     let checkpointed = config.checkpoint_interval.is_some();
     let trace_window = config.trace_window.filter(|_| config.records_traces());
-    let retires: Vec<Vec<(u64, Retired)>> = if dme {
-        captures.iter().map(|cap| retire_stream(&cap.trace)).collect()
-    } else {
-        Vec::new()
-    };
     // One scalar replay of covered workload `li`, with its costs counted.
     let replay = |li: usize, fault: Fault| {
         let (workload, cap, c) = (workloads[li], &captures[li], &counters[li]);
@@ -915,7 +968,7 @@ fn run_injection_phase<C: CoreBatch>(
             ReplayStart::Reset { workload, stim_seed: stim_seeds[li] }
         };
         let reference = if dme {
-            Reference::RetireStream { cycles: cap.trace.len(), stream: &retires[li] }
+            Reference::RetireStream { cycles: cap.run.cycles, stream: &cap.retires }
         } else {
             Reference::Recorded(&cap.trace)
         };
@@ -956,8 +1009,8 @@ fn run_injection_phase<C: CoreBatch>(
                             let faults: Vec<Fault> = item.iter().map(|&(_, f)| f).collect();
                             let (outcomes, cost) = run_batch_group::<C>(
                                 &cap.checkpoints,
-                                &cap.trace,
-                                retires.get(li).map(Vec::as_slice),
+                                cap.run.cycles,
+                                dme.then_some(cap.retires.as_slice()),
                                 &faults,
                                 window,
                                 layers,
@@ -1059,10 +1112,13 @@ pub enum ReplayStart<'a, S = CpuState> {
 /// DSR capture window cannot drift between them.
 #[derive(Debug, Clone, Copy)]
 pub enum Reference<'a> {
-    /// The recorded golden port trace (shadow replay): one CPU stepped
-    /// per cycle, its 62 SC ports diffed against the recording. The
-    /// replay domain is the trace's length.
-    Recorded(&'a PortTrace),
+    /// Golden's recorded ports (shadow replay): one CPU stepped per
+    /// cycle, its 62 SC ports diffed against the recording. The replay
+    /// domain is the golden run's length ([`Recording::cycles`]). The
+    /// recording is the whole [`PortTrace`] of a golden pass, or the
+    /// batched engine's window of its walker's latest port sets, which
+    /// holds every cycle a waiting hand-over compares (DESIGN.md §13).
+    Recorded(&'a dyn Recording),
     /// `cpus - 1` live fault-free golden twins restored beside the
     /// faulty CPU, each with its own memory clone (full lockstep replay,
     /// board-level Figure 1a, DMR at 2 CPUs and TMR at 3): the oracle
@@ -1092,6 +1148,29 @@ pub enum Reference<'a> {
         /// `(cycle, effect)` per golden retirement, in order.
         stream: &'a [(u64, Retired)],
     },
+}
+
+/// Golden's port sets as a [`Reference::Recorded`] replay reads them.
+pub trait Recording: std::fmt::Debug {
+    /// The golden run's length in cycles: the replay domain.
+    fn cycles(&self) -> u64;
+    /// Golden's ports of `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if the recording does not hold `cycle`.
+    fn ports(&self, cycle: u64) -> &PortSet;
+}
+
+/// The whole recorded trace of a golden pass.
+impl Recording for PortTrace {
+    fn cycles(&self) -> u64 {
+        self.len()
+    }
+
+    fn ports(&self, cycle: u64) -> &PortSet {
+        self.get(cycle).expect("cycle within golden trace")
+    }
 }
 
 /// What one injection produced.
@@ -1163,9 +1242,10 @@ pub fn run_injection<C: CoreModel>(
     let live = matches!(start, ReplayStart::Live { .. });
     assert!(!(live && trace_window.is_some()), "a live start cannot be traced");
     match reference {
-        Reference::Recorded(trace) => {
-            run_observed::<C, _>(start, trace.len(), fault, window, trace_window, |_, _, _| {
-                RecordedGolden { trace }
+        Reference::Recorded(recording) => {
+            let cycles = recording.cycles();
+            run_observed::<C, _>(start, cycles, fault, window, trace_window, |_, _, _| {
+                RecordedGolden { recording }
             })
         }
         Reference::Twins { cycles, cpus } => {
@@ -1242,9 +1322,9 @@ trait GoldenRef {
     fn diff_against(&mut self, cycle: u64, ports: &PortSet) -> u64;
 }
 
-/// Shadow replay's reference: the recorded golden port trace.
+/// Shadow replay's reference: golden's recorded ports.
 struct RecordedGolden<'a> {
-    trace: &'a PortTrace,
+    recording: &'a dyn Recording,
 }
 
 impl GoldenRef for RecordedGolden<'_> {
@@ -1255,7 +1335,7 @@ impl GoldenRef for RecordedGolden<'_> {
     fn advance(&mut self) {}
 
     fn diff_against(&mut self, cycle: u64, ports: &PortSet) -> u64 {
-        ports.diff_mask(self.trace.get(cycle).expect("cycle within golden trace"))
+        ports.diff_mask(self.recording.ports(cycle))
     }
 }
 
@@ -2052,5 +2132,63 @@ mod tests {
         // The checkpointed run skips the pre-fault prefix.
         let skipped: u64 = res_on.stats.per_workload.iter().map(|w| w.skipped_cycles).sum();
         assert!(skipped > 0, "checkpointing must skip replay work");
+    }
+
+    /// The golden pass of a batched campaign records no port trace, yet
+    /// gives the run and the checkpoints, state and memory, that the full
+    /// capture gives, and under DME the retire stream of the full
+    /// capture's trace. The batched engine's walker, stepped from each
+    /// checkpoint to the next, re-emits the trace's port sets and reaches
+    /// the next checkpoint's state, memory words and outputs. On every suite kernel plus
+    /// the trap and counter exercisers and two compiled kernels, on both
+    /// cores.
+    #[test]
+    fn the_record_only_golden_pass_matches_the_full_capture() {
+        record_only_pass::<Cpu>();
+        record_only_pass::<Lr7>();
+    }
+
+    fn record_only_pass<C: CoreBatch>() {
+        let extra = ["trapex", "ctrex", "lc_matmul", "lc_quicksort"]
+            .map(|name| Workload::find(name).expect("a shipped kernel"));
+        for w in Workload::all().iter().chain(extra) {
+            let full = w.golden_capture_for::<C>(7, 400_000, 1024);
+            let pass = Golden::capture::<C>(w, 7, 1024, false, true);
+            let at = format!("{} {}", C::NAME, w.name);
+            assert_eq!(pass.run, full.run, "{at}: the run");
+            assert!(pass.trace.is_empty(), "{at}: a trace was recorded");
+            assert_eq!(pass.retires, crate::dme::retire_stream(&full.trace), "{at}: retires");
+            let (points, full_points) = (&pass.checkpoints.points, &full.checkpoints.points);
+            assert_eq!(pass.checkpoints.interval, full.checkpoints.interval, "{at}");
+            assert_eq!(points.len(), full_points.len(), "{at}: checkpoint count");
+            for (p, q) in points.iter().zip(full_points) {
+                assert_eq!(p.cycle, q.cycle, "{at}");
+                assert!(p.cpu == q.cpu && p.mem == q.mem, "{at}: checkpoint {}", p.cycle);
+            }
+            for (i, p) in points.iter().enumerate() {
+                let end = points.get(i + 1).map_or(full.run.cycles, |q| q.cycle);
+                let mut walker = crate::batch::Walker::<C>::resume(p);
+                for cycle in p.cycle..end {
+                    walker.step();
+                    let golden = full.trace.get(cycle).expect("a traced cycle");
+                    assert_eq!(&walker.ports, golden, "{at}: the walker's ports of {cycle}");
+                    walker.commit();
+                }
+                // The walker's image skips the ECC read counters, which
+                // no core reads; its words and outputs are golden's.
+                if let Some(next) = points.get(i + 1) {
+                    let (a, b) = (&walker.mem, &next.mem);
+                    let mut words = (0..a.ram_bytes() as u32).step_by(4);
+                    assert!(walker.cpu.state() == &next.cpu, "{at}: state at {}", next.cycle);
+                    assert!(
+                        words.all(|x| a.ram().peek_word(x) == b.ram().peek_word(x))
+                            && a.output_log() == b.output_log()
+                            && a.output_checksum() == b.output_checksum(),
+                        "{at}: memory at {}",
+                        next.cycle
+                    );
+                }
+            }
+        }
     }
 }

@@ -37,9 +37,9 @@ use lockstep_workloads::Workload;
 
 /// The golden retire stream of a recorded port trace: one
 /// `(cycle, effect)` entry per retired instruction, in retirement
-/// order. Campaigns precompute this once per workload; the DME replay
-/// engine then compares the faulty copy's k-th retirement against
-/// entry k.
+/// order. A DME campaign's golden pass records the same stream cycle by
+/// cycle without keeping the trace; the DME replay engine then compares
+/// the faulty copy's k-th retirement against entry k.
 pub fn retire_stream(trace: &PortTrace) -> Vec<(u64, Retired)> {
     let mut out = Vec::new();
     for (cycle, ports) in trace.iter().enumerate() {

@@ -93,7 +93,7 @@ fn check_group<C: CoreBatch>(
     };
     let (outcomes, cost) = run_batch_group::<C>(
         &cap.checkpoints,
-        &cap.trace,
+        cap.run.cycles,
         stream.as_deref(),
         &faults,
         window,

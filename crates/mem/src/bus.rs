@@ -80,7 +80,7 @@ pub trait MemoryPort {
 }
 
 /// The full memory system: ECC RAM + sensor stimulus + output capture.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memory {
     ram: EccRam,
     sensors: SensorBlock,

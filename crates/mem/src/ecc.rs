@@ -33,9 +33,9 @@ impl EccStatus {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SecDed;
 
-/// Per-parity-bit data masks, precomputed from [`hamming_position`] so
-/// encode/decode run on popcounts instead of per-bit loops (this is the
-/// simulator's hottest path — every instruction fetch decodes a word).
+/// Per-parity-bit data masks, precomputed from [`hamming_position`]: the
+/// data bits each Hamming parity bit covers, from which [`check_bits`]
+/// defines the check bits.
 const PARITY_MASKS: [u32; PARITY_BITS as usize] = build_parity_masks();
 
 const fn build_parity_masks() -> [u32; PARITY_BITS as usize] {
@@ -104,6 +104,14 @@ const CHECK_BITS_BY_BYTE: [[u8; 256]; 4] = {
     table
 };
 
+/// The check bits of `data` through [`CHECK_BITS_BY_BYTE`]: the XOR of
+/// its four bytes' entries.
+fn table_check_bits(data: u32) -> u8 {
+    let [b0, b1, b2, b3] = data.to_le_bytes();
+    let t = &CHECK_BITS_BY_BYTE;
+    t[0][usize::from(b0)] ^ t[1][usize::from(b1)] ^ t[2][usize::from(b2)] ^ t[3][usize::from(b3)]
+}
+
 impl SecDed {
     /// Encodes a 32-bit word into a 39-bit codeword (in the low bits of
     /// the returned `u64`).
@@ -111,54 +119,27 @@ impl SecDed {
     /// Layout: bits `[31:0]` data, `[37:32]` Hamming parity, `[38]`
     /// overall parity.
     pub fn encode(data: u32) -> u64 {
-        let [b0, b1, b2, b3] = data.to_le_bytes();
-        let t = &CHECK_BITS_BY_BYTE;
-        let check = t[0][usize::from(b0)]
-            ^ t[1][usize::from(b1)]
-            ^ t[2][usize::from(b2)]
-            ^ t[3][usize::from(b3)];
-        u64::from(data) | u64::from(check) << 32
+        u64::from(data) | u64::from(table_check_bits(data)) << 32
     }
 
     /// Decodes a 39-bit codeword, correcting a single-bit error if present.
+    /// Bits above 38 are ignored.
     ///
     /// Returns the (possibly corrected) data word and the [`EccStatus`].
     /// On [`EccStatus::DoubleError`] the returned data is the raw,
     /// untrusted payload.
+    ///
+    /// The stored check bits XOR the data's own (four lookups in per-byte
+    /// tables) give the error: zero for a clean word, the common case,
+    /// which costs one compare more. This runs on every fetch and load
+    /// the simulator makes.
     pub fn decode(codeword: u64) -> (u32, EccStatus) {
         let data = codeword as u32;
-        let stored_parity = ((codeword >> 32) & 0x3F) as u32;
-        let stored_overall = ((codeword >> 38) & 1) as u32;
-
-        let mut syndrome = 0u32;
-        for (p, mask) in PARITY_MASKS.iter().enumerate() {
-            let acc = (stored_parity >> p & 1) ^ ((data & mask).count_ones() & 1);
-            syndrome |= acc << p;
+        let error = (codeword >> 32) as u8 & 0x7F ^ table_check_bits(data);
+        if error == 0 {
+            return (data, EccStatus::Clean);
         }
-        let body = codeword & ((1u64 << 38) - 1);
-        let overall_calc = body.count_ones() & 1;
-        let overall_error = overall_calc != stored_overall;
-
-        match (syndrome, overall_error) {
-            (0, false) => (data, EccStatus::Clean),
-            (0, true) => {
-                // The overall parity bit itself flipped.
-                (data, EccStatus::Corrected(38))
-            }
-            (s, true) => {
-                // Single error at the position named by the syndrome.
-                if let Some(bit) = data_bit_for_position(s) {
-                    (data ^ (1 << bit), EccStatus::Corrected(bit))
-                } else if (s as u64) <= 0x3F && s.count_ones() == 1 {
-                    // A parity bit flipped; data is intact.
-                    let pbit = 32 + s.trailing_zeros();
-                    (data, EccStatus::Corrected(pbit))
-                } else {
-                    (data, EccStatus::DoubleError)
-                }
-            }
-            (_, false) => (data, EccStatus::DoubleError),
-        }
+        decode_error(data, error)
     }
 
     /// Flips `bit` (0–38) of a codeword — the error-injection hook used to
@@ -171,6 +152,39 @@ impl SecDed {
     pub fn flip_bit(codeword: u64, bit: u32) -> u64 {
         assert!(bit < CODEWORD_BITS, "codeword bit {bit} out of range");
         codeword ^ (1u64 << bit)
+    }
+}
+
+/// The error path of [`SecDed::decode`]: `error` is the stored check
+/// bits XOR those of `data`. Its low six bits are the syndrome, the
+/// Hamming position of a single flipped bit, and its parity says whether
+/// the overall parity disagrees: each Hamming bit enters the overall
+/// parity once, so the stored overall bit's disagreement with the stored
+/// codeword is that of the check bits with the data's, and the syndrome's
+/// parity.
+#[cold]
+fn decode_error(data: u32, error: u8) -> (u32, EccStatus) {
+    let syndrome = u32::from(error & 0x3F);
+    let overall_error = error.count_ones() & 1 == 1;
+    match (syndrome, overall_error) {
+        (0, false) => (data, EccStatus::Clean),
+        (0, true) => {
+            // The overall parity bit itself flipped.
+            (data, EccStatus::Corrected(38))
+        }
+        (s, true) => {
+            // Single error at the position named by the syndrome.
+            if let Some(bit) = data_bit_for_position(s) {
+                (data ^ (1 << bit), EccStatus::Corrected(bit))
+            } else if s.count_ones() == 1 {
+                // A parity bit flipped; data is intact.
+                let pbit = 32 + s.trailing_zeros();
+                (data, EccStatus::Corrected(pbit))
+            } else {
+                (data, EccStatus::DoubleError)
+            }
+        }
+        (_, false) => (data, EccStatus::DoubleError),
     }
 }
 
@@ -236,6 +250,66 @@ mod tests {
         for data in singles.chain(bytes).chain(scrambled).chain([0, u32::MAX]) {
             let expected = u64::from(data) | u64::from(check_bits(data)) << 32;
             assert_eq!(SecDed::encode(data), expected, "{data:#010x}");
+        }
+    }
+
+    /// The decode as first defined, seven parity counts a call: the
+    /// reference the table decode is held to.
+    fn reference_decode(codeword: u64) -> (u32, EccStatus) {
+        let data = codeword as u32;
+        let stored_parity = ((codeword >> 32) & 0x3F) as u32;
+        let stored_overall = ((codeword >> 38) & 1) as u32;
+        let mut syndrome = 0u32;
+        for (p, mask) in PARITY_MASKS.iter().enumerate() {
+            let acc = (stored_parity >> p & 1) ^ ((data & mask).count_ones() & 1);
+            syndrome |= acc << p;
+        }
+        let body = codeword & ((1u64 << 38) - 1);
+        let overall_error = body.count_ones() & 1 != stored_overall;
+        match (syndrome, overall_error) {
+            (0, false) => (data, EccStatus::Clean),
+            (0, true) => (data, EccStatus::Corrected(38)),
+            (s, true) => {
+                if let Some(bit) = data_bit_for_position(s) {
+                    (data ^ (1 << bit), EccStatus::Corrected(bit))
+                } else if s.count_ones() == 1 {
+                    (data, EccStatus::Corrected(32 + s.trailing_zeros()))
+                } else {
+                    (data, EccStatus::DoubleError)
+                }
+            }
+            (_, false) => (data, EccStatus::DoubleError),
+        }
+    }
+
+    /// The table decode gives what the reference decode gives: every
+    /// clean codeword, single- and double-bit error of a sample of words,
+    /// and a million random 64-bit codewords, bits above 38 included.
+    #[test]
+    fn decode_matches_the_reference_decode() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let sampled = (0..200).map(|_| next() as u32);
+        for data in sampled.chain([0, u32::MAX, 0xCAFE_F00D, 0x1234_5678]) {
+            let cw = SecDed::encode(data);
+            assert_eq!(SecDed::decode(cw), reference_decode(cw), "{cw:#x}");
+            for b1 in 0..CODEWORD_BITS {
+                let one = SecDed::flip_bit(cw, b1);
+                assert_eq!(SecDed::decode(one), reference_decode(one), "{cw:#x} bit {b1}");
+                for b2 in b1 + 1..CODEWORD_BITS {
+                    let two = SecDed::flip_bit(one, b2);
+                    assert_eq!(SecDed::decode(two), reference_decode(two), "{cw:#x} {b1},{b2}");
+                }
+            }
+        }
+        for _ in 0..1_000_000 {
+            let cw = next();
+            assert_eq!(SecDed::decode(cw), reference_decode(cw), "{cw:#x}");
         }
     }
 

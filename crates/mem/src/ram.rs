@@ -68,7 +68,7 @@ pub struct EccStats {
 /// SECDED-protected word RAM. Every stored word is a 39-bit codeword;
 /// reads decode (and correct) on the way out, mirroring the ECC wrapper a
 /// lockstep SoC puts around its TCMs and caches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EccRam {
     codewords: Vec<u64>,
     stats: EccStats,

@@ -112,14 +112,13 @@ impl<S> GoldenCheckpoints<S> {
 
 /// Everything one fault-free reference pass produces: run statistics,
 /// the per-cycle output-port trace, and resumable checkpoints. Produced
-/// by [`Workload::golden_capture`] in a single simulation — campaigns
-/// previously simulated every kernel twice (once for [`GoldenRun`], once
-/// for the trace).
+/// by [`Workload::golden_capture`] in a single simulation.
 ///
-/// This is the campaign golden store (v3): v1 was the bare trace, v2
-/// added checkpoints, v3 stores the trace chunked ([`PortTrace`]) so
-/// recording never re-copies the multi-megabyte prefix and shadow
-/// replays index it by cycle.
+/// The trace is stored chunked ([`PortTrace`]) so recording never
+/// re-copies the multi-megabyte prefix and shadow replays index it by
+/// cycle. Campaigns keep it only for the scalar engine's port
+/// comparator; a batched campaign's golden pass records the run and the
+/// checkpoints alone ([`Workload::golden_record_for`]).
 #[derive(Debug, Clone)]
 pub struct GoldenCapture<S = CpuState> {
     /// Timing/output statistics, as [`Workload::golden_run`] reports.
@@ -198,25 +197,42 @@ impl Workload {
     /// Runs the kernel fault-free on a single core of model `C` and
     /// reports timing and the output checksum.
     pub fn golden_run_for<C: CoreModel>(&self, stimulus_seed: u64, max_cycles: u64) -> GoldenRun {
+        self.golden_loop::<C>(stimulus_seed, max_cycles, None, |_, _| {}).0
+    }
+
+    /// The one golden simulation loop: steps the kernel fault-free from
+    /// reset until it halts or `max_cycles` steps have run, hands each
+    /// cycle's index and ports to `record`, and snapshots the machine
+    /// every `checkpoint_interval` cycles when one is given (cycle 0
+    /// included).
+    fn golden_loop<C: CoreModel>(
+        &self,
+        stimulus_seed: u64,
+        max_cycles: u64,
+        checkpoint_interval: Option<u64>,
+        mut record: impl FnMut(u64, &PortSet),
+    ) -> (GoldenRun, Vec<Checkpoint<C::State>>) {
         let mut mem = self.memory(stimulus_seed);
         let mut core = C::new(0);
         let mut ports = PortSet::new();
-        let mut cycles = 0;
-        let mut halted = false;
-        for _ in 0..max_cycles {
-            cycles += 1;
-            if core.step(&mut mem, &mut ports).halted {
-                halted = true;
-                break;
+        let mut points = Vec::new();
+        let (mut cycles, mut halted) = (0, false);
+        while cycles < max_cycles && !halted {
+            if checkpoint_interval.is_some_and(|i| cycles.is_multiple_of(i)) {
+                points.push(Checkpoint { cycle: cycles, cpu: core.snapshot(), mem: mem.clone() });
             }
+            halted = core.step(&mut mem, &mut ports).halted;
+            record(cycles, &ports);
+            cycles += 1;
         }
-        GoldenRun {
+        let run = GoldenRun {
             halted,
             cycles,
             output_checksum: mem.output_checksum(),
             outputs: mem.output_log().len(),
             instructions: C::arch_instret(core.state()),
-        }
+        };
+        (run, points)
     }
 
     /// Records the full fault-free port trace (one [`PortSet`] per cycle)
@@ -265,7 +281,8 @@ impl Workload {
     }
 
     /// [`Workload::golden_capture`] over core model `C` — the single-pass
-    /// golden-reference engine every campaign uses, regardless of core.
+    /// golden reference of the scalar engine and of every caller that
+    /// reads the port trace, regardless of core.
     ///
     /// # Panics
     ///
@@ -276,34 +293,38 @@ impl Workload {
         max_cycles: u64,
         checkpoint_interval: u64,
     ) -> GoldenCapture<C::State> {
-        let interval = checkpoint_interval.max(1);
-        let mut mem = self.memory(stimulus_seed);
-        let mut core = C::new(0);
-        let mut ports = PortSet::new();
         let mut trace = PortTrace::new();
-        let mut points = Vec::new();
-        let mut halted = false;
-        while trace.len() < max_cycles {
-            let cycle = trace.len();
-            if cycle.is_multiple_of(interval) {
-                points.push(Checkpoint { cycle, cpu: core.snapshot(), mem: mem.clone() });
-            }
-            let info = core.step(&mut mem, &mut ports);
-            trace.push(ports);
-            if info.halted {
-                halted = true;
-                break;
-            }
-        }
-        assert!(halted, "kernel `{}` did not halt within {max_cycles} cycles", self.name);
-        let run = GoldenRun {
-            halted,
-            cycles: trace.len(),
-            output_checksum: mem.output_checksum(),
-            outputs: mem.output_log().len(),
-            instructions: C::arch_instret(core.state()),
-        };
-        GoldenCapture { run, trace, checkpoints: GoldenCheckpoints { interval, points } }
+        let (run, checkpoints) = self.golden_record_for::<C>(
+            stimulus_seed,
+            max_cycles,
+            checkpoint_interval,
+            |_, ports| trace.push(*ports),
+        );
+        GoldenCapture { run, trace, checkpoints }
+    }
+
+    /// [`Workload::golden_capture_for`] with the per-cycle record left to
+    /// the caller: `record` sees each golden cycle's index and ports, in
+    /// order, and keeps what it needs of them. The batched engine keeps
+    /// none (its fault-free walker re-produces every port set), and DME
+    /// keeps the retire stream alone; the trace a full capture records,
+    /// 128 bytes a cycle, was the largest allocation of a campaign job.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Workload::golden_capture`].
+    pub fn golden_record_for<C: CoreModel>(
+        &self,
+        stimulus_seed: u64,
+        max_cycles: u64,
+        checkpoint_interval: u64,
+        record: impl FnMut(u64, &PortSet),
+    ) -> (GoldenRun, GoldenCheckpoints<C::State>) {
+        let interval = checkpoint_interval.max(1);
+        let (run, points) =
+            self.golden_loop::<C>(stimulus_seed, max_cycles, Some(interval), record);
+        assert!(run.halted, "kernel `{}` did not halt within {max_cycles} cycles", self.name);
+        (run, GoldenCheckpoints { interval, points })
     }
 
     /// Convenience: reads a word the kernel published at `offset` within
